@@ -10,38 +10,6 @@
 
 namespace cosmos {
 
-const char* TraceEventKindToString(TraceEvent::Kind kind) {
-  switch (kind) {
-    case TraceEvent::Kind::kPublish:
-      return "publish";
-    case TraceEvent::Kind::kForward:
-      return "forward";
-    case TraceEvent::Kind::kDeliver:
-      return "deliver";
-    case TraceEvent::Kind::kBuffer:
-      return "buffer";
-    case TraceEvent::Kind::kDrop:
-      return "drop";
-    case TraceEvent::Kind::kRecover:
-      return "recover";
-  }
-  return "?";
-}
-
-void ContentBasedNetwork::Trace(TraceEvent::Kind kind, NodeId node,
-                                NodeId peer, size_t count,
-                                const Datagram& d) const {
-  if (!trace_sink_) return;
-  TraceEvent ev;
-  ev.kind = kind;
-  ev.node = node;
-  ev.peer = peer;
-  ev.count = count;
-  ev.stream = d.stream;
-  ev.timestamp = d.tuple.timestamp();
-  trace_sink_(ev);
-}
-
 ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
                                          NetworkOptions options,
                                          Simulator* sim)
@@ -51,6 +19,7 @@ ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
     routers_.emplace_back(i);
     routers_.back().set_compiled_matching(options_.compiled_matching);
   }
+  SetTelemetry(nullptr, nullptr);
 }
 
 const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
@@ -61,34 +30,30 @@ const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
 
 void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
                                        Tracer* tracer) {
+  if (metrics == nullptr) {
+    if (owned_metrics_ == nullptr) {
+      owned_metrics_ = std::make_unique<MetricsRegistry>();
+    }
+    metrics = owned_metrics_.get();
+  }
   metrics_ = metrics;
   tracer_ = tracer;
-  stream_counters_.clear();
-  link_counters_.clear();
   for (auto& r : routers_) r.SetTelemetry(metrics_);
-  if (metrics_ == nullptr) {
-    forwards_counter_ = nullptr;
-    forwarded_bytes_counter_ = nullptr;
-    recovery_forwards_counter_ = nullptr;
-    deliveries_counter_ = nullptr;
-    matches_counter_ = nullptr;
-    control_counter_ = nullptr;
-    datagram_bytes_hist_ = nullptr;
-    return;
-  }
-  forwards_counter_ = metrics_->GetCounter("cbn.forwards");
-  forwarded_bytes_counter_ = metrics_->GetCounter("cbn.forwarded_bytes");
-  recovery_forwards_counter_ = metrics_->GetCounter("cbn.recovery_forwards");
-  deliveries_counter_ = metrics_->GetCounter("cbn.deliveries");
-  matches_counter_ = metrics_->GetCounter("cbn.matches");
-  control_counter_ = metrics_->GetCounter("cbn.control_messages");
-  datagram_bytes_hist_ = metrics_->GetHistogram("cbn.datagram_bytes");
+  forwards_ = metrics_->GetCounter("cbn.forwards");
+  forwarded_bytes_ = metrics_->GetCounter("cbn.forwarded_bytes");
+  recovery_forwards_ = metrics_->GetCounter("cbn.recovery_forwards");
+  deliveries_ = metrics_->GetCounter("cbn.deliveries");
+  matches_ = metrics_->GetCounter("cbn.matches");
+  control_ = metrics_->GetCounter("cbn.control_messages");
+  datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
+  // Rebound in place: hops scheduled on the simulator hold these entries.
+  for (auto& [stream, sc] : stream_counters_) sc = ResolveStream(stream);
+  link_counters_.clear();
+  reset_.clear();
 }
 
-ContentBasedNetwork::StreamCounters* ContentBasedNetwork::StreamMetrics(
-    const std::string& stream) {
-  auto it = stream_counters_.find(stream);
-  if (it != stream_counters_.end()) return &it->second;
+ContentBasedNetwork::StreamCounters ContentBasedNetwork::ResolveStream(
+    const std::string& stream) const {
   StreamCounters sc;
   sc.published = metrics_->GetCounter("cbn.published", "stream", stream);
   sc.published_bytes =
@@ -102,12 +67,27 @@ ContentBasedNetwork::StreamCounters* ContentBasedNetwork::StreamMetrics(
   sc.forwarded = metrics_->GetCounter("cbn.forwarded", "stream", stream);
   sc.forwarded_bytes =
       metrics_->GetCounter("cbn.forwarded_bytes", "stream", stream);
-  return &stream_counters_.emplace(stream, sc).first->second;
+  return sc;
 }
 
-void ContentBasedNetwork::CountControl() {
-  ++control_messages_;
-  if (control_counter_ != nullptr) control_counter_->Increment();
+ContentBasedNetwork::StreamCounters& ContentBasedNetwork::StreamLedger(
+    const std::string& stream) {
+  auto it = stream_counters_.find(stream);
+  if (it != stream_counters_.end()) return it->second;
+  return stream_counters_.emplace(stream, ResolveStream(stream))
+      .first->second;
+}
+
+uint64_t ContentBasedNetwork::Since(const Counter* c) const {
+  auto it = reset_.find(c);
+  return c->value() - (it == reset_.end() ? 0 : it->second);
+}
+
+uint64_t ContentBasedNetwork::SumStreams(
+    Counter* StreamCounters::*counter) const {
+  uint64_t total = 0;
+  for (const auto& [stream, sc] : stream_counters_) total += Since(sc.*counter);
+  return total;
 }
 
 void ContentBasedNetwork::ForEachSubscription(
@@ -167,7 +147,7 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
     RoutingTable& table = routers_[node].table();
     if (!table.Contains(toward, id)) {
       table.Add(toward, id, profile);
-      CountControl();
+      control_->Increment();
     }
   }
 }
@@ -200,7 +180,7 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
   std::queue<Hop> q;
   for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
     q.push(Hop{n, subscriber});
-    CountControl();
+    control_->Increment();
   }
   while (!q.empty()) {
     Hop h = q.front();
@@ -220,7 +200,7 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n == h.prev) continue;
       q.push(Hop{n, h.node});
-      CountControl();
+      control_->Increment();
     }
   }
 }
@@ -258,34 +238,84 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   return found;
 }
 
-void ContentBasedNetwork::AccountLink(NodeId u, NodeId v, const Datagram& d,
-                                      StreamCounters* sc) {
-  size_t size = d.SerializedSize();
-  LinkStats& stats = link_stats_[DisseminationTree::EdgeKey(u, v)];
-  ++stats.datagrams;
-  stats.bytes += size;
-  total_bytes_ += size;
-  ++total_forwards_;
-  if (metrics_ != nullptr) {
-    forwards_counter_->Increment();
-    forwarded_bytes_counter_->Add(size);
-    datagram_bytes_hist_->Observe(size);
-    sc->forwarded->Increment();
-    sc->forwarded_bytes->Add(size);
-    auto key = DisseminationTree::EdgeKey(u, v);
-    auto it = link_counters_.find(key);
-    if (it == link_counters_.end()) {
-      std::string label =
-          StrFormat("%d-%d", static_cast<int>(key.first),
-                    static_cast<int>(key.second));
-      LinkCounters lc;
-      lc.datagrams = metrics_->GetCounter("cbn.link_datagrams", "link", label);
-      lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
-      it = link_counters_.emplace(key, lc).first;
+void ContentBasedNetwork::Emit(Event kind, StreamCounters& sc, NodeId node,
+                               NodeId peer, const Datagram& d, size_t count) {
+  switch (kind) {
+    case Event::kPublish:
+      sc.published->Increment();
+      sc.published_bytes->Add(d.SerializedSize());
+      break;
+    case Event::kForward: {
+      const size_t size = d.SerializedSize();
+      matches_->Increment();
+      forwards_->Increment();
+      forwarded_bytes_->Add(size);
+      datagram_bytes_->Observe(size);
+      sc.forwarded->Increment();
+      sc.forwarded_bytes->Add(size);
+      const auto key = DisseminationTree::EdgeKey(node, peer);
+      auto it = link_counters_.find(key);
+      if (it == link_counters_.end()) {
+        std::string label =
+            StrFormat("%d-%d", static_cast<int>(key.first),
+                      static_cast<int>(key.second));
+        LinkCounters lc;
+        lc.datagrams =
+            metrics_->GetCounter("cbn.link_datagrams", "link", label);
+        lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
+        it = link_counters_.emplace(key, lc).first;
+      }
+      it->second.datagrams->Increment();
+      it->second.bytes->Add(size);
+      break;
     }
-    it->second.datagrams->Increment();
-    it->second.bytes->Add(size);
+    case Event::kRecoveryForward:
+      matches_->Increment();
+      recovery_forwards_->Increment();
+      break;
+    case Event::kDeliver:
+      deliveries_->Add(count);
+      sc.delivered->Add(count);
+      break;
+    case Event::kRecoveryDeliver:
+      deliveries_->Add(count);
+      sc.delivered_recovery->Add(count);
+      break;
+    case Event::kBuffer:
+      matches_->Increment();
+      sc.buffered->Increment();
+      break;
+    case Event::kDrop:
+      matches_->Increment();
+      sc.dropped->Increment();
+      break;
+    case Event::kRecover:
+      sc.flushed->Increment();
+      break;
   }
+
+  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  std::vector<std::pair<std::string, std::string>> args = {
+      {"stream", Tracer::ArgString(d.stream)},
+      {"ts", std::to_string(d.tuple.timestamp())}};
+  if (kind == Event::kForward || kind == Event::kRecoveryForward) {
+    // One slice on the receiving node's row, as long as the link delay.
+    args.emplace_back("from", std::to_string(node));
+    Duration dur = static_cast<Duration>(
+        tree_.EdgeWeight(node, peer).value_or(1.0) * kMillisecond);
+    tracer_->Complete("cbn", "hop", peer, tracer_->Now(), dur,
+                      std::move(args));
+    return;
+  }
+  if (kind == Event::kDeliver || kind == Event::kRecoveryDeliver) {
+    args.emplace_back("count", std::to_string(count));
+  }
+  if (peer >= 0) args.emplace_back("peer", std::to_string(peer));
+  static constexpr const char* kNames[] = {
+      "publish", "hop", "hop", "deliver", "deliver", "buffer", "drop",
+      "recover"};
+  tracer_->Instant("cbn", kNames[static_cast<int>(kind)], node,
+                   std::move(args));
 }
 
 std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
@@ -314,7 +344,7 @@ std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d,
+                                    const Datagram& d, StreamCounters& sc,
                                     const std::vector<bool>* allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
   // post-repair flush into the side a failed link cut off). It restricts
@@ -322,24 +352,13 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
   // rebuild) the surviving route to an unserved subscriber may pass through
   // already-served nodes, so a forwarding restriction would strand the
   // datagram. Served nodes merely relay; only unserved ones deliver.
-  StreamCounters* sc = metrics_ == nullptr ? nullptr : StreamMetrics(d.stream);
+  const bool recovery = allowed != nullptr;
   size_t delivered = 0;
-  if (allowed == nullptr || (*allowed)[node]) {
+  if (!recovery || (*allowed)[node]) {
     delivered = routers_[node].DeliverLocal(d, projection_cache_);
-    total_deliveries_ += delivered;
     if (delivered > 0) {
-      Trace(TraceEvent::Kind::kDeliver, node, from, delivered, d);
-      if (sc != nullptr) {
-        deliveries_counter_->Add(delivered);
-        // Recovered datagrams are charged to recovery, never steady state.
-        (allowed == nullptr ? sc->delivered : sc->delivered_recovery)
-            ->Add(delivered);
-      }
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->Instant("cbn", "deliver", node,
-                         {{"stream", Tracer::ArgString(d.stream)},
-                          {"count", std::to_string(delivered)}});
-      }
+      Emit(recovery ? Event::kRecoveryDeliver : Event::kDeliver, sc, node,
+           from, d, delivered);
     }
   }
 
@@ -348,63 +367,40 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     std::optional<Datagram> out = routers_[node].DecideForward(
         d, neighbor, options_.early_projection, projection_cache_);
     if (!out.has_value()) continue;
-    if (sc != nullptr) matches_counter_->Increment();
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
         // Hold a copy for the cut-off side; it resumes after Repair()
         // delivering exactly there, so nobody sees it twice.
         buffered_.push_back(Buffered{
             neighbor, ComponentBeyondEdge(neighbor, node), *out});
-        Trace(TraceEvent::Kind::kBuffer, node, neighbor, 0, *out);
-        if (sc != nullptr) sc->buffered->Increment();
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("cbn", "buffer", node,
-                           {{"stream", Tracer::ArgString(out->stream)}});
-        }
+        Emit(Event::kBuffer, sc, node, neighbor, *out);
       } else {
-        ++lost_datagrams_;
-        Trace(TraceEvent::Kind::kDrop, node, neighbor, 0, *out);
-        if (sc != nullptr) sc->dropped->Increment();
-        if (tracer_ != nullptr && tracer_->enabled()) {
-          tracer_->Instant("cbn", "drop", node,
-                           {{"stream", Tracer::ArgString(out->stream)}});
-        }
+        Emit(Event::kDrop, sc, node, neighbor, *out);
       }
       continue;
     }
-    if (allowed == nullptr) {
-      // Flush retransmissions travel over the recovery channel and are not
-      // charged to the per-link byte counters.
-      AccountLink(node, neighbor, *out, sc);
-    } else if (sc != nullptr) {
-      recovery_forwards_counter_->Increment();
-    }
-    Trace(TraceEvent::Kind::kForward, node, neighbor, 0, *out);
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      // One slice on the receiving node's row, as long as the link delay.
-      Duration dur = static_cast<Duration>(weight * kMillisecond);
-      tracer_->Complete("cbn", "hop", neighbor, tracer_->Now(), dur,
-                        {{"stream", Tracer::ArgString(out->stream)},
-                         {"from", std::to_string(node)}});
-    }
+    Emit(recovery ? Event::kRecoveryForward : Event::kForward, sc, node,
+         neighbor, *out);
     if (sim_ != nullptr) {
       // Link weight is the delay in milliseconds.
       Duration delay = static_cast<Duration>(weight * kMillisecond);
       Datagram copy = *out;
       NodeId next = neighbor;
       NodeId prev = node;
+      StreamCounters* counters = &sc;
       // The component restriction must ride along with the scheduled hop
       // (by value: the caller's vector dies with the flush), or a
       // post-repair flush leaks into the healthy side and delivers twice.
       std::shared_ptr<const std::vector<bool>> allowed_copy;
-      if (allowed != nullptr) {
+      if (recovery) {
         allowed_copy = std::make_shared<const std::vector<bool>>(*allowed);
       }
-      sim_->Schedule(delay, [this, next, prev, copy, allowed_copy]() {
-        Process(next, prev, copy, allowed_copy.get());
+      sim_->Schedule(delay, [this, next, prev, copy, counters,
+                             allowed_copy]() {
+        Process(next, prev, copy, *counters, allowed_copy.get());
       });
     } else {
-      delivered += Process(neighbor, node, *out, allowed);
+      delivered += Process(neighbor, node, *out, sc, allowed);
     }
   }
   return delivered;
@@ -417,18 +413,9 @@ size_t ContentBasedNetwork::Publish(NodeId node, const Datagram& datagram) {
     COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
         << "node " << node << " advertises a stream it never registered";
   }
-  Trace(TraceEvent::Kind::kPublish, node, -1, 0, datagram);
-  published_bytes_by_stream_[datagram.stream] += datagram.SerializedSize();
-  if (metrics_ != nullptr) {
-    StreamCounters* sc = StreamMetrics(datagram.stream);
-    sc->published->Increment();
-    sc->published_bytes->Add(datagram.SerializedSize());
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Instant("cbn", "publish", node,
-                     {{"stream", Tracer::ArgString(datagram.stream)}});
-  }
-  return Process(node, /*from=*/-1, datagram);
+  StreamCounters& sc = StreamLedger(datagram.stream);
+  Emit(Event::kPublish, sc, node, /*peer=*/-1, datagram);
+  return Process(node, /*from=*/-1, datagram, sc);
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -498,7 +485,6 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
                           DisseminationTree::FromEdges(num_nodes(), edges));
   tree_ = std::move(repaired);
   failed_links_.clear();
-  PruneStaleLinkStats();
   ReinstallAllSubscriptions();
   FlushBuffered();
   return Status::OK();
@@ -510,7 +496,6 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
   }
   tree_ = std::move(tree);
   failed_links_.clear();
-  PruneStaleLinkStats();
   ReinstallAllSubscriptions();
   // Datagrams buffered at failed links would otherwise be stranded: never
   // delivered, never counted lost. They recover here exactly like after
@@ -528,34 +513,38 @@ void ContentBasedNetwork::FlushBuffered() {
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
   for (auto& b : pending) {
-    Trace(TraceEvent::Kind::kRecover, b.entry, -1, 0, b.datagram);
-    if (metrics_ != nullptr) {
-      StreamMetrics(b.datagram.stream)->flushed->Increment();
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant("cbn", "recover", b.entry,
-                       {{"stream", Tracer::ArgString(b.datagram.stream)}});
-    }
-    Process(b.entry, /*from=*/-1, b.datagram, &b.allowed);
-    ++recovered_datagrams_;
+    StreamCounters& sc = StreamLedger(b.datagram.stream);
+    Emit(Event::kRecover, sc, b.entry, /*peer=*/-1, b.datagram);
+    Process(b.entry, /*from=*/-1, b.datagram, sc, &b.allowed);
   }
 }
 
-void ContentBasedNetwork::PruneStaleLinkStats() {
-  // Keys for edges the repair/rebuild dropped would otherwise be charged
-  // forever by WeightedBytes() at the value_or(1.0) fallback weight.
-  for (auto it = link_stats_.begin(); it != link_stats_.end();) {
-    if (!tree_.HasEdge(it->first.first, it->first.second)) {
-      it = link_stats_.erase(it);
-    } else {
-      ++it;
+const std::map<std::pair<NodeId, NodeId>, LinkStats>&
+ContentBasedNetwork::link_stats() const {
+  // Links a repair or rebuild removed from the tree are left out, so
+  // WeightedBytes() never charges stale keys at the fallback weight.
+  link_stats_view_.clear();
+  for (const auto& [key, lc] : link_counters_) {
+    LinkStats stats{Since(lc.datagrams), Since(lc.bytes)};
+    if (stats.datagrams > 0 && tree_.HasEdge(key.first, key.second)) {
+      link_stats_view_.emplace(key, stats);
     }
   }
+  return link_stats_view_;
+}
+
+const std::map<std::string, uint64_t>&
+ContentBasedNetwork::published_bytes_by_stream() const {
+  published_bytes_view_.clear();
+  for (const auto& [stream, sc] : stream_counters_) {
+    published_bytes_view_.emplace(stream, sc.published_bytes->value());
+  }
+  return published_bytes_view_;
 }
 
 double ContentBasedNetwork::WeightedBytes() const {
   double total = 0.0;
-  for (const auto& [key, stats] : link_stats_) {
+  for (const auto& [key, stats] : link_stats()) {
     double w = tree_.EdgeWeight(key.first, key.second).value_or(1.0);
     total += static_cast<double>(stats.bytes) * w;
   }
@@ -569,13 +558,9 @@ size_t ContentBasedNetwork::TotalTableEntries() const {
 }
 
 void ContentBasedNetwork::ResetStats() {
-  link_stats_.clear();
-  total_bytes_ = 0;
-  total_forwards_ = 0;
-  total_deliveries_ = 0;
-  control_messages_ = 0;
-  lost_datagrams_ = 0;
-  recovered_datagrams_ = 0;
+  for (const auto& [name, c] : metrics_->counters()) {
+    reset_[c.get()] = c->value();
+  }
 }
 
 }  // namespace cosmos

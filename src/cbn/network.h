@@ -26,30 +26,6 @@ struct LinkStats {
   uint64_t bytes = 0;
 };
 
-// One observable data-layer event. The DST harness installs a sink to
-// record an event trace it can print alongside a failing seed; the tap
-// costs nothing when unset.
-struct TraceEvent {
-  enum class Kind {
-    kPublish,  // datagram entered the CBN at `node`
-    kForward,  // one hop `node` -> `peer`
-    kDeliver,  // `count` local deliveries at `node`
-    kBuffer,   // held at failed link for the component entered at `peer`
-    kDrop,     // lost at failed link `node` -> `peer` (buffering off)
-    kRecover,  // buffered datagram re-entering at `node` after repair
-  };
-  Kind kind = Kind::kPublish;
-  NodeId node = -1;
-  NodeId peer = -1;
-  size_t count = 0;  // kDeliver only
-  std::string stream;
-  Timestamp timestamp = 0;  // tuple event time
-};
-
-const char* TraceEventKindToString(TraceEvent::Kind kind);
-
-using TraceSink = std::function<void(const TraceEvent&)>;
-
 struct NetworkOptions {
   // Early projection (paper §3.1 extension). Off reproduces a traditional
   // filter-only CBN (ablation abl-proj).
@@ -133,45 +109,53 @@ class ContentBasedNetwork {
   Status RebuildTree(DisseminationTree tree);
 
   // ---- statistics ----
-  const std::map<std::pair<NodeId, NodeId>, LinkStats>& link_stats() const {
-    return link_stats_;
-  }
-  uint64_t total_bytes() const { return total_bytes_; }
-  uint64_t total_datagrams_forwarded() const { return total_forwards_; }
-  uint64_t total_deliveries() const { return total_deliveries_; }
+  //
+  // Read-only views over the cbn.* counters (see SetTelemetry), counted
+  // since the last ResetStats().
+
+  // Steady-state traffic per current tree link.
+  const std::map<std::pair<NodeId, NodeId>, LinkStats>& link_stats() const;
+  uint64_t total_bytes() const { return Since(forwarded_bytes_); }
+  uint64_t total_datagrams_forwarded() const { return Since(forwards_); }
+  uint64_t total_deliveries() const { return Since(deliveries_); }
   // Sum over links of bytes × link weight (delay-weighted traffic).
   double WeightedBytes() const;
   // Subscription control messages sent during propagation.
-  uint64_t control_messages() const { return control_messages_; }
+  uint64_t control_messages() const { return Since(control_); }
   // Datagram forwards dropped at failed links (buffered ones not counted).
-  uint64_t lost_datagrams() const { return lost_datagrams_; }
+  uint64_t lost_datagrams() const {
+    return SumStreams(&StreamCounters::dropped);
+  }
   uint64_t buffered_datagrams() const { return buffered_.size(); }
   // Buffered datagrams delivered into the cut-off component after Repair.
-  uint64_t recovered_datagrams() const { return recovered_datagrams_; }
+  uint64_t recovered_datagrams() const {
+    return SumStreams(&StreamCounters::flushed);
+  }
   // Sum of routing-table entries across all nodes (memory cost of
   // subscription state; advertisement scoping shrinks it).
   size_t TotalTableEntries() const;
+  // Zeroes the views above (published bytes excepted); the registry's
+  // counters keep running.
   void ResetStats();
 
   const Router& router(NodeId node) const { return routers_[node]; }
   const std::set<NodeId>* PublishersOf(const std::string& stream) const;
 
-  // Installs (or clears, with nullptr) the event-trace tap.
-  void set_trace_sink(TraceSink sink) { trace_sink_ = std::move(sink); }
-
   // ---- telemetry ----
 
-  // Attaches instruments: counters in `metrics` (stream-labeled families
-  // plus per-link and total counts) and Chrome-trace slices for every hop
-  // and delivery in `tracer`. Either may be nullptr (off). Handles are
+  // The network always counts its events into cbn.* counters (stream-
+  // labeled families plus per-link and total counts): into `metrics`, or
+  // into a registry it owns when `metrics` is nullptr. Attaching a registry
+  // starts the statistics over in it. `tracer` (nullptr = off) receives a
+  // Chrome-trace instant or hop slice for every data event. Handles are
   // cached here once, so the steady-state cost per hop is plain adds.
   void SetTelemetry(MetricsRegistry* metrics, Tracer* tracer);
+  // The registry the network counts into (attached or owned).
+  const MetricsRegistry& metrics() const { return *metrics_; }
 
-  // Cumulative serialized bytes published per stream, maintained even with
-  // telemetry detached — the SelfTuner's measured-rate source.
-  const std::map<std::string, uint64_t>& published_bytes_by_stream() const {
-    return published_bytes_by_stream_;
-  }
+  // Cumulative serialized bytes published per stream — the SelfTuner's
+  // measured-rate source. Never reset by ResetStats().
+  const std::map<std::string, uint64_t>& published_bytes_by_stream() const;
 
   // Visits every live subscription as (subscriber node, profile).
   void ForEachSubscription(
@@ -193,15 +177,8 @@ class ContentBasedNetwork {
   // Nodes allowed to carry entries for this subscription; nullopt = all.
   std::optional<std::set<NodeId>> ScopeOf(NodeId subscriber,
                                           const Profile& profile) const;
-  // Processes `d` at `node` arriving from `from` (-1 = published locally).
-  // When `allowed` is non-null, *delivery* is restricted to nodes with
-  // allowed[v] == true (post-repair flushing into the side a failed link
-  // cut off); forwarding is unrestricted so the flush can route through
-  // already-served nodes when the repaired tree demands it.
-  size_t Process(NodeId node, NodeId from, const Datagram& d,
-                 const std::vector<bool>* allowed = nullptr);
-  // Cached handles of the stream-labeled counter families. Created lazily
-  // on the first datagram of each stream, then plain pointer adds.
+  // Cached handles of the stream-labeled counter families. Created on the
+  // first datagram of each stream, then plain pointer adds.
   struct StreamCounters {
     Counter* published = nullptr;
     Counter* published_bytes = nullptr;
@@ -213,21 +190,48 @@ class ContentBasedNetwork {
     Counter* forwarded = nullptr;
     Counter* forwarded_bytes = nullptr;
   };
-  StreamCounters* StreamMetrics(const std::string& stream);
+  // The stream's counters, created on first use. The entry's address is
+  // stable for the network's lifetime (scheduled hops hold it).
+  StreamCounters& StreamLedger(const std::string& stream);
+  StreamCounters ResolveStream(const std::string& stream) const;
+  // `c`'s count since the last ResetStats(), and its sum over streams.
+  uint64_t Since(const Counter* c) const;
+  uint64_t SumStreams(Counter* StreamCounters::*counter) const;
   struct LinkCounters {
     Counter* datagrams = nullptr;
     Counter* bytes = nullptr;
   };
-  // Counts one subscription control message (and its telemetry counter).
-  void CountControl();
+
+  // One data-plane event, as Emit() records it.
+  enum class Event {
+    kPublish,          // datagram entered the CBN at `node`
+    kForward,          // steady-state hop `node` -> `peer`
+    kRecoveryForward,  // flush retransmission `node` -> `peer`
+    kDeliver,          // `count` local deliveries at `node`
+    kRecoveryDeliver,  // `count` flushed deliveries at `node`
+    kBuffer,           // held at failed link `node` -> `peer`
+    kDrop,             // lost at failed link `node` -> `peer`
+    kRecover,          // buffered datagram re-entering at `node`
+  };
+  // The only place a data event is recorded: counts it into the cbn.*
+  // counters and, when the tracer is on, records it there. Recovery
+  // traffic travels a recovery channel and is never charged to links.
+  void Emit(Event kind, StreamCounters& sc, NodeId node, NodeId peer,
+            const Datagram& d, size_t count = 1);
+
+  // Processes `d` at `node` arriving from `from` (-1 = published locally),
+  // counting into `sc`, the counters of d's stream.
+  // When `allowed` is non-null, *delivery* is restricted to nodes with
+  // allowed[v] == true (post-repair flushing into the side a failed link
+  // cut off); forwarding is unrestricted so the flush can route through
+  // already-served nodes when the repaired tree demands it.
+  size_t Process(NodeId node, NodeId from, const Datagram& d,
+                 StreamCounters& sc,
+                 const std::vector<bool>* allowed = nullptr);
   // Membership of `start`'s side of the tree edge (blocked_from, start) —
   // the nodes a datagram stopped at that edge has not reached.
   std::vector<bool> ComponentBeyondEdge(NodeId start,
                                         NodeId blocked_from) const;
-  void AccountLink(NodeId u, NodeId v, const Datagram& d,
-                   StreamCounters* sc);
-  void Trace(TraceEvent::Kind kind, NodeId node, NodeId peer, size_t count,
-             const Datagram& d) const;
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
@@ -237,15 +241,10 @@ class ContentBasedNetwork {
   // and counts it recovered. Called after Repair()/RebuildTree() restored
   // a connected tree.
   void FlushBuffered();
-  // Drops link_stats_ entries for edges no longer in tree_ (repair/rebuild
-  // replaced them), so WeightedBytes() never charges stale keys at the
-  // fallback weight.
-  void PruneStaleLinkStats();
 
   DisseminationTree tree_;
   NetworkOptions options_;
   Simulator* sim_;
-  TraceSink trace_sink_;
   std::vector<Router> routers_;
   ProjectionCache projection_cache_;
   ProfileId next_profile_id_ = 1;
@@ -262,26 +261,24 @@ class ContentBasedNetwork {
   };
   std::deque<Buffered> buffered_;
 
+  // The ledger: the attached registry, or owned_metrics_. Never null.
   MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   Tracer* tracer_ = nullptr;
   std::map<std::string, StreamCounters> stream_counters_;
   std::map<std::pair<NodeId, NodeId>, LinkCounters> link_counters_;
-  Counter* forwards_counter_ = nullptr;
-  Counter* forwarded_bytes_counter_ = nullptr;
-  Counter* recovery_forwards_counter_ = nullptr;
-  Counter* deliveries_counter_ = nullptr;
-  Counter* matches_counter_ = nullptr;
-  Counter* control_counter_ = nullptr;
-  Histogram* datagram_bytes_hist_ = nullptr;
-  std::map<std::string, uint64_t> published_bytes_by_stream_;
-
-  std::map<std::pair<NodeId, NodeId>, LinkStats> link_stats_;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_forwards_ = 0;
-  uint64_t total_deliveries_ = 0;
-  uint64_t control_messages_ = 0;
-  uint64_t lost_datagrams_ = 0;
-  uint64_t recovered_datagrams_ = 0;
+  Counter* forwards_ = nullptr;
+  Counter* forwarded_bytes_ = nullptr;
+  Counter* recovery_forwards_ = nullptr;
+  Counter* deliveries_ = nullptr;
+  Counter* matches_ = nullptr;
+  Counter* control_ = nullptr;
+  Histogram* datagram_bytes_ = nullptr;
+  // Counter readings at the last ResetStats().
+  std::map<const Counter*, uint64_t> reset_;
+  // Storage behind the map-returning views.
+  mutable std::map<std::pair<NodeId, NodeId>, LinkStats> link_stats_view_;
+  mutable std::map<std::string, uint64_t> published_bytes_view_;
 };
 
 }  // namespace cosmos

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
     cosmos::DstRunOptions first_run;
     first_run.interpreted_match = flags.interpreted_match;
     if (!flags.trace_out.empty()) {
-      first_run.capture_chrome_trace = true;
+      first_run.capture_trace = true;
       first_run.capture_metrics_json = true;
     }
     cosmos::DstReport report = cosmos::RunScenario(scenario, first_run);
@@ -180,12 +180,11 @@ int main(int argc, char** argv) {
           flags.shrink_budget);
       shrink_runs = flags.shrink_budget;
     }
-    // Re-run the minimized form with the CBN trace tap on for the report,
-    // plus the Chrome trace and metrics snapshot for repro artifacts.
+    // Re-run the minimized form traced: its CBN events go into the report,
+    // its Chrome trace and metrics snapshot into the repro artifacts.
     cosmos::DstRunOptions run_options;
     run_options.interpreted_match = flags.interpreted_match;
     run_options.capture_trace = true;
-    run_options.capture_chrome_trace = !flags.repro_dir.empty();
     run_options.capture_metrics_json = !flags.repro_dir.empty();
     cosmos::DstReport detailed = cosmos::RunScenario(minimized, run_options);
     // Shrinking preserves *some* failure, not necessarily the same one; if
@@ -209,8 +208,7 @@ int main(int argc, char** argv) {
       }
       // The failing run's Chrome trace and final metrics snapshot ride
       // along so CI can upload them as debugging artifacts.
-      if (!detailed.chrome_trace_json.empty() &&
-          WriteFile(stem + ".trace.json", detailed.chrome_trace_json)) {
+      if (WriteFile(stem + ".trace.json", detailed.chrome_trace_json)) {
         std::printf("chrome trace written to %s.trace.json\n", stem.c_str());
       }
       if (!detailed.metrics_json.empty() &&

@@ -212,6 +212,31 @@ TEST(CbnFailureRecovery, ResetStatsClearsRecoveryCounters) {
   EXPECT_EQ(net.total_bytes(), 0u);
 }
 
+TEST(CbnFailureRecovery, FlushRetransmissionsAreNeverChargedToLinks) {
+  // Flushing after Repair() travels the recovery channel: it counts into
+  // cbn.recovery_forwards and never into link_stats() or total_bytes().
+  ContentBasedNetwork net(ChainTree(4));
+  MetricsRegistry registry;
+  net.SetTelemetry(&registry, nullptr);
+  net.Subscribe(3, WholeStreamProfile(), nullptr);
+  ASSERT_TRUE(net.FailLink(1, 2).ok());
+  net.Publish(0, CbnDatagram(1));
+  const uint64_t bytes = net.total_bytes();
+  const uint64_t forwards = net.total_datagrams_forwarded();
+  ASSERT_EQ(forwards, 1u);  // 0 -> 1; buffered at 1 -> 2
+
+  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+  ASSERT_EQ(net.recovered_datagrams(), 1u);
+  EXPECT_EQ(registry.FindCounter("cbn.recovery_forwards")->value(), 1u);
+  EXPECT_EQ(net.total_bytes(), bytes);
+  EXPECT_EQ(net.total_datagrams_forwarded(), forwards);
+  EXPECT_EQ(registry.FindCounter("cbn.forwards")->value(), forwards);
+  ASSERT_EQ(net.link_stats().size(), 1u)
+      << "the flush hop 2 -> 3 was charged to the link";
+  EXPECT_EQ(net.link_stats().at({0, 1}).datagrams, 1u);
+  EXPECT_EQ(net.link_stats().at({0, 1}).bytes, bytes);
+}
+
 TEST(CbnFailureRecovery, RepairDropsStatsForRemovedLinks) {
   // Regression: WeightedBytes() kept charging pre-repair link keys that
   // are no longer tree edges, at the value_or(1.0) fallback weight.

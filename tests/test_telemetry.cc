@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cbn/network.h"
 #include "core/system.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
@@ -204,6 +205,130 @@ TEST(Snapshot, SeriesServesConsecutiveDeltas) {
   EXPECT_EQ(series.latest().CounterValue("n"), 12u);
   EXPECT_EQ(series.LatestDelta().CounterValue("n"), 7u);
   EXPECT_NE(series.ToJson().find("\"n\": 12"), std::string::npos);
+}
+
+// ---- one event ledger in the CBN ----
+
+// Sum of a stream-labeled counter family, e.g. every cbn.dropped{stream=*}.
+uint64_t SumFamily(const MetricsRegistry& metrics, const std::string& family) {
+  uint64_t total = 0;
+  for (const auto& [name, c] : metrics.counters()) {
+    if (name.rfind(family + "{", 0) == 0) total += c->value();
+  }
+  return total;
+}
+
+uint64_t CounterValue(const MetricsRegistry& metrics, const std::string& name) {
+  const Counter* c = metrics.FindCounter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(CbnLedger, OneEventStreamFeedsEveryReader) {
+  // Chain 0-1-2-3 inside the overlay square 0-1-2-3-0: failing link 1-2
+  // cuts off {2, 3}, and Repair() splices in 3-0.
+  Graph overlay(4);
+  ASSERT_TRUE(overlay.AddEdge(0, 1, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(1, 2, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(2, 3, 1.0).ok());
+  ASSERT_TRUE(overlay.AddEdge(3, 0, 2.0).ok());
+  auto schema = std::make_shared<Schema>(
+      "s", std::vector<AttributeDef>{{"temp", ValueType::kDouble, -10, 40}});
+
+  for (bool buffer_on_failure : {true, false}) {
+    for (bool attached : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "buffer_on_failure=" << buffer_on_failure
+                   << " attached=" << attached);
+      NetworkOptions options;
+      options.buffer_on_failure = buffer_on_failure;
+      ContentBasedNetwork net(
+          DisseminationTree::FromEdges(
+              4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
+              .value(),
+          options);
+      MetricsRegistry registry;
+      Tracer tracer;
+      tracer.Enable();
+      net.SetTelemetry(attached ? &registry : nullptr, &tracer);
+      const MetricsRegistry& ledger = net.metrics();
+      EXPECT_EQ(&ledger == &registry, attached);
+
+      Profile whole;
+      whole.AddStream("s");
+      net.Subscribe(1, whole, nullptr);
+      net.Subscribe(3, whole, nullptr);
+      Timestamp ts = 0;
+      auto publish = [&] {
+        net.Publish(0, Datagram{"s", Tuple(schema, {Value(20.0)}, ++ts)});
+      };
+      publish();
+      ASSERT_TRUE(net.FailLink(1, 2).ok());
+      publish();
+      publish();
+      ASSERT_TRUE(net.Repair(overlay).ok());
+      publish();
+
+      // The tracer's cbn events, per kind, equal the counters per kind.
+      std::map<std::string, uint64_t> traced;
+      uint64_t traced_deliveries = 0;
+      for (const Tracer::Event& ev : tracer.events()) {
+        if (ev.category != "cbn") continue;
+        ++traced[ev.name];
+        for (const auto& [key, value] : ev.args) {
+          if (key == "count") traced_deliveries += std::stoull(value);
+        }
+      }
+      EXPECT_EQ(traced["publish"], 4u);
+      EXPECT_EQ(traced["publish"], SumFamily(ledger, "cbn.published"));
+      EXPECT_EQ(traced["hop"], CounterValue(ledger, "cbn.forwards") +
+                                   CounterValue(ledger, "cbn.recovery_forwards"));
+      EXPECT_EQ(traced["deliver"], SumFamily(ledger, "cbn.delivered") +
+                                       SumFamily(ledger, "cbn.delivered_recovery"));
+      EXPECT_EQ(traced_deliveries, CounterValue(ledger, "cbn.deliveries"));
+      EXPECT_EQ(traced["buffer"], SumFamily(ledger, "cbn.buffered"));
+      EXPECT_EQ(traced["drop"], SumFamily(ledger, "cbn.dropped"));
+      EXPECT_EQ(traced["recover"], SumFamily(ledger, "cbn.flushed"));
+      EXPECT_EQ(traced["buffer"], buffer_on_failure ? 2u : 0u);
+      EXPECT_EQ(traced["drop"], buffer_on_failure ? 0u : 2u);
+      EXPECT_EQ(traced["recover"], traced["buffer"]);
+      EXPECT_EQ(CounterValue(ledger, "cbn.recovery_forwards") > 0,
+                buffer_on_failure);
+
+      // Every view reads the same counters.
+      EXPECT_EQ(net.total_datagrams_forwarded(),
+                CounterValue(ledger, "cbn.forwards"));
+      EXPECT_EQ(net.total_bytes(), CounterValue(ledger, "cbn.forwarded_bytes"));
+      EXPECT_EQ(net.total_deliveries(), CounterValue(ledger, "cbn.deliveries"));
+      EXPECT_EQ(net.control_messages(),
+                CounterValue(ledger, "cbn.control_messages"));
+      EXPECT_EQ(net.lost_datagrams(), SumFamily(ledger, "cbn.dropped"));
+      EXPECT_EQ(net.recovered_datagrams(), SumFamily(ledger, "cbn.flushed"));
+      ASSERT_EQ(net.published_bytes_by_stream().size(), 1u);
+      EXPECT_EQ(net.published_bytes_by_stream().at("s"),
+                CounterValue(ledger, "cbn.published_bytes{stream=s}"));
+      // link_stats() holds exactly the current tree's links with traffic;
+      // the repair removed 1-2, whose counters keep their history.
+      EXPECT_EQ(net.link_stats().count({1, 2}), 0u);
+      EXPECT_GT(CounterValue(ledger, "cbn.link_datagrams{link=1-2}"), 0u);
+      size_t tree_links_with_traffic = 0;
+      for (const auto& [name, c] : ledger.counters()) {
+        if (name.rfind("cbn.link_datagrams{", 0) != 0) continue;
+        const std::string link = MetricsRegistry::LabelValue(name, "link");
+        const NodeId u = std::stoi(link.substr(0, link.find('-')));
+        const NodeId v = std::stoi(link.substr(link.find('-') + 1));
+        if (net.tree().HasEdge(u, v)) ++tree_links_with_traffic;
+      }
+      EXPECT_EQ(net.link_stats().size(), tree_links_with_traffic);
+      for (const auto& [key, stats] : net.link_stats()) {
+        const std::string link = std::to_string(key.first) + "-" +
+                                 std::to_string(key.second);
+        EXPECT_EQ(stats.datagrams,
+                  CounterValue(ledger, "cbn.link_datagrams{link=" + link + "}"));
+        EXPECT_EQ(stats.bytes,
+                  CounterValue(ledger, "cbn.link_bytes{link=" + link + "}"));
+      }
+    }
+  }
 }
 
 // ---- end-to-end instrumentation through the system ----

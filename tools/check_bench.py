@@ -20,10 +20,12 @@ Three gates, all measured within the same run:
      counting matcher (BM_MatchCompiled) is at least MIN_MATCH_SPEEDUP x
      the interpreted per-profile walk (BM_MatchInterpreted) at 10^4
      profiles, sizes {10^2, 10^3, 10^4} all present.
-  3. Telemetry overhead — publishing through an instrumented CBN
-     (BM_ForwardWithTelemetry) keeps at least MIN_TELEMETRY_RATIO of the
-     bare network's throughput (BM_ForwardWithoutTelemetry), so the
-     instruments can stay on everywhere.
+  3. Telemetry overhead — publishing through a CBN with an external
+     MetricsRegistry attached (BM_ForwardWithTelemetry) keeps at least
+     MIN_TELEMETRY_RATIO of the throughput with none attached
+     (BM_ForwardWithoutTelemetry). The CBN always counts into a registry,
+     its own when none is attached, so this guards that attaching one
+     adds no cost.
 
 Usage: tools/check_bench.py [BENCH_routing.json]
 """
@@ -34,7 +36,8 @@ import sys
 MIN_SPEEDUP = 5.0
 # Compiled matching must beat the interpreted walk >= 3x at 10^4 profiles.
 MIN_MATCH_SPEEDUP = 3.0
-# Instrumented forwarding must retain >= 95% of bare throughput.
+# Forwarding with a registry attached must retain >= 95% of the throughput
+# without one.
 MIN_TELEMETRY_RATIO = 0.95
 SIZES = (100, 1000, 10000)
 IMPLS = ("Indexed", "Linear")
