@@ -10,13 +10,27 @@
 
 namespace cosmos {
 
+namespace {
+
+// The `link` label of tree edge (u, v)'s counters: "min-max".
+std::string LinkLabel(NodeId u, NodeId v) {
+  const auto key = DisseminationTree::EdgeKey(u, v);
+  return StrFormat("%d-%d", static_cast<int>(key.first),
+                   static_cast<int>(key.second));
+}
+
+}  // namespace
+
 ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
                                          NetworkOptions options,
                                          Simulator* sim)
-    : tree_(std::move(tree)), options_(options), sim_(sim) {
+    : tree_(std::move(tree)),
+      options_(options),
+      sim_(sim),
+      streams_(std::make_unique<StreamTable>()) {
   routers_.reserve(tree_.num_nodes());
   for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
-    routers_.emplace_back(i);
+    routers_.emplace_back(i, streams_.get());
     routers_.back().set_compiled_matching(options_.compiled_matching);
   }
   SetTelemetry(nullptr, nullptr);
@@ -46,15 +60,21 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   matches_ = metrics_->GetCounter("cbn.matches");
   control_ = metrics_->GetCounter("cbn.control_messages");
   datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
-  // Rebound in place: hops scheduled on the simulator hold these entries.
-  for (auto& [stream, sc] : stream_counters_) sc = ResolveStream(stream);
-  link_counters_.clear();
+  // Rebound now: datagrams in flight or buffered count into these entries.
+  for (StreamId id = 0; id < ledger_.size(); ++id) {
+    if (ledger_[id].epoch == streams_->epoch(id)) {
+      ledger_[id] = ResolveStream(id);
+    }
+  }
+  ResetLinkLedger();
   reset_.clear();
 }
 
 ContentBasedNetwork::StreamCounters ContentBasedNetwork::ResolveStream(
-    const std::string& stream) const {
+    StreamId id) const {
+  const std::string& stream = streams_->Name(id);
   StreamCounters sc;
+  sc.epoch = streams_->epoch(id);
   sc.published = metrics_->GetCounter("cbn.published", "stream", stream);
   sc.published_bytes =
       metrics_->GetCounter("cbn.published_bytes", "stream", stream);
@@ -70,12 +90,27 @@ ContentBasedNetwork::StreamCounters ContentBasedNetwork::ResolveStream(
   return sc;
 }
 
-ContentBasedNetwork::StreamCounters& ContentBasedNetwork::StreamLedger(
-    const std::string& stream) {
-  auto it = stream_counters_.find(stream);
-  if (it != stream_counters_.end()) return it->second;
-  return stream_counters_.emplace(stream, ResolveStream(stream))
-      .first->second;
+void ContentBasedNetwork::BindLedger(StreamId id) {
+  if (ledger_.size() <= id) ledger_.resize(id + 1);
+  if (ledger_[id].epoch != streams_->epoch(id)) ledger_[id] = ResolveStream(id);
+}
+
+ContentBasedNetwork::LinkCounters& ContentBasedNetwork::LinkLedger(
+    NodeId node, size_t k) {
+  std::vector<LinkCounters>& row = link_counters_[node];
+  const auto& neighbors = tree_.Neighbors(node);
+  if (row.size() != neighbors.size()) row.resize(neighbors.size());
+  LinkCounters& lc = row[k];
+  if (lc.datagrams == nullptr) {
+    const std::string label = LinkLabel(node, neighbors[k].first);
+    lc.datagrams = metrics_->GetCounter("cbn.link_datagrams", "link", label);
+    lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
+  }
+  return lc;
+}
+
+void ContentBasedNetwork::ResetLinkLedger() {
+  link_counters_.assign(static_cast<size_t>(num_nodes()), {});
 }
 
 uint64_t ContentBasedNetwork::Since(const Counter* c) const {
@@ -83,10 +118,23 @@ uint64_t ContentBasedNetwork::Since(const Counter* c) const {
   return c->value() - (it == reset_.end() ? 0 : it->second);
 }
 
-uint64_t ContentBasedNetwork::SumStreams(
-    Counter* StreamCounters::*counter) const {
+uint64_t ContentBasedNetwork::SumStreams(const std::string& family) const {
+  // The family's counters outlive the stream ids they were counted under,
+  // so the sum reads the registry, not the id-keyed ledger.
+  const std::string prefix = family + "{stream=";
+  const auto& counters = metrics_->counters();
   uint64_t total = 0;
-  for (const auto& [stream, sc] : stream_counters_) total += Since(sc.*counter);
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    total += Since(it->second.get());
+  }
+  return total;
+}
+
+size_t ContentBasedNetwork::CachedProjectionPlans() const {
+  size_t total = 0;
+  for (const auto& r : routers_) total += r.CachedPlans();
   return total;
 }
 
@@ -238,8 +286,12 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   return found;
 }
 
-void ContentBasedNetwork::Emit(Event kind, StreamCounters& sc, NodeId node,
-                               NodeId peer, const Datagram& d, size_t count) {
+void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
+                               const Datagram& d, size_t count,
+                               LinkCounters* link) {
+  StreamCounters& sc = ledger_[d.stream_id];
+  COSMOS_DCHECK_EQ(sc.epoch, streams_->epoch(d.stream_id))
+      << "unbound ledger for " << d.stream;
   switch (kind) {
     case Event::kPublish:
       sc.published->Increment();
@@ -253,20 +305,8 @@ void ContentBasedNetwork::Emit(Event kind, StreamCounters& sc, NodeId node,
       datagram_bytes_->Observe(size);
       sc.forwarded->Increment();
       sc.forwarded_bytes->Add(size);
-      const auto key = DisseminationTree::EdgeKey(node, peer);
-      auto it = link_counters_.find(key);
-      if (it == link_counters_.end()) {
-        std::string label =
-            StrFormat("%d-%d", static_cast<int>(key.first),
-                      static_cast<int>(key.second));
-        LinkCounters lc;
-        lc.datagrams =
-            metrics_->GetCounter("cbn.link_datagrams", "link", label);
-        lc.bytes = metrics_->GetCounter("cbn.link_bytes", "link", label);
-        it = link_counters_.emplace(key, lc).first;
-      }
-      it->second.datagrams->Increment();
-      it->second.bytes->Add(size);
+      link->datagrams->Increment();
+      link->bytes->Add(size);
       break;
     }
     case Event::kRecoveryForward:
@@ -344,7 +384,7 @@ std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d, StreamCounters& sc,
+                                    const Datagram& d,
                                     const std::vector<bool>* allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
   // post-repair flush into the side a failed link cut off). It restricts
@@ -353,41 +393,48 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
   // already-served nodes, so a forwarding restriction would strand the
   // datagram. Served nodes merely relay; only unserved ones deliver.
   const bool recovery = allowed != nullptr;
+  Router& router = routers_[node];
   size_t delivered = 0;
   if (!recovery || (*allowed)[node]) {
-    delivered = routers_[node].DeliverLocal(d, projection_cache_);
+    delivered = router.DeliverLocal(d);
     if (delivered > 0) {
-      Emit(recovery ? Event::kRecoveryDeliver : Event::kDeliver, sc, node,
-           from, d, delivered);
+      Emit(recovery ? Event::kRecoveryDeliver : Event::kDeliver, node, from,
+           d, delivered);
     }
   }
 
-  for (const auto& [neighbor, weight] : tree_.Neighbors(node)) {
+  Datagram projected;  // this hop's early projection, when one is needed
+  const auto& neighbors = tree_.Neighbors(node);
+  for (size_t k = 0; k < neighbors.size(); ++k) {
+    const auto [neighbor, weight] = neighbors[k];
     if (neighbor == from) continue;
-    std::optional<Datagram> out = routers_[node].DecideForward(
-        d, neighbor, options_.early_projection, projection_cache_);
-    if (!out.has_value()) continue;
+    const Datagram* out = router.DecideForward(
+        d, neighbor, options_.early_projection, &projected);
+    if (out == nullptr) continue;
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
         // Hold a copy for the cut-off side; it resumes after Repair()
         // delivering exactly there, so nobody sees it twice.
+        streams_->Acquire(out->stream_id);
         buffered_.push_back(Buffered{
             neighbor, ComponentBeyondEdge(neighbor, node), *out});
-        Emit(Event::kBuffer, sc, node, neighbor, *out);
+        Emit(Event::kBuffer, node, neighbor, *out);
       } else {
-        Emit(Event::kDrop, sc, node, neighbor, *out);
+        Emit(Event::kDrop, node, neighbor, *out);
       }
       continue;
     }
-    Emit(recovery ? Event::kRecoveryForward : Event::kForward, sc, node,
-         neighbor, *out);
+    if (recovery) {
+      Emit(Event::kRecoveryForward, node, neighbor, *out);
+    } else {
+      Emit(Event::kForward, node, neighbor, *out, 1, &LinkLedger(node, k));
+    }
     if (sim_ != nullptr) {
       // Link weight is the delay in milliseconds.
       Duration delay = static_cast<Duration>(weight * kMillisecond);
       Datagram copy = *out;
       NodeId next = neighbor;
       NodeId prev = node;
-      StreamCounters* counters = &sc;
       // The component restriction must ride along with the scheduled hop
       // (by value: the caller's vector dies with the flush), or a
       // post-repair flush leaks into the healthy side and delivers twice.
@@ -395,27 +442,34 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
       if (recovery) {
         allowed_copy = std::make_shared<const std::vector<bool>>(*allowed);
       }
-      sim_->Schedule(delay, [this, next, prev, copy, counters,
-                             allowed_copy]() {
-        Process(next, prev, copy, *counters, allowed_copy.get());
+      // The hop holds a reference on the stream id until it has run.
+      streams_->Acquire(copy.stream_id);
+      sim_->Schedule(delay, [this, next, prev, copy, allowed_copy]() {
+        Process(next, prev, copy, allowed_copy.get());
+        streams_->Release(copy.stream_id);
       });
     } else {
-      delivered += Process(neighbor, node, *out, sc, allowed);
+      delivered += Process(neighbor, node, *out, allowed);
     }
   }
   return delivered;
 }
 
-size_t ContentBasedNetwork::Publish(NodeId node, const Datagram& datagram) {
+size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
   if (options_.advertisement_scoping) {
     const std::set<NodeId>* publishers = PublishersOf(datagram.stream);
     COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
         << "node " << node << " advertises a stream it never registered";
   }
-  StreamCounters& sc = StreamLedger(datagram.stream);
-  Emit(Event::kPublish, sc, node, /*peer=*/-1, datagram);
-  return Process(node, /*from=*/-1, datagram, sc);
+  // The only name lookup on the data plane; the reference keeps the id
+  // assigned to this stream while the datagram travels.
+  datagram.stream_id = streams_->Acquire(datagram.stream);
+  BindLedger(datagram.stream_id);
+  Emit(Event::kPublish, node, /*peer=*/-1, datagram);
+  const size_t delivered = Process(node, /*from=*/-1, datagram);
+  streams_->Release(datagram.stream_id);
+  return delivered;
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -430,7 +484,7 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
   for (auto& r : routers_) {
     // A fresh Router drops the matching mode and telemetry handles with the
     // routing state; re-apply both or rebuilds would silently fall back.
-    r = Router(r.id());
+    r = Router(r.id(), streams_.get());
     r.set_compiled_matching(options_.compiled_matching);
     r.SetTelemetry(metrics_);
   }
@@ -485,6 +539,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
                           DisseminationTree::FromEdges(num_nodes(), edges));
   tree_ = std::move(repaired);
   failed_links_.clear();
+  ResetLinkLedger();
   ReinstallAllSubscriptions();
   FlushBuffered();
   return Status::OK();
@@ -496,6 +551,7 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
   }
   tree_ = std::move(tree);
   failed_links_.clear();
+  ResetLinkLedger();
   ReinstallAllSubscriptions();
   // Datagrams buffered at failed links would otherwise be stranded: never
   // delivered, never counted lost. They recover here exactly like after
@@ -513,9 +569,10 @@ void ContentBasedNetwork::FlushBuffered() {
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
   for (auto& b : pending) {
-    StreamCounters& sc = StreamLedger(b.datagram.stream);
-    Emit(Event::kRecover, sc, b.entry, /*peer=*/-1, b.datagram);
-    Process(b.entry, /*from=*/-1, b.datagram, sc, &b.allowed);
+    BindLedger(b.datagram.stream_id);
+    Emit(Event::kRecover, b.entry, /*peer=*/-1, b.datagram);
+    Process(b.entry, /*from=*/-1, b.datagram, &b.allowed);
+    streams_->Release(b.datagram.stream_id);
   }
 }
 
@@ -524,10 +581,16 @@ ContentBasedNetwork::link_stats() const {
   // Links a repair or rebuild removed from the tree are left out, so
   // WeightedBytes() never charges stale keys at the fallback weight.
   link_stats_view_.clear();
-  for (const auto& [key, lc] : link_counters_) {
-    LinkStats stats{Since(lc.datagrams), Since(lc.bytes)};
-    if (stats.datagrams > 0 && tree_.HasEdge(key.first, key.second)) {
-      link_stats_view_.emplace(key, stats);
+  for (const auto& e : tree_.edges()) {
+    const std::string label = LinkLabel(e.u, e.v);
+    const Counter* datagrams = metrics_->FindCounter(
+        MetricsRegistry::LabeledName("cbn.link_datagrams", "link", label));
+    const Counter* bytes = metrics_->FindCounter(
+        MetricsRegistry::LabeledName("cbn.link_bytes", "link", label));
+    if (datagrams == nullptr || bytes == nullptr) continue;
+    LinkStats stats{Since(datagrams), Since(bytes)};
+    if (stats.datagrams > 0) {
+      link_stats_view_.emplace(DisseminationTree::EdgeKey(e.u, e.v), stats);
     }
   }
   return link_stats_view_;
@@ -536,8 +599,13 @@ ContentBasedNetwork::link_stats() const {
 const std::map<std::string, uint64_t>&
 ContentBasedNetwork::published_bytes_by_stream() const {
   published_bytes_view_.clear();
-  for (const auto& [stream, sc] : stream_counters_) {
-    published_bytes_view_.emplace(stream, sc.published_bytes->value());
+  const std::string prefix = "cbn.published_bytes{stream=";
+  const auto& counters = metrics_->counters();
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    published_bytes_view_.emplace(
+        MetricsRegistry::LabelValue(it->first, "stream"), it->second->value());
   }
   return published_bytes_view_;
 }

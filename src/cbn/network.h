@@ -10,6 +10,7 @@
 
 #include "cbn/covering.h"
 #include "cbn/router.h"
+#include "cbn/stream_table.h"
 #include "overlay/dissemination_tree.h"
 #include "overlay/graph.h"
 #include "sim/simulator.h"
@@ -82,9 +83,11 @@ class ContentBasedNetwork {
   bool Unsubscribe(ProfileId id);
 
   // Publishes a datagram from `node` (a source or a processor emitting a
-  // result stream). Returns the number of local deliveries performed
-  // (synchronous mode) or scheduled so far (simulated mode).
-  size_t Publish(NodeId node, const Datagram& datagram);
+  // result stream). Its stream name is resolved to the stream's id here,
+  // once; every hop below keys its lookups by that id. Returns the number
+  // of local deliveries performed (synchronous mode) or scheduled so far
+  // (simulated mode).
+  size_t Publish(NodeId node, Datagram datagram);
 
   // ---- fault tolerance (data-layer module of paper Figure 2) ----
 
@@ -124,12 +127,12 @@ class ContentBasedNetwork {
   uint64_t control_messages() const { return Since(control_); }
   // Datagram forwards dropped at failed links (buffered ones not counted).
   uint64_t lost_datagrams() const {
-    return SumStreams(&StreamCounters::dropped);
+    return SumStreams("cbn.dropped");
   }
   uint64_t buffered_datagrams() const { return buffered_.size(); }
   // Buffered datagrams delivered into the cut-off component after Repair.
   uint64_t recovered_datagrams() const {
-    return SumStreams(&StreamCounters::flushed);
+    return SumStreams("cbn.flushed");
   }
   // Sum of routing-table entries across all nodes (memory cost of
   // subscription state; advertisement scoping shrinks it).
@@ -140,6 +143,10 @@ class ContentBasedNetwork {
 
   const Router& router(NodeId node) const { return routers_[node]; }
   const std::set<NodeId>* PublishersOf(const std::string& stream) const;
+  // The stream-name interner the routers key their state by.
+  const StreamTable& streams() const { return *streams_; }
+  // Projection plans cached across all routers.
+  size_t CachedProjectionPlans() const;
 
   // ---- telemetry ----
 
@@ -177,9 +184,11 @@ class ContentBasedNetwork {
   // Nodes allowed to carry entries for this subscription; nullopt = all.
   std::optional<std::set<NodeId>> ScopeOf(NodeId subscriber,
                                           const Profile& profile) const;
-  // Cached handles of the stream-labeled counter families. Created on the
-  // first datagram of each stream, then plain pointer adds.
+  // Cached handles of the stream-labeled counter families, per stream id.
+  // Bound to the id's name on the first datagram after the id was
+  // assigned, then plain pointer adds.
   struct StreamCounters {
+    uint32_t epoch = 0;  // StreamTable::epoch() bound at; 0 = unbound
     Counter* published = nullptr;
     Counter* published_bytes = nullptr;
     Counter* delivered = nullptr;
@@ -190,17 +199,23 @@ class ContentBasedNetwork {
     Counter* forwarded = nullptr;
     Counter* forwarded_bytes = nullptr;
   };
-  // The stream's counters, created on first use. The entry's address is
-  // stable for the network's lifetime (scheduled hops hold it).
-  StreamCounters& StreamLedger(const std::string& stream);
-  StreamCounters ResolveStream(const std::string& stream) const;
-  // `c`'s count since the last ResetStats(), and its sum over streams.
+  // Binds the ledger entry of `id` (a referenced id) to its name unless
+  // already bound at the id's current epoch.
+  void BindLedger(StreamId id);
+  StreamCounters ResolveStream(StreamId id) const;
+  // `c`'s count since the last ResetStats(), and the sum over the streams
+  // of one stream-labeled counter family (e.g. "cbn.dropped").
   uint64_t Since(const Counter* c) const;
-  uint64_t SumStreams(Counter* StreamCounters::*counter) const;
+  uint64_t SumStreams(const std::string& family) const;
   struct LinkCounters {
     Counter* datagrams = nullptr;
     Counter* bytes = nullptr;
   };
+  // The counters of the link from `node` to its k-th tree neighbor, bound
+  // on first use.
+  LinkCounters& LinkLedger(NodeId node, size_t k);
+  // Drops the per-link handles (the tree or the registry changed).
+  void ResetLinkLedger();
 
   // One data-plane event, as Emit() records it.
   enum class Event {
@@ -214,19 +229,19 @@ class ContentBasedNetwork {
     kRecover,          // buffered datagram re-entering at `node`
   };
   // The only place a data event is recorded: counts it into the cbn.*
-  // counters and, when the tracer is on, records it there. Recovery
-  // traffic travels a recovery channel and is never charged to links.
-  void Emit(Event kind, StreamCounters& sc, NodeId node, NodeId peer,
-            const Datagram& d, size_t count = 1);
+  // counters of d's stream (bound by Publish or FlushBuffered) and, when
+  // the tracer is on, records it there. `link` is the forwarding link's
+  // counters (kForward only). Recovery traffic travels a recovery channel
+  // and is never charged to links.
+  void Emit(Event kind, NodeId node, NodeId peer, const Datagram& d,
+            size_t count = 1, LinkCounters* link = nullptr);
 
-  // Processes `d` at `node` arriving from `from` (-1 = published locally),
-  // counting into `sc`, the counters of d's stream.
+  // Processes `d` at `node` arriving from `from` (-1 = published locally).
   // When `allowed` is non-null, *delivery* is restricted to nodes with
   // allowed[v] == true (post-repair flushing into the side a failed link
   // cut off); forwarding is unrestricted so the flush can route through
   // already-served nodes when the repaired tree demands it.
   size_t Process(NodeId node, NodeId from, const Datagram& d,
-                 StreamCounters& sc,
                  const std::vector<bool>* allowed = nullptr);
   // Membership of `start`'s side of the tree edge (blocked_from, start) —
   // the nodes a datagram stopped at that edge has not reached.
@@ -245,8 +260,10 @@ class ContentBasedNetwork {
   DisseminationTree tree_;
   NetworkOptions options_;
   Simulator* sim_;
+  // Declared before the routers, whose buckets hold references into it.
+  // Heap-held so the routers' pointer survives moving the network.
+  std::unique_ptr<StreamTable> streams_;
   std::vector<Router> routers_;
-  ProjectionCache projection_cache_;
   ProfileId next_profile_id_ = 1;
 
   std::map<ProfileId, Subscription> subscriptions_;
@@ -257,7 +274,7 @@ class ContentBasedNetwork {
     // Nodes on the far side of the failed link at buffer time — the ones
     // that have not seen the datagram. Flushing delivers only to them.
     std::vector<bool> allowed;
-    Datagram datagram;
+    Datagram datagram;  // holds a reference on its stream id until flushed
   };
   std::deque<Buffered> buffered_;
 
@@ -265,8 +282,10 @@ class ContentBasedNetwork {
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   Tracer* tracer_ = nullptr;
-  std::map<std::string, StreamCounters> stream_counters_;
-  std::map<std::pair<NodeId, NodeId>, LinkCounters> link_counters_;
+  // Stream id -> its counters.
+  std::vector<StreamCounters> ledger_;
+  // Node -> per tree neighbor (in Neighbors() order) -> link counters.
+  std::vector<std::vector<LinkCounters>> link_counters_;
   Counter* forwards_ = nullptr;
   Counter* forwarded_bytes_ = nullptr;
   Counter* recovery_forwards_ = nullptr;

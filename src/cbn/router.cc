@@ -5,72 +5,47 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace cosmos {
 
-const ProjectionCache::Plan& ProjectionCache::PlanFor(
-    const std::shared_ptr<const Schema>& schema_ptr,
-    const std::vector<std::string>& attrs) {
-  const Schema& schema = *schema_ptr;
-  Key key{schema_ptr, StrJoin(attrs, ",")};
-  auto it = plans_.find(key);
-  if (it != plans_.end()) return it->second;
-
-  Plan plan;
-  if (attrs.empty()) {
-    plan.identity = true;
-  } else {
-    std::vector<AttributeDef> defs;
-    // Preserve the source schema's attribute order.
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      const auto& def = schema.attribute(i);
-      if (std::find(attrs.begin(), attrs.end(), def.name) != attrs.end()) {
-        plan.indices.push_back(i);
-        defs.push_back(def);
-      }
-    }
-    if (plan.indices.size() == schema.num_attributes()) {
-      plan.identity = true;
-    } else {
-      plan.schema = std::make_shared<Schema>(schema.stream_name(),
-                                             std::move(defs));
-    }
-  }
-  return plans_.emplace(std::move(key), std::move(plan)).first->second;
-}
-
-Datagram ProjectionCache::Project(const Datagram& d,
-                                  const std::vector<std::string>& attrs) {
-  const Plan& plan = PlanFor(d.tuple.schema(), attrs);
-  if (plan.identity) return d;
-  return Datagram{d.stream, d.tuple.Project(plan.indices, plan.schema)};
-}
-
 void Router::AddLocal(ProfileId id, ProfilePtr profile,
                       DeliveryCallback callback) {
-  size_t index = local_profiles_.size();
+  auto sub = std::make_unique<LocalSubscription>();
+  sub->id = id;
+  sub->callback = std::move(callback);
   for (const auto& stream : profile->streams()) {
-    local_by_stream_[stream].push_back(index);
+    StreamRef ref(streams_, stream);
+    const StreamId sid = ref.id();
+    if (local_by_stream_.size() <= sid) local_by_stream_.resize(sid + 1);
+    LocalStream& local = local_by_stream_[sid];
+    if (local.subscribers.empty()) local.stream = std::move(ref);
+    local.subscribers.push_back(sub.get());
+    local.matcher.reset();
+    sub->projections.push_back(LocalSubscription::Projection{
+        sid, streams_->MaskOf(sid, profile->ProjectionOf(stream)), {}});
   }
-  local_profiles_.emplace_back(id, std::move(profile));
-  local_callbacks_.push_back(std::move(callback));
-  local_matchers_.clear();
+  sub->profile = std::move(profile);
+  locals_.push_back(std::move(sub));
 }
 
-void Router::ReindexLocals() {
-  local_by_stream_.clear();
-  for (size_t i = 0; i < local_profiles_.size(); ++i) {
-    for (const auto& stream : local_profiles_[i].second->streams()) {
-      local_by_stream_[stream].push_back(i);
-    }
+bool Router::RemoveLocal(ProfileId id) {
+  auto it = std::find_if(locals_.begin(), locals_.end(),
+                         [id](const auto& sub) { return sub->id == id; });
+  if (it == locals_.end()) return false;
+  for (const auto& projection : (*it)->projections) {
+    LocalStream& local = local_by_stream_[projection.stream];
+    local.subscribers.erase(std::find(local.subscribers.begin(),
+                                      local.subscribers.end(), it->get()));
+    local.matcher.reset();
+    if (local.subscribers.empty()) local.stream = StreamRef();
   }
-  local_matchers_.clear();
+  locals_.erase(it);
+  return true;
 }
 
 void Router::set_compiled_matching(bool enabled) {
   compiled_matching_ = enabled;
-  local_matchers_.clear();
+  for (auto& local : local_by_stream_) local.matcher.reset();
 }
 
 void Router::SetTelemetry(MetricsRegistry* metrics) {
@@ -85,18 +60,27 @@ void Router::SetTelemetry(MetricsRegistry* metrics) {
   match_time_ns_ = metrics->GetHistogram("cbn.match_ns");
 }
 
-const CompiledMatcher& Router::LocalMatcher(
-    const std::string& stream, const std::vector<size_t>& indices) {
-  auto it = local_matchers_.find(stream);
-  if (it != local_matchers_.end()) return *it->second;
+size_t Router::CachedPlans() const {
+  size_t total = table_.CachedPlans();
+  for (const auto& sub : locals_) {
+    for (const auto& projection : sub->projections) {
+      total += projection.plans.size();
+    }
+  }
+  return total;
+}
+
+const CompiledMatcher& Router::LocalMatcher(LocalStream& local,
+                                            const std::string& stream) {
+  if (local.matcher != nullptr) return *local.matcher;
   std::vector<const Profile*> profiles;
-  profiles.reserve(indices.size());
-  for (size_t i : indices) profiles.push_back(local_profiles_[i].second.get());
+  profiles.reserve(local.subscribers.size());
+  for (const LocalSubscription* sub : local.subscribers) {
+    profiles.push_back(sub->profile.get());
+  }
   if (matcher_compiles_ != nullptr) matcher_compiles_->Increment();
-  return *local_matchers_
-              .emplace(stream,
-                       std::make_unique<CompiledMatcher>(stream, profiles))
-              .first->second;
+  local.matcher = std::make_unique<CompiledMatcher>(stream, profiles);
+  return *local.matcher;
 }
 
 void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
@@ -117,25 +101,33 @@ void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
   }
 }
 
-bool Router::RemoveLocal(ProfileId id) {
-  for (size_t i = 0; i < local_profiles_.size(); ++i) {
-    if (local_profiles_[i].first == id) {
-      local_profiles_.erase(local_profiles_.begin() + static_cast<long>(i));
-      local_callbacks_.erase(local_callbacks_.begin() +
-                             static_cast<long>(i));
-      ReindexLocals();
-      return true;
-    }
-  }
-  return false;
+void Router::Deliver(LocalSubscription& sub, const Datagram& d) {
+  // Last-hop projection: the subscriber receives exactly P(stream).
+  auto projection = std::find_if(
+      sub.projections.begin(), sub.projections.end(),
+      [&d](const LocalSubscription::Projection& p) {
+        return p.stream == d.stream_id;
+      });
+  COSMOS_DCHECK(projection != sub.projections.end());
+  Tuple scratch;
+  const Tuple& out = projection->plans.Project(
+      d.tuple, projection->mask, streams_->attributes(d.stream_id), &scratch);
+  if (sub.callback) sub.callback(d.stream, out);
 }
 
-size_t Router::DeliverLocal(const Datagram& d, ProjectionCache& cache) {
-  auto it = local_by_stream_.find(d.stream);
-  if (it == local_by_stream_.end()) return 0;
+size_t Router::DeliverLocal(const Datagram& d) {
+  if (d.stream_id >= local_by_stream_.size()) return 0;
+  // Subscribers are re-read by index on every delivery: a callback may
+  // subscribe here, which can move local_by_stream_ (appends keep indices).
+  auto subscriber = [this, &d](size_t i) -> LocalSubscription& {
+    return *local_by_stream_[d.stream_id].subscribers[i];
+  };
+  const size_t count = local_by_stream_[d.stream_id].subscribers.size();
+  if (count == 0) return 0;
   size_t delivered = 0;
   if (compiled_matching_) {
-    const CompiledMatcher& m = LocalMatcher(d.stream, it->second);
+    const CompiledMatcher& m =
+        LocalMatcher(local_by_stream_[d.stream_id], d.stream);
     // Take the reusable hit buffer for the duration of the callbacks: a
     // callback that publishes re-enters this router and must not clobber
     // the list being delivered (it finds the member empty and regrows).
@@ -146,50 +138,47 @@ size_t Router::DeliverLocal(const Datagram& d, ProjectionCache& cache) {
     {
       // Compiled output must equal the interpreted walk, slot by slot.
       size_t k = 0;
-      for (size_t j = 0; j < it->second.size(); ++j) {
-        const bool interpreted = local_profiles_[it->second[j]].second->Covers(d);
+      for (size_t j = 0; j < count; ++j) {
+        const bool interpreted = subscriber(j).profile->Covers(d);
         const bool compiled = k < hits.size() && hits[k] == j;
         COSMOS_DCHECK_EQ(compiled, interpreted)
             << "compiled/interpreted divergence for local subscriber "
-            << local_profiles_[it->second[j]].first << " on " << d.stream;
+            << subscriber(j).id << " on " << d.stream;
         if (compiled) ++k;
       }
     }
 #endif
     for (uint32_t h : hits) {
-      const size_t i = it->second[h];
-      const Profile& p = *local_profiles_[i].second;
-      // Last-hop projection: the subscriber receives exactly P(stream).
-      Datagram out = cache.Project(d, p.ProjectionOf(d.stream));
-      if (local_callbacks_[i]) {
-        local_callbacks_[i](out.stream, out.tuple);
-      }
+      Deliver(subscriber(h), d);
       ++delivered;
     }
     hits.clear();
     std::swap(hits, local_hit_scratch_);
     return delivered;
   }
-  for (size_t i : it->second) {
-    const Profile& p = *local_profiles_[i].second;
-    if (!p.Covers(d)) continue;
-    // Last-hop projection: the subscriber receives exactly P(stream).
-    Datagram out = cache.Project(d, p.ProjectionOf(d.stream));
-    if (local_callbacks_[i]) {
-      local_callbacks_[i](out.stream, out.tuple);
-    }
+  for (size_t i = 0; i < count; ++i) {
+    LocalSubscription& sub = subscriber(i);
+    if (!sub.profile->Covers(d)) continue;
+    Deliver(sub, d);
     ++delivered;
   }
   return delivered;
 }
 
-std::optional<Datagram> Router::DecideForward(const Datagram& d, NodeId link,
-                                              bool early_projection,
-                                              ProjectionCache& cache) const {
-  const RoutingTable::StreamBucket* bucket = table_.BucketFor(link, d.stream);
-  if (bucket == nullptr) return std::nullopt;
-  match_scratch_.clear();
+const Datagram* Router::DecideForward(const Datagram& d, NodeId link,
+                                      bool early_projection,
+                                      Datagram* projected) const {
+  const RoutingTable::StreamBucket* bucket =
+      table_.BucketFor(link, d.stream_id);
+  if (bucket == nullptr) return nullptr;
   const std::vector<RoutingTable::BucketSlot>& slots = bucket->slots();
+  // Union of the attributes any matching downstream profile still needs
+  // (its projection set plus its filters' attributes, so re-evaluation at
+  // later hops stays possible). When every slot matched — the common case
+  // for stream-level subscriptions — the bucket's cached union is the
+  // answer.
+  size_t matched = 0;
+  AttrMask needed = 0;
   if (compiled_matching_) {
     const bool was_compiled = bucket->has_compiled();
     const CompiledMatcher& m = bucket->Compiled(d.stream);
@@ -212,41 +201,27 @@ std::optional<Datagram> Router::DecideForward(const Datagram& d, NodeId link,
       }
     }
 #endif
-    for (uint32_t h : hit_scratch_) match_scratch_.push_back(&slots[h]);
+    matched = hit_scratch_.size();
+    if (early_projection && matched < slots.size()) {
+      for (uint32_t h : hit_scratch_) needed |= slots[h].required;
+    }
   } else {
     for (const auto& slot : slots) {
-      if (slot.profile->Covers(d)) match_scratch_.push_back(&slot);
+      if (!slot.profile->Covers(d)) continue;
+      ++matched;
+      needed |= slot.required;
     }
   }
-  if (match_scratch_.empty()) return std::nullopt;
-  if (!early_projection) return d;
-
-  // Union of the attributes any matching downstream profile still needs
-  // (its projection set plus its filters' attributes, so re-evaluation at
-  // later hops stays possible). Any profile wanting all attributes disables
-  // projection on this link. When every bucket entry matched — the common
-  // case for stream-level subscriptions — the bucket's cached union is the
-  // answer and nothing is rebuilt.
-  if (match_scratch_.size() == bucket->slots().size()) {
-    bool wants_all = false;
-    const std::vector<std::string>& needed = bucket->UnionRequired(&wants_all);
-    if (wants_all) return d;
-    return cache.Project(d, needed);
-  }
-  attr_scratch_.clear();
-  for (const RoutingTable::BucketSlot* slot : match_scratch_) {
-    if (slot->required.empty()) return d;  // wants all attributes
-    // Slot `required` sets are sorted; merge-insert keeps the union sorted
-    // so equal attribute sets share one projection-cache plan.
-    for (const auto& attr : slot->required) {
-      auto pos = std::lower_bound(attr_scratch_.begin(), attr_scratch_.end(),
-                                  attr);
-      if (pos == attr_scratch_.end() || *pos != attr) {
-        attr_scratch_.insert(pos, attr);
-      }
-    }
-  }
-  return cache.Project(d, attr_scratch_);
+  if (matched == 0) return nullptr;
+  if (!early_projection) return &d;
+  if (matched == slots.size()) needed = bucket->UnionMask();
+  // A profile wanting all attributes disables projection on this link.
+  const Tuple& out = bucket->projections().Project(
+      d.tuple, needed, streams_->attributes(d.stream_id), &projected->tuple);
+  if (&out == &d.tuple) return &d;
+  projected->stream = d.stream;
+  projected->stream_id = d.stream_id;
+  return projected;
 }
 
 }  // namespace cosmos

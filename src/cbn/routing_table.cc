@@ -6,31 +6,22 @@
 
 namespace cosmos {
 
-const std::vector<std::string>& RoutingTable::StreamBucket::UnionRequired(
-    bool* wants_all) const {
+namespace {
+
+// Matches the per-stream bucket of `link`.
+auto OnLink(NodeId link) {
+  return [link](const auto& bucket) { return bucket.link == link; };
+}
+
+}  // namespace
+
+AttrMask RoutingTable::StreamBucket::UnionMask() const {
   if (union_dirty_) {
-    union_required_.clear();
-    union_wants_all_ = false;
-    for (const auto& slot : slots_) {
-      if (slot.required.empty()) {  // needs all attributes
-        union_wants_all_ = true;
-        union_required_.clear();
-        break;
-      }
-      // Slots keep `required` sorted; merge-insert keeps the union sorted
-      // (and therefore a deterministic projection-cache key).
-      for (const auto& attr : slot.required) {
-        auto it = std::lower_bound(union_required_.begin(),
-                                   union_required_.end(), attr);
-        if (it == union_required_.end() || *it != attr) {
-          union_required_.insert(it, attr);
-        }
-      }
-    }
+    union_ = 0;
+    for (const auto& slot : slots_) union_ |= slot.required;
     union_dirty_ = false;
   }
-  *wants_all = union_wants_all_;
-  return union_required_;
+  return union_;
 }
 
 const CompiledMatcher& RoutingTable::StreamBucket::Compiled(
@@ -44,25 +35,36 @@ const CompiledMatcher& RoutingTable::StreamBucket::Compiled(
   return *matcher_;
 }
 
-void RoutingTable::IndexEntry(LinkState& state, ProfileId id,
-                              const Profile& p) {
+void RoutingTable::IndexEntry(NodeId link, ProfileId id, const Profile& p) {
   for (const auto& stream : p.streams()) {
-    StreamBucket& bucket = state.by_stream[stream];
-    std::vector<std::string> required = p.RequiredAttributes(stream);
-    std::sort(required.begin(), required.end());
-    bucket.slots_.push_back(BucketSlot{id, &p, std::move(required)});
-    bucket.union_dirty_ = true;
+    StreamRef ref(streams_, stream);
+    const StreamId sid = ref.id();
+    if (by_stream_.size() <= sid) by_stream_.resize(sid + 1);
+    std::vector<LinkBucket>& buckets = by_stream_[sid];
+    auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
+    if (it == buckets.end()) {
+      buckets.emplace_back();
+      it = buckets.end() - 1;
+      it->link = link;
+      it->bucket.stream_ = std::move(ref);
+    }
+    StreamBucket& bucket = it->bucket;
+    const AttrMask required =
+        streams_->MaskOf(sid, p.RequiredAttributes(stream));
+    bucket.slots_.push_back(BucketSlot{id, &p, required});
+    bucket.union_ |= required;
     bucket.matcher_.reset();
   }
 }
 
-void RoutingTable::DeindexEntry(LinkState& state, ProfileId id,
-                                const Profile& p) {
+void RoutingTable::DeindexEntry(NodeId link, ProfileId id, const Profile& p) {
   for (const auto& stream : p.streams()) {
-    auto it = state.by_stream.find(stream);
-    COSMOS_DCHECK(it != state.by_stream.end())
-        << "no bucket for indexed stream " << stream;
-    auto& slots = it->second.slots_;
+    const StreamId sid = streams_->Find(stream);
+    COSMOS_DCHECK(sid < by_stream_.size()) << "unindexed stream " << stream;
+    std::vector<LinkBucket>& buckets = by_stream_[sid];
+    auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
+    COSMOS_DCHECK(it != buckets.end()) << "no bucket for stream " << stream;
+    auto& slots = it->bucket.slots_;
     for (size_t i = 0; i < slots.size(); ++i) {
       if (slots[i].id == id && slots[i].profile == &p) {
         slots.erase(slots.begin() + static_cast<long>(i));
@@ -70,19 +72,18 @@ void RoutingTable::DeindexEntry(LinkState& state, ProfileId id,
       }
     }
     if (slots.empty()) {
-      state.by_stream.erase(it);
+      buckets.erase(it);  // releases the bucket's stream id
     } else {
-      it->second.union_dirty_ = true;
-      it->second.matcher_.reset();
+      it->bucket.union_dirty_ = true;
+      it->bucket.matcher_.reset();
     }
   }
 }
 
 void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile) {
   COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
-  LinkState& state = per_link_[link];
-  IndexEntry(state, id, *profile);
-  state.entries.push_back(Entry{id, std::move(profile)});
+  IndexEntry(link, id, *profile);
+  per_link_[link].push_back(Entry{id, std::move(profile)});
   COSMOS_DCHECK(CheckInvariants());
 }
 
@@ -96,11 +97,10 @@ bool RoutingTable::AddUnique(NodeId link, ProfileId id, ProfilePtr profile) {
 bool RoutingTable::Remove(NodeId link, ProfileId id) {
   auto it = per_link_.find(link);
   if (it == per_link_.end()) return false;
-  LinkState& state = it->second;
-  auto& entries = state.entries;
+  auto& entries = it->second;
   for (size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].id == id) {
-      DeindexEntry(state, id, *entries[i].profile);
+      DeindexEntry(link, id, *entries[i].profile);
       entries.erase(entries.begin() + static_cast<long>(i));
       if (entries.empty()) per_link_.erase(it);
       COSMOS_DCHECK(CheckInvariants());
@@ -113,11 +113,10 @@ bool RoutingTable::Remove(NodeId link, ProfileId id) {
 size_t RoutingTable::RemoveEverywhere(ProfileId id) {
   size_t removed = 0;
   for (auto it = per_link_.begin(); it != per_link_.end();) {
-    LinkState& state = it->second;
-    auto& entries = state.entries;
+    auto& entries = it->second;
     for (size_t i = 0; i < entries.size();) {
       if (entries[i].id == id) {
-        DeindexEntry(state, id, *entries[i].profile);
+        DeindexEntry(it->first, id, *entries[i].profile);
         entries.erase(entries.begin() + static_cast<long>(i));
         ++removed;
       } else {
@@ -139,7 +138,7 @@ size_t RoutingTable::RemoveEverywhere(ProfileId id) {
 bool RoutingTable::Contains(NodeId link, ProfileId id) const {
   auto it = per_link_.find(link);
   if (it == per_link_.end()) return false;
-  for (const auto& e : it->second.entries) {
+  for (const auto& e : it->second) {
     if (e.id == id) return true;
   }
   return false;
@@ -147,8 +146,8 @@ bool RoutingTable::Contains(NodeId link, ProfileId id) const {
 
 size_t RoutingTable::CountOf(ProfileId id) const {
   size_t count = 0;
-  for (const auto& [link, state] : per_link_) {
-    for (const auto& e : state.entries) {
+  for (const auto& [link, entries] : per_link_) {
+    for (const auto& e : entries) {
       if (e.id == id) ++count;
     }
   }
@@ -156,18 +155,18 @@ size_t RoutingTable::CountOf(ProfileId id) const {
 }
 
 bool RoutingTable::CheckInvariants() const {
-  for (const auto& [link, state] : per_link_) {
-    if (state.entries.empty()) return false;  // empty lists must be erased
-    size_t expected_slots = 0;
-    for (const auto& e : state.entries) {
+  std::map<NodeId, size_t> expected_slots;
+  for (const auto& [link, entries] : per_link_) {
+    if (entries.empty()) return false;  // empty lists must be erased
+    for (const auto& e : entries) {
       if (e.profile == nullptr) return false;
-      expected_slots += e.profile->streams().size();
+      expected_slots[link] += e.profile->streams().size();
       // Every (entry, stream) pair must be indexed.
       for (const auto& stream : e.profile->streams()) {
-        auto it = state.by_stream.find(stream);
-        if (it == state.by_stream.end()) return false;
+        const StreamBucket* bucket = BucketFor(link, streams_->Find(stream));
+        if (bucket == nullptr) return false;
         bool found = false;
-        for (const auto& slot : it->second.slots()) {
+        for (const auto& slot : bucket->slots()) {
           if (slot.id == e.id && slot.profile == e.profile.get()) {
             found = true;
             break;
@@ -176,18 +175,23 @@ bool RoutingTable::CheckInvariants() const {
         if (!found) return false;
       }
     }
-    // No empty or stray buckets/slots; slot count matches the entries'
-    // stream count exactly (no duplicate or leaked slots).
-    size_t total_slots = 0;
-    for (const auto& [stream, bucket] : state.by_stream) {
-      if (bucket.slots().empty()) return false;
-      total_slots += bucket.slots().size();
-      for (const auto& slot : bucket.slots()) {
+  }
+  // No empty or stray buckets/slots; slot count matches the entries'
+  // stream count exactly (no duplicate or leaked slots).
+  std::map<NodeId, size_t> total_slots;
+  for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
+    for (const LinkBucket& lb : by_stream_[sid]) {
+      if (lb.bucket.slots().empty() || lb.bucket.stream_.id() != sid) {
+        return false;
+      }
+      total_slots[lb.link] += lb.bucket.slots().size();
+      const std::vector<Entry>& entries = EntriesFor(lb.link);
+      for (const auto& slot : lb.bucket.slots()) {
         if (slot.profile == nullptr) return false;
         bool backed = false;
-        for (const auto& e : state.entries) {
+        for (const auto& e : entries) {
           if (e.id == slot.id && e.profile.get() == slot.profile &&
-              e.profile->WantsStream(stream)) {
+              e.profile->WantsStream(streams_->Name(sid))) {
             backed = true;
             break;
           }
@@ -195,9 +199,8 @@ bool RoutingTable::CheckInvariants() const {
         if (!backed) return false;
       }
     }
-    if (total_slots != expected_slots) return false;
   }
-  return true;
+  return total_slots == expected_slots;
 }
 
 const std::vector<RoutingTable::Entry>& RoutingTable::EntriesFor(
@@ -205,27 +208,26 @@ const std::vector<RoutingTable::Entry>& RoutingTable::EntriesFor(
   static const std::vector<Entry> kEmpty;
   auto it = per_link_.find(link);
   if (it == per_link_.end()) return kEmpty;
-  return it->second.entries;
+  return it->second;
 }
 
 std::vector<NodeId> RoutingTable::Links() const {
   std::vector<NodeId> out;
   out.reserve(per_link_.size());
-  for (const auto& [link, state] : per_link_) out.push_back(link);
+  for (const auto& [link, entries] : per_link_) out.push_back(link);
   return out;
 }
 
 const RoutingTable::StreamBucket* RoutingTable::BucketFor(
-    NodeId link, const std::string& stream) const {
-  auto it = per_link_.find(link);
-  if (it == per_link_.end()) return nullptr;
-  auto bit = it->second.by_stream.find(stream);
-  if (bit == it->second.by_stream.end()) return nullptr;
-  return &bit->second;
+    NodeId link, StreamId stream) const {
+  if (stream >= by_stream_.size()) return nullptr;
+  const std::vector<LinkBucket>& buckets = by_stream_[stream];
+  auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
+  return it == buckets.end() ? nullptr : &it->bucket;
 }
 
 bool RoutingTable::LinkCovers(NodeId link, const Datagram& d) const {
-  const StreamBucket* bucket = BucketFor(link, d.stream);
+  const StreamBucket* bucket = BucketFor(link, d.stream_id);
   if (bucket == nullptr) return false;
   for (const auto& slot : bucket->slots()) {
     if (slot.profile->Covers(d)) return true;
@@ -235,7 +237,7 @@ bool RoutingTable::LinkCovers(NodeId link, const Datagram& d) const {
 
 void RoutingTable::MatchingProfiles(NodeId link, const Datagram& d,
                                     std::vector<const Profile*>* out) const {
-  const StreamBucket* bucket = BucketFor(link, d.stream);
+  const StreamBucket* bucket = BucketFor(link, d.stream_id);
   if (bucket == nullptr) return;
   for (const auto& slot : bucket->slots()) {
     if (slot.profile->Covers(d)) out->push_back(slot.profile);
@@ -251,15 +253,23 @@ std::vector<const Profile*> RoutingTable::MatchingProfiles(
 
 size_t RoutingTable::TotalEntries() const {
   size_t total = 0;
-  for (const auto& [link, state] : per_link_) total += state.entries.size();
+  for (const auto& [link, entries] : per_link_) total += entries.size();
   return total;
 }
 
 size_t RoutingTable::TotalIndexedSlots() const {
   size_t total = 0;
-  for (const auto& [link, state] : per_link_) {
-    for (const auto& [stream, bucket] : state.by_stream) {
-      total += bucket.slots().size();
+  for (const auto& buckets : by_stream_) {
+    for (const LinkBucket& lb : buckets) total += lb.bucket.slots().size();
+  }
+  return total;
+}
+
+size_t RoutingTable::CachedPlans() const {
+  size_t total = 0;
+  for (const auto& buckets : by_stream_) {
+    for (const LinkBucket& lb : buckets) {
+      total += lb.bucket.projections().size();
     }
   }
   return total;

@@ -4,11 +4,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cbn/matcher.h"
 #include "cbn/profile.h"
+#include "cbn/projection.h"
+#include "cbn/stream_table.h"
 #include "overlay/graph.h"
 
 namespace cosmos {
@@ -18,13 +19,14 @@ namespace cosmos {
 // through that link. A datagram is forwarded onto a link iff some profile
 // in the link's entry list covers it.
 //
-// Entries are additionally indexed per (link, stream): a forwarding
+// Entries are additionally indexed per (stream id, link): a forwarding
 // decision for a datagram of stream S touches only the entries whose
 // profile requests S, so matching is sub-linear in table size (the
-// posting-list layout of large-scale pub/sub matching engines). Each
-// bucket slot precomputes the profile's required attributes for its
-// stream, and the bucket caches the union across slots, so early
-// projection does not rebuild an attribute set per datagram.
+// posting-list layout of large-scale pub/sub matching engines). The index
+// is keyed by the StreamId the datagram carries, so a lookup hashes no
+// name. Each bucket slot precomputes the profile's required attributes
+// for its stream as an AttrMask, and the bucket caches their OR, so early
+// projection builds no attribute set per datagram.
 class RoutingTable {
  public:
   struct Entry {
@@ -32,43 +34,53 @@ class RoutingTable {
     ProfilePtr profile;
   };
 
-  // One entry's projection into a (link, stream) bucket: the profile plus
-  // its precomputed RequiredAttributes(stream), sorted. `required` empty
-  // means the profile needs all attributes of the stream.
+  // One entry's projection into a (stream, link) bucket: the profile plus
+  // its RequiredAttributes(stream) as a mask over the stream's attribute
+  // dictionary (kAllAttributes: it needs every attribute).
   struct BucketSlot {
     ProfileId id = 0;
     const Profile* profile = nullptr;
-    std::vector<std::string> required;
+    AttrMask required = 0;
   };
 
-  // The entries of one link subscribed to one stream, plus a lazily
-  // rebuilt union of their required attribute sets.
+  // The entries of one link subscribed to one stream, with the state
+  // derived from them: the union of their required attributes, the
+  // compiled matcher and the projection plans of datagrams leaving here.
   class StreamBucket {
    public:
     const std::vector<BucketSlot>& slots() const { return slots_; }
 
-    // Union of required attributes across slots (sorted, deduped).
-    // Sets `*wants_all` when any slot needs all attributes, in which case
-    // the returned vector is empty and must not be used for projection.
-    const std::vector<std::string>& UnionRequired(bool* wants_all) const;
+    // OR of the slots' required masks; it contains kAllAttributes when any
+    // slot needs all attributes, which disables projection.
+    AttrMask UnionMask() const;
 
     // The compiled counting matcher over this bucket's slots (profile
     // indices align with slots()), built lazily on first use for `stream`
-    // and dropped by the same mutation hooks that dirty the cached union.
+    // and dropped whenever the slots change.
     const CompiledMatcher& Compiled(const std::string& stream) const;
 
     // Whether a compiled matcher is currently built (telemetry counts a
     // compile when this flips to true).
     bool has_compiled() const { return matcher_ != nullptr; }
 
+    // Projection plans of datagrams forwarded through this bucket. They
+    // survive slot changes: masks index the stream's dictionary, which
+    // only grows while the stream is live.
+    ProjectionCache& projections() const { return projections_; }
+
    private:
     friend class RoutingTable;
+    StreamRef stream_;  // keeps the id assigned while the bucket exists
     std::vector<BucketSlot> slots_;
-    mutable std::vector<std::string> union_required_;
-    mutable bool union_wants_all_ = false;
-    mutable bool union_dirty_ = true;
+    mutable AttrMask union_ = 0;
+    mutable bool union_dirty_ = false;
     mutable std::unique_ptr<CompiledMatcher> matcher_;
+    mutable ProjectionCache projections_;
   };
+
+  // `streams` interns the profiles' stream names and must outlive the
+  // table.
+  explicit RoutingTable(StreamTable* streams) : streams_(streams) {}
 
   void Add(NodeId link, ProfileId id, ProfilePtr profile);
 
@@ -91,9 +103,9 @@ class RoutingTable {
   // Links that have at least one entry.
   std::vector<NodeId> Links() const;
 
-  // The (link, stream) bucket; nullptr when no entry on `link` requests
+  // The (stream, link) bucket; nullptr when no entry on `link` requests
   // `stream`. This is the forwarding hot path's view of the table.
-  const StreamBucket* BucketFor(NodeId link, const std::string& stream) const;
+  const StreamBucket* BucketFor(NodeId link, StreamId stream) const;
 
   // True when any profile on `link` covers `d`.
   bool LinkCovers(NodeId link, const Datagram& d) const;
@@ -114,27 +126,34 @@ class RoutingTable {
   // this equals TotalEntries().
   size_t TotalIndexedSlots() const;
 
+  // Projection plans cached across all buckets.
+  size_t CachedPlans() const;
+
   // Number of entries across all links carrying `id`.
   size_t CountOf(ProfileId id) const;
 
   // Structural invariants: no link maps to an empty entry list, no entry
   // holds a null profile, and the per-stream index is consistent with the
   // entry list (every (entry, stream) pair has exactly one bucket slot, no
-  // bucket is empty, no slot is stray). DCHECK'd after every mutation so a
-  // dangling subscription or index drift cannot survive unnoticed.
+  // bucket is empty, no slot is stray, every bucket sits at its stream's
+  // id). DCHECK'd after every mutation so a dangling subscription or index
+  // drift cannot survive unnoticed.
   bool CheckInvariants() const;
 
  private:
-  struct LinkState {
-    std::vector<Entry> entries;
-    std::unordered_map<std::string, StreamBucket> by_stream;
+  struct LinkBucket {
+    NodeId link = -1;
+    StreamBucket bucket;
   };
 
   // Adds/removes the bucket slots of one entry (one per profile stream).
-  static void IndexEntry(LinkState& state, ProfileId id, const Profile& p);
-  static void DeindexEntry(LinkState& state, ProfileId id, const Profile& p);
+  void IndexEntry(NodeId link, ProfileId id, const Profile& p);
+  void DeindexEntry(NodeId link, ProfileId id, const Profile& p);
 
-  std::map<NodeId, LinkState> per_link_;
+  StreamTable* streams_;
+  std::map<NodeId, std::vector<Entry>> per_link_;
+  // Stream id -> its buckets, one per link with a subscribed entry.
+  std::vector<std::vector<LinkBucket>> by_stream_;
 };
 
 }  // namespace cosmos

@@ -415,5 +415,66 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   EXPECT_EQ(filtered_hits, 2);
 }
 
+// Result streams are renamed grp_<id>_v<version> on every representative
+// change. Cycling many versions through advertise/subscribe/publish/
+// unsubscribe must leave the stream-id table and the cached projection
+// plans where the live subscriptions put them: no per-version state
+// outlives its stream.
+TEST(StreamIds, ResultVersionChurnReturnsToLiveSet) {
+  ContentBasedNetwork net(StarTree());
+  // A long-lived projected subscription to a source stream.
+  int source_hits = 0;
+  Profile source;
+  source.AddStream("s", {"hum"});
+  source.AddFilter(Filter("s", Clause("temp > 0")));
+  net.Subscribe(2, source, [&](const std::string&, const Tuple& t) {
+    EXPECT_EQ(t.num_values(), 1u);
+    ++source_hits;
+  });
+  const auto source_schema = SensorSchema();
+  auto publish_source = [&] {
+    net.Publish(0, Datagram{"s", Tuple(source_schema,
+                                       {Value(5.0), Value(50.0),
+                                        Value(int64_t{0})},
+                                       0)});
+  };
+  publish_source();
+  ASSERT_EQ(source_hits, 1);
+  const size_t live = net.streams().live();
+  const size_t ids = net.streams().size();
+  const size_t plans = net.CachedProjectionPlans();
+  ASSERT_GT(plans, 0u);
+
+  int version_hits = 0;
+  for (int v = 0; v < 1000; ++v) {
+    const std::string name = "grp_1_v" + std::to_string(v);
+    // Each version installs its own result schema, as a representative
+    // reinstall does.
+    auto schema = std::make_shared<Schema>(
+        name, std::vector<AttributeDef>{{"x", ValueType::kDouble},
+                                        {"y", ValueType::kDouble}});
+    net.Advertise(1, name);
+    Profile user;
+    user.AddStream(name, {"x"});
+    const ProfileId id =
+        net.Subscribe(3, user, [&](const std::string& stream, const Tuple& t) {
+          EXPECT_EQ(stream, name);
+          ASSERT_EQ(t.num_values(), 1u);
+          EXPECT_EQ(t.schema()->attribute(0).name, "x");
+          ++version_hits;
+        });
+    net.Publish(1, Datagram{name, Tuple(schema, {Value(1.0 * v), Value(2.0)},
+                                        0)});
+    ASSERT_TRUE(net.Unsubscribe(id));
+    // Source traffic interleaves with the churn.
+    if (v % 100 == 0) publish_source();
+  }
+  EXPECT_EQ(version_hits, 1000);
+  EXPECT_EQ(source_hits, 11);
+  EXPECT_EQ(net.streams().live(), live);
+  EXPECT_LE(net.streams().size(), ids + 1);
+  EXPECT_EQ(net.CachedProjectionPlans(), plans);
+}
+
 }  // namespace
 }  // namespace cosmos

@@ -234,9 +234,11 @@ TEST(CompiledMatcher, NumericNotEqualsStaysExactViaResidual) {
 }
 
 TEST(CompiledMatcher, BucketInvalidationOnChurn) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(1, 1, RangeProfile(0, 5));
-  const RoutingTable::StreamBucket* bucket = t.BucketFor(1, "s");
+  const StreamId s = streams.Find("s");
+  const RoutingTable::StreamBucket* bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
   EXPECT_EQ(bucket->Compiled("s").num_profiles(), 1u);
@@ -244,13 +246,13 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
 
   // Every mutation hook must drop the compiled matcher.
   t.Add(1, 2, RangeProfile(3, 8));
-  bucket = t.BucketFor(1, "s");
+  bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
   EXPECT_EQ(bucket->Compiled("s").num_profiles(), 2u);
 
   t.Remove(1, 1);
-  bucket = t.BucketFor(1, "s");
+  bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
   EXPECT_EQ(bucket->Compiled("s").num_profiles(), 1u);
@@ -382,11 +384,12 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   Rng root(0xFACADE);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
-    Router compiled(0);
-    Router interpreted(0);
+    StreamTable streams;
+    Router compiled(0, &streams);
+    Router interpreted(0, &streams);
     interpreted.set_compiled_matching(false);
     ASSERT_TRUE(compiled.compiled_matching());
-    ProjectionCache cache_c, cache_i;
+    Datagram scratch_c, scratch_i;
     const NodeId kLink = 1;
     ProfileId next_id = 1;
     std::vector<ProfileId> live;
@@ -394,15 +397,16 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
     auto check_round = [&](int round) {
       for (int k = 0; k < 40; ++k) {
         Datagram d = RandomDatagram(rng);
-        std::optional<Datagram> a =
+        d.stream_id = streams.Find(d.stream);
+        const Datagram* a =
             compiled.DecideForward(d, kLink, /*early_projection=*/true,
-                                   cache_c);
-        std::optional<Datagram> b =
+                                   &scratch_c);
+        const Datagram* b =
             interpreted.DecideForward(d, kLink, /*early_projection=*/true,
-                                      cache_i);
-        ASSERT_EQ(a.has_value(), b.has_value())
+                                      &scratch_i);
+        ASSERT_EQ(a != nullptr, b != nullptr)
             << "trial " << trial << " round " << round;
-        if (a.has_value()) {
+        if (a != nullptr) {
           EXPECT_EQ(a->stream, b->stream);
           EXPECT_EQ(a->tuple, b->tuple)
               << "projection-union divergence: " << a->tuple.ToString()
@@ -441,10 +445,10 @@ TEST(MatcherFuzz, LocalDeliveryEquivalence) {
   Rng root(0x10CA1);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
-    Router compiled(0);
-    Router interpreted(0);
+    StreamTable streams;
+    Router compiled(0, &streams);
+    Router interpreted(0, &streams);
     interpreted.set_compiled_matching(false);
-    ProjectionCache cache_c, cache_i;
     std::vector<std::string> got_c, got_i;
     const size_t n = rng.NextBounded(12) + 1;
     for (size_t i = 0; i < n; ++i) {
@@ -461,8 +465,9 @@ TEST(MatcherFuzz, LocalDeliveryEquivalence) {
     }
     for (int k = 0; k < 60; ++k) {
       Datagram d = RandomDatagram(rng);
-      const size_t dc = compiled.DeliverLocal(d, cache_c);
-      const size_t di = interpreted.DeliverLocal(d, cache_i);
+      d.stream_id = streams.Find(d.stream);
+      const size_t dc = compiled.DeliverLocal(d);
+      const size_t di = interpreted.DeliverLocal(d);
       ASSERT_EQ(dc, di) << "trial " << trial << " datagram " << k;
     }
     EXPECT_EQ(got_c, got_i);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "cbn/network.h"
 #include "cbn/router.h"
-#include "query/parser.h"
+#include "overlay/graph.h"
 
 namespace cosmos {
 namespace {
@@ -18,9 +21,21 @@ const std::shared_ptr<const Schema>& SensorSchema() {
   return schema;
 }
 
-Datagram MakeDatagram(double temp, double hum = 50) {
-  return Datagram{"s",
-                  Tuple(SensorSchema(), {Value(temp), Value(hum)}, 0)};
+// A datagram of "s" carrying the id `streams` assigned to it, as
+// ContentBasedNetwork::Publish stamps it.
+Datagram MakeDatagram(const StreamTable& streams, double temp,
+                      double hum = 50) {
+  return Datagram{"s", Tuple(SensorSchema(), {Value(temp), Value(hum)}, 0),
+                  streams.Find("s")};
+}
+
+// The datagram `r` puts on the wire toward `link` (nullopt: none).
+std::optional<Datagram> Forward(const Router& r, const Datagram& d,
+                                NodeId link, bool early_projection = true) {
+  Datagram projected;
+  const Datagram* out = r.DecideForward(d, link, early_projection, &projected);
+  if (out == nullptr) return std::nullopt;
+  return *out;
 }
 
 ProfilePtr MakeProfile(double lo, double hi,
@@ -34,7 +49,8 @@ ProfilePtr MakeProfile(double lo, double hi,
 }
 
 TEST(RoutingTable, AddAndLookup) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
   t.Add(3, 2, MakeProfile(20, 30));
   t.Add(5, 3, MakeProfile(0, 40));
@@ -46,25 +62,28 @@ TEST(RoutingTable, AddAndLookup) {
 }
 
 TEST(RoutingTable, LinkCoversAnyProfile) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
   t.Add(3, 2, MakeProfile(20, 30));
-  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(5)));
-  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(25)));
-  EXPECT_FALSE(t.LinkCovers(3, MakeDatagram(15)));
-  EXPECT_FALSE(t.LinkCovers(9, MakeDatagram(5)));
+  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(streams, 5)));
+  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(streams, 25)));
+  EXPECT_FALSE(t.LinkCovers(3, MakeDatagram(streams, 15)));
+  EXPECT_FALSE(t.LinkCovers(9, MakeDatagram(streams, 5)));
 }
 
 TEST(RoutingTable, MatchingProfilesReturnsAll) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 20));
   t.Add(3, 2, MakeProfile(10, 30));
-  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(15)).size(), 2u);
-  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(5)).size(), 1u);
+  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(streams, 15)).size(), 2u);
+  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(streams, 5)).size(), 1u);
 }
 
 TEST(RoutingTable, RemoveByIdOnLink) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
   t.Add(3, 2, MakeProfile(20, 30));
   EXPECT_TRUE(t.Remove(3, 1));
@@ -74,7 +93,8 @@ TEST(RoutingTable, RemoveByIdOnLink) {
 }
 
 TEST(RoutingTable, RemoveEverywhereSweepsAllLinks) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   auto p = MakeProfile(0, 10);
   t.Add(1, 7, p);
   t.Add(2, 7, p);
@@ -87,7 +107,8 @@ TEST(RoutingTable, RemoveEverywhereSweepsAllLinks) {
 }
 
 TEST(RoutingTable, ContainsChecksLinkAndId) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
   EXPECT_TRUE(t.Contains(3, 1));
   EXPECT_FALSE(t.Contains(3, 2));
@@ -95,7 +116,8 @@ TEST(RoutingTable, ContainsChecksLinkAndId) {
 }
 
 TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   EXPECT_TRUE(t.AddUnique(3, 1, MakeProfile(0, 10)));
   EXPECT_FALSE(t.AddUnique(3, 1, MakeProfile(20, 30)));
   EXPECT_TRUE(t.AddUnique(5, 1, MakeProfile(0, 10)));
@@ -104,77 +126,95 @@ TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
 }
 
 TEST(RoutingTable, BucketForPartitionsByStream) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
-  ASSERT_NE(t.BucketFor(3, "s"), nullptr);
-  EXPECT_EQ(t.BucketFor(3, "s")->slots().size(), 1u);
-  EXPECT_EQ(t.BucketFor(3, "other"), nullptr);
-  EXPECT_EQ(t.BucketFor(9, "s"), nullptr);
+  const StreamId s = streams.Find("s");
+  ASSERT_NE(s, kNoStream);
+  ASSERT_NE(t.BucketFor(3, s), nullptr);
+  EXPECT_EQ(t.BucketFor(3, s)->slots().size(), 1u);
+  EXPECT_EQ(streams.Find("other"), kNoStream);
+  EXPECT_EQ(t.BucketFor(3, kNoStream), nullptr);
+  EXPECT_EQ(t.BucketFor(9, s), nullptr);
   // A datagram of an unindexed stream matches nothing without touching
   // the "s" entries.
+  StreamRef other(&streams, "other");
+  EXPECT_EQ(t.BucketFor(3, other.id()), nullptr);
   auto other_schema = std::make_shared<Schema>(
       "other", std::vector<AttributeDef>{{"temp", ValueType::kDouble}});
-  Datagram d{"other", Tuple(other_schema, {Value(5.0)}, 0)};
+  Datagram d{"other", Tuple(other_schema, {Value(5.0)}, 0), other.id()};
   EXPECT_FALSE(t.LinkCovers(3, d));
   EXPECT_TRUE(t.MatchingProfiles(3, d).empty());
 }
 
 TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   auto p = std::make_shared<Profile>();
   p->AddStream("a", {"x"});
   p->AddStream("b");
   t.Add(3, 7, p);
   EXPECT_EQ(t.TotalEntries(), 1u);
   EXPECT_EQ(t.TotalIndexedSlots(), 2u);
-  ASSERT_NE(t.BucketFor(3, "a"), nullptr);
-  ASSERT_NE(t.BucketFor(3, "b"), nullptr);
+  const StreamId a = streams.Find("a");
+  const StreamId b = streams.Find("b");
+  ASSERT_NE(t.BucketFor(3, a), nullptr);
+  ASSERT_NE(t.BucketFor(3, b), nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(streams.live(), 2u);
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_TRUE(t.Remove(3, 7));
   EXPECT_EQ(t.TotalIndexedSlots(), 0u);
-  EXPECT_EQ(t.BucketFor(3, "a"), nullptr);
-  EXPECT_EQ(t.BucketFor(3, "b"), nullptr);
+  EXPECT_EQ(t.BucketFor(3, a), nullptr);
+  EXPECT_EQ(t.BucketFor(3, b), nullptr);
+  // The emptied buckets released their stream ids.
+  EXPECT_EQ(streams.live(), 0u);
 }
 
 TEST(RoutingTable, ScratchMatchingProfilesAppends) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 20));
   t.Add(3, 2, MakeProfile(10, 30));
   std::vector<const Profile*> scratch;
-  t.MatchingProfiles(3, MakeDatagram(15), &scratch);
+  t.MatchingProfiles(3, MakeDatagram(streams, 15), &scratch);
   EXPECT_EQ(scratch.size(), 2u);
   // Caller owns the scratch: a second call appends rather than clears.
-  t.MatchingProfiles(3, MakeDatagram(5), &scratch);
+  t.MatchingProfiles(3, MakeDatagram(streams, 5), &scratch);
   EXPECT_EQ(scratch.size(), 3u);
 }
 
-TEST(RoutingTable, UnionRequiredCachesAcrossSlots) {
-  RoutingTable t;
+TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
+  StreamTable streams;
+  RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10, {"temp"}));
   t.Add(3, 2, MakeProfile(0, 10, {"hum"}));
-  bool wants_all = true;
-  const auto* bucket = t.BucketFor(3, "s");
+  const StreamId s = streams.Find("s");
+  const AttrMask temp = streams.MaskOf(s, {"temp"});
+  const AttrMask hum = streams.MaskOf(s, {"hum"});
+  ASSERT_NE(temp, hum);
+  const auto* bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
-  const auto& u = bucket->UnionRequired(&wants_all);
-  EXPECT_FALSE(wants_all);
-  EXPECT_EQ(u, (std::vector<std::string>{"hum", "temp"}));  // sorted
-  // A profile needing every attribute poisons the union.
+  // The union spans every slot.
+  EXPECT_EQ(bucket->UnionMask(), temp | hum);
+  // A profile needing every attribute poisons the union (recomputed after
+  // an add), which disables projection.
   t.Add(3, 4, MakeProfile(0, 10));
-  bucket = t.BucketFor(3, "s");
+  bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
-  (void)bucket->UnionRequired(&wants_all);
-  EXPECT_TRUE(wants_all);
-  // Removing it restores the attribute union (invalidation on Remove).
+  EXPECT_NE(bucket->UnionMask() & kAllAttributes, 0u);
+  // Removing it restores the attribute union (recomputed after a remove).
   EXPECT_TRUE(t.Remove(3, 4));
-  bucket = t.BucketFor(3, "s");
+  bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
-  EXPECT_EQ(bucket->UnionRequired(&wants_all),
-            (std::vector<std::string>{"hum", "temp"}));
-  EXPECT_FALSE(wants_all);
+  EXPECT_EQ(bucket->UnionMask(), temp | hum);
+  EXPECT_TRUE(t.Remove(3, 2));
+  EXPECT_EQ(t.BucketFor(3, s)->UnionMask(), temp);
 }
 
 TEST(RoutingTable, IndexSurvivesChurn) {
-  RoutingTable t;
+  StreamTable streams;
+  RoutingTable t(&streams);
   for (ProfileId id = 1; id <= 40; ++id) {
     t.Add(static_cast<NodeId>(id % 4), id,
           MakeProfile(static_cast<double>(id % 7), 30));
@@ -190,141 +230,283 @@ TEST(RoutingTable, IndexSurvivesChurn) {
 }
 
 TEST(Router, DeliverLocalAppliesExactProjection) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   std::vector<Tuple> got;
   r.AddLocal(1, MakeProfile(0, 40, {"hum"}),
              [&](const std::string&, const Tuple& t) { got.push_back(t); });
-  r.DeliverLocal(MakeDatagram(10, 77), cache);
+  r.DeliverLocal(MakeDatagram(streams, 10, 77));
   ASSERT_EQ(got.size(), 1u);
   ASSERT_EQ(got[0].num_values(), 1u);
   EXPECT_DOUBLE_EQ(got[0].value(0).AsDouble(), 77.0);
 }
 
 TEST(Router, DeliverLocalSkipsNonMatching) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   int hits = 0;
   r.AddLocal(1, MakeProfile(0, 10),
              [&](const std::string&, const Tuple&) { ++hits; });
-  EXPECT_EQ(r.DeliverLocal(MakeDatagram(50), cache), 0u);
+  EXPECT_EQ(r.DeliverLocal(MakeDatagram(streams, 50)), 0u);
   EXPECT_EQ(hits, 0);
 }
 
 TEST(Router, RemoveLocalStopsDelivery) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   int hits = 0;
   r.AddLocal(1, MakeProfile(0, 40),
              [&](const std::string&, const Tuple&) { ++hits; });
   EXPECT_TRUE(r.RemoveLocal(1));
   EXPECT_FALSE(r.RemoveLocal(1));
-  r.DeliverLocal(MakeDatagram(10), cache);
+  r.DeliverLocal(MakeDatagram(streams, 10));
   EXPECT_EQ(hits, 0);
 }
 
 TEST(Router, DecideForwardNoMatchIsNullopt) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   r.table().Add(2, 1, MakeProfile(0, 10));
-  EXPECT_FALSE(r.DecideForward(MakeDatagram(50), 2, true, cache).has_value());
-  EXPECT_FALSE(r.DecideForward(MakeDatagram(5), 9, true, cache).has_value());
+  EXPECT_FALSE(Forward(r, MakeDatagram(streams, 50), 2).has_value());
+  EXPECT_FALSE(Forward(r, MakeDatagram(streams, 5), 9).has_value());
 }
 
 TEST(Router, DecideForwardProjectsToUnionOfNeeds) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
   r.table().Add(2, 2, MakeProfile(10, 30, {"hum"}));
   // Datagram at 15 matches both: union {temp, hum} = identity here.
-  auto out = r.DecideForward(MakeDatagram(15), 2, true, cache);
+  auto out = Forward(r, MakeDatagram(streams, 15), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
   // Datagram at 5 matches only the temp profile: projected to {temp}.
-  out = r.DecideForward(MakeDatagram(5), 2, true, cache);
+  out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
   EXPECT_EQ(out->tuple.schema()->attribute(0).name, "temp");
 }
 
 TEST(Router, DecideForwardWithoutEarlyProjectionKeepsWholeDatagram) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
-  auto out = r.DecideForward(MakeDatagram(5), 2, false, cache);
+  auto out = Forward(r, MakeDatagram(streams, 5), 2, false);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
 }
 
 TEST(Router, AllAttributeProfileDisablesProjection) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   r.table().Add(2, 1, MakeProfile(0, 20));  // wants all attributes
   r.table().Add(2, 2, MakeProfile(0, 20, {"temp"}));
-  auto out = r.DecideForward(MakeDatagram(5), 2, true, cache);
+  auto out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
 }
 
 TEST(Router, DecideForwardTracksTableMutations) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
-  auto out = r.DecideForward(MakeDatagram(5), 2, true, cache);
+  auto out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
   // Adding a hum-projecting profile widens the all-match union.
   r.table().Add(2, 2, MakeProfile(0, 20, {"hum"}));
-  out = r.DecideForward(MakeDatagram(5), 2, true, cache);
+  out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
   // Removing it narrows the union again (invalidation on Remove).
   EXPECT_TRUE(r.table().Remove(2, 2));
-  out = r.DecideForward(MakeDatagram(5), 2, true, cache);
+  out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
   EXPECT_EQ(out->tuple.schema()->attribute(0).name, "temp");
 }
 
 TEST(Router, DeliverLocalIgnoresOtherStreams) {
-  Router r(0);
-  ProjectionCache cache;
+  StreamTable streams;
+  Router r(0, &streams);
   int hits = 0;
   r.AddLocal(1, MakeProfile(0, 40),
              [&](const std::string&, const Tuple&) { ++hits; });
+  StreamRef other(&streams, "other");
   auto other_schema = std::make_shared<Schema>(
       "other", std::vector<AttributeDef>{{"temp", ValueType::kDouble}});
-  Datagram d{"other", Tuple(other_schema, {Value(5.0)}, 0)};
-  EXPECT_EQ(r.DeliverLocal(d, cache), 0u);
+  Datagram d{"other", Tuple(other_schema, {Value(5.0)}, 0), other.id()};
+  EXPECT_EQ(r.DeliverLocal(d), 0u);
   EXPECT_EQ(hits, 0);
-  EXPECT_EQ(r.DeliverLocal(MakeDatagram(10), cache), 1u);
+  EXPECT_EQ(r.DeliverLocal(MakeDatagram(streams, 10)), 1u);
   EXPECT_EQ(hits, 1);
 }
 
 TEST(ProjectionCache, IdentityWhenAllAttributesSelected) {
+  StreamTable streams;
+  StreamRef s(&streams, "s");
   ProjectionCache cache;
-  Datagram d = MakeDatagram(1, 2);
-  Datagram out = cache.Project(d, {"temp", "hum"});
-  EXPECT_EQ(out.tuple.num_values(), 2u);
-  // Identity reuses the same schema object.
-  EXPECT_EQ(out.tuple.schema().get(), d.tuple.schema().get());
+  Datagram d = MakeDatagram(streams, 1, 2);
+  Tuple scratch;
+  const Tuple& out =
+      cache.Project(d.tuple, streams.MaskOf(s.id(), {"temp", "hum"}),
+                    streams.attributes(s.id()), &scratch);
+  EXPECT_EQ(out.num_values(), 2u);
+  // Identity hands back the incoming tuple: same values, same schema.
+  EXPECT_EQ(&out, &d.tuple);
+  EXPECT_EQ(out.schema().get(), d.tuple.schema().get());
 }
 
 TEST(ProjectionCache, SkipsUnknownAttributes) {
+  StreamTable streams;
+  StreamRef s(&streams, "s");
   ProjectionCache cache;
-  Datagram d = MakeDatagram(1, 2);
-  Datagram out = cache.Project(d, {"temp", "not_there"});
-  EXPECT_EQ(out.tuple.num_values(), 1u);
+  Datagram d = MakeDatagram(streams, 1, 2);
+  Tuple scratch;
+  const Tuple& out =
+      cache.Project(d.tuple, streams.MaskOf(s.id(), {"temp", "not_there"}),
+                    streams.attributes(s.id()), &scratch);
+  ASSERT_EQ(out.num_values(), 1u);
+  EXPECT_EQ(out.schema()->attribute(0).name, "temp");
 }
 
 TEST(ProjectionCache, ReusesPlansAcrossCalls) {
+  StreamTable streams;
+  StreamRef s(&streams, "s");
   ProjectionCache cache;
-  Datagram d1 = MakeDatagram(1, 2);
-  Datagram d2 = MakeDatagram(3, 4);
-  Datagram o1 = cache.Project(d1, {"temp"});
-  Datagram o2 = cache.Project(d2, {"temp"});
-  // Same source schema + attr set => same projected schema instance.
-  EXPECT_EQ(o1.tuple.schema().get(), o2.tuple.schema().get());
+  const AttrMask temp = streams.MaskOf(s.id(), {"temp"});
+  Datagram d1 = MakeDatagram(streams, 1, 2);
+  Datagram d2 = MakeDatagram(streams, 3, 4);
+  Tuple t1, t2;
+  const Tuple& o1 =
+      cache.Project(d1.tuple, temp, streams.attributes(s.id()), &t1);
+  const Tuple& o2 =
+      cache.Project(d2.tuple, temp, streams.attributes(s.id()), &t2);
+  // Same source schema + mask => one plan, one projected schema instance.
+  EXPECT_EQ(o1.schema().get(), o2.schema().get());
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {
+  StreamTable streams;
+  const StreamId a = streams.Acquire("a");
+  EXPECT_EQ(streams.Acquire("a"), a);  // one id per name, two references
+  const uint32_t a_epoch = streams.epoch(a);
+  streams.Release(a);
+  EXPECT_EQ(streams.live(), 1u);
+  streams.Release(a);
+  EXPECT_EQ(streams.live(), 0u);
+  // A freed id keeps its name until another stream needs the slot.
+  EXPECT_EQ(streams.Find("a"), a);
+  const StreamId b = streams.Acquire("b");
+  EXPECT_EQ(b, a);
+  EXPECT_NE(streams.epoch(b), a_epoch);
+  EXPECT_EQ(streams.Find("a"), kNoStream);
+  EXPECT_EQ(streams.Name(b), "b");
+  EXPECT_EQ(streams.size(), 1u);
+
+  // Dictionary bits are stable; names past the dictionary's capacity
+  // widen a set to all attributes instead of dropping them.
+  EXPECT_EQ(streams.MaskOf(b, {}), kAllAttributes);
+  const AttrMask x = streams.MaskOf(b, {"x"});
+  EXPECT_EQ(streams.MaskOf(b, {"y", "x"}), x | streams.MaskOf(b, {"y"}));
+  for (size_t i = streams.attributes(b).size();
+       i < StreamTable::kMaxAttributes; ++i) {
+    EXPECT_EQ(streams.MaskOf(b, {"f" + std::to_string(i)}) & kAllAttributes,
+              0u);
+  }
+  EXPECT_EQ(streams.MaskOf(b, {"x", "one_too_many"}), x | kAllAttributes);
+  EXPECT_EQ(streams.MaskOf(b, {"x"}), x);
+  streams.Release(b);
+}
+
+// Stream ids are reused once a stream has no subscriber left. A stream
+// that takes a freed id with a different schema must never reach what the
+// old owner left behind: its buckets, compiled-matcher bindings (column
+// offsets) or projection plans.
+TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
+  ContentBasedNetwork net(
+      DisseminationTree::FromEdges(3, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}})
+          .value());
+  auto a_schema = std::make_shared<Schema>(
+      "A", std::vector<AttributeDef>{{"a1", ValueType::kDouble},
+                                     {"a2", ValueType::kDouble},
+                                     {"a3", ValueType::kDouble}});
+  auto b_schema = std::make_shared<Schema>(
+      "B", std::vector<AttributeDef>{{"b1", ValueType::kDouble},
+                                     {"b2", ValueType::kDouble},
+                                     {"b3", ValueType::kDouble}});
+  auto range = [](const std::string& stream, const std::string& attr) {
+    ConjunctiveClause c;
+    c.ConstrainInterval(attr, Interval(0, false, 10, false));
+    return Filter(stream, std::move(c));
+  };
+
+  // Stream A: project to a1, filter on a2 (column 1).
+  std::vector<Tuple> a_got;
+  Profile a;
+  a.AddStream("A", {"a1"});
+  a.AddFilter(range("A", "a2"));
+  const ProfileId a_sub = net.Subscribe(
+      2, a, [&](const std::string&, const Tuple& t) { a_got.push_back(t); });
+  net.Publish(0, Datagram{"A", Tuple(a_schema, {Value(1.0), Value(5.0),
+                                                Value(9.0)}, 0)});
+  ASSERT_EQ(a_got.size(), 1u);
+  const StreamId a_id = net.streams().Find("A");
+  ASSERT_NE(a_id, kNoStream);
+  ASSERT_GT(net.CachedProjectionPlans(), 0u);
+
+  // Drop A's last subscription: nothing holds its id any more.
+  ASSERT_TRUE(net.Unsubscribe(a_sub));
+  EXPECT_EQ(net.streams().live(), 0u);
+  EXPECT_EQ(net.CachedProjectionPlans(), 0u);
+
+  // Stream B takes the freed id: project to b2, filter on b1 (column 0).
+  std::vector<std::pair<std::string, Tuple>> b_got;
+  Profile b;
+  b.AddStream("B", {"b2"});
+  b.AddFilter(range("B", "b1"));
+  net.Subscribe(2, b, [&](const std::string& stream, const Tuple& t) {
+    b_got.emplace_back(stream, t);
+  });
+  ASSERT_EQ(net.streams().Find("B"), a_id) << "the freed id was not reused";
+  EXPECT_EQ(net.streams().Find("A"), kNoStream);
+  const RoutingTable::StreamBucket* bucket =
+      net.router(0).table().BucketFor(1, a_id);
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_EQ(bucket->slots().size(), 1u);
+  EXPECT_TRUE(bucket->slots()[0].profile->WantsStream("B"));
+
+  // b1 = 5 passes B's filter; A's stale binding (a2 at column 1) would
+  // have read b2 = 50 and dropped it.
+  net.Publish(0, Datagram{"B", Tuple(b_schema, {Value(5.0), Value(50.0),
+                                                Value(7.0)}, 1)});
+  // b1 = 50 fails B's filter; A's binding would have read b2 = 8 and
+  // passed it.
+  net.Publish(0, Datagram{"B", Tuple(b_schema, {Value(50.0), Value(8.0),
+                                                Value(7.0)}, 2)});
+  ASSERT_EQ(b_got.size(), 1u);
+  EXPECT_EQ(b_got[0].first, "B");
+  const Tuple& got = b_got[0].second;
+  ASSERT_EQ(got.num_values(), 1u);
+  EXPECT_EQ(got.schema()->stream_name(), "B");
+  EXPECT_EQ(got.schema()->attribute(0).name, "b2");
+  EXPECT_DOUBLE_EQ(got.value(0).AsDouble(), 50.0);
+
+  // A, published again with no subscriber, reaches neither subscriber.
+  net.Publish(0, Datagram{"A", Tuple(a_schema, {Value(1.0), Value(5.0),
+                                                Value(9.0)}, 3)});
+  EXPECT_EQ(a_got.size(), 1u);
+  EXPECT_EQ(b_got.size(), 1u);
+  EXPECT_EQ(net.streams().live(), 1u);
+  // The per-stream ledger followed the names, not the reused id.
+  auto published = [&net](const std::string& stream) {
+    const Counter* c = net.metrics().FindCounter(
+        MetricsRegistry::LabeledName("cbn.published", "stream", stream));
+    return c == nullptr ? uint64_t{0} : c->value();
+  };
+  EXPECT_EQ(published("A"), 2u);
+  EXPECT_EQ(published("B"), 2u);
 }
 
 }  // namespace
