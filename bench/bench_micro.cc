@@ -1,11 +1,12 @@
 // Hot-path microbenchmarks (google-benchmark): filter evaluation, profile
 // covering, query parsing/analysis, containment, representative
-// composition, window-join throughput, CBN publish, and CBN forwarding
-// (stream-partitioned index vs the pre-index linear scan).
+// composition, window-join throughput, sliding-window MIN/MAX, CBN publish,
+// and CBN forwarding (stream-partitioned index vs the pre-index linear
+// scan).
 //
-// The forwarding/matching benchmarks feed BENCH_routing.json (see
-// EXPERIMENTS.md):
-//   bench_micro --benchmark_filter='BM_RoutingForward|BM_Match'
+// The forwarding, matching, telemetry and window-aggregate benchmarks feed
+// BENCH_routing.json (see EXPERIMENTS.md and tools/check_bench.py):
+//   bench_micro --benchmark_filter=<the filter in tools/check_bench.py>
 //       --benchmark_out=BENCH_routing.json --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
@@ -26,12 +27,13 @@
 #include "core/profile_composer.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
+#include "spe/aggregate.h"
 #include "spe/join.h"
 #include "spe/multiway_join.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
-// Heap-allocation counter for the forwarding benchmarks: replacing the
+// Heap-allocation counter for the forwarding and aggregate benchmarks: replacing the
 // global operator new is the only way to observe the per-datagram
 // allocation count without intrusive instrumentation. new[]/delete[]
 // forward here per the standard, so one pair suffices.
@@ -239,6 +241,49 @@ void BM_MultiWayJoinThreeStreams(benchmark::State& state) {
   benchmark::DoNotOptimize(emitted);
 }
 BENCHMARK(BM_MultiWayJoinThreeStreams)->Unit(benchmark::kMillisecond);
+
+// Sliding MIN and MAX over one group with range(0) tuples resident in the
+// window (one per tick, so every arrival evicts one): time and allocations
+// per arrival should stay flat as the window grows. Only Push is counted
+// for allocations, not the building of the arriving tuple.
+void BM_WindowAggregate(benchmark::State& state) {
+  const int64_t resident = state.range(0);
+  auto in = std::make_shared<Schema>(
+      "S", std::vector<AttributeDef>{{"g", ValueType::kInt64},
+                                     {"v", ValueType::kDouble}});
+  auto out = std::make_shared<Schema>(
+      "A", std::vector<AttributeDef>{{"g", ValueType::kInt64},
+                                     {"lo", ValueType::kDouble},
+                                     {"hi", ValueType::kDouble}});
+  WindowAggregateOperator agg(
+      resident - 1, {0},
+      {{AggFunc::kMin, false, 1}, {AggFunc::kMax, false, 1}}, out);
+  size_t emitted = 0;
+  agg.SetSink([&emitted](const Tuple&) { ++emitted; });
+  Rng rng(11);
+  std::vector<double> values(1024);
+  for (double& v : values) v = rng.NextDouble(0, 1000);
+  int64_t ts = 0;
+  auto arrival = [&] {
+    const double v = values[static_cast<size_t>(ts) & 1023];
+    return Tuple(in, {Value(int64_t{0}), Value(v)}, ts++);
+  };
+  while (ts < resident) agg.Push(0, arrival());
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    Tuple t = arrival();
+    const uint64_t before = g_allocation_count.load();
+    agg.Push(0, t);
+    allocs += g_allocation_count.load() - before;
+  }
+  benchmark::DoNotOptimize(emitted);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_arrival"] =
+      state.iterations() > 0 ? static_cast<double>(allocs) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+}
+BENCHMARK(BM_WindowAggregate)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_CodecRoundTrip(benchmark::State& state) {
   SensorDataset sensors;

@@ -1,24 +1,59 @@
 #include "spe/aggregate.h"
 
+#include <cmath>
+
 #include "common/logging.h"
 
 namespace cosmos {
+namespace {
+
+// Three-way order of one group-key column: Value::Compare where it is
+// defined; incomparable values order by type id, then by string form.
+int CompareKeyValues(const Value& a, const Value& b) {
+  auto cmp = a.Compare(b);
+  if (cmp.ok()) return *cmp;
+  if (a.type() != b.type()) return a.type() < b.type() ? -1 : 1;
+  return a.ToString().compare(b.ToString());
+}
+
+// True when `v` takes part in MIN/MAX (neither null nor NaN).
+bool Ranked(const Value& v) {
+  if (v.is_null()) return false;
+  return v.type() != ValueType::kDouble || !std::isnan(v.AsDouble());
+}
+
+// True when `v` ranks strictly before `best` for MIN (`want_min`) or MAX.
+bool StrictlyBetter(const Value& v, const Value& best, bool want_min) {
+  auto cmp = v.Compare(best);
+  return cmp.ok() && (want_min ? *cmp < 0 : *cmp > 0);
+}
+
+}  // namespace
 
 bool WindowAggregateOperator::KeyLess::operator()(
     const std::vector<Value>& a, const std::vector<Value>& b) const {
   COSMOS_CHECK_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    auto cmp = a[i].Compare(b[i]);
-    if (cmp.ok()) {
-      if (*cmp < 0) return true;
-      if (*cmp > 0) return false;
-      continue;
-    }
-    // Incomparable types: order by type id, then by string form.
-    if (a[i].type() != b[i].type()) return a[i].type() < b[i].type();
-    std::string sa = a[i].ToString();
-    std::string sb = b[i].ToString();
-    if (sa != sb) return sa < sb;
+    int c = CompareKeyValues(a[i], b[i]);
+    if (c != 0) return c < 0;
+  }
+  return false;
+}
+
+bool WindowAggregateOperator::KeyLess::operator()(const std::vector<Value>& a,
+                                                  const TupleKey& b) const {
+  for (size_t i = 0; i < a.size(); ++i) {
+    int c = CompareKeyValues(a[i], b.tuple.value(b.columns[i]));
+    if (c != 0) return c < 0;
+  }
+  return false;
+}
+
+bool WindowAggregateOperator::KeyLess::operator()(
+    const TupleKey& a, const std::vector<Value>& b) const {
+  for (size_t i = 0; i < b.size(); ++i) {
+    int c = CompareKeyValues(a.tuple.value(a.columns[i]), b[i]);
+    if (c != 0) return c < 0;
   }
   return false;
 }
@@ -27,85 +62,125 @@ WindowAggregateOperator::WindowAggregateOperator(
     Duration window, std::vector<size_t> group_keys, std::vector<AggSpec> aggs,
     std::shared_ptr<const Schema> output_schema)
     : window_size_(window),
+      bounded_(window != kInfiniteDuration),
       group_keys_(std::move(group_keys)),
       aggs_(std::move(aggs)),
-      output_schema_(std::move(output_schema)),
-      window_(window) {
+      output_schema_(std::move(output_schema)) {
   COSMOS_CHECK(output_schema_->num_attributes() ==
                group_keys_.size() + aggs_.size());
+  slot_.assign(aggs_.size(), 0);
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    const AggSpec& a = aggs_[i];
+    switch (a.func) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        slot_[i] = sum_args_.size();
+        sum_args_.push_back(a.arg);
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        slot_[i] = ext_slots_.size();
+        ext_slots_.push_back({a.arg, a.func == AggFunc::kMin});
+        break;
+    }
+  }
 }
 
-std::vector<Value> WindowAggregateOperator::KeyOf(const Tuple& t) const {
+WindowAggregateOperator::GroupMap::iterator
+WindowAggregateOperator::FindOrAddGroup(const Tuple& t) {
+  const TupleKey probe{t, group_keys_};
+  auto it = groups_.lower_bound(probe);
+  if (it != groups_.end() && !groups_.key_comp()(probe, it->first)) return it;
   std::vector<Value> key;
   key.reserve(group_keys_.size());
   for (size_t i : group_keys_) key.push_back(t.value(i));
-  return key;
+  GroupState g;
+  g.sums.assign(sum_args_.size(), 0.0);
+  g.numeric.assign(sum_args_.size(), 0);
+  g.extrema.resize(ext_slots_.size());
+  return groups_.emplace_hint(it, std::move(key), std::move(g));
 }
 
-void WindowAggregateOperator::Apply(GroupState& g, const Tuple& t, int sign) {
-  g.count += sign;
-  if (g.sums.size() != aggs_.size()) {
-    g.sums.assign(aggs_.size(), 0.0);
-    g.counts.assign(aggs_.size(), 0);
-  }
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& a = aggs_[i];
-    if (a.star || a.func == AggFunc::kCount) {
-      g.counts[i] += sign;
-      continue;
+void WindowAggregateOperator::Add(GroupState& g, const Tuple& t,
+                                  uint64_t seq) {
+  ++g.count;
+  for (size_t s = 0; s < sum_args_.size(); ++s) {
+    const Value& v = t.value(sum_args_[s]);
+    std::optional<double> x;
+    if (v.is_numeric()) {
+      x = v.NumericValue();
+      g.sums[s] += *x;
+      ++g.numeric[s];
     }
-    const Value& v = t.value(a.arg);
-    if (!v.is_numeric()) {
-      if (a.func == AggFunc::kMin || a.func == AggFunc::kMax) {
-        g.counts[i] += sign;  // extrema recomputed from window contents
+    if (bounded_) window_args_.push_back(x);
+  }
+  for (size_t s = 0; s < ext_slots_.size(); ++s) {
+    const auto [arg, want_min] = ext_slots_[s];
+    const Value& v = t.value(arg);
+    if (!Ranked(v)) continue;
+    std::deque<Candidate>& dq = g.extrema[s];
+    if (!bounded_) {
+      // Nothing ever leaves: only the running best matters.
+      if (dq.empty()) {
+        dq.push_back({seq, v});
+      } else if (StrictlyBetter(v, dq.front().value, want_min)) {
+        dq.front() = {seq, v};
       }
       continue;
     }
-    g.counts[i] += sign;
-    if (a.func == AggFunc::kSum || a.func == AggFunc::kAvg) {
-      g.sums[i] += sign * v.NumericValue();
+    // A candidate strictly worse than `v` can never be the front again:
+    // `v` outlives it. Equal ones stay, so the earliest best wins ties.
+    while (!dq.empty() && StrictlyBetter(v, dq.back().value, want_min)) {
+      dq.pop_back();
     }
+    dq.push_back({seq, v});
   }
 }
 
-Value WindowAggregateOperator::RecomputeExtremum(
-    const std::vector<Value>& key, size_t agg_index, bool want_min) const {
-  const AggSpec& a = aggs_[agg_index];
-  bool found = false;
-  Value best;
-  for (const auto& t : window_.contents()) {
-    if (KeyOf(t) != key) continue;
-    const Value& v = t.value(a.arg);
-    if (v.is_null()) continue;
-    if (!found) {
-      best = v;
-      found = true;
-      continue;
-    }
-    auto cmp = v.Compare(best);
-    if (cmp.ok() && ((want_min && *cmp < 0) || (!want_min && *cmp > 0))) {
-      best = v;
+void WindowAggregateOperator::EvictFront() {
+  const Buffered victim = window_.front();
+  window_.pop_front();
+  GroupState& g = victim.group->second;
+  --g.count;
+  for (size_t s = 0; s < sum_args_.size(); ++s) {
+    const std::optional<double> x = window_args_.front();
+    window_args_.pop_front();
+    if (x.has_value()) {
+      g.sums[s] -= *x;
+      --g.numeric[s];
     }
   }
-  return best;  // Null when the group has no rows
+  for (std::deque<Candidate>& dq : g.extrema) {
+    if (!dq.empty() && dq.front().seq == victim.seq) dq.pop_front();
+  }
+  if (g.count == 0) groups_.erase(victim.group);
 }
 
-Value WindowAggregateOperator::Finalize(const GroupState& g, size_t agg_index,
-                                        const std::vector<Value>& key) const {
-  const AggSpec& a = aggs_[agg_index];
-  switch (a.func) {
-    case AggFunc::kCount:
-      return Value(static_cast<int64_t>(g.counts[agg_index]));
+size_t WindowAggregateOperator::extremum_candidates() const {
+  size_t n = 0;
+  for (const auto& [key, g] : groups_) {
+    for (const auto& dq : g.extrema) n += dq.size();
+  }
+  return n;
+}
+
+Value WindowAggregateOperator::Finalize(const GroupState& g,
+                                        size_t agg_index) const {
+  const size_t s = slot_[agg_index];
+  switch (aggs_[agg_index].func) {
+    case AggFunc::kCount:  // COUNT(*) and COUNT(arg) both count every row
+      return Value(g.count);
     case AggFunc::kSum:
-      return Value(g.sums[agg_index]);
+      return Value(g.sums[s]);
     case AggFunc::kAvg:
-      if (g.counts[agg_index] == 0) return Value();
-      return Value(g.sums[agg_index] /
-                   static_cast<double>(g.counts[agg_index]));
+      if (g.numeric[s] == 0) return Value();
+      return Value(g.sums[s] / static_cast<double>(g.numeric[s]));
     case AggFunc::kMin:
-      return RecomputeExtremum(key, agg_index, /*want_min=*/true);
     case AggFunc::kMax:
-      return RecomputeExtremum(key, agg_index, /*want_min=*/false);
+      if (g.extrema[s].empty()) return Value();
+      return g.extrema[s].front().value;
   }
   return Value();
 }
@@ -114,31 +189,26 @@ void WindowAggregateOperator::Push(size_t port, const Tuple& tuple) {
   (void)port;
   const Timestamp now = tuple.timestamp();
 
-  // Evict expired tuples, updating their groups.
-  std::vector<Tuple> evicted;
-  window_.EvictExpired(now, &evicted);
-  for (const auto& victim : evicted) {
-    auto key = KeyOf(victim);
-    auto it = groups_.find(key);
-    if (it != groups_.end()) {
-      Apply(it->second, victim, -1);
-      if (it->second.count == 0) groups_.erase(it);
+  // Evict expired rows (timestamp < now - T), updating their groups.
+  if (bounded_) {
+    const Timestamp cutoff = now - window_size_;
+    while (!window_.empty() && window_.front().timestamp < cutoff) {
+      EvictFront();
     }
   }
 
   // Insert the arrival.
-  window_.Insert(tuple);
-  std::vector<Value> key = KeyOf(tuple);
-  GroupState& g = groups_[key];
-  Apply(g, tuple, +1);
+  const uint64_t seq = next_seq_++;
+  auto group = FindOrAddGroup(tuple);
+  if (bounded_) window_.push_back({now, seq, group});
+  GroupState& g = group->second;
+  Add(g, tuple, seq);
 
-  // Emit the refreshed row of this group.
+  // Emit the refreshed row of this group, keyed by the arrival's own values.
   std::vector<Value> out;
   out.reserve(output_schema_->num_attributes());
-  for (const auto& k : key) out.push_back(k);
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    out.push_back(Finalize(g, i, key));
-  }
+  for (size_t i : group_keys_) out.push_back(tuple.value(i));
+  for (size_t i = 0; i < aggs_.size(); ++i) out.push_back(Finalize(g, i));
   Emit(Tuple(output_schema_, std::move(out), now));
 }
 

@@ -4,10 +4,10 @@
 The file is google-benchmark JSON produced by:
 
     bench_micro \
-        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match' \
+        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate' \
         --benchmark_out=BENCH_routing.json --benchmark_out_format=json
 
-Three gates, all measured within the same run:
+Four gates, all measured within the same run:
 
   1. Index speedup — the run covers table sizes {10^2, 10^3, 10^4} for both
      the stream-partitioned index (BM_RoutingForwardIndexed) and the
@@ -26,6 +26,12 @@ Three gates, all measured within the same run:
      (BM_ForwardWithoutTelemetry). The CBN always counts into a registry,
      its own when none is attached, so this guards that attaching one
      adds no cost.
+  4. Window-aggregate scaling — sliding MIN/MAX over one group
+     (BM_WindowAggregate, window sizes {10^2, 10^3, 10^4}, each reporting
+     allocs_per_arrival) costs at most MAX_AGG_SCALING x as much time per
+     arrival at 10^4 resident tuples as at 10^2: the extrema are maintained
+     incrementally, so the cost must not grow with the window (a rescan of
+     the window grows about 100x).
 
 Usage: tools/check_bench.py [BENCH_routing.json]
 """
@@ -39,6 +45,9 @@ MIN_MATCH_SPEEDUP = 3.0
 # Forwarding with a registry attached must retain >= 95% of the throughput
 # without one.
 MIN_TELEMETRY_RATIO = 0.95
+# Sliding MIN/MAX: time per arrival at 10^4 resident tuples <= 3x that at
+# 10^2.
+MAX_AGG_SCALING = 3.0
 SIZES = (100, 1000, 10000)
 IMPLS = ("Indexed", "Linear")
 MATCH_IMPLS = ("Compiled", "Interpreted")
@@ -82,6 +91,12 @@ def main() -> int:
     for name in TELEMETRY_BENCHES[1:]:
         if name in bench and "datagrams_per_sec" not in bench[name]:
             missing.append(f"{name}:datagrams_per_sec")
+    for n in SIZES:
+        name = f"BM_WindowAggregate/{n}"
+        if name not in bench:
+            missing.append(name)
+        elif "allocs_per_arrival" not in bench[name]:
+            missing.append(f"{name}:allocs_per_arrival")
     if missing:
         print(f"{path} incomplete: missing {', '.join(missing)}",
               file=sys.stderr)
@@ -137,7 +152,30 @@ def main() -> int:
     else:
         print(f"OK: telemetry keeps {ratio:.1%} >= "
               f"{MIN_TELEMETRY_RATIO:.0%} of bare forwarding throughput")
+
+    ns = {n: ns_per_iteration(bench[f"BM_WindowAggregate/{n}"])
+          for n in SIZES}
+    for n in SIZES:
+        allocs = bench[f"BM_WindowAggregate/{n}"]["allocs_per_arrival"]
+        print(f"window size {n:>6}: {ns[n]:>10,.1f} ns/arrival | "
+              f"{allocs:.2f} allocs/arrival")
+    scaling = ns[10000] / ns[100]
+    if scaling > MAX_AGG_SCALING:
+        print(f"sliding MIN/MAX at 10^4 resident tuples costs {scaling:.1f}x "
+              f"the time per arrival at 10^2 (need <= {MAX_AGG_SCALING}x)",
+              file=sys.stderr)
+        ok = False
+    else:
+        print(f"OK: window aggregate scales {scaling:.2f}x <= "
+              f"{MAX_AGG_SCALING}x from 10^2 to 10^4 resident tuples")
     return 0 if ok else 1
+
+
+def ns_per_iteration(entry) -> float:
+    """A google-benchmark entry's CPU time per iteration in ns (the clock
+    the other gates' rate counters use)."""
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    return entry["cpu_time"] * scale[entry.get("time_unit", "ns")]
 
 
 if __name__ == "__main__":
