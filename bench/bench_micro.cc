@@ -29,7 +29,6 @@
 #include "overlay/topology.h"
 #include "spe/aggregate.h"
 #include "spe/join.h"
-#include "spe/multiway_join.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
@@ -168,11 +167,11 @@ void BM_WindowJoin(benchmark::State& state) {
   AuctionDataset auctions;
   auto open = AuctionDataset::OpenAuctionSchema();
   auto closed = AuctionDataset::ClosedAuctionSchema();
-  auto joined = MakeJoinedSchema(*open, "O", *closed, "C", "j");
+  auto joined = MakeJoinedSchema({{open.get(), "O"}, {closed.get(), "C"}}, "j");
   size_t emitted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    WindowJoinOperator join(3 * kHour, 0, {{0, 0}}, nullptr, joined);
+    WindowJoinOperator join({3 * kHour, 0}, {{0, 0, 1, 0}}, nullptr, joined);
     join.SetSink([&emitted](const Tuple&) { ++emitted; });
     auto open_gen = auctions.MakeOpenGenerator();
     auto closed_gen = auctions.MakeClosedGenerator();
@@ -199,9 +198,9 @@ void BM_WindowJoinProbe(benchmark::State& state) {
       "L", std::vector<AttributeDef>{{"k", ValueType::kInt64}});
   auto right = std::make_shared<Schema>(
       "R", std::vector<AttributeDef>{{"k", ValueType::kInt64}});
-  auto out = MakeJoinedSchema(*left, "L", *right, "R", "J");
-  WindowJoinOperator join(kInfiniteDuration, kInfiniteDuration, {{0, 0}},
-                          nullptr, out);
+  auto out = MakeJoinedSchema({{left.get(), "L"}, {right.get(), "R"}}, "J");
+  WindowJoinOperator join({kInfiniteDuration, kInfiniteDuration},
+                          {{0, 0, 1, 0}}, nullptr, out);
   join.SetSink(nullptr);
   // Populate the left window with distinct keys.
   for (int64_t i = 0; i < resident; ++i) {
@@ -223,13 +222,13 @@ BENCHMARK(BM_WindowJoinProbe)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_MultiWayJoinThreeStreams(benchmark::State& state) {
   auto schema = std::make_shared<Schema>(
       "S", std::vector<AttributeDef>{{"k", ValueType::kInt64}});
-  auto out = MakeConcatenatedSchema(
+  auto out = MakeJoinedSchema(
       {{schema.get(), "A"}, {schema.get(), "B"}, {schema.get(), "C"}}, "J");
   size_t emitted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    MultiWayJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
-                              nullptr, out);
+    WindowJoinOperator join({10, 10, 10}, {{0, 0, 1, 0}, {1, 0, 2, 0}},
+                            nullptr, out);
     join.SetSink([&emitted](const Tuple&) { ++emitted; });
     state.ResumeTiming();
     Rng rng(7);
@@ -546,10 +545,11 @@ BENCHMARK(BM_RoutingForwardLinear)->Arg(100)->Arg(1000)->Arg(10000);
 // All range(0) profiles subscribe to the same stream — the shape the
 // stream-partitioned index cannot help with — mixing point equalities on a
 // discrete station id with narrow temperature ranges. BM_MatchCompiled is
-// the real Router::DecideForward with the compiled counting matcher (the
-// default); BM_MatchInterpreted flips the same router to the per-profile
-// interpreted walk, so one run yields the >=3x ratio tools/check_bench.py
-// gates at 10^4 profiles. The constructor runs a short warm-up so steady
+// the real Router::DecideForward (compiled counting matcher);
+// BM_MatchInterpreted runs InterpretedDecideForward, the per-profile walk
+// over the same bucket, so one run yields the >=3x ratio
+// tools/check_bench.py gates at 10^4 profiles. The constructor runs a short
+// warm-up so steady
 // state measures matching, not the one-off bucket compile (that tradeoff
 // is charged to the first datagram after any subscription churn).
 
@@ -561,8 +561,7 @@ struct MatchBucketFixture {
   Datagram projected;
   std::vector<Datagram> datagrams;
 
-  MatchBucketFixture(size_t num_profiles, bool compiled) {
-    router.set_compiled_matching(compiled);
+  explicit MatchBucketFixture(size_t num_profiles) {
     Rng rng(7);
     auto schema = std::make_shared<Schema>(
         "sensor",
@@ -605,8 +604,7 @@ struct MatchBucketFixture {
 };
 
 void BM_MatchCompiled(benchmark::State& state) {
-  MatchBucketFixture fix(static_cast<size_t>(state.range(0)),
-                         /*compiled=*/true);
+  MatchBucketFixture fix(static_cast<size_t>(state.range(0)));
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
@@ -620,15 +618,41 @@ void BM_MatchCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchCompiled)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The forwarding decision by the interpreted walk: Profile::Covers per
+// bucket slot, the union of the matching slots' required attributes, then
+// the bucket's projection. The same-run reference for the
+// BENCH_routing.json match gate.
+const Datagram* InterpretedDecideForward(const MatchBucketFixture& fix,
+                                         const Datagram& d,
+                                         Datagram* projected) {
+  const RoutingTable::StreamBucket* bucket =
+      fix.router.table().BucketFor(MatchBucketFixture::kLink, d.stream_id);
+  if (bucket == nullptr) return nullptr;
+  size_t matched = 0;
+  AttrMask needed = 0;
+  for (const auto& slot : bucket->slots()) {
+    if (!slot.profile->Covers(d)) continue;
+    ++matched;
+    needed |= slot.required;
+  }
+  if (matched == 0) return nullptr;
+  if (matched == bucket->slots().size()) needed = bucket->UnionMask();
+  const Tuple& out = bucket->projections().Project(
+      d.tuple, needed, fix.streams.attributes(d.stream_id),
+      &projected->tuple);
+  if (&out == &d.tuple) return &d;
+  projected->stream = d.stream;
+  projected->stream_id = d.stream_id;
+  return projected;
+}
+
 void BM_MatchInterpreted(benchmark::State& state) {
-  MatchBucketFixture fix(static_cast<size_t>(state.range(0)),
-                         /*compiled=*/false);
+  MatchBucketFixture fix(static_cast<size_t>(state.range(0)));
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
-    const Datagram* out = fix.router.DecideForward(
-        fix.datagrams[i & 511], MatchBucketFixture::kLink,
-        /*early_projection=*/true, &fix.projected);
+    const Datagram* out = InterpretedDecideForward(
+        fix, fix.datagrams[i & 511], &fix.projected);
     benchmark::DoNotOptimize(out);
     ++i;
   }

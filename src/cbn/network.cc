@@ -31,7 +31,6 @@ ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
   routers_.reserve(tree_.num_nodes());
   for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
     routers_.emplace_back(i, streams_.get());
-    routers_.back().set_compiled_matching(options_.compiled_matching);
   }
   SetTelemetry(nullptr, nullptr);
 }
@@ -482,10 +481,9 @@ Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
 
 void ContentBasedNetwork::ReinstallAllSubscriptions() {
   for (auto& r : routers_) {
-    // A fresh Router drops the matching mode and telemetry handles with the
-    // routing state; re-apply both or rebuilds would silently fall back.
+    // A fresh Router drops the telemetry handles with the routing state;
+    // re-apply them or rebuilds would silently stop counting.
     r = Router(r.id(), streams_.get());
-    r.set_compiled_matching(options_.compiled_matching);
     r.SetTelemetry(metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {

@@ -44,11 +44,6 @@ struct NetworkOptions {
   // Repair() (data-layer high availability, paper §2's fault-tolerance
   // module of the data layer).
   bool buffer_on_failure = true;
-  // Evaluate forwarding/delivery matches with the compiled per-bucket
-  // counting matcher (src/cbn/matcher.h). Off falls back to the
-  // interpreted per-profile walk — the cosmos_dst --interpreted-match
-  // escape hatch; both modes must produce identical deliveries.
-  bool compiled_matching = true;
 };
 
 // The content-based network: routers on every node of a dissemination tree.

@@ -43,11 +43,6 @@ bool Router::RemoveLocal(ProfileId id) {
   return true;
 }
 
-void Router::set_compiled_matching(bool enabled) {
-  compiled_matching_ = enabled;
-  for (auto& local : local_by_stream_) local.matcher.reset();
-}
-
 void Router::SetTelemetry(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     matcher_compiles_ = nullptr;
@@ -124,44 +119,32 @@ size_t Router::DeliverLocal(const Datagram& d) {
   };
   const size_t count = local_by_stream_[d.stream_id].subscribers.size();
   if (count == 0) return 0;
-  size_t delivered = 0;
-  if (compiled_matching_) {
-    const CompiledMatcher& m =
-        LocalMatcher(local_by_stream_[d.stream_id], d.stream);
-    // Take the reusable hit buffer for the duration of the callbacks: a
-    // callback that publishes re-enters this router and must not clobber
-    // the list being delivered (it finds the member empty and regrows).
-    std::vector<uint32_t> hits;
-    std::swap(hits, local_hit_scratch_);
-    MatchCompiled(m, d, &hits);
+  const CompiledMatcher& m =
+      LocalMatcher(local_by_stream_[d.stream_id], d.stream);
+  // Take the reusable hit buffer for the duration of the callbacks: a
+  // callback that publishes re-enters this router and must not clobber
+  // the list being delivered (it finds the member empty and regrows).
+  std::vector<uint32_t> hits;
+  std::swap(hits, local_hit_scratch_);
+  MatchCompiled(m, d, &hits);
 #ifndef NDEBUG
-    {
-      // Compiled output must equal the interpreted walk, slot by slot.
-      size_t k = 0;
-      for (size_t j = 0; j < count; ++j) {
-        const bool interpreted = subscriber(j).profile->Covers(d);
-        const bool compiled = k < hits.size() && hits[k] == j;
-        COSMOS_DCHECK_EQ(compiled, interpreted)
-            << "compiled/interpreted divergence for local subscriber "
-            << subscriber(j).id << " on " << d.stream;
-        if (compiled) ++k;
-      }
+  {
+    // Compiled output must equal the interpreted walk, slot by slot.
+    size_t k = 0;
+    for (size_t j = 0; j < count; ++j) {
+      const bool interpreted = subscriber(j).profile->Covers(d);
+      const bool compiled = k < hits.size() && hits[k] == j;
+      COSMOS_DCHECK_EQ(compiled, interpreted)
+          << "compiled/interpreted divergence for local subscriber "
+          << subscriber(j).id << " on " << d.stream;
+      if (compiled) ++k;
     }
+  }
 #endif
-    for (uint32_t h : hits) {
-      Deliver(subscriber(h), d);
-      ++delivered;
-    }
-    hits.clear();
-    std::swap(hits, local_hit_scratch_);
-    return delivered;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    LocalSubscription& sub = subscriber(i);
-    if (!sub.profile->Covers(d)) continue;
-    Deliver(sub, d);
-    ++delivered;
-  }
+  for (uint32_t h : hits) Deliver(subscriber(h), d);
+  const size_t delivered = hits.size();
+  hits.clear();
+  std::swap(hits, local_hit_scratch_);
   return delivered;
 }
 
@@ -172,45 +155,35 @@ const Datagram* Router::DecideForward(const Datagram& d, NodeId link,
       table_.BucketFor(link, d.stream_id);
   if (bucket == nullptr) return nullptr;
   const std::vector<RoutingTable::BucketSlot>& slots = bucket->slots();
+  const bool was_compiled = bucket->has_compiled();
+  const CompiledMatcher& m = bucket->Compiled(d.stream);
+  if (!was_compiled && matcher_compiles_ != nullptr) {
+    matcher_compiles_->Increment();
+  }
+  MatchCompiled(m, d, &hit_scratch_);
+#ifndef NDEBUG
+  {
+    // Compiled output must equal the interpreted walk, slot by slot.
+    size_t k = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const bool interpreted = slots[i].profile->Covers(d);
+      const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
+      COSMOS_DCHECK_EQ(compiled, interpreted)
+          << "compiled/interpreted divergence at slot " << i << " (entry "
+          << slots[i].id << ") on stream " << d.stream;
+      if (compiled) ++k;
+    }
+  }
+#endif
   // Union of the attributes any matching downstream profile still needs
   // (its projection set plus its filters' attributes, so re-evaluation at
   // later hops stays possible). When every slot matched — the common case
   // for stream-level subscriptions — the bucket's cached union is the
   // answer.
-  size_t matched = 0;
+  const size_t matched = hit_scratch_.size();
   AttrMask needed = 0;
-  if (compiled_matching_) {
-    const bool was_compiled = bucket->has_compiled();
-    const CompiledMatcher& m = bucket->Compiled(d.stream);
-    if (!was_compiled && matcher_compiles_ != nullptr) {
-      matcher_compiles_->Increment();
-    }
-    MatchCompiled(m, d, &hit_scratch_);
-#ifndef NDEBUG
-    {
-      // Compiled output must equal the interpreted walk, slot by slot.
-      size_t k = 0;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        const bool interpreted = slots[i].profile->Covers(d);
-        const bool compiled =
-            k < hit_scratch_.size() && hit_scratch_[k] == i;
-        COSMOS_DCHECK_EQ(compiled, interpreted)
-            << "compiled/interpreted divergence at slot " << i << " (entry "
-            << slots[i].id << ") on stream " << d.stream;
-        if (compiled) ++k;
-      }
-    }
-#endif
-    matched = hit_scratch_.size();
-    if (early_projection && matched < slots.size()) {
-      for (uint32_t h : hit_scratch_) needed |= slots[h].required;
-    }
-  } else {
-    for (const auto& slot : slots) {
-      if (!slot.profile->Covers(d)) continue;
-      ++matched;
-      needed |= slot.required;
-    }
+  if (early_projection && matched < slots.size()) {
+    for (uint32_t h : hit_scratch_) needed |= slots[h].required;
   }
   if (matched == 0) return nullptr;
   if (!early_projection) return &d;

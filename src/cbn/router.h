@@ -18,7 +18,9 @@ using DeliveryCallback =
 
 // One CBN node: the per-link routing table plus local subscriptions.
 // Forwarding decisions are made here; the Network drives the hop-by-hop
-// traversal and accounts link bytes.
+// traversal and accounts link bytes. Both DecideForward and DeliverLocal
+// match with the compiled counting matcher (cbn/matcher.h); debug builds
+// cross-check every verdict against the per-profile Profile::Covers walk.
 class Router {
  public:
   // `streams` interns stream names for the routing table and the local
@@ -49,14 +51,6 @@ class Router {
   const Datagram* DecideForward(const Datagram& d, NodeId link,
                                 bool early_projection,
                                 Datagram* projected) const;
-
-  // Toggles the compiled counting matcher on the hot paths (DecideForward
-  // and DeliverLocal). On by default; off falls back to the interpreted
-  // per-profile Profile::Covers walk (the --interpreted-match escape
-  // hatch). In debug builds the compiled path cross-checks the interpreted
-  // one on every decision. Toggling drops cached local matchers.
-  void set_compiled_matching(bool enabled);
-  bool compiled_matching() const { return compiled_matching_; }
 
   // Attaches (nullptr: detaches) matcher instruments in `metrics`:
   // cbn.matcher_compiles (bucket/local compilations), cbn.matcher_fallbacks
@@ -109,7 +103,6 @@ class Router {
   std::vector<std::unique_ptr<LocalSubscription>> locals_;
   // Stream id -> its local subscribers.
   std::vector<LocalStream> local_by_stream_;
-  bool compiled_matching_ = true;
   Counter* matcher_compiles_ = nullptr;
   Counter* matcher_fallbacks_ = nullptr;
   Histogram* match_time_ns_ = nullptr;

@@ -175,7 +175,6 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   Tracer tracer;
   if (options.capture_trace) tracer.Enable();
   SystemOptions sys_options;
-  sys_options.network.compiled_matching = !options.interpreted_match;
   sys_options.metrics = &metrics;
   sys_options.tracer = options.capture_trace ? &tracer : nullptr;
   CosmosSystem system(s.tree, sys_options, sim.get());
@@ -529,22 +528,11 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
         static_cast<unsigned long long>(buffered),
         static_cast<unsigned long long>(flushed)));
   }
-  // Matching-engine conservation: the interpreted escape hatch must never
-  // touch the compiled machinery, and residual fallbacks may only occur
-  // when some installed profile actually carried a residual-bearing filter.
-  const Counter* compiles = metrics.FindCounter("cbn.matcher_compiles");
+  // Matching-engine conservation: residual fallbacks may only occur when
+  // some installed profile actually carried a residual-bearing filter.
   const Counter* fallbacks = metrics.FindCounter("cbn.matcher_fallbacks");
-  uint64_t compile_count = compiles == nullptr ? 0 : compiles->value();
   uint64_t fallback_count = fallbacks == nullptr ? 0 : fallbacks->value();
-  if (options.interpreted_match) {
-    if (compile_count != 0 || fallback_count != 0) {
-      fail(StrFormat(
-          "telemetry: interpreted-match run still compiled %llu matchers "
-          "and took %llu residual fallbacks",
-          static_cast<unsigned long long>(compile_count),
-          static_cast<unsigned long long>(fallback_count)));
-    }
-  } else if (fallback_count > 0 && !saw_residual_profile) {
+  if (fallback_count > 0 && !saw_residual_profile) {
     fail(StrFormat(
         "telemetry: cbn.matcher_fallbacks = %llu but no residual-bearing "
         "profile was ever installed",

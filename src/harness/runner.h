@@ -19,11 +19,6 @@ struct DstRunOptions {
   // Export the final telemetry snapshot as JSON into
   // DstReport::metrics_json.
   bool capture_metrics_json = false;
-  // Run the CBN with the interpreted per-profile matching walk instead of
-  // the compiled counting matcher (the cosmos_dst --interpreted-match
-  // escape hatch). Deliveries must be identical in both modes; the nightly
-  // sweep runs a seed slice in each and diffs them.
-  bool interpreted_match = false;
 };
 
 // Outcome of one scenario execution.
@@ -67,8 +62,7 @@ struct DstReport {
 //      published counters match the injection counts, every buffered
 //      datagram is flushed, and the matching engine behaves:
 //      cbn.matcher_fallbacks only increments when a residual-bearing
-//      profile was installed, and an interpreted-match run compiles nothing
-//      and falls back never.
+//      profile was installed.
 // Deterministic: the same scenario always yields the same report.
 DstReport RunScenario(const DstScenario& scenario,
                       const DstRunOptions& options = {});

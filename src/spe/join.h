@@ -3,73 +3,106 @@
 
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "spe/operator.h"
-#include "spe/window.h"
 
 namespace cosmos {
 
-// Symmetric time-window join of two streams (Lemma 1 of the paper): tuples
-// t1 (port 0, window T1) and t2 (port 1, window T2) join iff
-//   (1) the join predicates hold, and
-//   (2) -T1 <= t1.timestamp - t2.timestamp <= T2.
-// With per-port event-time-ordered arrival, a new t1 probes the port-1
-// buffer for t2.timestamp in [t1.timestamp - T2, t1.timestamp]; symmetric
-// for t2. Expired tuples are evicted lazily. [Now] windows (T = 0) match
-// only equal timestamps; unbounded windows never evict.
+// Sliding-window join of 2 to 8 streams (Lemma 1 of the paper, extended to
+// N inputs): a combination (t_1, ..., t_n), one tuple per port, joins iff
+//   (1) every equi-key constraint holds (Value::Compare; null never
+//       matches),
+//   (2) the residual predicate holds on the concatenated tuple, and
+//   (3) tau - t_i.timestamp <= T_i for every port i, where tau is the
+//       maximum timestamp in the combination.
+// For n == 2 condition (3) is Lemma 1's -T1 <= t1.ts - t2.ts <= T2. [Now]
+// windows (T = 0) admit only components at tau; unbounded windows never
+// evict. The result carries timestamp tau and the values of the inputs in
+// port order; the output schema must be MakeJoinedSchema over the input
+// schemas in port order.
 //
-// Equi-keyed joins probe a hash index over the resident window (O(matches)
-// per arrival); key-less joins scan the window (temporal cross join).
+// Arrival order is promised per port only, so an arrival need not carry
+// tau: residents newer than it still join. Eviction is lossless under that
+// promise: every future combination holding a resident of port j is
+// completed by an arrival on some other port q, no older than q's latest
+// arrival. So on each arrival, buffer j drops the tuples older than
+// min over q != j of latest(q), minus T_j; port j's own arrivals never
+// evict buffer j.
 //
-// The output schema must be MakeJoinedSchema(left, la, right, ra, name);
-// output timestamp = max of the two input timestamps.
+// Each arrival binds its own port, then walks the other ports in an order
+// fixed at construction: at each step the lowest unbound port with a key
+// constraint to the ports already bound, probed through a hash index over
+// those key attributes (O(matches)); a port with no such constraint is
+// scanned.
 class WindowJoinOperator final : public Operator {
  public:
-  // `key_pairs` are (left attr index, right attr index) equi-join keys (may
-  // be empty: pure temporal cross join). `residual` is evaluated on the
-  // joined tuple (alias-qualified names), may be null.
-  WindowJoinOperator(Duration left_window, Duration right_window,
-                     std::vector<std::pair<size_t, size_t>> key_pairs,
-                     ExprPtr residual,
+  // An equi-key constraint between two ports' attributes (indexes into the
+  // respective input schemas).
+  struct KeyConstraint {
+    size_t left_port = 0;
+    size_t left_attr = 0;
+    size_t right_port = 0;
+    size_t right_attr = 0;
+  };
+
+  // One window per port. `keys` may be empty (a temporal cross join);
+  // `residual` is evaluated on the joined tuple (alias-qualified names) and
+  // may be null.
+  WindowJoinOperator(std::vector<Duration> windows,
+                     std::vector<KeyConstraint> keys, ExprPtr residual,
                      std::shared_ptr<const Schema> output_schema);
 
   void Push(size_t port, const Tuple& tuple) override;
 
-  size_t left_buffer_size() const { return left_.tuples.size(); }
-  size_t right_buffer_size() const { return right_.tuples.size(); }
+  size_t num_ports() const { return ports_.size(); }
+  size_t buffer_size(size_t port) const { return ports_[port].tuples.size(); }
 
  private:
-  // A window of resident tuples with a hash index over the join key.
-  // Tuples are addressed by monotonically increasing sequence numbers so
-  // index entries survive front eviction (seq - base = deque position).
-  struct SideBuffer {
+  // A hash index over some key attributes of one port's residents.
+  // Residents are addressed by monotonically increasing sequence numbers,
+  // so entries survive front eviction (seq - base = deque position).
+  struct Index {
+    std::vector<size_t> attrs;
+    std::unordered_multimap<size_t, uint64_t> entries;  // key hash -> seq
+  };
+  struct Port {
     Duration window = kInfiniteDuration;
-    std::vector<size_t> key_attrs;
+    Timestamp latest = kInvalidTimestamp;  // latest arrival's timestamp
     std::deque<Tuple> tuples;
     uint64_t base = 0;
-    std::unordered_multimap<size_t, uint64_t> index;  // key hash -> seq
-
-    void Insert(const Tuple& t);
-    // Drops tuples with timestamp < now - window (and their index entries).
-    void Evict(Timestamp now);
-    size_t KeyHash(const Tuple& t) const;
+    std::vector<Index> indexes;
+  };
+  // A key constraint checked when `port` is bound: its `attr` must equal
+  // `other_attr` of the already bound `other_port`.
+  struct Check {
+    size_t attr = 0;
+    size_t other_port = 0;
+    size_t other_attr = 0;
+  };
+  // One step of an arrival's walk: bind `port`. Its index `index` is over
+  // the `attr`s of `checks`, in order, and is probed with the bound values
+  // they compare against; kScan: no checks, scan the buffer.
+  static constexpr size_t kScan = static_cast<size_t>(-1);
+  struct Step {
+    size_t port = 0;
+    size_t index = kScan;
+    std::vector<Check> checks;
   };
 
-  bool KeysEqual(const Tuple& l, const Tuple& r) const;
-  void Probe(const Tuple& arriving, bool arriving_is_left);
-  void EmitJoined(const Tuple& l, const Tuple& r);
-  // Lemma-1 temporal test for a (left, right) pair.
-  bool TemporalOk(const Tuple& l, const Tuple& r) const;
+  void Evict(Port& port, Timestamp bound);
+  // Binds walk step `step` of the arrival on `arrival_port`, then the rest.
+  // `tau` is the maximum bound timestamp and `cap` the minimum over bound
+  // ports of t_i + T_i: condition (3) holds while tau <= cap.
+  void Extend(size_t arrival_port, size_t step, Timestamp tau, Timestamp cap);
+  void EmitCombination(Timestamp tau);
 
-  Duration left_window_;
-  Duration right_window_;
-  std::vector<size_t> left_keys_;
-  std::vector<size_t> right_keys_;
+  std::vector<Port> ports_;
+  std::vector<std::vector<Step>> walks_;  // per arrival port
   LazyPredicate residual_;
   std::shared_ptr<const Schema> output_schema_;
-
-  SideBuffer left_;
-  SideBuffer right_;
+  // The tuple bound on each port during a walk.
+  std::vector<const Tuple*> chosen_;
 };
 
 }  // namespace cosmos

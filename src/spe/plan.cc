@@ -5,7 +5,6 @@
 #include "common/string_util.h"
 #include "spe/aggregate.h"
 #include "spe/join.h"
-#include "spe/multiway_join.h"
 
 namespace cosmos {
 namespace {
@@ -82,44 +81,8 @@ Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
   Operator* pre_output = nullptr;
   std::shared_ptr<const Schema> pre_schema;
 
-  if (n == 2) {
-    const auto& s0 = query.sources()[0];
-    const auto& s1 = query.sources()[1];
-    // Map equi-join attributes into the expected (projected) schemas.
-    std::vector<std::pair<size_t, size_t>> keys;
-    for (const auto& j : query.equi_joins()) {
-      size_t ls = j.left_source;
-      const std::string& lname =
-          query.sources()[ls].schema->attribute(j.left_attr).name;
-      const std::string& rname = query.sources()[j.right_source]
-                                     .schema->attribute(j.right_attr)
-                                     .name;
-      const std::string& name0 = (ls == 0) ? lname : rname;
-      const std::string& name1 = (ls == 0) ? rname : lname;
-      auto i0 = plan->input_schemas_[0]->IndexOf(name0);
-      auto i1 = plan->input_schemas_[1]->IndexOf(name1);
-      if (!i0 || !i1) {
-        return Status::Internal("join key missing from projected schema");
-      }
-      keys.emplace_back(*i0, *i1);
-    }
-    ExprPtr residual;
-    for (const auto& r : query.cross_residual()) {
-      residual = ConjoinNullable(residual, r);
-    }
-    pre_schema = MakeJoinedSchema(
-        *plan->input_schemas_[0], s0.alias(), *plan->input_schemas_[1],
-        s1.alias(), query.output_schema()->stream_name() + "_joined");
-    auto join = std::make_unique<WindowJoinOperator>(
-        query.WindowSize(0), query.WindowSize(1), std::move(keys),
-        std::move(residual), pre_schema);
-    WindowJoinOperator* join_ptr = join.get();
-    tails[0]->SetSink([join_ptr](const Tuple& t) { join_ptr->Push(0, t); });
-    tails[1]->SetSink([join_ptr](const Tuple& t) { join_ptr->Push(1, t); });
-    pre_output = join.get();
-    plan->owned_.push_back(std::move(join));
-  } else if (n > 2) {
-    // N-way window join (CQL semantics; see spe/multiway_join.h).
+  if (n >= 2) {
+    // Window join over all sources (see spe/join.h).
     std::vector<std::pair<const Schema*, std::string>> parts;
     std::vector<Duration> windows;
     for (size_t i = 0; i < n; ++i) {
@@ -127,9 +90,9 @@ Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
                          query.sources()[i].alias());
       windows.push_back(query.WindowSize(i));
     }
-    pre_schema = MakeConcatenatedSchema(
+    pre_schema = MakeJoinedSchema(
         parts, query.output_schema()->stream_name() + "_joined");
-    std::vector<MultiWayJoinOperator::KeyConstraint> keys;
+    std::vector<WindowJoinOperator::KeyConstraint> keys;
     for (const auto& j : query.equi_joins()) {
       const std::string& lname =
           query.sources()[j.left_source].schema->attribute(j.left_attr).name;
@@ -141,22 +104,20 @@ Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
       if (!li || !ri) {
         return Status::Internal("join key missing from projected schema");
       }
-      keys.push_back(MultiWayJoinOperator::KeyConstraint{
+      keys.push_back(WindowJoinOperator::KeyConstraint{
           j.left_source, *li, j.right_source, *ri});
     }
     ExprPtr residual;
     for (const auto& r : query.cross_residual()) {
       residual = ConjoinNullable(residual, r);
     }
-    auto join = std::make_unique<MultiWayJoinOperator>(
+    auto join = std::make_unique<WindowJoinOperator>(
         std::move(windows), std::move(keys), std::move(residual),
         pre_schema);
-    MultiWayJoinOperator* join_ptr = join.get();
+    WindowJoinOperator* join_ptr = join.get();
     for (size_t i = 0; i < n; ++i) {
-      size_t port = i;
-      tails[i]->SetSink([join_ptr, port](const Tuple& t) {
-        join_ptr->Push(port, t);
-      });
+      tails[i]->SetSink(
+          [join_ptr, i](const Tuple& t) { join_ptr->Push(i, t); });
     }
     pre_output = join.get();
     plan->owned_.push_back(std::move(join));

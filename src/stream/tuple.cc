@@ -68,22 +68,16 @@ bool Tuple::operator==(const Tuple& other) const {
   return true;
 }
 
-std::shared_ptr<const Schema> MakeJoinedSchema(const Schema& left,
-                                               const std::string& left_alias,
-                                               const Schema& right,
-                                               const std::string& right_alias,
-                                               const std::string& name) {
+std::shared_ptr<const Schema> MakeJoinedSchema(
+    const std::vector<std::pair<const Schema*, std::string>>& parts,
+    const std::string& name) {
   std::vector<AttributeDef> attrs;
-  attrs.reserve(left.num_attributes() + right.num_attributes());
-  for (const auto& a : left.attributes()) {
-    AttributeDef d = a;
-    d.name = left_alias + "." + a.name;
-    attrs.push_back(std::move(d));
-  }
-  for (const auto& a : right.attributes()) {
-    AttributeDef d = a;
-    d.name = right_alias + "." + a.name;
-    attrs.push_back(std::move(d));
+  for (const auto& [schema, alias] : parts) {
+    for (const auto& a : schema->attributes()) {
+      AttributeDef d = a;
+      d.name = alias + "." + a.name;
+      attrs.push_back(std::move(d));
+    }
   }
   return std::make_shared<Schema>(name, std::move(attrs));
 }

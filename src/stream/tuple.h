@@ -53,13 +53,11 @@ class Tuple {
   Timestamp timestamp_ = kInvalidTimestamp;
 };
 
-// Builds the composite schema for a join of `left` and `right`, qualifying
-// attribute names with the given aliases ("O", "C").
-std::shared_ptr<const Schema> MakeJoinedSchema(const Schema& left,
-                                               const std::string& left_alias,
-                                               const Schema& right,
-                                               const std::string& right_alias,
-                                               const std::string& name);
+// Builds the composite schema of a join: the `parts` schemas concatenated
+// in order, each attribute name qualified with its part's alias ("O.id").
+std::shared_ptr<const Schema> MakeJoinedSchema(
+    const std::vector<std::pair<const Schema*, std::string>>& parts,
+    const std::string& name);
 
 }  // namespace cosmos
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -376,41 +377,77 @@ TEST(MatcherFuzz, CompiledEqualsInterpretedAcrossSeeds) {
   }
 }
 
-// Full-router equivalence including the projection union: a compiled and an
-// interpreted router share the same table (same ProfilePtrs) and must
-// produce identical DecideForward results — including the early-projected
-// schema — across Add/Remove/RemoveEverywhere churn.
+// Reference projection: `t` narrowed to the attributes named in `keep`, in
+// schema order, skipping names the tuple lacks. Empty `keep` = all.
+Tuple ReferenceProject(const Tuple& t, const std::vector<std::string>& keep) {
+  if (keep.empty()) return t;
+  std::vector<size_t> indices;
+  std::vector<AttributeDef> attrs;
+  for (size_t i = 0; i < t.schema()->num_attributes(); ++i) {
+    const AttributeDef& a = t.schema()->attribute(i);
+    if (std::find(keep.begin(), keep.end(), a.name) == keep.end()) continue;
+    indices.push_back(i);
+    attrs.push_back(a);
+  }
+  return t.Project(indices, std::make_shared<Schema>(
+                                t.schema()->stream_name(), std::move(attrs)));
+}
+
+// Reference forwarding decision: the interpreted Profile::Covers walk over
+// the link's profiles, projected onto the union of the matching profiles'
+// required attributes (all of them as soon as one match wants all).
+// Returns nullopt when no profile matches.
+std::optional<Tuple> ReferenceForward(
+    const std::vector<std::pair<ProfileId, ProfilePtr>>& profiles,
+    const Datagram& d) {
+  bool matched = false;
+  bool wants_all = false;
+  std::vector<std::string> keep;
+  for (const auto& [id, p] : profiles) {
+    if (!p->Covers(d)) continue;
+    matched = true;
+    std::vector<std::string> required = p->RequiredAttributes(d.stream);
+    if (required.empty()) wants_all = true;
+    for (auto& a : required) {
+      if (std::find(keep.begin(), keep.end(), a) == keep.end()) {
+        keep.push_back(std::move(a));
+      }
+    }
+  }
+  if (!matched) return std::nullopt;
+  return wants_all ? d.tuple : ReferenceProject(d.tuple, keep);
+}
+
+// Full-router equivalence including the projection union: the router's
+// DecideForward must equal the reference walk over the same profiles —
+// including the early-projected tuple — across Add/Remove/RemoveEverywhere
+// churn.
 TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   Rng root(0xFACADE);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
     StreamTable streams;
-    Router compiled(0, &streams);
-    Router interpreted(0, &streams);
-    interpreted.set_compiled_matching(false);
-    ASSERT_TRUE(compiled.compiled_matching());
-    Datagram scratch_c, scratch_i;
+    Router router(0, &streams);
+    Datagram scratch;
     const NodeId kLink = 1;
     ProfileId next_id = 1;
-    std::vector<ProfileId> live;
+    std::vector<std::pair<ProfileId, ProfilePtr>> live;
 
     auto check_round = [&](int round) {
       for (int k = 0; k < 40; ++k) {
         Datagram d = RandomDatagram(rng);
         d.stream_id = streams.Find(d.stream);
-        const Datagram* a =
-            compiled.DecideForward(d, kLink, /*early_projection=*/true,
-                                   &scratch_c);
-        const Datagram* b =
-            interpreted.DecideForward(d, kLink, /*early_projection=*/true,
-                                      &scratch_i);
-        ASSERT_EQ(a != nullptr, b != nullptr)
+        const Datagram* got =
+            router.DecideForward(d, kLink, /*early_projection=*/true,
+                                 &scratch);
+        const std::optional<Tuple> want = ReferenceForward(live, d);
+        ASSERT_EQ(got != nullptr, want.has_value())
             << "trial " << trial << " round " << round;
-        if (a != nullptr) {
-          EXPECT_EQ(a->stream, b->stream);
-          EXPECT_EQ(a->tuple, b->tuple)
-              << "projection-union divergence: " << a->tuple.ToString()
-              << " vs " << b->tuple.ToString();
+        if (got != nullptr) {
+          EXPECT_EQ(got->stream, d.stream);
+          EXPECT_EQ(got->tuple, *want)
+              << "projection-union divergence: " << got->tuple.ToString()
+              << " vs " << want->ToString();
         }
       }
     };
@@ -419,18 +456,15 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       const size_t adds = rng.NextBounded(12) + 1;
       for (size_t i = 0; i < adds; ++i) {
         ProfilePtr p = RandomProfile(rng);
-        compiled.table().Add(kLink, next_id, p);
-        interpreted.table().Add(kLink, next_id, p);
-        live.push_back(next_id++);
+        router.table().Add(kLink, next_id, p);
+        live.emplace_back(next_id++, std::move(p));
       }
       if (round > 0 && !live.empty() && rng.NextBool(0.7)) {
         const size_t victim = rng.NextBounded(live.size());
         if (rng.NextBool()) {
-          compiled.table().Remove(kLink, live[victim]);
-          interpreted.table().Remove(kLink, live[victim]);
+          router.table().Remove(kLink, live[victim].first);
         } else {
-          compiled.table().RemoveEverywhere(live[victim]);
-          interpreted.table().RemoveEverywhere(live[victim]);
+          router.table().RemoveEverywhere(live[victim].first);
         }
         live.erase(live.begin() + static_cast<long>(victim));
       }
@@ -439,38 +473,39 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   }
 }
 
-// Local-delivery equivalence: same subscribers on a compiled and an
-// interpreted router must fire the same callbacks with the same payloads.
+// Local-delivery equivalence: the router must fire exactly the callbacks
+// the reference walk selects, in subscription order, each with the
+// subscriber's exact projection set applied.
 TEST(MatcherFuzz, LocalDeliveryEquivalence) {
   Rng root(0x10CA1);
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
     StreamTable streams;
-    Router compiled(0, &streams);
-    Router interpreted(0, &streams);
-    interpreted.set_compiled_matching(false);
-    std::vector<std::string> got_c, got_i;
+    Router router(0, &streams);
+    std::vector<ProfilePtr> profiles;
+    std::vector<std::pair<size_t, Tuple>> got;
     const size_t n = rng.NextBounded(12) + 1;
     for (size_t i = 0; i < n; ++i) {
-      ProfilePtr p = RandomProfile(rng);
-      auto tag = std::to_string(i) + ":";
-      compiled.AddLocal(i + 1, p,
-                        [&got_c, tag](const std::string&, const Tuple& t) {
-                          got_c.push_back(tag + t.ToString());
-                        });
-      interpreted.AddLocal(i + 1, p,
-                           [&got_i, tag](const std::string&, const Tuple& t) {
-                             got_i.push_back(tag + t.ToString());
-                           });
+      profiles.push_back(RandomProfile(rng));
+      router.AddLocal(i + 1, profiles.back(),
+                      [&got, i](const std::string&, const Tuple& t) {
+                        got.emplace_back(i, t);
+                      });
     }
     for (int k = 0; k < 60; ++k) {
       Datagram d = RandomDatagram(rng);
       d.stream_id = streams.Find(d.stream);
-      const size_t dc = compiled.DeliverLocal(d);
-      const size_t di = interpreted.DeliverLocal(d);
-      ASSERT_EQ(dc, di) << "trial " << trial << " datagram " << k;
+      std::vector<std::pair<size_t, Tuple>> want;
+      for (size_t i = 0; i < n; ++i) {
+        if (!profiles[i]->Covers(d)) continue;
+        want.emplace_back(
+            i, ReferenceProject(d.tuple, profiles[i]->ProjectionOf(d.stream)));
+      }
+      got.clear();
+      ASSERT_EQ(router.DeliverLocal(d), want.size())
+          << "trial " << trial << " datagram " << k;
+      EXPECT_EQ(got, want) << "trial " << trial << " datagram " << k;
     }
-    EXPECT_EQ(got_c, got_i);
   }
 }
 

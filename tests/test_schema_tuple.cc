@@ -103,13 +103,18 @@ TEST(Tuple, EqualityIsValueWise) {
 TEST(Tuple, MakeJoinedSchemaQualifiesNames) {
   Schema left("L", {{"id", ValueType::kInt64}, {"x", ValueType::kDouble}});
   Schema right("R", {{"id", ValueType::kInt64}, {"y", ValueType::kDouble}});
-  auto joined = MakeJoinedSchema(left, "A", right, "B", "J");
+  // A self-join reads one schema twice under two aliases.
+  auto joined =
+      MakeJoinedSchema({{&left, "A"}, {&right, "B"}, {&left, "C"}}, "J");
   EXPECT_EQ(joined->stream_name(), "J");
-  ASSERT_EQ(joined->num_attributes(), 4u);
-  EXPECT_TRUE(joined->HasAttribute("A.id"));
-  EXPECT_TRUE(joined->HasAttribute("B.id"));
-  EXPECT_TRUE(joined->HasAttribute("A.x"));
-  EXPECT_TRUE(joined->HasAttribute("B.y"));
+  ASSERT_EQ(joined->num_attributes(), 6u);
+  EXPECT_EQ(joined->attribute(0).name, "A.id");
+  EXPECT_EQ(joined->attribute(1).name, "A.x");
+  EXPECT_EQ(joined->attribute(2).name, "B.id");
+  EXPECT_EQ(joined->attribute(3).name, "B.y");
+  EXPECT_EQ(joined->attribute(4).name, "C.id");
+  EXPECT_EQ(joined->attribute(5).name, "C.x");
+  EXPECT_EQ(joined->attribute(3).type, ValueType::kDouble);
   EXPECT_FALSE(joined->HasAttribute("id"));
 }
 

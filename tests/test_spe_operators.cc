@@ -2,7 +2,6 @@
 
 #include "query/parser.h"
 #include "spe/operator.h"
-#include "spe/window.h"
 
 namespace cosmos {
 namespace {
@@ -89,41 +88,6 @@ TEST(ProjectOperator, MapsIndexes) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].schema()->attribute(0).name, "renamed");
   EXPECT_EQ(out[0].value(0).AsInt64(), 9);
-}
-
-TEST(WindowBuffer, EvictsExpired) {
-  WindowBuffer w(10);
-  w.Insert(MakeTuple(1, 0, 0));
-  w.Insert(MakeTuple(2, 0, 5));
-  w.Insert(MakeTuple(3, 0, 10));
-  std::vector<Tuple> evicted;
-  // At now=12, cutoff = 2: tuple at ts=0 leaves.
-  EXPECT_EQ(w.EvictExpired(12, &evicted), 1u);
-  EXPECT_EQ(w.count(), 2u);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].timestamp(), 0);
-}
-
-TEST(WindowBuffer, BoundaryTupleStays) {
-  WindowBuffer w(10);
-  w.Insert(MakeTuple(1, 0, 0));
-  // cutoff = now - T = 0: ts=0 is still inside [now-T, now].
-  EXPECT_EQ(w.EvictExpired(10, nullptr), 0u);
-  EXPECT_EQ(w.EvictExpired(11, nullptr), 1u);
-}
-
-TEST(WindowBuffer, UnboundedNeverEvicts) {
-  WindowBuffer w(kInfiniteDuration);
-  for (int i = 0; i < 100; ++i) w.Insert(MakeTuple(i, 0, i));
-  EXPECT_EQ(w.EvictExpired(1'000'000'000, nullptr), 0u);
-  EXPECT_EQ(w.count(), 100u);
-}
-
-TEST(WindowBuffer, NowWindowKeepsOnlyCurrentInstant) {
-  WindowBuffer w(0);
-  w.Insert(MakeTuple(1, 0, 5));
-  EXPECT_EQ(w.EvictExpired(5, nullptr), 0u);  // same instant survives
-  EXPECT_EQ(w.EvictExpired(6, nullptr), 1u);
 }
 
 }  // namespace

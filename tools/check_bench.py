@@ -4,10 +4,10 @@
 The file is google-benchmark JSON produced by:
 
     bench_micro \
-        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate' \
+        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate|BM_WindowJoin' \
         --benchmark_out=BENCH_routing.json --benchmark_out_format=json
 
-Four gates, all measured within the same run:
+Five gates, all measured within the same run:
 
   1. Index speedup — the run covers table sizes {10^2, 10^3, 10^4} for both
      the stream-partitioned index (BM_RoutingForwardIndexed) and the
@@ -32,6 +32,12 @@ Four gates, all measured within the same run:
      arrival at 10^4 resident tuples as at 10^2: the extrema are maintained
      incrementally, so the cost must not grow with the window (a rescan of
      the window grows about 100x).
+  5. Window-join scaling — an equi-key arrival probing a resident window
+     (BM_WindowJoinProbe, window sizes {10^2, 10^3, 10^4}) costs at most
+     MAX_JOIN_SCALING x as much time at 10^4 resident tuples as at 10^2:
+     the join probes a hash index over the key, so the cost must not grow
+     with the window (a nested-loop scan grows about 100x). BM_WindowJoin
+     runs alongside for the record.
 
 Usage: tools/check_bench.py [BENCH_routing.json]
 """
@@ -48,6 +54,9 @@ MIN_TELEMETRY_RATIO = 0.95
 # Sliding MIN/MAX: time per arrival at 10^4 resident tuples <= 3x that at
 # 10^2.
 MAX_AGG_SCALING = 3.0
+# Hash-indexed join probe: time per arrival at 10^4 resident tuples <= 3x
+# that at 10^2.
+MAX_JOIN_SCALING = 3.0
 SIZES = (100, 1000, 10000)
 IMPLS = ("Indexed", "Linear")
 MATCH_IMPLS = ("Compiled", "Interpreted")
@@ -97,6 +106,10 @@ def main() -> int:
             missing.append(name)
         elif "allocs_per_arrival" not in bench[name]:
             missing.append(f"{name}:allocs_per_arrival")
+    for n in SIZES:
+        name = f"BM_WindowJoinProbe/{n}"
+        if name not in bench:
+            missing.append(name)
     if missing:
         print(f"{path} incomplete: missing {', '.join(missing)}",
               file=sys.stderr)
@@ -168,6 +181,20 @@ def main() -> int:
     else:
         print(f"OK: window aggregate scales {scaling:.2f}x <= "
               f"{MAX_AGG_SCALING}x from 10^2 to 10^4 resident tuples")
+
+    ns = {n: ns_per_iteration(bench[f"BM_WindowJoinProbe/{n}"])
+          for n in SIZES}
+    for n in SIZES:
+        print(f"join window size {n:>6}: {ns[n]:>10,.1f} ns/arrival")
+    scaling = ns[10000] / ns[100]
+    if scaling > MAX_JOIN_SCALING:
+        print(f"join probe at 10^4 resident tuples costs {scaling:.1f}x the "
+              f"time per arrival at 10^2 (need <= {MAX_JOIN_SCALING}x)",
+              file=sys.stderr)
+        ok = False
+    else:
+        print(f"OK: window join scales {scaling:.2f}x <= "
+              f"{MAX_JOIN_SCALING}x from 10^2 to 10^4 resident tuples")
     return 0 if ok else 1
 
 
