@@ -58,6 +58,7 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   deliveries_ = metrics_->GetCounter("cbn.deliveries");
   matches_ = metrics_->GetCounter("cbn.matches");
   control_ = metrics_->GetCounter("cbn.control_messages");
+  covering_checks_ = metrics_->GetCounter("cbn.covering_checks");
   datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
   // Rebound now: datagrams in flight or buffered count into these entries.
   for (StreamId id = 0; id < ledger_.size(); ++id) {
@@ -168,20 +169,6 @@ ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
   return id;
 }
 
-std::optional<std::set<NodeId>> ContentBasedNetwork::ScopeOf(
-    NodeId subscriber, const Profile& profile) const {
-  if (!options_.advertisement_scoping) return std::nullopt;
-  std::set<NodeId> scope;
-  for (const auto& stream : profile.streams()) {
-    const std::set<NodeId>* publishers = PublishersOf(stream);
-    if (publishers == nullptr) continue;
-    for (NodeId p : *publishers) {
-      for (NodeId n : tree_.Path(p, subscriber)) scope.insert(n);
-    }
-  }
-  return scope;
-}
-
 void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
                                            NodeId subscriber, ProfileId id,
                                            const ProfilePtr& profile) {
@@ -191,9 +178,7 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     NodeId node = path[i];
     NodeId toward = path[i + 1];
-    RoutingTable& table = routers_[node].table();
-    if (!table.Contains(toward, id)) {
-      table.Add(toward, id, profile);
+    if (routers_[node].table().AddUnique(toward, id, profile)) {
       control_->Increment();
     }
   }
@@ -202,48 +187,45 @@ void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
 void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
                                                 ProfileId id,
                                                 const ProfilePtr& profile) {
-  auto scope = ScopeOf(subscriber, *profile);
-  if (scope.has_value()) {
-    // Advertisement-scoped installation: only publisher->subscriber paths.
-    for (const auto& stream : profile->streams()) {
-      const std::set<NodeId>* publishers = PublishersOf(stream);
-      if (publishers == nullptr) continue;
-      for (NodeId p : *publishers) {
-        InstallAlongPath(p, subscriber, id, profile);
-      }
-    }
+  if (!options_.advertisement_scoping) {
+    Flood(id, profile, subscriber, /*prev=*/-1);
     return;
   }
+  // Advertisement-scoped installation: only publisher->subscriber paths.
+  for (const auto& stream : profile->streams()) {
+    const std::set<NodeId>* publishers = PublishersOf(stream);
+    if (publishers == nullptr) continue;
+    for (NodeId p : *publishers) {
+      InstallAlongPath(p, subscriber, id, profile);
+    }
+  }
+}
 
-  // Flood outward from the subscriber. A node reached from neighbor `prev`
-  // (the side the subscriber lies on) installs (prev -> profile) and keeps
-  // flooding unless covering-prune applies: if a profile already installed
-  // on that same link covers the new one, nodes farther out would never
-  // route anything new toward us, so propagation stops.
-  struct Hop {
-    NodeId node;
-    NodeId prev;
-  };
+void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
+                                NodeId from, NodeId prev) {
+  // A node reached from neighbor `h.prev` (the side the subscriber lies on)
+  // installs (h.prev -> profile) and keeps flooding unless covering-prune
+  // applies: if an unpruned entry on that same link covers the new one,
+  // nodes farther out already route everything it wants toward us, so
+  // propagation stops and the entry records its coverer.
   std::queue<Hop> q;
-  for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
-    q.push(Hop{n, subscriber});
+  for (const auto& [n, w] : tree_.Neighbors(from)) {
+    if (n == prev) continue;
+    q.push(Hop{n, from});
     control_->Increment();
   }
   while (!q.empty()) {
     Hop h = q.front();
     q.pop();
     RoutingTable& table = routers_[h.node].table();
-    bool covered = false;
+    ProfileId coverer = 0;
     if (options_.covering_prune) {
-      for (const auto& e : table.EntriesFor(h.prev)) {
-        if (e.id != id && ProfileCovers(*e.profile, *profile)) {
-          covered = true;
-          break;
-        }
-      }
+      uint64_t checks = 0;
+      coverer = table.FindCoverer(h.prev, id, *profile, &checks);
+      covering_checks_->Add(checks);
     }
-    table.AddUnique(h.prev, id, profile);
-    if (covered) continue;  // no need to announce farther out
+    table.Add(h.prev, id, profile, coverer);
+    if (coverer != 0) continue;  // no need to announce farther out
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n == h.prev) continue;
       q.push(Hop{n, h.node});
@@ -253,36 +235,37 @@ void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
 }
 
 bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
-  ProfilePtr removed;
   auto sit = subscriptions_.find(id);
-  if (sit != subscriptions_.end()) {
-    removed = sit->second.profile;
-    subscriptions_.erase(sit);
+  if (sit == subscriptions_.end()) return false;
+  const NodeId subscriber = sit->second.node;
+  subscriptions_.erase(sit);
+  routers_[subscriber].RemoveLocal(id);
+  // The removed profile's entries form a subtree grown outward from its
+  // subscriber, so the walk visits only the nodes that hold one. At each,
+  // the entries it was covering are re-checked, and the ones left
+  // uncovered resume flooding past that hop; nothing else is touched.
+  std::queue<Hop> q;
+  for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
+    q.push(Hop{n, subscriber});
   }
-  bool found = removed != nullptr;
-  for (auto& r : routers_) {
-    if (r.RemoveLocal(id)) found = true;
-    if (r.table().RemoveEverywhere(id) > 0) found = true;
-  }
-  // Covering-prune soundness: subscriptions whose propagation was pruned
-  // under the removed profile would go deaf. Re-propagate every remaining
-  // subscription that shares a stream with it; AddUnique makes this
-  // idempotent where entries already exist.
-  if (found && options_.covering_prune && removed != nullptr) {
-    for (const auto& [other_id, sub] : subscriptions_) {
-      bool overlaps = false;
-      for (const auto& stream : sub.profile->streams()) {
-        if (removed->WantsStream(stream)) {
-          overlaps = true;
-          break;
-        }
-      }
-      if (overlaps) {
-        PropagateSubscription(sub.node, other_id, sub.profile);
-      }
+  std::vector<ProfileId> uncovered;
+  while (!q.empty()) {
+    Hop h = q.front();
+    q.pop();
+    uncovered.clear();
+    uint64_t checks = 0;
+    if (!routers_[h.node].table().Remove(h.prev, id, &uncovered, &checks)) {
+      continue;
+    }
+    covering_checks_->Add(checks);
+    for (ProfileId u : uncovered) {
+      Flood(u, subscriptions_.at(u).profile, h.node, h.prev);
+    }
+    for (const auto& [n, w] : tree_.Neighbors(h.node)) {
+      if (n != h.prev) q.push(Hop{n, h.node});
     }
   }
-  return found;
+  return true;
 }
 
 void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,

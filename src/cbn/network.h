@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "cbn/covering.h"
@@ -74,7 +73,9 @@ class ContentBasedNetwork {
   ProfileId Subscribe(NodeId node, Profile profile,
                       DeliveryCallback callback);
 
-  // Removes the subscription everywhere. False when unknown.
+  // Removes the subscription: walks its own entries outward from its
+  // subscriber, and re-forwards only the subscriptions it was covering
+  // that no other entry covers. False when unknown.
   bool Unsubscribe(ProfileId id);
 
   // Publishes a datagram from `node` (a source or a processor emitting a
@@ -120,6 +121,9 @@ class ContentBasedNetwork {
   double WeightedBytes() const;
   // Subscription control messages sent during propagation.
   uint64_t control_messages() const { return Since(control_); }
+  // ProfileCovers calls made by subscription propagation and by the
+  // re-checks of unsubscribes (cbn.covering_checks).
+  uint64_t covering_checks() const { return Since(covering_checks_); }
   // Datagram forwards dropped at failed links (buffered ones not counted).
   uint64_t lost_datagrams() const {
     return SumStreams("cbn.dropped");
@@ -170,15 +174,24 @@ class ContentBasedNetwork {
     DeliveryCallback callback;
   };
 
+  // A subscription message arriving at `node` from neighbor `prev`, the
+  // side its subscriber lies on.
+  struct Hop {
+    NodeId node;
+    NodeId prev;
+  };
+
   void PropagateSubscription(NodeId subscriber, ProfileId id,
                              const ProfilePtr& profile);
+  // Covering-pruned flooding of subscription `id` outward from `from` to
+  // every neighbor but `prev` (-1: all of them), as far as no unpruned
+  // entry covers it.
+  void Flood(ProfileId id, const ProfilePtr& profile, NodeId from,
+             NodeId prev);
   // Installs routing entries for one subscription along the tree path from
   // `publisher` to `subscriber` (advertisement-scoped propagation).
   void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
                         const ProfilePtr& profile);
-  // Nodes allowed to carry entries for this subscription; nullopt = all.
-  std::optional<std::set<NodeId>> ScopeOf(NodeId subscriber,
-                                          const Profile& profile) const;
   // Cached handles of the stream-labeled counter families, per stream id.
   // Bound to the id's name on the first datagram after the id was
   // assigned, then plain pointer adds.
@@ -287,6 +300,7 @@ class ContentBasedNetwork {
   Counter* deliveries_ = nullptr;
   Counter* matches_ = nullptr;
   Counter* control_ = nullptr;
+  Counter* covering_checks_ = nullptr;
   Histogram* datagram_bytes_ = nullptr;
   // Counter readings at the last ResetStats().
   std::map<const Counter*, uint64_t> reset_;

@@ -52,6 +52,14 @@ std::vector<const Filter*> Profile::FiltersOf(
   return out;
 }
 
+Profile Profile::StreamPart(const std::string& stream) const {
+  Profile part;
+  if (!WantsStream(stream)) return part;
+  part.AddStream(stream, ProjectionOf(stream));
+  for (const Filter* f : FiltersOf(stream)) part.AddFilter(*f);
+  return part;
+}
+
 bool Profile::Covers(const Datagram& d) const {
   if (streams_.count(d.stream) == 0) return false;
   auto it = filters_by_stream_.find(d.stream);

@@ -52,6 +52,10 @@ class Profile {
   // profile's other streams (the routing index relies on this).
   std::vector<const Filter*> FiltersOf(const std::string& stream) const;
 
+  // This profile's part on `stream`: S = {stream}, P(stream), and the
+  // filters of `stream` in their order here.
+  Profile StreamPart(const std::string& stream) const;
+
   // Coverage test (paper: "a datagram is covered by a profile if it is
   // covered by any filters in the profile"; streams without filters are
   // covered unconditionally).

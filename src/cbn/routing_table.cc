@@ -1,7 +1,9 @@
 #include "cbn/routing_table.h"
 
 #include <algorithm>
+#include <set>
 
+#include "cbn/covering.h"
 #include "common/check.h"
 
 namespace cosmos {
@@ -80,10 +82,12 @@ void RoutingTable::DeindexEntry(NodeId link, ProfileId id, const Profile& p) {
   }
 }
 
-void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile) {
+void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile,
+                       ProfileId covered_by) {
   COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
   IndexEntry(link, id, *profile);
   per_link_[link].push_back(Entry{id, std::move(profile)});
+  if (covered_by != 0) covered_by_[{link, id}] = covered_by;
   COSMOS_DCHECK(CheckInvariants());
 }
 
@@ -94,45 +98,73 @@ bool RoutingTable::AddUnique(NodeId link, ProfileId id, ProfilePtr profile) {
   return true;
 }
 
-bool RoutingTable::Remove(NodeId link, ProfileId id) {
+bool RoutingTable::Remove(NodeId link, ProfileId id,
+                          std::vector<ProfileId>* uncovered,
+                          uint64_t* covering_checks) {
   auto it = per_link_.find(link);
   if (it == per_link_.end()) return false;
   auto& entries = it->second;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].id == id) {
-      DeindexEntry(link, id, *entries[i].profile);
-      entries.erase(entries.begin() + static_cast<long>(i));
-      if (entries.empty()) per_link_.erase(it);
-      COSMOS_DCHECK(CheckInvariants());
-      return true;
+  auto victim = std::find_if(entries.begin(), entries.end(),
+                             [id](const Entry& e) { return e.id == id; });
+  if (victim == entries.end()) return false;
+  DeindexEntry(link, id, *victim->profile);
+  entries.erase(victim);
+  if (entries.empty()) per_link_.erase(it);
+  covered_by_.erase({link, id});
+  // Re-check the entries pruned behind `id`, in id order. Until its turn
+  // each still names `id`, which keeps it out of FindCoverer: an entry is
+  // pruned only behind one whose state is final.
+  auto pruned = covered_by_.lower_bound({link, 0});
+  while (pruned != covered_by_.end() && pruned->first.first == link) {
+    if (pruned->second != id) {
+      ++pruned;
+      continue;
+    }
+    const ProfileId entry = pruned->first.second;
+    const ProfileId coverer =
+        FindCoverer(link, entry, *EntryProfile(link, entry), covering_checks);
+    if (coverer != 0) {
+      pruned->second = coverer;
+      ++pruned;
+    } else {
+      pruned = covered_by_.erase(pruned);
+      if (uncovered != nullptr) uncovered->push_back(entry);
     }
   }
-  return false;
+  COSMOS_DCHECK(CheckInvariants());
+  return true;
 }
 
-size_t RoutingTable::RemoveEverywhere(ProfileId id) {
-  size_t removed = 0;
-  for (auto it = per_link_.begin(); it != per_link_.end();) {
-    auto& entries = it->second;
-    for (size_t i = 0; i < entries.size();) {
-      if (entries[i].id == id) {
-        DeindexEntry(it->first, id, *entries[i].profile);
-        entries.erase(entries.begin() + static_cast<long>(i));
-        ++removed;
-      } else {
-        ++i;
-      }
-    }
-    if (entries.empty()) {
-      it = per_link_.erase(it);
-    } else {
-      ++it;
+ProfileId RoutingTable::FindCoverer(NodeId link, ProfileId self,
+                                    const Profile& narrow,
+                                    uint64_t* covering_checks) const {
+  const StreamBucket* smallest = nullptr;
+  for (const auto& stream : narrow.streams()) {
+    const StreamBucket* bucket = BucketFor(link, streams_->Find(stream));
+    if (bucket == nullptr) return 0;  // nothing here requests `stream`
+    if (smallest == nullptr ||
+        bucket->slots_.size() < smallest->slots_.size()) {
+      smallest = bucket;
     }
   }
-  // The unsubscribe must leave no dangling entry for `id` on any link.
-  COSMOS_DCHECK_EQ(CountOf(id), 0u) << "dangling routing entries";
-  COSMOS_DCHECK(CheckInvariants());
-  return removed;
+  if (smallest == nullptr) return 0;
+  uint64_t checks = 0;
+  ProfileId coverer = 0;
+  for (const BucketSlot& slot : smallest->slots_) {
+    if (slot.id == self || CoveredBy(link, slot.id) != 0) continue;
+    ++checks;
+    if (ProfileCovers(*slot.profile, narrow)) {
+      coverer = slot.id;
+      break;
+    }
+  }
+  if (covering_checks != nullptr) *covering_checks += checks;
+  return coverer;
+}
+
+ProfileId RoutingTable::CoveredBy(NodeId link, ProfileId id) const {
+  auto it = covered_by_.find({link, id});
+  return it == covered_by_.end() ? 0 : it->second;
 }
 
 bool RoutingTable::Contains(NodeId link, ProfileId id) const {
@@ -144,22 +176,21 @@ bool RoutingTable::Contains(NodeId link, ProfileId id) const {
   return false;
 }
 
-size_t RoutingTable::CountOf(ProfileId id) const {
-  size_t count = 0;
-  for (const auto& [link, entries] : per_link_) {
-    for (const auto& e : entries) {
-      if (e.id == id) ++count;
-    }
+const Profile* RoutingTable::EntryProfile(NodeId link, ProfileId id) const {
+  for (const auto& e : EntriesFor(link)) {
+    if (e.id == id) return e.profile.get();
   }
-  return count;
+  return nullptr;
 }
 
 bool RoutingTable::CheckInvariants() const {
   std::map<NodeId, size_t> expected_slots;
   for (const auto& [link, entries] : per_link_) {
     if (entries.empty()) return false;  // empty lists must be erased
+    std::set<ProfileId> ids;
     for (const auto& e : entries) {
       if (e.profile == nullptr) return false;
+      if (!ids.insert(e.id).second) return false;  // duplicate id
       expected_slots[link] += e.profile->streams().size();
       // Every (entry, stream) pair must be indexed.
       for (const auto& stream : e.profile->streams()) {
@@ -174,6 +205,17 @@ bool RoutingTable::CheckInvariants() const {
         }
         if (!found) return false;
       }
+    }
+  }
+  // A pruned entry and its coverer are live entries of the same link, the
+  // coverer is unpruned and covers it; anything else strands the pruned
+  // subscription.
+  for (const auto& [key, coverer] : covered_by_) {
+    const Profile* narrow = EntryProfile(key.first, key.second);
+    const Profile* wide = EntryProfile(key.first, coverer);
+    if (narrow == nullptr || wide == nullptr ||
+        CoveredBy(key.first, coverer) != 0 || !ProfileCovers(*wide, *narrow)) {
+      return false;
     }
   }
   // No empty or stray buckets/slots; slot count matches the entries'

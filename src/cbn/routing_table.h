@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cbn/matcher.h"
@@ -27,6 +28,12 @@ namespace cosmos {
 // name. Each bucket slot precomputes the profile's required attributes
 // for its stream as an AttrMask, and the bucket caches their OR, so early
 // projection builds no attribute set per datagram.
+//
+// The table also records which entries had their subscription's
+// propagation pruned at this hop, and behind which entry: an unpruned
+// entry on the same link whose profile covers it (SIENA-style covered-by
+// bookkeeping). Removing a coverer re-checks exactly the entries it
+// covered, so an unsubscribe re-forwards only what it was covering.
 class RoutingTable {
  public:
   struct Entry {
@@ -82,20 +89,40 @@ class RoutingTable {
   // table.
   explicit RoutingTable(StreamTable* streams) : streams_(streams) {}
 
-  void Add(NodeId link, ProfileId id, ProfilePtr profile);
+  // Adds an entry for `id` on `link`, which must not have one yet;
+  // `covered_by` (0: none) is the unpruned entry on `link` it was pruned
+  // behind.
+  void Add(NodeId link, ProfileId id, ProfilePtr profile,
+           ProfileId covered_by = 0);
 
   // Adds unless an entry with `id` already exists on `link`; returns true
-  // when something was added (used by re-propagation after unsubscribes).
+  // when something was added (advertisement-scoped paths overlap).
   bool AddUnique(NodeId link, ProfileId id, ProfilePtr profile);
 
   // Removes the entry with `id` on `link`; true when something was removed.
-  bool Remove(NodeId link, ProfileId id);
+  // The entries on `link` it covered are re-checked, in id order, against
+  // the unpruned entries left: each either takes a new coverer or
+  // becomes unpruned and is appended to `*uncovered` (its propagation must
+  // resume past this hop). ProfileCovers calls are added to
+  // `*covering_checks`. Either pointer may be null.
+  bool Remove(NodeId link, ProfileId id,
+              std::vector<ProfileId>* uncovered = nullptr,
+              uint64_t* covering_checks = nullptr);
 
-  // Removes `id` from every link; returns number of entries removed.
-  size_t RemoveEverywhere(ProfileId id);
+  // An unpruned entry on `link`, other than `self`, whose profile covers
+  // `narrow` (ProfileCovers); 0 when there is none. Scans only the
+  // smallest (stream, link) bucket of `narrow`'s streams: a coverer
+  // requests every stream `narrow` does. ProfileCovers calls are added to
+  // `*covering_checks` (may be null).
+  ProfileId FindCoverer(NodeId link, ProfileId self, const Profile& narrow,
+                        uint64_t* covering_checks) const;
 
   // True when an entry with `id` exists on `link`.
   bool Contains(NodeId link, ProfileId id) const;
+
+  // The entry `id` on `link` was pruned behind: 0 when its subscription
+  // propagated past this hop (or there is no such entry).
+  ProfileId CoveredBy(NodeId link, ProfileId id) const;
 
   // Entries installed for `link` (empty when none).
   const std::vector<Entry>& EntriesFor(NodeId link) const;
@@ -129,15 +156,14 @@ class RoutingTable {
   // Projection plans cached across all buckets.
   size_t CachedPlans() const;
 
-  // Number of entries across all links carrying `id`.
-  size_t CountOf(ProfileId id) const;
-
   // Structural invariants: no link maps to an empty entry list, no entry
-  // holds a null profile, and the per-stream index is consistent with the
-  // entry list (every (entry, stream) pair has exactly one bucket slot, no
-  // bucket is empty, no slot is stray, every bucket sits at its stream's
-  // id). DCHECK'd after every mutation so a dangling subscription or index
-  // drift cannot survive unnoticed.
+  // holds a null profile, no id appears twice on a link, and the
+  // per-stream index is consistent with the entry list (every (entry,
+  // stream) pair has exactly one bucket slot, no bucket is empty, no slot
+  // is stray, every bucket sits at its stream's id). Every pruned entry is
+  // live, and its coverer is live, unpruned, on the same link, and covers
+  // it. DCHECK'd after every mutation so a dangling subscription, a
+  // stranded prune or index drift cannot survive unnoticed.
   bool CheckInvariants() const;
 
  private:
@@ -146,6 +172,8 @@ class RoutingTable {
     StreamBucket bucket;
   };
 
+  // The profile of the entry `id` on `link`; nullptr when there is none.
+  const Profile* EntryProfile(NodeId link, ProfileId id) const;
   // Adds/removes the bucket slots of one entry (one per profile stream).
   void IndexEntry(NodeId link, ProfileId id, const Profile& p);
   void DeindexEntry(NodeId link, ProfileId id, const Profile& p);
@@ -154,6 +182,10 @@ class RoutingTable {
   std::map<NodeId, std::vector<Entry>> per_link_;
   // Stream id -> its buckets, one per link with a subscribed entry.
   std::vector<std::vector<LinkBucket>> by_stream_;
+  // (link, id) of each pruned entry -> the entry it was pruned behind. Only
+  // pruned entries have one, so the forwarding path's entries and bucket
+  // slots carry nothing for it.
+  std::map<std::pair<NodeId, ProfileId>, ProfileId> covered_by_;
 };
 
 }  // namespace cosmos

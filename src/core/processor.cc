@@ -80,29 +80,41 @@ Status Processor::UninstallGroup(GroupRuntime& rt) {
   return Status::OK();
 }
 
-void Processor::RefreshSourceSubscription() {
-  // The union of every installed representative's source needs, as one
-  // profile. Subscribe the new one before unsubscribing the old so source
-  // coverage never lapses.
-  bool any = false;
-  Profile merged;
-  for (const auto& [gid, group] : grouping_.groups()) {
-    Profile p = ComposeSourceProfile(group.representative);
-    merged = any ? MergeProfiles(merged, p) : std::move(p);
-    any = true;
-  }
-  ProfileId old = source_profile_;
-  if (any) {
+void Processor::RefreshSourceSubscriptions(
+    const std::set<std::string>& streams) {
+  for (const std::string& stream : streams) {
+    // Merge the stream's part of every installed representative, in group
+    // order.
+    bool any = false;
+    Profile merged;
+    for (const auto& [gid, rt] : group_runtime_) {
+      if (!rt.source.WantsStream(stream)) continue;
+      Profile part = rt.source.StreamPart(stream);
+      merged = any ? MergeProfiles(merged, part) : std::move(part);
+      any = true;
+    }
+    auto it = source_subscriptions_.find(stream);
+    const ProfileId old = it == source_subscriptions_.end() ? 0 : it->second.id;
+    if (!any) {
+      if (old != 0) {
+        source_subscriptions_.erase(it);
+        network_->Unsubscribe(old);
+      }
+      continue;
+    }
+    std::string text = merged.ToString();
+    if (old != 0 && it->second.part == text) continue;  // part unchanged
+    // Subscribe the new part before unsubscribing the old so source
+    // coverage never lapses.
     NativeSpeWrapper* wrapper = &wrapper_;
-    source_profile_ = network_->Subscribe(
+    const ProfileId id = network_->Subscribe(
         node_, std::move(merged),
-        [wrapper](const std::string& stream, const Tuple& tuple) {
-          wrapper->DeliverTuple(stream, tuple);
+        [wrapper](const std::string& s, const Tuple& tuple) {
+          wrapper->DeliverTuple(s, tuple);
         });
-  } else {
-    source_profile_ = 0;
+    source_subscriptions_[stream] = SourceSubscription{std::move(text), id};
+    if (old != 0) network_->Unsubscribe(old);
   }
-  if (old != 0) network_->Unsubscribe(old);
 }
 
 Status Processor::SyncGroup(uint64_t group_id) {
@@ -112,8 +124,9 @@ Status Processor::SyncGroup(uint64_t group_id) {
   if (group == nullptr) {
     // Group dissolved: tear everything down.
     COSMOS_RETURN_IF_ERROR(UninstallGroup(rt));
+    const std::set<std::string> streams = rt.source.streams();
     group_runtime_.erase(group_id);
-    RefreshSourceSubscription();
+    RefreshSourceSubscriptions(streams);
     if (options_.metrics != nullptr) {
       options_.metrics->GetCounter("core.groups_dissolved")->Increment();
     }
@@ -144,7 +157,10 @@ Status Processor::SyncGroup(uint64_t group_id) {
     rt.spe_query_id = spe_id;
     rt.result_stream = result_stream;
     rt.installed_version = group->version;
-    RefreshSourceSubscription();
+    std::set<std::string> streams = rt.source.streams();
+    rt.source = ComposeSourceProfile(group->representative);
+    streams.insert(rt.source.streams().begin(), rt.source.streams().end());
+    RefreshSourceSubscriptions(streams);
 
     // Refresh every member's re-tightened user profile: they must point at
     // the (possibly renamed, possibly widened) new result stream.

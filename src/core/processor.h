@@ -3,6 +3,8 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "cbn/network.h"
 #include "core/grouping.h"
@@ -77,6 +79,15 @@ class Processor {
     uint64_t installed_version = 0;
     std::string spe_query_id;
     std::string result_stream;
+    // The installed representative's source profile: its share of the
+    // processor's source subscriptions.
+    Profile source;
+  };
+  // One source stream's data-layer subscription: the merged part of every
+  // installed representative reading the stream.
+  struct SourceSubscription {
+    std::string part;  // the subscribed part, as Profile::ToString()
+    ProfileId id = 0;
   };
   struct QueryRuntime {
     AnalyzedQuery analyzed;
@@ -92,11 +103,14 @@ class Processor {
   Status SyncGroup(uint64_t group_id);
   Status UninstallGroup(GroupRuntime& rt);
 
-  // The processor holds ONE data-layer subscription: the merged source
-  // profile of all installed representatives. Each plan re-applies its own
-  // selection, so over-delivery is filtered at the SPE, never duplicated —
-  // a tuple enters the engine exactly once.
-  void RefreshSourceSubscription();
+  // The processor holds one data-layer subscription per source stream: the
+  // merged part of every installed representative reading that stream.
+  // Each plan re-applies its own selection, so over-delivery is filtered at
+  // the SPE, never duplicated — a tuple of a stream matches only that
+  // stream's subscription, so it enters the engine exactly once. A group
+  // change recomposes only the streams its old and new representatives
+  // read, and resubscribes only those whose part changed.
+  void RefreshSourceSubscriptions(const std::set<std::string>& streams);
 
   NodeId node_;
   const Catalog* catalog_;
@@ -106,7 +120,7 @@ class Processor {
   NativeSpeWrapper wrapper_;
   std::map<uint64_t, GroupRuntime> group_runtime_;
   std::map<std::string, QueryRuntime> queries_;
-  ProfileId source_profile_ = 0;
+  std::map<std::string, SourceSubscription> source_subscriptions_;
 };
 
 }  // namespace cosmos

@@ -256,6 +256,37 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
                           "covering one unsubscribed";
 }
 
+// Two equal profiles pruned behind a wider one must not count as each
+// other's coverer once the wider one leaves: a coverer has to be an
+// unpruned entry, or neither equal profile is re-forwarded and both go
+// deaf beyond the first hop.
+TEST(Network, EqualProfilesNotStrandedBehindRemovedCoverer) {
+  // Chain 0-1-2-3; subscribers at 0, publisher at 3.
+  auto tree = DisseminationTree::FromEdges(
+                  4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  Profile whole;
+  whole.AddStream("s");
+  const ProfileId w = net.Subscribe(0, whole, nullptr);
+  int hits = 0;
+  Profile warm;
+  warm.AddFilter(Filter("s", Clause("temp > 20")));
+  net.Subscribe(0, warm, [&](const std::string&, const Tuple&) { ++hits; });
+  net.Subscribe(0, warm, [&](const std::string&, const Tuple&) { ++hits; });
+  ASSERT_TRUE(net.Unsubscribe(w));
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).table().CheckInvariants()) << "node " << n;
+  }
+  // One equal profile is re-forwarded to every hop; the other stays
+  // pruned behind it at node 1.
+  EXPECT_EQ(net.TotalTableEntries(), 4u);
+  net.Publish(3, MakeDatagram(25, 0));
+  EXPECT_EQ(hits, 2) << "equal profiles stranded behind the removed coverer";
+  net.Publish(3, MakeDatagram(15, 0));
+  EXPECT_EQ(hits, 2);
+}
+
 TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
   // The processor's source-profile refresh pattern: subscribe the new
   // merged profile, then unsubscribe the old identical one — repeatedly.

@@ -420,8 +420,7 @@ std::optional<Tuple> ReferenceForward(
 
 // Full-router equivalence including the projection union: the router's
 // DecideForward must equal the reference walk over the same profiles —
-// including the early-projected tuple — across Add/Remove/RemoveEverywhere
-// churn.
+// including the early-projected tuple — across Add/Remove churn.
 TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
   Rng root(0xFACADE);
   for (int trial = 0; trial < 10; ++trial) {
@@ -461,11 +460,7 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       }
       if (round > 0 && !live.empty() && rng.NextBool(0.7)) {
         const size_t victim = rng.NextBounded(live.size());
-        if (rng.NextBool()) {
-          router.table().Remove(kLink, live[victim].first);
-        } else {
-          router.table().RemoveEverywhere(live[victim].first);
-        }
+        router.table().Remove(kLink, live[victim].first);
         live.erase(live.begin() + static_cast<long>(victim));
       }
       check_round(round);

@@ -200,5 +200,91 @@ TEST_F(ProcessorTest, SourceSubscriptionIsShared) {
   EXPECT_EQ(hits2, 1);
 }
 
+TEST_F(ProcessorTest, SourceSubscriptionPerStreamTouchesOnlyChangedStreams) {
+  auto proc = MakeProcessor();
+  // The profiles the processor's node subscribes, by their one stream.
+  auto source_profiles = [this] {
+    std::map<std::string, const Profile*> out;
+    network_->ForEachSubscription([&out](NodeId node, const Profile& p) {
+      if (node != 0) return;
+      EXPECT_EQ(p.streams().size(), 1u) << p.ToString();
+      EXPECT_TRUE(out.emplace(*p.streams().begin(), &p).second)
+          << "two source subscriptions for " << *p.streams().begin();
+    });
+    return out;
+  };
+  int open_hits = 0, closed_hits = 0;
+  ASSERT_TRUE(proc->SubmitQuery(
+                      "q1",
+                      "SELECT itemID FROM OpenAuction WHERE start_price >= 100 "
+                      "AND start_price <= 200",
+                      2, [&](const std::string&, const Tuple&) { ++open_hits; })
+                  .ok());
+  ASSERT_TRUE(proc->SubmitQuery(
+                      "q2",
+                      "SELECT itemID FROM ClosedAuction WHERE buyerID > 5", 3,
+                      [&](const std::string&, const Tuple&) { ++closed_hits; })
+                  .ok());
+  auto before = source_profiles();
+  ASSERT_EQ(before.size(), 2u);
+
+  // Widening the OpenAuction group resubscribes only OpenAuction's part.
+  ASSERT_TRUE(proc->SubmitQuery("q3",
+                                "SELECT itemID FROM OpenAuction WHERE "
+                                "start_price >= 150 AND start_price <= 400",
+                                3, nullptr)
+                  .ok());
+  auto after = source_profiles();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_NE(after["OpenAuction"], before["OpenAuction"]);
+  EXPECT_EQ(after["ClosedAuction"], before["ClosedAuction"]);
+
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  network_->Publish(
+      0, Datagram{"ClosedAuction",
+                  Tuple(AuctionDataset::ClosedAuctionSchema(),
+                        {Value(int64_t{1}), Value(int64_t{9}),
+                         Value(int64_t{1})},
+                        1)});
+  EXPECT_EQ(open_hits, 1);
+  EXPECT_EQ(closed_hits, 1);
+
+  // Dissolving the ClosedAuction group drops only its stream's part.
+  ASSERT_TRUE(proc->RemoveQuery("q2").ok());
+  after = source_profiles();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after.count("OpenAuction"), 1u);
+}
+
+TEST_F(ProcessorTest, UnchangedSourcePartIsNotResubscribed) {
+  auto proc = MakeProcessor(/*merging=*/false);
+  auto source_profile = [this] {
+    const Profile* out = nullptr;
+    network_->ForEachSubscription([&out](NodeId node, const Profile& p) {
+      if (node == 0) out = &p;
+    });
+    return out;
+  };
+  ASSERT_TRUE(proc->SubmitQuery("wide",
+                                "SELECT itemID, start_price FROM OpenAuction "
+                                "WHERE start_price >= 100 AND "
+                                "start_price <= 400",
+                                2, nullptr)
+                  .ok());
+  const Profile* wide_only = source_profile();
+  ASSERT_TRUE(proc->SubmitQuery("narrow",
+                                "SELECT itemID, start_price FROM OpenAuction "
+                                "WHERE start_price >= 150 AND "
+                                "start_price <= 200",
+                                3, nullptr)
+                  .ok());
+  ASSERT_EQ(proc->grouping().num_groups(), 2u);
+  // The narrow group's filter is covered by the wide one's, so the merged
+  // OpenAuction part is unchanged by either group change.
+  EXPECT_EQ(source_profile(), wide_only);
+  ASSERT_TRUE(proc->RemoveQuery("narrow").ok());
+  EXPECT_EQ(source_profile(), wide_only);
+}
+
 }  // namespace
 }  // namespace cosmos

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "cbn/network.h"
@@ -92,18 +93,31 @@ TEST(RoutingTable, RemoveByIdOnLink) {
   EXPECT_FALSE(t.Remove(9, 2));
 }
 
-TEST(RoutingTable, RemoveEverywhereSweepsAllLinks) {
+// Removing a coverer re-checks the entries it covered, in entry order,
+// against the unpruned entries left; an entry awaiting its re-check cannot
+// cover another.
+TEST(RoutingTable, RemoveRechecksWhatItCovered) {
   StreamTable streams;
   RoutingTable t(&streams);
-  auto p = MakeProfile(0, 10);
-  t.Add(1, 7, p);
-  t.Add(2, 7, p);
-  t.Add(3, 8, p);
-  EXPECT_EQ(t.RemoveEverywhere(7), 2u);
-  EXPECT_EQ(t.TotalEntries(), 1u);
-  EXPECT_EQ(t.RemoveEverywhere(7), 0u);
-  // Emptied links disappear from Links().
-  EXPECT_EQ(t.Links(), (std::vector<NodeId>{3}));
+  t.Add(3, 1, MakeProfile(0, 40));
+  t.Add(3, 2, MakeProfile(10, 20), /*covered_by=*/1);
+  t.Add(3, 3, MakeProfile(10, 20), /*covered_by=*/1);
+  t.Add(3, 4, MakeProfile(5, 30), /*covered_by=*/1);
+  ASSERT_TRUE(t.CheckInvariants());
+  std::vector<ProfileId> uncovered;
+  uint64_t checks = 0;
+  ASSERT_TRUE(t.Remove(3, 1, &uncovered, &checks));
+  // 2 finds no unpruned coverer; 3 is pruned behind 2; 4 is not covered
+  // by 2, and 3 is pruned.
+  EXPECT_EQ(uncovered, (std::vector<ProfileId>{2, 4}));
+  EXPECT_EQ(checks, 2u);
+  std::map<ProfileId, ProfileId> covered_by;
+  for (const auto& e : t.EntriesFor(3)) covered_by[e.id] = t.CoveredBy(3, e.id);
+  EXPECT_EQ(covered_by,
+            (std::map<ProfileId, ProfileId>{{2, 0}, {3, 2}, {4, 0}}));
+  EXPECT_TRUE(t.CheckInvariants());
+  EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(11, 19), nullptr), 2u);
+  EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(0, 40), nullptr), 0u);
 }
 
 TEST(RoutingTable, ContainsChecksLinkAndId) {
@@ -222,7 +236,7 @@ TEST(RoutingTable, IndexSurvivesChurn) {
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());
   for (ProfileId id = 1; id <= 40; id += 2) {
-    EXPECT_EQ(t.RemoveEverywhere(id), 1u);
+    EXPECT_TRUE(t.Remove(static_cast<NodeId>(id % 4), id));
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());

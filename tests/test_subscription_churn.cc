@@ -1,0 +1,257 @@
+// Subscription maintenance under churn: an unsubscribe re-forwards only
+// what it was covering, and the routing state it leaves behind forwards
+// exactly like state built from scratch for the same live subscriptions.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+
+#include "cbn/network.h"
+#include "common/random.h"
+#include "overlay/spanning_tree.h"
+#include "overlay/topology.h"
+
+namespace cosmos {
+namespace {
+
+std::shared_ptr<const Schema> StreamSchema(const std::string& stream) {
+  return std::make_shared<Schema>(
+      stream, std::vector<AttributeDef>{{"temp", ValueType::kDouble, -10, 40},
+                                        {"hum", ValueType::kDouble, 0, 100},
+                                        {"timestamp", ValueType::kInt64}});
+}
+
+Datagram MakeDatagram(const std::string& stream, double temp, double hum) {
+  static const auto& schemas =
+      *new std::map<std::string, std::shared_ptr<const Schema>>{
+          {"s", StreamSchema("s")}, {"t", StreamSchema("t")}};
+  return Datagram{stream, Tuple(schemas.at(stream),
+                                {Value(temp), Value(hum), Value(int64_t{0})},
+                                0)};
+}
+
+DisseminationTree BaTree(int nodes, uint64_t seed) {
+  TopologyOptions topo_opts;
+  topo_opts.num_nodes = nodes;
+  topo_opts.seed = seed;
+  Topology topo = GenerateBarabasiAlbert(topo_opts);
+  return DisseminationTree::FromEdges(nodes, *MinimumSpanningTree(topo.graph))
+      .value();
+}
+
+// A temp interval on a coarse grid, so random profiles nest, overlap and
+// coincide often.
+Filter TempFilter(const std::string& stream, Rng& rng) {
+  const double lo = static_cast<double>(rng.NextInt(-2, 3) * 10);
+  const double hi = lo + static_cast<double>(rng.NextInt(1, 4) * 10);
+  ConjunctiveClause c;
+  c.ConstrainInterval("temp", Interval(lo, false, hi, false));
+  if (rng.NextBool(0.25)) {
+    c.ConstrainInterval("hum", Interval(0, false, 50, false));
+  }
+  return Filter(stream, std::move(c));
+}
+
+// One stream's part of a random profile: the whole stream or one or two
+// temp filters, with all attributes or a projection.
+void AddRandomStream(Profile* p, const std::string& stream, Rng& rng) {
+  static const std::vector<std::vector<std::string>> kProjections = {
+      {}, {"hum"}, {"temp"}, {"temp", "hum"}};
+  p->AddStream(stream, kProjections[rng.NextBounded(kProjections.size())]);
+  if (rng.NextBool(0.2)) return;  // the whole stream
+  p->AddFilter(TempFilter(stream, rng));
+  if (rng.NextBool(0.2)) p->AddFilter(TempFilter(stream, rng));
+}
+
+Profile RandomProfile(Rng& rng) {
+  Profile p;
+  switch (rng.NextBounded(4)) {
+    case 0:
+      AddRandomStream(&p, "t", rng);
+      break;
+    case 1:  // multi-stream
+      AddRandomStream(&p, "s", rng);
+      AddRandomStream(&p, "t", rng);
+      break;
+    default:
+      AddRandomStream(&p, "s", rng);
+      break;
+  }
+  return p;
+}
+
+// A live subscription of the churn sequence: its subscriber and profile,
+// and its id in the churned and in the unpruned network.
+struct Live {
+  NodeId node = -1;
+  Profile profile;
+  ProfileId churned = 0;
+  ProfileId unpruned = 0;
+};
+
+// The datagram `net` puts on the wire from `node` toward `link`.
+std::optional<Tuple> Forwarded(const ContentBasedNetwork& net, NodeId node,
+                               NodeId link, Datagram d) {
+  d.stream_id = net.streams().Find(d.stream);
+  Datagram projected;
+  const Datagram* out = net.router(node).DecideForward(
+      d, link, /*early_projection=*/true, &projected);
+  if (out == nullptr) return std::nullopt;
+  return out->tuple;
+}
+
+// Seeded random Subscribe/Unsubscribe sequences, with duplicate, nested,
+// multi-stream and projected profiles. After every step the churned
+// network must forward exactly like one freshly built from the live set
+// and like one that never prunes, at every (node, neighbor), and deliver
+// like the unpruned one.
+TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
+  const int kNodes[] = {30, 55, 80, 100};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng = Rng(0xC0FFEE).Derive(seed);
+    const int nodes = kNodes[seed - 1];
+    const DisseminationTree tree = BaTree(nodes, seed);
+    ContentBasedNetwork churned(tree);
+    NetworkOptions no_prune;
+    no_prune.covering_prune = false;
+    ContentBasedNetwork unpruned(tree, no_prune);
+    std::vector<Live> live;
+    // Deliveries per subscription of the sequence, per network.
+    int next_key = 0;
+    std::map<int, int> churned_hits;
+    std::map<int, int> unpruned_hits;
+    std::vector<Profile> history;
+    // Half the subscribers share a few nodes, so profiles meet on the same
+    // links and prune behind one another.
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 3; ++i) {
+      pool.push_back(static_cast<NodeId>(rng.NextBounded(nodes)));
+    }
+
+    for (int step = 0; step < 60; ++step) {
+      const bool subscribe =
+          live.empty() || (live.size() < 24 && rng.NextBool(0.6));
+      if (subscribe) {
+        Live l;
+        l.node = rng.NextBool() ? pool[rng.NextBounded(pool.size())]
+                                : static_cast<NodeId>(rng.NextBounded(nodes));
+        l.profile = !history.empty() && rng.NextBool(0.3)
+                        ? history[rng.NextBounded(history.size())]
+                        : RandomProfile(rng);
+        history.push_back(l.profile);
+        const int key = next_key++;
+        churned_hits[key] = 0;
+        unpruned_hits[key] = 0;
+        l.churned = churned.Subscribe(
+            l.node, l.profile,
+            [&churned_hits, key](const std::string&, const Tuple&) {
+              ++churned_hits[key];
+            });
+        l.unpruned = unpruned.Subscribe(
+            l.node, l.profile,
+            [&unpruned_hits, key](const std::string&, const Tuple&) {
+              ++unpruned_hits[key];
+            });
+        live.push_back(std::move(l));
+      } else {
+        const size_t victim = rng.NextBounded(live.size());
+        ASSERT_TRUE(churned.Unsubscribe(live[victim].churned));
+        ASSERT_TRUE(unpruned.Unsubscribe(live[victim].unpruned));
+        live.erase(live.begin() + static_cast<long>(victim));
+      }
+
+      ContentBasedNetwork fresh(tree);
+      for (const Live& l : live) fresh.Subscribe(l.node, l.profile, nullptr);
+
+      std::vector<Datagram> samples;
+      for (int k = 0; k < 4; ++k) {
+        samples.push_back(MakeDatagram(rng.NextBool() ? "s" : "t",
+                                       static_cast<double>(rng.NextInt(-15, 45)),
+                                       static_cast<double>(rng.NextInt(0, 100))));
+      }
+      for (NodeId n = 0; n < nodes; ++n) {
+        ASSERT_TRUE(churned.router(n).table().CheckInvariants())
+            << "seed " << seed << " step " << step << " node " << n;
+        for (const auto& [link, w] : tree.Neighbors(n)) {
+          for (const Datagram& d : samples) {
+            const std::optional<Tuple> got = Forwarded(churned, n, link, d);
+            const std::optional<Tuple> want = Forwarded(fresh, n, link, d);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "seed " << seed << " step " << step << " hop " << n
+                << "->" << link << " " << d.tuple.ToString();
+            if (got.has_value()) {
+              ASSERT_EQ(*got, *want) << "seed " << seed << " step " << step;
+            }
+            ASSERT_EQ(Forwarded(unpruned, n, link, d), want)
+                << "seed " << seed << " step " << step;
+          }
+        }
+      }
+      for (const Datagram& d : samples) {
+        const NodeId at = static_cast<NodeId>(rng.NextBounded(nodes));
+        churned.Publish(at, d);
+        unpruned.Publish(at, d);
+      }
+      ASSERT_EQ(churned_hits, unpruned_hits)
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// The cost of an unsubscribe follows what it was covering, not how many
+// subscriptions are live: removing a profile that covers nothing sends no
+// control message and makes no covering check, at any table size.
+TEST(SubscriptionChurn, RemovingAProfileThatCoversNothingIsFree) {
+  const int kNodes = 100;
+  const DisseminationTree tree = BaTree(kNodes, 7);
+  for (int live : {10, 100, 1000}) {
+    ContentBasedNetwork net(tree);
+    Rng rng(static_cast<uint64_t>(live));
+    // Subscribers sit on a pool of nodes. Each first takes the whole
+    // stream, then narrow, pairwise disjoint temp ranges the whole-stream
+    // profile covers.
+    std::vector<NodeId> pool;
+    for (int i = 0; i < std::max(2, live / 10); ++i) {
+      pool.push_back(static_cast<NodeId>(rng.NextBounded(kNodes)));
+    }
+    std::vector<bool> has_whole(kNodes, false);
+    std::vector<ProfileId> narrow;
+    for (int n = 0; n < live; ++n) {
+      const NodeId node = pool[rng.NextBounded(pool.size())];
+      Profile p;
+      if (!has_whole[node]) {
+        p.AddStream("s");
+        has_whole[node] = true;
+        net.Subscribe(node, p, nullptr);
+        continue;
+      }
+      ConjunctiveClause c;
+      const double lo = static_cast<double>(n);
+      c.ConstrainInterval("temp", Interval(lo, false, lo + 0.5, false));
+      p.AddFilter(Filter("s", std::move(c)));
+      narrow.push_back(net.Subscribe(node, p, nullptr));
+    }
+    ASSERT_FALSE(narrow.empty()) << live;
+    const ProfileId victim = narrow[narrow.size() / 2];
+    const uint64_t messages = net.control_messages();
+    const uint64_t checks = net.covering_checks();
+    ASSERT_TRUE(net.Unsubscribe(victim));
+    EXPECT_EQ(net.control_messages() - messages, 0u) << live << " live";
+    EXPECT_EQ(net.covering_checks() - checks, 0u) << live << " live";
+    EXPECT_EQ(net.metrics().FindCounter("cbn.covering_checks")->value(),
+              net.covering_checks());
+    for (NodeId n = 0; n < kNodes; ++n) {
+      const RoutingTable& table = net.router(n).table();
+      ASSERT_TRUE(table.CheckInvariants()) << "node " << n;
+      for (NodeId link : table.Links()) {
+        EXPECT_FALSE(table.Contains(link, victim)) << "node " << n;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace cosmos

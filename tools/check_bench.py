@@ -5,7 +5,13 @@ The file is google-benchmark JSON produced by:
 
     bench_micro \
         --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate|BM_WindowJoin' \
+        --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
         --benchmark_out=BENCH_routing.json --benchmark_out_format=json
+
+Every gate reads the `_median` aggregate of each benchmark: the median of
+five repetitions run in random interleaved order, so one slow or fast
+sample (a co-tenant burst) cannot decide a gate. A file without the
+aggregates is reported incomplete.
 
 Five gates, all measured within the same run:
 
@@ -77,7 +83,9 @@ def main() -> int:
               "(see the module docstring); nothing to validate outside the "
               "bench job.")
         return 0
-    bench = {b["name"]: b for b in data.get("benchmarks", [])}
+    # Gate on the medians, keyed by the benchmark's own name.
+    bench = {b["run_name"]: b for b in data.get("benchmarks", [])
+             if b.get("aggregate_name") == "median"}
 
     missing = []
     for impl in IMPLS:
