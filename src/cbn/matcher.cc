@@ -98,13 +98,19 @@ CompiledMatcher::CompiledMatcher(std::string stream,
 
 const std::vector<int32_t>& CompiledMatcher::OffsetsFor(
     const std::shared_ptr<const Schema>& schema) const {
+  // A bucket's datagrams mostly share one schema: check the last first.
+  if (last_binding_ != nullptr && last_binding_->schema == schema) {
+    return last_binding_->offsets;
+  }
   auto it = bindings_.find(schema.get());
-  if (it != bindings_.end()) return it->second.offsets;
-  // Exactly MatchesCanonical's resolution: an unqualified ColumnRef
-  // resolves by plain schema name lookup, absent attributes fail.
-  Binding binding{schema, schema->ResolveOffsets(attr_names_)};
-  return bindings_.emplace(schema.get(), std::move(binding))
-      .first->second.offsets;
+  if (it == bindings_.end()) {
+    // Exactly MatchesCanonical's resolution: an unqualified ColumnRef
+    // resolves by plain schema name lookup, absent attributes fail.
+    Binding binding{schema, schema->ResolveOffsets(attr_names_)};
+    it = bindings_.emplace(schema.get(), std::move(binding)).first;
+  }
+  last_binding_ = &it->second;
+  return last_binding_->offsets;
 }
 
 void CompiledMatcher::Match(const Datagram& d, Scratch* scratch,

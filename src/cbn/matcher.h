@@ -62,6 +62,9 @@ class CompiledMatcher {
   // order) against `stream`. Profiles must outlive the matcher.
   CompiledMatcher(std::string stream,
                   const std::vector<const Profile*>& profiles);
+  // A copy's last binding would point into the original's cache.
+  CompiledMatcher(const CompiledMatcher&) = delete;
+  CompiledMatcher& operator=(const CompiledMatcher&) = delete;
 
   const std::string& stream() const { return stream_; }
   size_t num_profiles() const { return num_profiles_; }
@@ -128,6 +131,10 @@ class CompiledMatcher {
   // Profiles requesting the stream with no filters at all: unconditional.
   std::vector<uint32_t> unconditional_;
   mutable std::unordered_map<const Schema*, Binding> bindings_;
+  // The binding OffsetsFor returned last (nullptr: none yet). Bindings are
+  // never erased and map nodes do not move, so it stays valid, and its
+  // retained schema keeps the address check ABA-safe like the map's.
+  mutable const Binding* last_binding_ = nullptr;
 };
 
 }  // namespace cosmos

@@ -49,6 +49,8 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
     }
     metrics = owned_metrics_.get();
   }
+  // A counter bundle stays valid as long as its registry is attached.
+  if (metrics != metrics_) bundles_.clear();
   metrics_ = metrics;
   tracer_ = tracer;
   for (auto& r : routers_) r.SetTelemetry(metrics_);
@@ -59,22 +61,27 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   matches_ = metrics_->GetCounter("cbn.matches");
   control_ = metrics_->GetCounter("cbn.control_messages");
   covering_checks_ = metrics_->GetCounter("cbn.covering_checks");
+  ledger_binds_ = metrics_->GetCounter("cbn.ledger_binds");
   datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
   // Rebound now: datagrams in flight or buffered count into these entries.
   for (StreamId id = 0; id < ledger_.size(); ++id) {
-    if (ledger_[id].epoch == streams_->epoch(id)) {
-      ledger_[id] = ResolveStream(id);
+    LedgerSlot& slot = ledger_[id];
+    if (slot.epoch == streams_->epoch(id)) {
+      slot.counters = &Bundle(streams_->Name(id));
+    } else {
+      slot = LedgerSlot{};
     }
   }
   ResetLinkLedger();
   reset_.clear();
 }
 
-ContentBasedNetwork::StreamCounters ContentBasedNetwork::ResolveStream(
-    StreamId id) const {
-  const std::string& stream = streams_->Name(id);
-  StreamCounters sc;
-  sc.epoch = streams_->epoch(id);
+ContentBasedNetwork::StreamCounters& ContentBasedNetwork::Bundle(
+    const std::string& stream) {
+  auto [it, inserted] = bundles_.try_emplace(stream);
+  StreamCounters& sc = it->second;
+  if (!inserted) return sc;
+  ledger_binds_->Increment();
   sc.published = metrics_->GetCounter("cbn.published", "stream", stream);
   sc.published_bytes =
       metrics_->GetCounter("cbn.published_bytes", "stream", stream);
@@ -92,7 +99,10 @@ ContentBasedNetwork::StreamCounters ContentBasedNetwork::ResolveStream(
 
 void ContentBasedNetwork::BindLedger(StreamId id) {
   if (ledger_.size() <= id) ledger_.resize(id + 1);
-  if (ledger_[id].epoch != streams_->epoch(id)) ledger_[id] = ResolveStream(id);
+  LedgerSlot& slot = ledger_[id];
+  if (slot.epoch == streams_->epoch(id)) return;
+  slot.epoch = streams_->epoch(id);
+  slot.counters = &Bundle(streams_->Name(id));
 }
 
 ContentBasedNetwork::LinkCounters& ContentBasedNetwork::LinkLedger(
@@ -271,9 +281,14 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
 void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
                                const Datagram& d, size_t count,
                                LinkCounters* link) {
-  StreamCounters& sc = ledger_[d.stream_id];
-  COSMOS_DCHECK_EQ(sc.epoch, streams_->epoch(d.stream_id))
+  COSMOS_DCHECK(d.stream_id != kNoStream || kind == Event::kPublish)
+      << "unrouted " << d.stream << " past its publish";
+  COSMOS_DCHECK(d.stream_id == kNoStream ||
+                ledger_[d.stream_id].epoch == streams_->epoch(d.stream_id))
       << "unbound ledger for " << d.stream;
+  StreamCounters& sc = d.stream_id == kNoStream
+                           ? Bundle(d.stream)
+                           : *ledger_[d.stream_id].counters;
   switch (kind) {
     case Event::kPublish:
       sc.published->Increment();
@@ -385,11 +400,19 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     }
   }
 
+  // Only the links with a bucket for the stream are visited, in
+  // Neighbors() order. The positions are snapshotted, and each link's
+  // bucket is looked up again when its turn comes: a delivery callback
+  // below may subscribe or unsubscribe, which moves buckets. When that
+  // creates or erases a bucket here, the positions still ahead are taken
+  // afresh.
   Datagram projected;  // this hop's early projection, when one is needed
   const auto& neighbors = tree_.Neighbors(node);
-  for (size_t k = 0; k < neighbors.size(); ++k) {
+  const size_t base = hop_links_.size();
+  AppendInterestedLinks(node, from, d.stream_id, 0);
+  for (size_t i = base; i < hop_links_.size(); ++i) {
+    const size_t k = hop_links_[i];
     const auto [neighbor, weight] = neighbors[k];
-    if (neighbor == from) continue;
     const Datagram* out = router.DecideForward(
         d, neighbor, options_.early_projection, &projected);
     if (out == nullptr) continue;
@@ -431,10 +454,34 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
         streams_->Release(copy.stream_id);
       });
     } else {
+      const uint64_t version = router.table().bucket_version();
       delivered += Process(neighbor, node, *out, allowed);
+      if (router.table().bucket_version() != version) {
+        hop_links_.resize(i + 1);
+        AppendInterestedLinks(node, from, d.stream_id, k + 1);
+      }
     }
   }
+  hop_links_.resize(base);
   return delivered;
+}
+
+void ContentBasedNetwork::AppendInterestedLinks(NodeId node, NodeId from,
+                                                StreamId stream,
+                                                size_t first) {
+  const size_t begin = hop_links_.size();
+  const auto& neighbors = tree_.Neighbors(node);
+  for (const auto& lb : routers_[node].table().BucketsOf(stream)) {
+    if (lb.link == from) continue;
+    for (size_t k = first; k < neighbors.size(); ++k) {
+      if (neighbors[k].first == lb.link) {
+        hop_links_.push_back(static_cast<uint32_t>(k));
+        break;
+      }
+    }
+  }
+  std::sort(hop_links_.begin() + static_cast<std::ptrdiff_t>(begin),
+            hop_links_.end());
 }
 
 size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
@@ -444,13 +491,23 @@ size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
     COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
         << "node " << node << " advertises a stream it never registered";
   }
-  // The only name lookup on the data plane; the reference keeps the id
-  // assigned to this stream while the datagram travels.
-  datagram.stream_id = streams_->Acquire(datagram.stream);
-  BindLedger(datagram.stream_id);
+  // The only name lookup on the data plane. Every bucket and local
+  // subscriber holds a reference on its stream's id, so a stream without a
+  // referenced id has nobody to reach: only its publish is counted.
+  const StreamId id = streams_->Find(datagram.stream);
+  if (id == kNoStream || !streams_->referenced(id)) {
+    datagram.stream_id = kNoStream;
+    Emit(Event::kPublish, node, /*peer=*/-1, datagram);
+    return 0;
+  }
+  // The reference keeps the id assigned to this stream while the datagram
+  // travels, even if a delivery callback drops the stream's last bucket.
+  datagram.stream_id = id;
+  streams_->Acquire(id);
+  BindLedger(id);
   Emit(Event::kPublish, node, /*peer=*/-1, datagram);
   const size_t delivered = Process(node, /*from=*/-1, datagram);
-  streams_->Release(datagram.stream_id);
+  streams_->Release(id);
   return delivered;
 }
 

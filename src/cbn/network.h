@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 
 #include "cbn/covering.h"
 #include "cbn/router.h"
@@ -79,10 +80,12 @@ class ContentBasedNetwork {
   bool Unsubscribe(ProfileId id);
 
   // Publishes a datagram from `node` (a source or a processor emitting a
-  // result stream). Its stream name is resolved to the stream's id here,
-  // once; every hop below keys its lookups by that id. Returns the number
-  // of local deliveries performed (synchronous mode) or scheduled so far
-  // (simulated mode).
+  // result stream). Its stream name is looked up here, once. A stream that
+  // no routing state names has no id, so nothing can deliver or forward it:
+  // the publish is counted and returns 0. Otherwise every hop below keys
+  // its lookups by the stream's id and visits only the links with a bucket
+  // for it. Returns the number of local deliveries performed (synchronous
+  // mode) or scheduled so far (simulated mode).
   size_t Publish(NodeId node, Datagram datagram);
 
   // ---- fault tolerance (data-layer module of paper Figure 2) ----
@@ -192,11 +195,8 @@ class ContentBasedNetwork {
   // `publisher` to `subscriber` (advertisement-scoped propagation).
   void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
                         const ProfilePtr& profile);
-  // Cached handles of the stream-labeled counter families, per stream id.
-  // Bound to the id's name on the first datagram after the id was
-  // assigned, then plain pointer adds.
+  // Cached handles of one stream's stream-labeled counter families.
   struct StreamCounters {
-    uint32_t epoch = 0;  // StreamTable::epoch() bound at; 0 = unbound
     Counter* published = nullptr;
     Counter* published_bytes = nullptr;
     Counter* delivered = nullptr;
@@ -207,10 +207,18 @@ class ContentBasedNetwork {
     Counter* forwarded = nullptr;
     Counter* forwarded_bytes = nullptr;
   };
+  // A stream id's entry in the ledger: the counters of the name it was
+  // bound to.
+  struct LedgerSlot {
+    uint32_t epoch = 0;  // StreamTable::epoch() bound at; 0 = unbound
+    StreamCounters* counters = nullptr;
+  };
   // Binds the ledger entry of `id` (a referenced id) to its name unless
   // already bound at the id's current epoch.
   void BindLedger(StreamId id);
-  StreamCounters ResolveStream(StreamId id) const;
+  // `stream`'s counters, resolved by name once per attached registry
+  // (cbn.ledger_binds counts the resolutions).
+  StreamCounters& Bundle(const std::string& stream);
   // `c`'s count since the last ResetStats(), and the sum over the streams
   // of one stream-labeled counter family (e.g. "cbn.dropped").
   uint64_t Since(const Counter* c) const;
@@ -237,10 +245,11 @@ class ContentBasedNetwork {
     kRecover,          // buffered datagram re-entering at `node`
   };
   // The only place a data event is recorded: counts it into the cbn.*
-  // counters of d's stream (bound by Publish or FlushBuffered) and, when
-  // the tracer is on, records it there. `link` is the forwarding link's
-  // counters (kForward only). Recovery traffic travels a recovery channel
-  // and is never charged to links.
+  // counters of d's stream (bound by Publish or FlushBuffered; by name for
+  // the publish of a stream without an id) and, when the tracer is on,
+  // records it there. `link` is the forwarding link's counters (kForward
+  // only). Recovery traffic travels a recovery channel and is never
+  // charged to links.
   void Emit(Event kind, NodeId node, NodeId peer, const Datagram& d,
             size_t count = 1, LinkCounters* link = nullptr);
 
@@ -251,6 +260,11 @@ class ContentBasedNetwork {
   // already-served nodes when the repaired tree demands it.
   size_t Process(NodeId node, NodeId from, const Datagram& d,
                  const std::vector<bool>* allowed = nullptr);
+  // Appends to hop_links_, in Neighbors() order, the positions k >= `first`
+  // of `node`'s tree neighbors other than `from` that have a bucket for
+  // `stream`.
+  void AppendInterestedLinks(NodeId node, NodeId from, StreamId stream,
+                             size_t first);
   // Membership of `start`'s side of the tree edge (blocked_from, start) —
   // the nodes a datagram stopped at that edge has not reached.
   std::vector<bool> ComponentBeyondEdge(NodeId start,
@@ -290,8 +304,11 @@ class ContentBasedNetwork {
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   Tracer* tracer_ = nullptr;
+  // Stream name -> its counters, for the attached registry. Node-based,
+  // so the ledger's pointers survive rehashing.
+  std::unordered_map<std::string, StreamCounters> bundles_;
   // Stream id -> its counters.
-  std::vector<StreamCounters> ledger_;
+  std::vector<LedgerSlot> ledger_;
   // Node -> per tree neighbor (in Neighbors() order) -> link counters.
   std::vector<std::vector<LinkCounters>> link_counters_;
   Counter* forwards_ = nullptr;
@@ -301,7 +318,12 @@ class ContentBasedNetwork {
   Counter* matches_ = nullptr;
   Counter* control_ = nullptr;
   Counter* covering_checks_ = nullptr;
+  Counter* ledger_binds_ = nullptr;
   Histogram* datagram_bytes_ = nullptr;
+  // The neighbor positions each active Process call still has to visit,
+  // stacked: a nested call appends its own above its caller's and pops
+  // them before it returns.
+  std::vector<uint32_t> hop_links_;
   // Counter readings at the last ResetStats().
   std::map<const Counter*, uint64_t> reset_;
   // Storage behind the map-returning views.

@@ -46,6 +46,7 @@ void RoutingTable::IndexEntry(NodeId link, ProfileId id, const Profile& p) {
     auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
     if (it == buckets.end()) {
       buckets.emplace_back();
+      ++bucket_version_;
       it = buckets.end() - 1;
       it->link = link;
       it->bucket.stream_ = std::move(ref);
@@ -75,6 +76,7 @@ void RoutingTable::DeindexEntry(NodeId link, ProfileId id, const Profile& p) {
     }
     if (slots.empty()) {
       buckets.erase(it);  // releases the bucket's stream id
+      ++bucket_version_;
     } else {
       it->bucket.union_dirty_ = true;
       it->bucket.matcher_.reset();
@@ -262,10 +264,15 @@ std::vector<NodeId> RoutingTable::Links() const {
 
 const RoutingTable::StreamBucket* RoutingTable::BucketFor(
     NodeId link, StreamId stream) const {
-  if (stream >= by_stream_.size()) return nullptr;
-  const std::vector<LinkBucket>& buckets = by_stream_[stream];
+  const std::vector<LinkBucket>& buckets = BucketsOf(stream);
   auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
   return it == buckets.end() ? nullptr : &it->bucket;
+}
+
+const std::vector<RoutingTable::LinkBucket>& RoutingTable::BucketsOf(
+    StreamId stream) const {
+  static const std::vector<LinkBucket> kNone;
+  return stream < by_stream_.size() ? by_stream_[stream] : kNone;
 }
 
 bool RoutingTable::LinkCovers(NodeId link, const Datagram& d) const {

@@ -85,6 +85,12 @@ class RoutingTable {
     mutable ProjectionCache projections_;
   };
 
+  // One stream's bucket on one link.
+  struct LinkBucket {
+    NodeId link = -1;
+    StreamBucket bucket;
+  };
+
   // `streams` interns the profiles' stream names and must outlive the
   // table.
   explicit RoutingTable(StreamTable* streams) : streams_(streams) {}
@@ -134,6 +140,15 @@ class RoutingTable {
   // `stream`. This is the forwarding hot path's view of the table.
   const StreamBucket* BucketFor(NodeId link, StreamId stream) const;
 
+  // `stream`'s buckets, one per link some entry requests it on, in
+  // creation order (empty when none): the links a datagram of `stream`
+  // can leave by.
+  const std::vector<LinkBucket>& BucketsOf(StreamId stream) const;
+
+  // Bumped whenever a bucket is created or erased, so a caller that
+  // snapshotted BucketsOf() can tell that its set of links changed.
+  uint64_t bucket_version() const { return bucket_version_; }
+
   // True when any profile on `link` covers `d`.
   bool LinkCovers(NodeId link, const Datagram& d) const;
 
@@ -167,11 +182,6 @@ class RoutingTable {
   bool CheckInvariants() const;
 
  private:
-  struct LinkBucket {
-    NodeId link = -1;
-    StreamBucket bucket;
-  };
-
   // The profile of the entry `id` on `link`; nullptr when there is none.
   const Profile* EntryProfile(NodeId link, ProfileId id) const;
   // Adds/removes the bucket slots of one entry (one per profile stream).
@@ -182,6 +192,7 @@ class RoutingTable {
   std::map<NodeId, std::vector<Entry>> per_link_;
   // Stream id -> its buckets, one per link with a subscribed entry.
   std::vector<std::vector<LinkBucket>> by_stream_;
+  uint64_t bucket_version_ = 0;
   // (link, id) of each pruned entry -> the entry it was pruned behind. Only
   // pruned entries have one, so the forwarding path's entries and bucket
   // slots carry nothing for it.

@@ -29,8 +29,10 @@ inline constexpr AttrMask kAllAttributes = AttrMask{1} << 63;
 // simulator or buffered at a failed link. An id reaches zero references
 // only when none of those exists, so a later stream that takes the freed
 // id can never reach the old owner's buckets, matchers or projection
-// plans. A freed id keeps its name until the slot is reused, so a stream
-// that is published with no subscriber keeps its id across publishes.
+// plans. A publish only looks its name up: a stream no routing state
+// names takes no id at all. A freed id keeps its name until the slot is
+// reused, so a stream whose subscriptions come back before then gets its
+// old id again.
 //
 // Each stream also owns an attribute dictionary that assigns bits to the
 // attribute names profiles ask for, so required and projection attribute
@@ -45,7 +47,8 @@ class StreamTable {
   StreamTable(const StreamTable&) = delete;
   StreamTable& operator=(const StreamTable&) = delete;
 
-  // The id of `name`, or kNoStream when it has none.
+  // The id of `name`, or kNoStream when it has none. A freed id is still
+  // found until it is reassigned; referenced() tells it from a live one.
   StreamId Find(const std::string& name) const;
 
   // Takes one reference on the id of `name`, assigning one (reusing a
@@ -57,6 +60,8 @@ class StreamTable {
   void Release(StreamId id);
 
   const std::string& Name(StreamId id) const { return slots_[id].name; }
+  // Whether `id` has a reference: some routing state or datagram holds it.
+  bool referenced(StreamId id) const { return slots_[id].refs > 0; }
   // Bumped each time the id is assigned to a name, so per-id caches
   // outside the table can tell a reassigned id from the one they bound.
   uint32_t epoch(StreamId id) const { return slots_[id].epoch; }

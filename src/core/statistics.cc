@@ -11,9 +11,12 @@ RateMonitor::RateMonitor(Duration window) : window_(window) {
   COSMOS_CHECK_GT(window, 0);
 }
 
-void RateMonitor::Record(const std::string& stream, Timestamp ts,
-                         size_t bytes) {
-  Series& s = series_[stream];
+RateMonitor::Series* RateMonitor::Track(const std::string& stream) {
+  return &series_[stream];
+}
+
+void RateMonitor::Record(Series* series, Timestamp ts, size_t bytes) {
+  Series& s = *series;
   ++s.total_tuples;
   if (s.max_ts == kInvalidTimestamp || ts > s.max_ts) s.max_ts = ts;
   // An out-of-order record already older than the whole window would lodge

@@ -22,10 +22,27 @@ class RateMonitor {
 
   Duration window() const { return window_; }
 
+  // One stream's observations. Series are never removed, so a pointer
+  // from Track() stays valid for the monitor's lifetime.
+  struct Series {
+    // (event time, bytes), pruned against the window lazily.
+    mutable std::deque<std::pair<Timestamp, size_t>> events;
+    mutable uint64_t window_bytes = 0;
+    uint64_t total_tuples = 0;
+    Timestamp max_ts = kInvalidTimestamp;
+  };
+
+  // `stream`'s series, created empty (observed from now on) when new.
+  Series* Track(const std::string& stream);
+
   // Records one tuple of `stream` at event time `ts` with `bytes` payload.
   // Timestamps may arrive slightly out of order; pruning uses the maximum
   // seen so far.
-  void Record(const std::string& stream, Timestamp ts, size_t bytes);
+  void Record(const std::string& stream, Timestamp ts, size_t bytes) {
+    Record(Track(stream), ts, bytes);
+  }
+  // The same, for a series already resolved with Track().
+  void Record(Series* series, Timestamp ts, size_t bytes);
 
   // Observed tuples per second of `stream` over the trailing window ending
   // at `now` (0.0 when nothing was observed).
@@ -53,14 +70,6 @@ class RateMonitor {
   double MaxDriftRatio(const Catalog& catalog, Timestamp now) const;
 
  private:
-  struct Series {
-    // (event time, bytes), pruned against the window lazily.
-    mutable std::deque<std::pair<Timestamp, size_t>> events;
-    mutable uint64_t window_bytes = 0;
-    uint64_t total_tuples = 0;
-    Timestamp max_ts = kInvalidTimestamp;
-  };
-
   void Prune(const Series& s, Timestamp now) const;
   // Effective averaging span at `now`: the window, clipped to the span of
   // data actually observed (so early measurements are not diluted).

@@ -166,18 +166,26 @@ Status CosmosSystem::RepairLinks() {
 
 Status CosmosSystem::PublishSourceTuple(const std::string& stream,
                                         const Tuple& tuple) {
-  COSMOS_ASSIGN_OR_RETURN(StreamInfo info, catalog_.Lookup(stream));
-  if (info.publisher_node < 0) {
-    return Status::FailedPrecondition(
-        StrFormat("stream '%s' has no publisher node", stream.c_str()));
+  auto source = sources_.find(stream);
+  if (source == sources_.end()) {
+    COSMOS_ASSIGN_OR_RETURN(StreamInfo info, catalog_.Lookup(stream));
+    if (info.publisher_node < 0) {
+      return Status::FailedPrecondition(
+          StrFormat("stream '%s' has no publisher node", stream.c_str()));
+    }
+    source = sources_
+                 .emplace(stream, Source{info.publisher_node,
+                                         rate_monitor_.Track(stream)})
+                 .first;
   }
   Datagram d{stream, tuple};
   if (injection_log_enabled_) injection_log_.emplace_back(stream, tuple);
-  rate_monitor_.Record(stream, tuple.timestamp(), d.SerializedSize());
+  rate_monitor_.Record(source->second.rate, tuple.timestamp(),
+                       d.SerializedSize());
   if (tuple.timestamp() > max_event_time_) {
     max_event_time_ = tuple.timestamp();
   }
-  network_.Publish(info.publisher_node, std::move(d));
+  network_.Publish(source->second.publisher, std::move(d));
   return Status::OK();
 }
 

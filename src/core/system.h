@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "core/processor.h"
 #include "core/query_distribution.h"
@@ -138,6 +139,14 @@ class CosmosSystem {
   Simulator* sim_ = nullptr;
   std::optional<Graph> overlay_;
   RateMonitor rate_monitor_;
+  // A source stream as PublishSourceTuple needs it, resolved from the
+  // catalog on the stream's first tuple. A catalog entry's publisher never
+  // changes once registered.
+  struct Source {
+    NodeId publisher = -1;
+    RateMonitor::Series* rate = nullptr;
+  };
+  std::unordered_map<std::string, Source> sources_;
   bool injection_log_enabled_ = false;
   std::vector<std::pair<std::string, Tuple>> injection_log_;
   Timestamp max_event_time_ = 0;

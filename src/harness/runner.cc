@@ -528,6 +528,20 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
         static_cast<unsigned long long>(buffered),
         static_cast<unsigned long long>(flushed)));
   }
+  // Ledger binding: each stream name's counters are resolved at most once,
+  // however often its id is freed and reassigned.
+  const Counter* binds = metrics.FindCounter("cbn.ledger_binds");
+  const uint64_t bind_count = binds == nullptr ? 0 : binds->value();
+  size_t published_names = 0;
+  for (const auto& [name, c] : metrics.counters()) {
+    if (name.rfind("cbn.published{stream=", 0) == 0) ++published_names;
+  }
+  if (bind_count > published_names) {
+    fail(StrFormat(
+        "telemetry: cbn.ledger_binds = %llu exceeds the %zu published "
+        "stream names",
+        static_cast<unsigned long long>(bind_count), published_names));
+  }
   // Matching-engine conservation: residual fallbacks may only occur when
   // some installed profile actually carried a residual-bearing filter.
   const Counter* fallbacks = metrics.FindCounter("cbn.matcher_fallbacks");

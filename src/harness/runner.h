@@ -60,9 +60,10 @@ struct DstReport {
 //   5. telemetry conservation: the run's isolated MetricsRegistry must
 //      agree with what the harness observed independently — per-stream
 //      published counters match the injection counts, every buffered
-//      datagram is flushed, and the matching engine behaves:
-//      cbn.matcher_fallbacks only increments when a residual-bearing
-//      profile was installed.
+//      datagram is flushed, cbn.ledger_binds resolves no stream name's
+//      counters twice (it is at most the number of published stream
+//      names), and the matching engine behaves: cbn.matcher_fallbacks only
+//      increments when a residual-bearing profile was installed.
 // Deterministic: the same scenario always yields the same report.
 DstReport RunScenario(const DstScenario& scenario,
                       const DstRunOptions& options = {});

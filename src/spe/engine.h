@@ -55,7 +55,8 @@ class SpeEngine {
   };
 
   std::map<std::string, std::unique_ptr<QueryPlan>> plans_;
-  // stream -> queries consuming it (a plan may appear once per port).
+  // stream -> queries consuming it: each plan once per distinct stream it
+  // reads (Push fans a tuple out to every port of that stream).
   std::multimap<std::string, Consumer> by_stream_;
   uint64_t tuples_pushed_ = 0;
   uint64_t results_emitted_ = 0;

@@ -446,6 +446,125 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   EXPECT_EQ(filtered_hits, 2);
 }
 
+// A publish nobody can receive takes no stream id: two streams without
+// subscribers, alternating, would otherwise free and retake one id slot on
+// every publish and resolve their counters by name each time.
+TEST(Network, UnroutedPublishTakesNoStreamId) {
+  ContentBasedNetwork net(StarTree());
+  const auto t_schema = std::make_shared<Schema>(
+      "t", std::vector<AttributeDef>{{"x", ValueType::kDouble}});
+  const Datagram s_datagram = MakeDatagram(25, 50);
+  const Datagram t_datagram{"t", Tuple(t_schema, {Value(1.0)}, 0)};
+  constexpr uint64_t kPublishes = 10000;
+  for (uint64_t i = 0; i < kPublishes; ++i) {
+    EXPECT_EQ(net.Publish(0, i % 2 == 0 ? s_datagram : t_datagram), 0u);
+  }
+  EXPECT_EQ(net.streams().size(), 0u);
+  auto counter = [&net](const std::string& name) -> uint64_t {
+    const Counter* c = net.metrics().FindCounter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  EXPECT_LE(counter("cbn.ledger_binds"), 2u);
+  for (const auto& [stream, size] :
+       {std::pair<std::string, size_t>{"s", s_datagram.SerializedSize()},
+        std::pair<std::string, size_t>{"t", t_datagram.SerializedSize()}}) {
+    EXPECT_EQ(counter(MetricsRegistry::LabeledName("cbn.published", "stream",
+                                                   stream)),
+              kPublishes / 2)
+        << stream;
+    EXPECT_EQ(net.published_bytes_by_stream().at(stream),
+              kPublishes / 2 * size)
+        << stream;
+  }
+  EXPECT_EQ(net.total_datagrams_forwarded(), 0u);
+
+  int hits = 0;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(2, p, [&](const std::string&, const Tuple&) { ++hits; });
+  EXPECT_EQ(net.Publish(0, s_datagram), 1u);
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(net.streams().live(), 1u);
+  // The id the subscription took rebinds to the counters "s" already had.
+  EXPECT_LE(counter("cbn.ledger_binds"), 2u);
+  EXPECT_EQ(counter(MetricsRegistry::LabeledName("cbn.published", "stream",
+                                                 "s")),
+            kPublishes / 2 + 1);
+}
+
+// 0 is the hub of a star whose edges are listed out of id order, so its
+// Neighbors() order differs from both the id order and the order the leaves
+// subscribe in. A synchronous publish reaches the leaves in Neighbors()
+// order.
+TEST(Network, ForwardOrderFollowsTreeNeighbors) {
+  auto tree = DisseminationTree::FromEdges(
+                  6, {Edge{0, 4, 1.0}, Edge{0, 2, 1.0}, Edge{5, 0, 1.0},
+                      Edge{0, 1, 1.0}, Edge{3, 0, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  std::vector<NodeId> order;
+  for (NodeId leaf : {3, 1, 5, 2, 4}) {
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(leaf, p, [&order, leaf](const std::string&, const Tuple&) {
+      order.push_back(leaf);
+    });
+  }
+  std::vector<NodeId> hub_order;
+  for (const auto& [n, w] : net.tree().Neighbors(0)) hub_order.push_back(n);
+  ASSERT_EQ(hub_order, (std::vector<NodeId>{4, 2, 5, 1, 3}));
+
+  EXPECT_EQ(net.Publish(0, MakeDatagram(1, 1)), 5u);
+  EXPECT_EQ(order, hub_order);
+
+  // From a leaf: its own subscriber first, then the hub's other links.
+  order.clear();
+  EXPECT_EQ(net.Publish(5, MakeDatagram(1, 1)), 5u);
+  EXPECT_EQ(order, (std::vector<NodeId>{5, 4, 2, 1, 3}));
+}
+
+// A delivery callback may change routing state in the middle of a
+// synchronous publish. Here the first leaf's subscriber, on the first
+// datagram, subscribes at a leaf that had no bucket and unsubscribes the
+// one at a leaf that had; the rest of the same publish sees both changes.
+// The new profile also requests a new stream, so the hub's per-stream
+// index grows while the publish is visiting it.
+TEST(Network, CallbackChurnDuringPublish) {
+  auto tree = DisseminationTree::FromEdges(
+                  5, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0},
+                      Edge{0, 4, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  std::vector<NodeId> order;
+  auto record = [&order](NodeId leaf) {
+    return [&order, leaf](const std::string&, const Tuple&) {
+      order.push_back(leaf);
+    };
+  };
+  Profile whole;
+  whole.AddStream("s");
+  const ProfileId at2 = net.Subscribe(2, whole, record(2));
+  net.Subscribe(4, whole, record(4));
+  bool churned = false;
+  net.Subscribe(1, whole, [&](const std::string&, const Tuple&) {
+    order.push_back(1);
+    if (churned) return;
+    churned = true;
+    Profile wider;
+    wider.AddStream("s");
+    wider.AddStream("u");
+    net.Subscribe(3, wider, record(3));
+    EXPECT_TRUE(net.Unsubscribe(at2));
+  });
+
+  EXPECT_EQ(net.Publish(0, MakeDatagram(1, 1)), 3u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
+  order.clear();
+  EXPECT_EQ(net.Publish(0, MakeDatagram(2, 2)), 3u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_TRUE(net.router(0).table().CheckInvariants());
+}
+
 // Result streams are renamed grp_<id>_v<version> on every representative
 // change. Cycling many versions through advertise/subscribe/publish/
 // unsubscribe must leave the stream-id table and the cached projection
