@@ -32,10 +32,10 @@
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
-// Heap-allocation counter for the forwarding and aggregate benchmarks: replacing the
-// global operator new is the only way to observe the per-datagram
-// allocation count without intrusive instrumentation. new[]/delete[]
-// forward here per the standard, so one pair suffices.
+// Heap-allocation counter for the forwarding, aggregate and covering
+// benchmarks: replacing the global operator new is the only way to observe
+// the per-operation allocation count without intrusive instrumentation.
+// new[]/delete[] forward here per the standard, so one pair suffices.
 namespace {
 std::atomic<uint64_t> g_allocation_count{0};
 }  // namespace
@@ -90,22 +90,45 @@ void BM_FilterCovers(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterCovers);
 
+// ProfileCovers on a covered pair shaped like ComposeSourceProfile output:
+// each profile has a projection and two filters, so the check compares
+// required-attribute lists and runs filter implication. Reports
+// allocs_per_check, which the per-stream records keep at zero.
 void BM_ProfileCovering(benchmark::State& state) {
   SensorDataset sensors;
-  auto schema = sensors.SchemaOf(0);
-  Profile wide;
-  ConjunctiveClause wc;
-  wc.ConstrainInterval("ambient_temperature",
-                       Interval(0.0, false, 30.0, false));
-  wide.AddFilter(Filter(schema->stream_name(), wc));
-  Profile narrow;
-  ConjunctiveClause nc;
-  nc.ConstrainInterval("ambient_temperature",
-                       Interval(10.0, false, 20.0, false));
-  narrow.AddFilter(Filter(schema->stream_name(), nc));
+  const std::string stream = sensors.SchemaOf(0)->stream_name();
+  auto source_profile = [&stream](std::vector<std::string> projection,
+                                  double temp_lo, double temp_hi,
+                                  double hum_hi) {
+    Profile p;
+    p.AddStream(stream, std::move(projection));
+    ConjunctiveClause temp;
+    temp.ConstrainInterval("ambient_temperature",
+                           Interval(temp_lo, false, temp_hi, false));
+    p.AddFilter(Filter(stream, temp));
+    ConjunctiveClause hum;
+    hum.ConstrainInterval("relative_humidity",
+                          Interval(0.0, false, hum_hi, false));
+    hum.ConstrainInterval("ambient_temperature",
+                          Interval(temp_lo, false, temp_hi, false));
+    p.AddFilter(Filter(stream, hum));
+    return p;
+  };
+  const Profile wide = source_profile({"ambient_temperature", "wind_speed",
+                                       "relative_humidity", "timestamp"},
+                                      0.0, 30.0, 80.0);
+  const Profile narrow =
+      source_profile({"wind_speed", "timestamp"}, 10.0, 20.0, 50.0);
+  uint64_t allocs = 0;
   for (auto _ : state) {
+    const uint64_t before = g_allocation_count.load();
     benchmark::DoNotOptimize(ProfileCovers(wide, narrow));
+    allocs += g_allocation_count.load() - before;
   }
+  state.counters["allocs_per_check"] =
+      state.iterations() > 0 ? static_cast<double>(allocs) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
 }
 BENCHMARK(BM_ProfileCovering);
 

@@ -19,9 +19,9 @@ bool FilterCovers(const Filter& wide, const Filter& narrow) {
 
 namespace {
 
-// Projection set `wide` admits everything `narrow` needs (empty = all).
-bool ProjectionCovers(const std::vector<std::string>& wide,
-                      const std::vector<std::string>& narrow) {
+// Required set `wide` admits everything `narrow` needs (empty = all).
+bool RequiredCovers(const std::vector<std::string>& wide,
+                    const std::vector<std::string>& narrow) {
   if (wide.empty()) return true;
   if (narrow.empty()) return false;  // narrow wants all, wide is a subset
   for (const auto& a : narrow) {
@@ -30,35 +30,48 @@ bool ProjectionCovers(const std::vector<std::string>& wide,
   return true;
 }
 
-}  // namespace
+// Each of `narrow`'s filters on one stream is implied by one of `wide`'s,
+// given both profiles' records of that stream.
+bool FiltersCover(const Profile& wide, const Profile::StreamRecord& w,
+                  const Profile& narrow, const Profile::StreamRecord& n) {
+  if (w.filters.empty()) return true;   // wide takes the whole stream
+  if (n.filters.empty()) return false;  // narrow takes the whole stream
+  return std::all_of(n.filters.begin(), n.filters.end(), [&](size_t ni) {
+    return std::any_of(w.filters.begin(), w.filters.end(), [&](size_t wi) {
+      return FilterCovers(wide.filters()[wi], narrow.filters()[ni]);
+    });
+  });
+}
 
-bool ProfileCovers(const Profile& wide, const Profile& narrow) {
-  for (const auto& stream : narrow.streams()) {
-    if (!wide.WantsStream(stream)) return false;
+// ProfileCovers, skipping the required-attribute half on `known` (nullptr:
+// none).
+bool Covers(const Profile& wide, const Profile& narrow,
+            const std::string* known) {
+  for (const auto& [stream, n] : narrow.records()) {
+    const Profile::StreamRecord* w = wide.RecordOf(stream);
+    if (w == nullptr) return false;
     // Compare *required* attribute sets (projection plus filter-referenced
     // attributes), not raw projections: when a pruned subscription's entry
     // sits downstream of links that early-project to the coverer's required
     // set, its filters must still be evaluable on what survives.
-    if (!ProjectionCovers(wide.RequiredAttributes(stream),
-                          narrow.RequiredAttributes(stream))) {
+    if ((known == nullptr || stream != *known) &&
+        !RequiredCovers(w->required, n.required)) {
       return false;
     }
-    auto wide_filters = wide.FiltersOf(stream);
-    auto narrow_filters = narrow.FiltersOf(stream);
-    if (wide_filters.empty()) continue;  // wide takes the whole stream
-    if (narrow_filters.empty()) return false;  // narrow takes whole stream
-    for (const auto* nf : narrow_filters) {
-      bool covered = false;
-      for (const auto* wf : wide_filters) {
-        if (FilterCovers(*wf, *nf)) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) return false;
-    }
+    if (!FiltersCover(wide, *w, narrow, n)) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool ProfileCovers(const Profile& wide, const Profile& narrow) {
+  return Covers(wide, narrow, nullptr);
+}
+
+bool ProfileCoversGivenRequired(const Profile& wide, const Profile& narrow,
+                                const std::string& stream) {
+  return Covers(wide, narrow, &stream);
 }
 
 Profile MergeProfiles(const Profile& a, const Profile& b) {
@@ -67,8 +80,7 @@ Profile MergeProfiles(const Profile& a, const Profile& b) {
     for (const auto& stream : p->streams()) {
       // Widen projections to the union of *required* attribute sets so
       // early projection upstream keeps everything either side needs.
-      std::vector<std::string> req = p->RequiredAttributes(stream);
-      out.AddStream(stream, std::move(req));
+      out.AddStream(stream, p->RequiredAttributes(stream));
       // "All attributes" dominates.
       if (p->ProjectionOf(stream).empty()) out.AddStream(stream, {});
     }
@@ -83,7 +95,8 @@ Profile MergeProfiles(const Profile& a, const Profile& b) {
   };
   // Streams subscribed without filters swallow all filters of that stream.
   auto unconditional = [](const Profile& p, const std::string& stream) {
-    return p.WantsStream(stream) && p.FiltersOf(stream).empty();
+    const Profile::StreamRecord* record = p.RecordOf(stream);
+    return record != nullptr && record->filters.empty();
   };
   for (const auto& p : {&a, &b}) {
     const Profile& other = (p == &a) ? b : a;

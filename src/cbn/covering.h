@@ -1,6 +1,8 @@
 #ifndef COSMOS_CBN_COVERING_H_
 #define COSMOS_CBN_COVERING_H_
 
+#include <string>
+
 #include "cbn/profile.h"
 
 namespace cosmos {
@@ -18,8 +20,16 @@ bool FilterCovers(const Filter& wide, const Filter& narrow);
 // True iff every datagram covered by `narrow` is covered by `wide`, and
 // `wide` retains at least the attributes `narrow` needs — its projection
 // plus the attributes its filters reference, so the narrow profile stays
-// evaluable downstream of early projection ("all" covers anything).
+// evaluable downstream of early projection ("all" covers anything). The
+// reference definition of profile covering: it walks `narrow`'s stream
+// records, looks up `wide`'s record once per stream, and allocates nothing.
 bool ProfileCovers(const Profile& wide, const Profile& narrow);
+
+// ProfileCovers when `wide` requests `stream` and is already known to
+// retain every attribute of it that `narrow` requires (a caller that
+// compared required-attribute masks): only the rest is checked.
+bool ProfileCoversGivenRequired(const Profile& wide, const Profile& narrow,
+                                const std::string& stream);
 
 // Union of two profiles: S/P unions, filter concatenation with
 // covered-filter pruning. The result covers exactly the union of the two

@@ -41,14 +41,15 @@ CompiledMatcher::CompiledMatcher(std::string stream,
 
   for (uint32_t p = 0; p < profiles.size(); ++p) {
     COSMOS_CHECK(profiles[p] != nullptr) << "null profile in bucket";
-    std::vector<const Filter*> filters = profiles[p]->FiltersOf(stream_);
+    const Profile& profile = *profiles[p];
+    const std::vector<size_t>& filters = profile.FilterIndicesOf(stream_);
     if (filters.empty()) {
       // Stream requested without filters: covered unconditionally.
       unconditional_.push_back(p);
       continue;
     }
-    for (const Filter* f : filters) {
-      const ConjunctiveClause& clause = f->clause();
+    for (size_t f : filters) {
+      const ConjunctiveClause& clause = profile.filters()[f].clause();
       // An unsatisfiable conjunct never matches; drop it whole (dropping
       // one constraint would lower the arity and widen the match).
       if (clause.IsUnsatisfiable()) continue;

@@ -124,8 +124,8 @@ class ContentBasedNetwork {
   double WeightedBytes() const;
   // Subscription control messages sent during propagation.
   uint64_t control_messages() const { return Since(control_); }
-  // ProfileCovers calls made by subscription propagation and by the
-  // re-checks of unsubscribes (cbn.covering_checks).
+  // Routing-table slots examined by the covering checks of subscription
+  // propagation and of unsubscribe re-checks (cbn.covering_checks).
   uint64_t covering_checks() const { return Since(covering_checks_); }
   // Datagram forwards dropped at failed links (buffered ones not counted).
   uint64_t lost_datagrams() const {

@@ -9,20 +9,29 @@ namespace cosmos {
 void Profile::AddStream(const std::string& stream,
                         std::vector<std::string> attributes) {
   streams_.insert(stream);
-  auto it = projections_.find(stream);
-  if (it == projections_.end()) {
-    projections_.emplace(stream, std::move(attributes));
-  } else if (!attributes.empty()) {
-    if (it->second.empty()) {
-      // Already "all attributes"; keep it (wider).
-    } else {
-      for (auto& a : attributes) {
-        if (std::find(it->second.begin(), it->second.end(), a) ==
-            it->second.end()) {
-          it->second.push_back(std::move(a));
-        }
-      }
+  auto [it, inserted] = records_.try_emplace(stream);
+  StreamRecord& record = it->second;
+  if (inserted) {
+    // A new stream has no filters yet: it requires its projection.
+    record.required = attributes;
+    record.projection = std::move(attributes);
+    return;
+  }
+  // Widen the projection; "all attributes" is already the widest.
+  if (attributes.empty() || record.projection.empty()) return;
+  bool widened = false;
+  for (auto& a : attributes) {
+    if (std::find(record.projection.begin(), record.projection.end(), a) ==
+        record.projection.end()) {
+      record.projection.push_back(std::move(a));
+      widened = true;
     }
+  }
+  if (!widened) return;
+  // The projection leads the required list, so rebuild it.
+  record.required = record.projection;
+  for (size_t i : record.filters) {
+    RequireFilterAttributes(filters_[i], &record);
   }
 }
 
@@ -30,62 +39,76 @@ void Profile::AddFilter(Filter filter) {
   if (streams_.count(filter.stream()) == 0) {
     AddStream(filter.stream());
   }
-  filters_by_stream_[filter.stream()].push_back(filters_.size());
+  StreamRecord& record = records_.find(filter.stream())->second;
+  record.filters.push_back(filters_.size());
+  RequireFilterAttributes(filter, &record);
   filters_.push_back(std::move(filter));
 }
 
-const std::vector<std::string>& Profile::ProjectionOf(
-    const std::string& stream) const {
-  static const std::vector<std::string> kAll;
-  auto it = projections_.find(stream);
-  if (it == projections_.end()) return kAll;
-  return it->second;
+void Profile::RequireFilterAttributes(const Filter& filter,
+                                      StreamRecord* record) {
+  if (record->projection.empty()) return;  // all attributes
+  std::vector<std::string>& required = record->required;
+  for (auto& a : filter.ReferencedAttributes()) {
+    if (std::find(required.begin(), required.end(), a) == required.end()) {
+      required.push_back(std::move(a));
+    }
+  }
 }
 
-std::vector<const Filter*> Profile::FiltersOf(
+const Profile::StreamRecord* Profile::RecordOf(
     const std::string& stream) const {
-  std::vector<const Filter*> out;
-  auto it = filters_by_stream_.find(stream);
-  if (it == filters_by_stream_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t i : it->second) out.push_back(&filters_[i]);
-  return out;
+  auto it = records_.find(stream);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
+namespace {
+
+// The record of a stream the profile does not request: all attributes, no
+// filters.
+const Profile::StreamRecord& Unrequested() {
+  static const Profile::StreamRecord kNone;
+  return kNone;
+}
+
+}  // namespace
+
+const std::vector<std::string>& Profile::ProjectionOf(
+    const std::string& stream) const {
+  const StreamRecord* record = RecordOf(stream);
+  return (record == nullptr ? Unrequested() : *record).projection;
+}
+
+const std::vector<size_t>& Profile::FilterIndicesOf(
+    const std::string& stream) const {
+  const StreamRecord* record = RecordOf(stream);
+  return (record == nullptr ? Unrequested() : *record).filters;
+}
+
+const std::vector<std::string>& Profile::RequiredAttributes(
+    const std::string& stream) const {
+  const StreamRecord* record = RecordOf(stream);
+  return (record == nullptr ? Unrequested() : *record).required;
 }
 
 Profile Profile::StreamPart(const std::string& stream) const {
   Profile part;
-  if (!WantsStream(stream)) return part;
-  part.AddStream(stream, ProjectionOf(stream));
-  for (const Filter* f : FiltersOf(stream)) part.AddFilter(*f);
+  const StreamRecord* record = RecordOf(stream);
+  if (record == nullptr) return part;
+  part.AddStream(stream, record->projection);
+  for (size_t i : record->filters) part.AddFilter(filters_[i]);
   return part;
 }
 
 bool Profile::Covers(const Datagram& d) const {
-  if (streams_.count(d.stream) == 0) return false;
-  auto it = filters_by_stream_.find(d.stream);
+  const StreamRecord* record = RecordOf(d.stream);
+  if (record == nullptr) return false;
   // A stream subscribed without filters is requested unconditionally.
-  if (it == filters_by_stream_.end()) return true;
-  for (size_t i : it->second) {
+  if (record->filters.empty()) return true;
+  for (size_t i : record->filters) {
     if (filters_[i].Covers(d)) return true;
   }
   return false;
-}
-
-std::vector<std::string> Profile::RequiredAttributes(
-    const std::string& stream) const {
-  const std::vector<std::string>& proj = ProjectionOf(stream);
-  if (proj.empty()) return {};  // all attributes
-  std::vector<std::string> out = proj;
-  auto it = filters_by_stream_.find(stream);
-  if (it == filters_by_stream_.end()) return out;
-  for (size_t i : it->second) {
-    for (auto& a : filters_[i].ReferencedAttributes()) {
-      if (std::find(out.begin(), out.end(), a) == out.end()) {
-        out.push_back(std::move(a));
-      }
-    }
-  }
-  return out;
 }
 
 std::string Profile::ToString() const {
@@ -94,7 +117,8 @@ std::string Profile::ToString() const {
                  ", ");
   out += "} P={";
   std::vector<std::string> projs;
-  for (const auto& [stream, attrs] : projections_) {
+  for (const auto& [stream, record] : records_) {
+    const std::vector<std::string>& attrs = record.projection;
     projs.push_back(stream + ":" +
                     (attrs.empty() ? "*" : "[" + StrJoin(attrs, ",") + "]"));
   }

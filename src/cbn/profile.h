@@ -25,6 +25,20 @@ using ProfileId = uint64_t;
 // stream by its unique name.
 class Profile {
  public:
+  // One requested stream's part of the profile, kept current by AddStream
+  // and AddFilter as the profile is built, so reading it (covering checks,
+  // bucket masks, matcher compiles) allocates nothing.
+  struct StreamRecord {
+    // P(stream); empty = all attributes.
+    std::vector<std::string> projection;
+    // Indices into filters() of the filters defined on the stream, in
+    // profile order.
+    std::vector<size_t> filters;
+    // RequiredAttributes(stream): the projection, then each filter's
+    // referenced attributes in filter order, deduplicated; empty = all.
+    std::vector<std::string> required;
+  };
+
   Profile() = default;
 
   // Adds `stream` to S with projection set P(stream) = `attributes`
@@ -41,16 +55,23 @@ class Profile {
     return streams_.count(stream) > 0;
   }
 
+  // The per-stream records, keyed like streams().
+  const std::map<std::string, StreamRecord>& records() const {
+    return records_;
+  }
+  // `stream`'s record; nullptr when the profile does not request it.
+  const StreamRecord* RecordOf(const std::string& stream) const;
+
   // Projection set of `stream`; empty vector = all attributes.
   const std::vector<std::string>& ProjectionOf(
       const std::string& stream) const;
 
   const std::vector<Filter>& filters() const { return filters_; }
 
-  // Filters defined on `stream`. Backed by a per-stream index maintained
-  // in AddFilter, so per-stream iteration does not scan filters of the
-  // profile's other streams (the routing index relies on this).
-  std::vector<const Filter*> FiltersOf(const std::string& stream) const;
+  // Indices into filters() of the filters defined on `stream`, so
+  // per-stream iteration does not scan filters of the profile's other
+  // streams (the routing index relies on this).
+  const std::vector<size_t>& FilterIndicesOf(const std::string& stream) const;
 
   // This profile's part on `stream`: S = {stream}, P(stream), and the
   // filters of `stream` in their order here.
@@ -62,19 +83,25 @@ class Profile {
   bool Covers(const Datagram& d) const;
 
   // Attributes of `stream` the network must retain when forwarding a
-  // datagram matched by this profile: projection set plus every attribute
-  // any of the stream's filters references (needed for downstream
-  // re-evaluation). Empty = all.
-  std::vector<std::string> RequiredAttributes(const std::string& stream) const;
+  // datagram matched by this profile: the projection set, then every
+  // attribute any of the stream's filters references (needed for
+  // downstream re-evaluation), in filter order without repeats. Empty =
+  // all. The reference is to the stream's record.
+  const std::vector<std::string>& RequiredAttributes(
+      const std::string& stream) const;
 
   std::string ToString() const;
 
  private:
+  // Appends the attributes `filter` references to `record`'s required
+  // list, skipping ones already there (a no-op under an all-attributes
+  // projection).
+  static void RequireFilterAttributes(const Filter& filter,
+                                      StreamRecord* record);
+
   std::set<std::string> streams_;
-  std::map<std::string, std::vector<std::string>> projections_;
+  std::map<std::string, StreamRecord> records_;
   std::vector<Filter> filters_;
-  // stream -> indices into filters_ defined on it.
-  std::map<std::string, std::vector<size_t>> filters_by_stream_;
 };
 
 using ProfilePtr = std::shared_ptr<const Profile>;

@@ -141,21 +141,36 @@ ProfileId RoutingTable::FindCoverer(NodeId link, ProfileId self,
                                     const Profile& narrow,
                                     uint64_t* covering_checks) const {
   const StreamBucket* smallest = nullptr;
-  for (const auto& stream : narrow.streams()) {
-    const StreamBucket* bucket = BucketFor(link, streams_->Find(stream));
-    if (bucket == nullptr) return 0;  // nothing here requests `stream`
+  const std::string* stream = nullptr;
+  for (const auto& name : narrow.streams()) {
+    const StreamBucket* bucket = BucketFor(link, streams_->Find(name));
+    if (bucket == nullptr) return 0;  // nothing here requests `name`
     if (smallest == nullptr ||
         bucket->slots_.size() < smallest->slots_.size()) {
       smallest = bucket;
+      stream = &name;
     }
   }
   if (smallest == nullptr) return 0;
+  // The required-attribute half of covering on `stream` is mask
+  // containment. A slot mask without kAllAttributes is exact; one with it
+  // means "all attributes" or a dictionary overflow, so that slot takes
+  // the exact path.
+  const AttrMask need = streams_->LookupMask(
+      smallest->stream_.id(), narrow.RequiredAttributes(*stream));
   uint64_t checks = 0;
   ProfileId coverer = 0;
   for (const BucketSlot& slot : smallest->slots_) {
     if (slot.id == self || CoveredBy(link, slot.id) != 0) continue;
     ++checks;
-    if (ProfileCovers(*slot.profile, narrow)) {
+    const bool covers =
+        (slot.required & kAllAttributes) != 0
+            ? ProfileCovers(*slot.profile, narrow)
+            : (slot.required & need) == need &&
+                  ProfileCoversGivenRequired(*slot.profile, narrow, *stream);
+    COSMOS_DCHECK_EQ(covers, ProfileCovers(*slot.profile, narrow))
+        << "slot " << slot.id << " on link " << link;
+    if (covers) {
       coverer = slot.id;
       break;
     }

@@ -109,7 +109,7 @@ class RoutingTable {
   // The entries on `link` it covered are re-checked, in id order, against
   // the unpruned entries left: each either takes a new coverer or
   // becomes unpruned and is appended to `*uncovered` (its propagation must
-  // resume past this hop). ProfileCovers calls are added to
+  // resume past this hop). The slots FindCoverer examines are added to
   // `*covering_checks`. Either pointer may be null.
   bool Remove(NodeId link, ProfileId id,
               std::vector<ProfileId>* uncovered = nullptr,
@@ -118,8 +118,12 @@ class RoutingTable {
   // An unpruned entry on `link`, other than `self`, whose profile covers
   // `narrow` (ProfileCovers); 0 when there is none. Scans only the
   // smallest (stream, link) bucket of `narrow`'s streams: a coverer
-  // requests every stream `narrow` does. ProfileCovers calls are added to
-  // `*covering_checks` (may be null).
+  // requests every stream `narrow` does. Each slot's required mask is
+  // tested against `narrow`'s first, and only a slot that contains it
+  // reaches filter implication; a mask holding kAllAttributes ("all" or a
+  // dictionary overflow) is not exact, so that slot takes the full
+  // ProfileCovers. The slots examined are added to `*covering_checks` (may
+  // be null), whichever path judged them.
   ProfileId FindCoverer(NodeId link, ProfileId self, const Profile& narrow,
                         uint64_t* covering_checks) const;
 

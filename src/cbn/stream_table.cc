@@ -79,4 +79,17 @@ AttrMask StreamTable::MaskOf(StreamId id,
   return mask;
 }
 
+AttrMask StreamTable::LookupMask(
+    StreamId id, const std::vector<std::string>& attributes) const {
+  if (attributes.empty()) return kAllAttributes;
+  const std::vector<std::string>& dict = slots_[id].attributes;
+  AttrMask mask = 0;
+  for (const auto& name : attributes) {
+    auto it = std::find(dict.begin(), dict.end(), name);
+    mask |= it == dict.end() ? kAllAttributes
+                             : AttrMask{1} << (it - dict.begin());
+  }
+  return mask;
+}
+
 }  // namespace cosmos

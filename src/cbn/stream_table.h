@@ -69,6 +69,11 @@ class StreamTable {
   // The mask of `attributes` in `id`'s dictionary, adding unknown names.
   // Empty `attributes` means all attributes: kAllAttributes.
   AttrMask MaskOf(StreamId id, const std::vector<std::string>& attributes);
+  // MaskOf without adding names: a name the dictionary lacks sets
+  // kAllAttributes. So an exact mask (one without kAllAttributes) contains
+  // the result iff its attribute set holds every one of `attributes`.
+  AttrMask LookupMask(StreamId id,
+                      const std::vector<std::string>& attributes) const;
   // `id`'s dictionary: bit i names attributes(id)[i].
   const std::vector<std::string>& attributes(StreamId id) const {
     return slots_[id].attributes;

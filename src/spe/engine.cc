@@ -33,12 +33,16 @@ Status SpeEngine::RemoveQuery(const std::string& id) {
   if (it == plans_.end()) {
     return Status::NotFound(StrFormat("query '%s'", id.c_str()));
   }
+  // The plan is registered once under each distinct stream it reads; a
+  // stream it reads twice finds nothing left the second time.
   QueryPlan* plan = it->second.get();
-  for (auto sit = by_stream_.begin(); sit != by_stream_.end();) {
-    if (sit->second.plan == plan) {
-      sit = by_stream_.erase(sit);
-    } else {
-      ++sit;
+  for (const auto& s : plan->input_streams()) {
+    auto [begin, end] = by_stream_.equal_range(s);
+    for (auto sit = begin; sit != end; ++sit) {
+      if (sit->second.plan == plan) {
+        by_stream_.erase(sit);
+        break;
+      }
     }
   }
   plans_.erase(it);

@@ -147,7 +147,7 @@ TEST(MergeProfiles, UnconditionalSwallowsFilters) {
   Profile b;
   b.AddFilter(Filter("s", Clause("temp > 10")));
   Profile m = MergeProfiles(a, b);
-  EXPECT_TRUE(m.FiltersOf("s").empty());
+  EXPECT_TRUE(m.FilterIndicesOf("s").empty());
   EXPECT_TRUE(m.Covers(MakeDatagram("s", -5, 0)));
 }
 

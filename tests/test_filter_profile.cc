@@ -118,14 +118,60 @@ TEST(Profile, RequiredAttributesAllWhenProjectionAll) {
   EXPECT_TRUE(p.RequiredAttributes("sensor").empty());
 }
 
+// RequiredAttributes is the projection, then each filter's referenced
+// attributes in filter order, deduplicated, however AddStream and AddFilter
+// interleave: a projection widened after filters were added still comes
+// before their attributes.
+TEST(Profile, RequiredAttributesOrderIsStable) {
+  using Names = std::vector<std::string>;
+  Profile p;
+  p.AddStream("sensor", {"hum", "temp"});
+  p.AddFilter(Filter("sensor", Clause("wind > 1 AND temp < 9")));
+  EXPECT_EQ(p.RequiredAttributes("sensor"), (Names{"hum", "temp", "wind"}));
+  p.AddFilter(Filter("other", Clause("temp > 0")));
+  p.AddStream("sensor", {"alt", "hum"});
+  EXPECT_EQ(p.RequiredAttributes("sensor"),
+            (Names{"hum", "temp", "alt", "wind"}));
+  p.AddFilter(Filter("sensor", Clause("rain > 2 AND alt > 0 AND dew < 1")));
+  EXPECT_EQ(p.RequiredAttributes("sensor"),
+            (Names{"hum", "temp", "alt", "wind", "dew", "rain"}));
+  p.AddStream("sensor", {"temp", "gust"});
+  EXPECT_EQ(p.RequiredAttributes("sensor"),
+            (Names{"hum", "temp", "alt", "gust", "wind", "dew", "rain"}));
+  // A stream first requested whole stays whole: nothing is required.
+  p.AddStream("other", {"hum"});
+  EXPECT_TRUE(p.RequiredAttributes("other").empty());
+  EXPECT_TRUE(p.RequiredAttributes("absent").empty());
+}
+
+// A copy owns its per-stream state: building on it leaves the original's
+// required attributes and filter list as they were.
+TEST(Profile, CopyKeepsItsOwnRecord) {
+  using Names = std::vector<std::string>;
+  Profile original;
+  original.AddStream("sensor", {"hum"});
+  original.AddFilter(Filter("sensor", Clause("temp > 10")));
+  Profile copy = original;
+  copy.AddFilter(Filter("sensor", Clause("temp < 0 AND wind > 3")));
+  copy.AddStream("sensor", {"alt"});
+  EXPECT_EQ(original.RequiredAttributes("sensor"), (Names{"hum", "temp"}));
+  EXPECT_EQ(original.FilterIndicesOf("sensor"), (std::vector<size_t>{0}));
+  EXPECT_EQ(original.StreamPart("sensor").filters().size(), 1u);
+  EXPECT_FALSE(original.Covers(MakeDatagram("sensor", -5, 50)));
+  EXPECT_EQ(copy.RequiredAttributes("sensor"),
+            (Names{"hum", "alt", "temp", "wind"}));
+  EXPECT_EQ(copy.FilterIndicesOf("sensor"), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(copy.StreamPart("sensor").filters().size(), 2u);
+}
+
 TEST(Profile, FiltersOfSelectsByStream) {
   Profile p;
   p.AddFilter(Filter("a", Clause("temp > 1")));
   p.AddFilter(Filter("b", Clause("temp > 2")));
   p.AddFilter(Filter("a", Clause("temp > 3")));
-  EXPECT_EQ(p.FiltersOf("a").size(), 2u);
-  EXPECT_EQ(p.FiltersOf("b").size(), 1u);
-  EXPECT_TRUE(p.FiltersOf("c").empty());
+  EXPECT_EQ(p.FilterIndicesOf("a").size(), 2u);
+  EXPECT_EQ(p.FilterIndicesOf("b").size(), 1u);
+  EXPECT_TRUE(p.FilterIndicesOf("c").empty());
 }
 
 TEST(Datagram, SerializedSizeIncludesStreamHeader) {

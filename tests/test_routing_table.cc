@@ -4,9 +4,12 @@
 
 #include <map>
 #include <optional>
+#include <utility>
 
+#include "cbn/covering.h"
 #include "cbn/network.h"
 #include "cbn/router.h"
+#include "common/random.h"
 #include "overlay/graph.h"
 
 namespace cosmos {
@@ -118,6 +121,158 @@ TEST(RoutingTable, RemoveRechecksWhatItCovered) {
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(11, 19), nullptr), 2u);
   EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(0, 40), nullptr), 0u);
+}
+
+// FindCoverer by the reference definition: the slots of the smallest
+// bucket of `narrow`'s streams (the first of equal size, in stream order),
+// skipping `self` and pruned entries, each judged by ProfileCovers.
+// `*examined` counts the slots judged.
+ProfileId ReferenceCoverer(const RoutingTable& t, const StreamTable& streams,
+                           NodeId link, ProfileId self, const Profile& narrow,
+                           uint64_t* examined) {
+  *examined = 0;
+  const RoutingTable::StreamBucket* smallest = nullptr;
+  for (const auto& stream : narrow.streams()) {
+    const RoutingTable::StreamBucket* bucket =
+        t.BucketFor(link, streams.Find(stream));
+    if (bucket == nullptr) return 0;
+    if (smallest == nullptr ||
+        bucket->slots().size() < smallest->slots().size()) {
+      smallest = bucket;
+    }
+  }
+  if (smallest == nullptr) return 0;
+  for (const auto& slot : smallest->slots()) {
+    if (slot.id == self || t.CoveredBy(link, slot.id) != 0) continue;
+    ++*examined;
+    if (ProfileCovers(*slot.profile, narrow)) return slot.id;
+  }
+  return 0;
+}
+
+// A random projection: all attributes, or one to three of `names`.
+std::vector<std::string> RandomProjection(
+    Rng& rng, const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  if (rng.NextBool(0.2)) return out;
+  const uint64_t n = 1 + rng.NextBounded(3);
+  for (uint64_t i = 0; i < n; ++i) {
+    out.push_back(names[rng.NextBounded(names.size())]);
+  }
+  return out;
+}
+
+// A random profile on "s", or on "s" and "t": each stream whole or with one
+// or two intervals on the first two of `names` (a coarse grid, so intervals
+// nest often), under a random projection.
+ProfilePtr RandomCoverProfile(Rng& rng,
+                              const std::vector<std::string>& names) {
+  auto p = std::make_shared<Profile>();
+  for (const char* stream : {"s", "t"}) {
+    if (stream[0] == 't' && rng.NextBool(0.75)) break;
+    p->AddStream(stream, RandomProjection(rng, names));
+    if (rng.NextBool(0.2)) continue;  // the whole stream
+    const uint64_t filters = 1 + rng.NextBounded(2);
+    for (uint64_t f = 0; f < filters; ++f) {
+      const double lo = static_cast<double>(rng.NextInt(-2, 3) * 10);
+      const double hi = lo + static_cast<double>(rng.NextInt(1, 4) * 10);
+      ConjunctiveClause c;
+      c.ConstrainInterval(names[rng.NextBounded(2)],
+                          Interval(lo, false, hi, false));
+      p->AddFilter(Filter(stream, std::move(c)));
+    }
+  }
+  return p;
+}
+
+// A profile `wide` may well cover: its streams and filters, under a
+// projection that drops one name of wide's, or names a few where wide
+// takes every attribute.
+ProfilePtr Narrowed(Rng& rng, const Profile& wide,
+                    const std::vector<std::string>& names) {
+  auto p = std::make_shared<Profile>();
+  for (const auto& stream : wide.streams()) {
+    std::vector<std::string> projection = wide.ProjectionOf(stream);
+    if (projection.empty()) {
+      projection = RandomProjection(rng, names);
+    } else if (projection.size() > 1) {
+      projection.erase(projection.begin() +
+                       static_cast<long>(rng.NextBounded(projection.size())));
+    }
+    p->AddStream(stream, std::move(projection));
+    const Profile part = wide.StreamPart(stream);
+    for (const Filter& f : part.filters()) p->AddFilter(f);
+  }
+  return p;
+}
+
+// Seeded Add/Remove sequences on two links: at every step FindCoverer
+// returns the reference coverer, and counts exactly the slots the reference
+// examines. The second dictionary has more names than an attribute mask
+// holds, so slots requiring the names past it saturate to kAllAttributes
+// and must take the exact path.
+TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
+  for (const size_t dictionary :
+       {size_t{6}, StreamTable::kMaxAttributes + 20}) {
+    std::vector<std::string> names;
+    for (size_t i = 0; i < dictionary; ++i) {
+      names.push_back("a" + std::to_string(i));
+    }
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      Rng rng = Rng(0xC0DE).Derive(seed * 1000 + dictionary);
+      StreamTable streams;
+      RoutingTable t(&streams);
+      std::vector<std::pair<NodeId, ProfilePtr>> live;  // index: id - 1
+      std::vector<ProfileId> ids;
+      size_t covered = 0;
+      size_t saturated = 0;
+      for (ProfileId id = 1; id <= 300; ++id) {
+        const NodeId link = static_cast<NodeId>(rng.NextBounded(2));
+        const ProfilePtr p =
+            !ids.empty() && rng.NextBool(0.4)
+                ? Narrowed(rng,
+                           *live[ids[rng.NextBounded(ids.size())] - 1].second,
+                           names)
+                : RandomCoverProfile(rng, names);
+        uint64_t examined = 0;
+        uint64_t checks = 0;
+        const ProfileId want =
+            ReferenceCoverer(t, streams, link, id, *p, &examined);
+        ASSERT_EQ(t.FindCoverer(link, id, *p, &checks), want)
+            << "seed " << seed << " id " << id << " " << p->ToString();
+        ASSERT_EQ(checks, examined) << "seed " << seed << " id " << id;
+        if (want != 0) ++covered;
+        t.Add(link, id, p, want);
+        live.emplace_back(link, p);
+        ids.push_back(id);
+        if (rng.NextBool(0.2)) {
+          // Remove re-checks what the victim covered through FindCoverer.
+          const size_t victim = rng.NextBounded(ids.size());
+          const ProfileId gone = ids[victim];
+          ASSERT_TRUE(t.Remove(live[gone - 1].first, gone));
+          ids.erase(ids.begin() + static_cast<long>(victim));
+        }
+      }
+      ASSERT_TRUE(t.CheckInvariants()) << "seed " << seed;
+      for (StreamId sid = 0; sid < streams.size(); ++sid) {
+        for (const auto& lb : t.BucketsOf(sid)) {
+          for (const auto& slot : lb.bucket.slots()) {
+            if ((slot.required & kAllAttributes) != 0 &&
+                !slot.profile->RequiredAttributes(streams.Name(sid))
+                     .empty()) {
+              ++saturated;
+            }
+          }
+        }
+      }
+      EXPECT_GT(covered, 10u) << "seed " << seed;
+      if (dictionary > StreamTable::kMaxAttributes) {
+        EXPECT_GT(saturated, 10u) << "seed " << seed;
+      } else {
+        EXPECT_EQ(saturated, 0u) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(RoutingTable, ContainsChecksLinkAndId) {

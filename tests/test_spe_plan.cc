@@ -249,6 +249,40 @@ TEST_F(PlanTest, EngineRemoveQueryStopsResults) {
   EXPECT_EQ(n, 0);
 }
 
+// Removing one of several plans on a shared stream leaves the others
+// consuming it, including a plan that reads the stream on two ports.
+TEST_F(PlanTest, EngineRemoveQueryKeepsOtherConsumers) {
+  SpeEngine engine;
+  std::map<std::string, int> results;
+  auto sink = [&](const std::string& id, const Tuple&) { ++results[id]; };
+  auto q1 = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r1");
+  auto q2 = ParseAndAnalyze(
+      "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, "
+      "ClosedAuction [Now] C WHERE O.itemID = C.itemID",
+      catalog_, "r2");
+  auto q3 = ParseAndAnalyze(
+      "SELECT itemID FROM OpenAuction WHERE start_price > 100", catalog_,
+      "r3");
+  auto q4 = ParseAndAnalyze(
+      "SELECT A.itemID FROM OpenAuction A, OpenAuction B "
+      "WHERE A.itemID = B.itemID",
+      catalog_, "r4");
+  ASSERT_TRUE(q1.ok() && q2.ok() && q3.ok() && q4.ok());
+  ASSERT_TRUE(engine.InstallQuery("q1", *q1, sink).ok());
+  ASSERT_TRUE(engine.InstallQuery("q2", *q2, sink).ok());
+  ASSERT_TRUE(engine.InstallQuery("q3", *q3, sink).ok());
+  ASSERT_TRUE(engine.InstallQuery("q4", *q4, sink).ok());
+  ASSERT_TRUE(engine.RemoveQuery("q2").ok());
+  ASSERT_TRUE(engine.RemoveQuery("q3").ok());
+  EXPECT_EQ(engine.num_queries(), 2u);
+  engine.PushSourceTuple("OpenAuction", Open(1, 1, 150, 0));
+  engine.PushSourceTuple("ClosedAuction", Closed(1, 2, 1));
+  EXPECT_EQ(results["q1"], 1);
+  EXPECT_GE(results["q4"], 1);
+  EXPECT_EQ(results.count("q2"), 0u);
+  EXPECT_EQ(results.count("q3"), 0u);
+}
+
 TEST_F(PlanTest, EngineDuplicateIdRejected) {
   SpeEngine engine;
   auto q = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r");

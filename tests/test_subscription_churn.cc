@@ -201,6 +201,42 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
   }
 }
 
+// The covering-check count of one seeded submit/remove sequence, pinned:
+// cbn.covering_checks counts every slot a covering check examines, so a
+// faster check that skipped counting some slots would change it.
+TEST(SubscriptionChurn, CoveringCheckCountIsPinned) {
+  const int kNodes = 60;
+  const DisseminationTree tree = BaTree(kNodes, 11);
+  ContentBasedNetwork net(tree);
+  Rng rng = Rng(0xC0FFEE).Derive(11);
+  std::vector<ProfileId> live;
+  std::vector<Profile> history;
+  std::vector<NodeId> pool;
+  for (int i = 0; i < 4; ++i) {
+    pool.push_back(static_cast<NodeId>(rng.NextBounded(kNodes)));
+  }
+  for (int step = 0; step < 200; ++step) {
+    if (live.empty() || rng.NextBool(0.65)) {
+      const NodeId node = rng.NextBool()
+                              ? pool[rng.NextBounded(pool.size())]
+                              : static_cast<NodeId>(rng.NextBounded(kNodes));
+      Profile p = !history.empty() && rng.NextBool(0.3)
+                      ? history[rng.NextBounded(history.size())]
+                      : RandomProfile(rng);
+      history.push_back(p);
+      live.push_back(net.Subscribe(node, std::move(p), nullptr));
+    } else {
+      const size_t victim = rng.NextBounded(live.size());
+      ASSERT_TRUE(net.Unsubscribe(live[victim]));
+      live.erase(live.begin() + static_cast<long>(victim));
+    }
+  }
+  EXPECT_EQ(net.covering_checks(), 16095u);
+  EXPECT_EQ(net.metrics().FindCounter("cbn.covering_checks")->value(),
+            net.covering_checks());
+  EXPECT_EQ(net.control_messages(), 3341u);
+}
+
 // The cost of an unsubscribe follows what it was covering, not how many
 // subscriptions are live: removing a profile that covers nothing sends no
 // control message and makes no covering check, at any table size.

@@ -4,7 +4,7 @@
 The file is google-benchmark JSON produced by:
 
     bench_micro \
-        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate|BM_WindowJoin' \
+        --benchmark_filter='BM_RoutingForward|BM_ForwardWith|BM_CounterHotPath|BM_Match|BM_WindowAggregate|BM_WindowJoin|BM_ProfileCovering' \
         --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
         --benchmark_out=BENCH_routing.json --benchmark_out_format=json
 
@@ -13,7 +13,7 @@ five repetitions run in random interleaved order, so one slow or fast
 sample (a co-tenant burst) cannot decide a gate. A file without the
 aggregates is reported incomplete.
 
-Five gates, all measured within the same run:
+Six gates, all measured within the same run:
 
   1. Index speedup — the run covers table sizes {10^2, 10^3, 10^4} for both
      the stream-partitioned index (BM_RoutingForwardIndexed) and the
@@ -44,6 +44,12 @@ Five gates, all measured within the same run:
      the join probes a hash index over the key, so the cost must not grow
      with the window (a nested-loop scan grows about 100x). BM_WindowJoin
      runs alongside for the record.
+  6. Allocation-free covering — ProfileCovers on a covered pair of
+     profiles shaped like composed source profiles (a projection and two
+     filters each; BM_ProfileCovering) allocates nothing: allocs_per_check
+     is exactly 0. Each profile keeps its per-stream required attributes
+     and filter list precomputed, so a covering check only reads them.
+     This gate is a count, not a timing.
 
 Usage: tools/check_bench.py [BENCH_routing.json]
 """
@@ -118,6 +124,10 @@ def main() -> int:
         name = f"BM_WindowJoinProbe/{n}"
         if name not in bench:
             missing.append(name)
+    if "BM_ProfileCovering" not in bench:
+        missing.append("BM_ProfileCovering")
+    elif "allocs_per_check" not in bench["BM_ProfileCovering"]:
+        missing.append("BM_ProfileCovering:allocs_per_check")
     if missing:
         print(f"{path} incomplete: missing {', '.join(missing)}",
               file=sys.stderr)
@@ -203,6 +213,17 @@ def main() -> int:
     else:
         print(f"OK: window join scales {scaling:.2f}x <= "
               f"{MAX_JOIN_SCALING}x from 10^2 to 10^4 resident tuples")
+
+    covering = bench["BM_ProfileCovering"]
+    allocs = covering["allocs_per_check"]
+    print(f"profile covering: {ns_per_iteration(covering):>10,.1f} ns/check | "
+          f"{allocs:.2f} allocs/check")
+    if allocs != 0:
+        print(f"ProfileCovers allocates {allocs:.2f} times per check "
+              "(need 0)", file=sys.stderr)
+        ok = False
+    else:
+        print("OK: ProfileCovers allocates nothing")
     return 0 if ok else 1
 
 
