@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "core/system.h"
+#include "query/unparser.h"
 #include "stream/auction_dataset.h"
 
 using namespace cosmos;

@@ -38,6 +38,10 @@ class Filter {
 
   std::string ToString() const;
 
+  bool operator==(const Filter& other) const {
+    return stream_ == other.stream_ && clause_ == other.clause_;
+  }
+
  private:
   std::string stream_;
   ConjunctiveClause clause_;

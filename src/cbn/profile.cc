@@ -18,7 +18,14 @@ void Profile::AddStream(const std::string& stream,
     return;
   }
   // Widen the projection; "all attributes" is already the widest.
-  if (attributes.empty() || record.projection.empty()) return;
+  if (record.projection.empty()) return;
+  if (attributes.empty()) {
+    // A list widened to all attributes retains everything: no list leads
+    // the required list any more.
+    record.projection.clear();
+    record.required.clear();
+    return;
+  }
   bool widened = false;
   for (auto& a : attributes) {
     if (std::find(record.projection.begin(), record.projection.end(), a) ==
@@ -109,6 +116,18 @@ bool Profile::Covers(const Datagram& d) const {
     if (filters_[i].Covers(d)) return true;
   }
   return false;
+}
+
+bool Profile::operator==(const Profile& other) const {
+  if (streams_ != other.streams_ || filters_ != other.filters_) return false;
+  // Equal filters index equally and derive equal required lists, so only
+  // the projections are left to compare.
+  for (const auto& [stream, record] : records_) {
+    if (record.projection != other.records_.at(stream).projection) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string Profile::ToString() const {

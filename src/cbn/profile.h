@@ -42,7 +42,8 @@ class Profile {
   Profile() = default;
 
   // Adds `stream` to S with projection set P(stream) = `attributes`
-  // (empty = all attributes).
+  // (empty = all attributes). On a stream already in S the projection
+  // widens to the union, and to all attributes when either side is.
   void AddStream(const std::string& stream,
                  std::vector<std::string> attributes = {});
 
@@ -89,6 +90,11 @@ class Profile {
   // all. The reference is to the stream's record.
   const std::vector<std::string>& RequiredAttributes(
       const std::string& stream) const;
+
+  // Structural equality: the same streams, the same projection lists and
+  // the same filters in the same order. Exact where ToString() is not: its
+  // double constants print at 6 significant digits.
+  bool operator==(const Profile& other) const;
 
   std::string ToString() const;
 

@@ -58,9 +58,6 @@ class Rng {
   // decorrelated stream and reproduce any of them in isolation.
   Rng Derive(uint64_t stream) const;
 
-  // Legacy alias for Derive (kept for existing call sites).
-  Rng Fork(uint64_t stream) const { return Derive(stream); }
-
  private:
   uint64_t s_[4];
   uint64_t seed_;

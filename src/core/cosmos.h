@@ -25,7 +25,6 @@
 #include "query/parser.h"         // IWYU pragma: export
 #include "query/unparser.h"       // IWYU pragma: export
 #include "spe/engine.h"           // IWYU pragma: export
-#include "spe/wrapper.h"          // IWYU pragma: export
 #include "stream/auction_dataset.h"  // IWYU pragma: export
 #include "stream/sensor_dataset.h"   // IWYU pragma: export
 

@@ -1,5 +1,6 @@
 #include "core/processor.h"
 
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -23,24 +24,19 @@ Processor::Processor(NodeId node, const Catalog* catalog,
       network_(network),
       options_(options),
       grouping_(catalog, EffectiveGrouping(options), options.rates,
-                StrFormat("p%d_", node)),
-      wrapper_(catalog) {
-  wrapper_.SetTelemetry(options_.metrics, options_.tracer, node_);
+                StrFormat("p%d_", node)) {
+  engine_.SetTelemetry(options_.metrics, options_.tracer, node_);
 }
 
 Status Processor::SubmitQuery(const std::string& query_id,
-                              const std::string& cql, NodeId user_node,
+                              AnalyzedQuery query, NodeId user_node,
                               DeliveryCallback callback) {
   if (queries_.count(query_id) > 0) {
     return Status::AlreadyExists(
         StrFormat("query '%s'", query_id.c_str()));
   }
-  COSMOS_ASSIGN_OR_RETURN(
-      AnalyzedQuery analyzed,
-      ParseAndAnalyze(cql, *catalog_, "result_" + query_id));
-
   COSMOS_ASSIGN_OR_RETURN(GroupingEngine::AddResult placement,
-                          grouping_.AddQuery(query_id, analyzed));
+                          grouping_.AddQuery(query_id, query));
   if (options_.metrics != nullptr) {
     options_.metrics
         ->GetCounter(placement.created_new_group ? "core.groups_formed"
@@ -55,8 +51,7 @@ Status Processor::SubmitQuery(const std::string& query_id,
   }
 
   QueryRuntime rt;
-  rt.analyzed = std::move(analyzed);
-  rt.cql = cql;
+  rt.analyzed = std::move(query);
   rt.group_id = placement.group_id;
   rt.user_node = user_node;
   rt.callback = std::move(callback);
@@ -74,7 +69,7 @@ Status Processor::SubmitQuery(const std::string& query_id,
 
 Status Processor::UninstallGroup(GroupRuntime& rt) {
   if (!rt.spe_query_id.empty()) {
-    COSMOS_RETURN_IF_ERROR(wrapper_.RemoveQuery(rt.spe_query_id));
+    COSMOS_RETURN_IF_ERROR(engine_.RemoveQuery(rt.spe_query_id));
     rt.spe_query_id.clear();
   }
   return Status::OK();
@@ -102,17 +97,15 @@ void Processor::RefreshSourceSubscriptions(
       }
       continue;
     }
-    std::string text = merged.ToString();
-    if (old != 0 && it->second.part == text) continue;  // part unchanged
+    if (old != 0 && it->second.part == merged) continue;  // part unchanged
     // Subscribe the new part before unsubscribing the old so source
     // coverage never lapses.
-    NativeSpeWrapper* wrapper = &wrapper_;
+    SpeEngine* engine = &engine_;
     const ProfileId id = network_->Subscribe(
-        node_, std::move(merged),
-        [wrapper](const std::string& s, const Tuple& tuple) {
-          wrapper->DeliverTuple(s, tuple);
+        node_, merged, [engine](const std::string& s, const Tuple& tuple) {
+          engine->PushSourceTuple(s, tuple);
         });
-    source_subscriptions_[stream] = SourceSubscription{std::move(text), id};
+    source_subscriptions_[stream] = SourceSubscription{std::move(merged), id};
     if (old != 0) network_->Unsubscribe(old);
   }
 }
@@ -133,23 +126,26 @@ Status Processor::SyncGroup(uint64_t group_id) {
     return Status::OK();
   }
 
-  if (rt.installed_version != group->version) {
+  const bool reinstall = rt.installed_version != group->version;
+  if (reinstall) {
     COSMOS_RETURN_IF_ERROR(UninstallGroup(rt));
 
     const std::string result_stream = group->ResultStreamName();
     const std::string spe_id = StrFormat(
         "grp_%llu", static_cast<unsigned long long>(group_id));
 
-    // Install the representative on the SPE through the query wrapper; its
-    // results are published into the CBN as the group's result stream,
-    // which this processor advertises (paper §2: "the processors would
-    // also advertise the result streams that they generate").
+    // Install the analyzed representative on the SPE; its results are
+    // published into the CBN as the group's result stream, which this
+    // processor advertises (paper §2: "the processors would also advertise
+    // the result streams that they generate").
+    COSMOS_DCHECK(group->representative.output_schema()->stream_name() ==
+                  result_stream)
+        << "representative analyzed under a stale result stream name";
     ContentBasedNetwork* network = network_;
     NodeId node = node_;
-    std::string cql = Unparse(group->representative);
     network_->Advertise(node_, result_stream);
-    COSMOS_RETURN_IF_ERROR(wrapper_.InstallQuery(
-        spe_id, cql, result_stream,
+    COSMOS_RETURN_IF_ERROR(engine_.InstallQuery(
+        spe_id, group->representative,
         [network, node, result_stream](const std::string& /*qid*/,
                                        const Tuple& tuple) {
           network->Publish(node, Datagram{result_stream, tuple});
@@ -161,35 +157,21 @@ Status Processor::SyncGroup(uint64_t group_id) {
     rt.source = ComposeSourceProfile(group->representative);
     streams.insert(rt.source.streams().begin(), rt.source.streams().end());
     RefreshSourceSubscriptions(streams);
-
-    // Refresh every member's re-tightened user profile: they must point at
-    // the (possibly renamed, possibly widened) new result stream.
-    for (const auto& member_id : group->member_ids) {
-      auto qit = queries_.find(member_id);
-      if (qit == queries_.end()) continue;
-      QueryRuntime& q = qit->second;
-      if (q.user_profile != 0) {
-        network_->Unsubscribe(q.user_profile);
-        q.user_profile = 0;
-      }
-      COSMOS_ASSIGN_OR_RETURN(
-          Profile user_profile,
-          ComposeUserProfile(q.analyzed, group->representative));
-      q.user_profile = network_->Subscribe(
-          q.user_node, std::move(user_profile),
-          MakePresentationCallback(q.analyzed, group->representative,
-                                   q.callback));
-    }
-    return Status::OK();
   }
 
-  // Version unchanged: only newly added members (no profile yet) need a
-  // subscription.
+  // Each member's re-tightened user profile must point at the installed
+  // result stream. A reinstall (possibly renamed, possibly widened)
+  // replaces every member's profile; otherwise only newly added members
+  // (no profile yet) subscribe.
   for (const auto& member_id : group->member_ids) {
     auto qit = queries_.find(member_id);
     if (qit == queries_.end()) continue;
     QueryRuntime& q = qit->second;
-    if (q.user_profile != 0) continue;
+    if (q.user_profile != 0) {
+      if (!reinstall) continue;
+      network_->Unsubscribe(q.user_profile);
+      q.user_profile = 0;
+    }
     COSMOS_ASSIGN_OR_RETURN(
         Profile user_profile,
         ComposeUserProfile(q.analyzed, group->representative));
@@ -207,7 +189,7 @@ std::vector<Processor::QueryRecord> Processor::DrainQueries() {
   for (const auto& [id, q] : queries_) {
     QueryRecord r;
     r.query_id = id;
-    r.cql = q.cql;
+    r.query = q.analyzed;
     r.user_node = q.user_node;
     r.callback = q.callback;
     records.push_back(std::move(r));

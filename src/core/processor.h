@@ -10,8 +10,7 @@
 #include "core/grouping.h"
 #include "core/profile_composer.h"
 #include "overlay/optimizer.h"
-#include "query/unparser.h"
-#include "spe/wrapper.h"
+#include "spe/engine.h"
 
 namespace cosmos {
 
@@ -29,9 +28,9 @@ struct ProcessorOptions {
 };
 
 // A COSMOS processor (paper §2, Figure 2): the query layer of one node.
-// The query-management module analyzes arriving CQL, maintains query
-// groups, keeps the group representatives installed on the local SPE
-// (through the pluggable wrapper), keeps the source-side CBN subscriptions
+// The query-management module groups arriving analyzed queries, keeps the
+// group representatives installed on the local SPE (handing the engine the
+// analyzed representative itself), keeps the source-side CBN subscriptions
 // in sync, publishes representative result streams back into the CBN, and
 // installs the re-tightened per-user profiles that split shared result
 // streams (Figure 3b).
@@ -42,9 +41,10 @@ class Processor {
 
   NodeId node() const { return node_; }
 
-  // Handles a user query: the result tuples are delivered to `callback` at
-  // overlay node `user_node` through the CBN.
-  Status SubmitQuery(const std::string& query_id, const std::string& cql,
+  // Handles a user query, analyzed against this processor's catalog: the
+  // result tuples, named by the query's result stream, are delivered to
+  // `callback` at overlay node `user_node` through the CBN.
+  Status SubmitQuery(const std::string& query_id, AnalyzedQuery query,
                      NodeId user_node, DeliveryCallback callback);
 
   Status RemoveQuery(const std::string& query_id);
@@ -52,7 +52,7 @@ class Processor {
   // Everything needed to resubmit a query elsewhere (processor failover).
   struct QueryRecord {
     std::string query_id;
-    std::string cql;
+    AnalyzedQuery query;
     NodeId user_node = -1;
     DeliveryCallback callback;
   };
@@ -62,7 +62,6 @@ class Processor {
   std::vector<QueryRecord> DrainQueries();
 
   const GroupingEngine& grouping() const { return grouping_; }
-  const NativeSpeWrapper& wrapper() const { return wrapper_; }
   size_t num_queries() const { return queries_.size(); }
 
   // Representative queries currently installed on the SPE.
@@ -86,12 +85,11 @@ class Processor {
   // One source stream's data-layer subscription: the merged part of every
   // installed representative reading the stream.
   struct SourceSubscription {
-    std::string part;  // the subscribed part, as Profile::ToString()
+    Profile part;
     ProfileId id = 0;
   };
   struct QueryRuntime {
     AnalyzedQuery analyzed;
-    std::string cql;  // original text, for failover resubmission
     uint64_t group_id = 0;
     NodeId user_node = -1;
     DeliveryCallback callback;
@@ -109,7 +107,8 @@ class Processor {
   // the SPE, never duplicated — a tuple of a stream matches only that
   // stream's subscription, so it enters the engine exactly once. A group
   // change recomposes only the streams its old and new representatives
-  // read, and resubscribes only those whose part changed.
+  // read, and resubscribes only those whose part changed structurally
+  // (Profile::operator==).
   void RefreshSourceSubscriptions(const std::set<std::string>& streams);
 
   NodeId node_;
@@ -117,7 +116,7 @@ class Processor {
   ContentBasedNetwork* network_;
   ProcessorOptions options_;
   GroupingEngine grouping_;
-  NativeSpeWrapper wrapper_;
+  SpeEngine engine_;
   std::map<uint64_t, GroupRuntime> group_runtime_;
   std::map<std::string, QueryRuntime> queries_;
   std::map<std::string, SourceSubscription> source_subscriptions_;

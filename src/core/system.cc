@@ -145,13 +145,10 @@ Status CosmosSystem::FailProcessor(NodeId node) {
   // callbacks).
   for (auto& r : orphans) {
     COSMOS_ASSIGN_OR_RETURN(
-        AnalyzedQuery analyzed,
-        ParseAndAnalyze(r.cql, catalog_, "result_" + r.query_id));
-    COSMOS_ASSIGN_OR_RETURN(
         NodeId home,
-        distributor_.Assign(r.query_id, MergeSignature(analyzed)));
+        distributor_.Assign(r.query_id, MergeSignature(r.query)));
     COSMOS_RETURN_IF_ERROR(processors_.at(home)->SubmitQuery(
-        r.query_id, r.cql, r.user_node, std::move(r.callback)));
+        r.query_id, std::move(r.query), r.user_node, std::move(r.callback)));
     query_home_[r.query_id] = home;
   }
   return Status::OK();
@@ -209,15 +206,16 @@ Result<std::string> CosmosSystem::SubmitQuery(const std::string& cql,
   }
   std::string query_id =
       StrFormat("q%llu", static_cast<unsigned long long>(next_query_id_++));
-  // Analyze once here to derive the merge signature for load management.
+  // The query's one parse: the merge signature places it, and its home
+  // processor groups the analyzed form.
   COSMOS_ASSIGN_OR_RETURN(
       AnalyzedQuery analyzed,
       ParseAndAnalyze(cql, catalog_, "result_" + query_id));
   COSMOS_ASSIGN_OR_RETURN(NodeId home,
                           distributor_.Assign(query_id,
                                               MergeSignature(analyzed)));
-  Status status = processors_.at(home)->SubmitQuery(query_id, cql, user_node,
-                                                    std::move(callback));
+  Status status = processors_.at(home)->SubmitQuery(
+      query_id, std::move(analyzed), user_node, std::move(callback));
   if (!status.ok()) {
     (void)distributor_.Release(query_id);
     return status;

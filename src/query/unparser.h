@@ -7,12 +7,13 @@
 
 namespace cosmos {
 
-// Reconstructs CQL text from the semantic form. Used by the query-merging
-// layer: representative queries are composed semantically and handed to a
-// processor's SPE through its query wrapper as plain CQL, mirroring the
-// paper's loose coupling between COSMOS and heterogeneous SPEs.
-// Round-trip guarantee (tested): ParseAndAnalyze(Unparse(q)) is semantically
-// equal to q.
+// Reconstructs CQL text from the semantic form, for display and error
+// messages only: no install or subscription path goes through text (a
+// processor hands its SPE the analyzed representative). Double literals
+// print at 6 significant digits, so the text can differ from the query in
+// constants that need more. Round-trip guarantee (tested on the workload
+// generators, whose constants print exactly): ParseAndAnalyze(Unparse(q))
+// is semantically equal to q.
 std::string Unparse(const AnalyzedQuery& query);
 
 // Rebuilds the WHERE expression (qualified names) of the semantic form:

@@ -17,9 +17,13 @@ using ResultSink =
     std::function<void(const std::string& query_id, const Tuple& tuple)>;
 
 // The single-site stream processing engine: a set of live query plans fed
-// by source tuples in event-time order. COSMOS treats SPEs as pluggable
-// (paper §2); this engine is the reference implementation behind the native
-// wrappers in spe/wrapper.h.
+// by source tuples in event-time order. The paper (§2) puts each SPE behind
+// a query wrapper (CQL text in) and a data wrapper so that heterogeneous
+// engines can be plugged in. This repo ships this one engine, and a
+// Processor calls it directly: it installs the analyzed representative, so
+// no CQL text (whose double literals print at 6 significant digits) sits
+// between the query layer and the engine, and source tuples arrive from the
+// processor's CBN subscriptions.
 class SpeEngine {
  public:
   SpeEngine() = default;

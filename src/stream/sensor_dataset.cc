@@ -80,7 +80,7 @@ std::unique_ptr<StreamGenerator> SensorDataset::MakeGenerator(
   COSMOS_CHECK(station >= 0 && station < options_.num_stations);
   auto schema = SchemaOf(station);
 
-  Rng rng = Rng(options_.seed).Fork(static_cast<uint64_t>(station));
+  Rng rng = Rng(options_.seed).Derive(static_cast<uint64_t>(station));
 
   // Initialize each measurement uniformly inside its range, then walk.
   double state[kNumMeasurements];

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cbn/covering.h"
 #include "cbn/profile.h"
 #include "query/parser.h"
 
@@ -101,6 +102,54 @@ TEST(Profile, AllAttributesDominatesUnion) {
   p.AddStream("sensor", {});  // all
   p.AddStream("sensor", {"temp"});
   EXPECT_TRUE(p.ProjectionOf("sensor").empty());
+}
+
+// A list projection widened by an all-attributes one becomes "all", so a
+// merge covers both inputs whichever order they come in.
+TEST(Profile, MergeWidensListToAllAttributes) {
+  Profile p;
+  p.AddStream("sensor", {"temp"});
+  p.AddStream("sensor", {});
+  EXPECT_TRUE(p.ProjectionOf("sensor").empty());
+
+  Profile x;
+  x.AddStream("sensor", {"temp"});
+  x.AddFilter(Filter("sensor", Clause("temp > 10")));
+  Profile y;
+  y.AddStream("sensor");
+  y.AddFilter(Filter("sensor", Clause("hum < 50")));
+  for (const Profile& merged : {MergeProfiles(x, y), MergeProfiles(y, x)}) {
+    EXPECT_TRUE(merged.ProjectionOf("sensor").empty()) << merged.ToString();
+    EXPECT_TRUE(merged.RequiredAttributes("sensor").empty());
+    EXPECT_TRUE(ProfileCovers(merged, x)) << merged.ToString();
+    EXPECT_TRUE(ProfileCovers(merged, y)) << merged.ToString();
+  }
+}
+
+// Equality is structural and exact: constants that print alike still
+// differ, and filter order and projection lists count.
+TEST(Profile, EqualityIsStructural) {
+  auto make = [](const std::string& clause,
+                 std::vector<std::string> projection) {
+    Profile p;
+    p.AddStream("sensor", std::move(projection));
+    p.AddFilter(Filter("sensor", Clause(clause)));
+    return p;
+  };
+  const Profile a = make("temp >= 456.7894", {"temp"});
+  EXPECT_EQ(a, make("temp >= 456.7894", {"temp"}));
+  const Profile b = make("temp >= 456.7891", {"temp"});
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(a == make("temp >= 456.7894", {"temp", "hum"}));
+  EXPECT_FALSE(a == make("temp >= 456.7894", {}));
+
+  Profile ab = a;
+  ab.AddFilter(Filter("sensor", Clause("hum < 5")));
+  Profile ba = make("hum < 5", {"temp"});
+  ba.AddFilter(Filter("sensor", Clause("temp >= 456.7894")));
+  EXPECT_FALSE(ab == ba);
+  EXPECT_FALSE(ab == a);
 }
 
 TEST(Profile, RequiredAttributesIncludeFilterColumns) {

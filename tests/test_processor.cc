@@ -26,6 +26,18 @@ class ProcessorTest : public ::testing::Test {
     return std::make_unique<Processor>(0, &catalog_, network_.get(), opts);
   }
 
+  // Analyzes `cql` as CosmosSystem::SubmitQuery does, then hands the
+  // analyzed query to `proc`.
+  Status Submit(Processor* proc, const std::string& query_id,
+                const std::string& cql, NodeId user_node,
+                DeliveryCallback callback) {
+    auto analyzed = ParseAndAnalyze(cql, catalog_, "result_" + query_id);
+    EXPECT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    if (!analyzed.ok()) return analyzed.status();
+    return proc->SubmitQuery(query_id, std::move(*analyzed), user_node,
+                             std::move(callback));
+  }
+
   Tuple Open(int64_t item, double price, Timestamp ts) {
     return Tuple(AuctionDataset::OpenAuctionSchema(),
                  {Value(item), Value(int64_t{1}), Value(price),
@@ -41,13 +53,13 @@ class ProcessorTest : public ::testing::Test {
 TEST_F(ProcessorTest, SubmitInstallsRepresentativeAndDelivers) {
   auto proc = MakeProcessor();
   int hits = 0;
-  ASSERT_TRUE(proc->SubmitQuery("q1",
-                                "SELECT itemID FROM OpenAuction WHERE "
-                                "start_price > 100",
-                                /*user_node=*/2,
-                                [&](const std::string&, const Tuple&) {
-                                  ++hits;
-                                })
+  ASSERT_TRUE(Submit(proc.get(), "q1",
+                     "SELECT itemID FROM OpenAuction WHERE "
+                     "start_price > 100",
+                     /*user_node=*/2,
+                     [&](const std::string&, const Tuple&) {
+                       ++hits;
+                     })
                   .ok());
   EXPECT_EQ(proc->num_queries(), 1u);
   EXPECT_EQ(proc->num_installed_representatives(), 1u);
@@ -56,22 +68,13 @@ TEST_F(ProcessorTest, SubmitInstallsRepresentativeAndDelivers) {
   EXPECT_EQ(hits, 1);
 }
 
-TEST_F(ProcessorTest, BadQueryRejectedAndStateClean) {
-  auto proc = MakeProcessor();
-  EXPECT_FALSE(proc->SubmitQuery("bad", "SELECT nothing FROM nowhere", 2,
-                                 nullptr)
-                   .ok());
-  EXPECT_EQ(proc->num_queries(), 0u);
-  EXPECT_EQ(proc->grouping().num_queries(), 0u);
-}
-
 TEST_F(ProcessorTest, DuplicateIdRejected) {
   auto proc = MakeProcessor();
   ASSERT_TRUE(
-      proc->SubmitQuery("q", "SELECT itemID FROM OpenAuction", 2, nullptr)
+      Submit(proc.get(), "q", "SELECT itemID FROM OpenAuction", 2, nullptr)
           .ok());
-  EXPECT_EQ(proc->SubmitQuery("q", "SELECT itemID FROM OpenAuction", 2,
-                              nullptr)
+  EXPECT_EQ(Submit(proc.get(), "q", "SELECT itemID FROM OpenAuction", 2,
+                   nullptr)
                 .code(),
             StatusCode::kAlreadyExists);
 }
@@ -79,23 +82,23 @@ TEST_F(ProcessorTest, DuplicateIdRejected) {
 TEST_F(ProcessorTest, MergedQueriesShareOneRepresentative) {
   auto proc = MakeProcessor(/*merging=*/true);
   int hits2 = 0, hits3 = 0;
-  ASSERT_TRUE(proc->SubmitQuery("q1",
-                                "SELECT itemID, start_price FROM "
-                                "OpenAuction WHERE "
-                                "start_price >= 100 AND start_price <= 500",
-                                2,
-                                [&](const std::string&, const Tuple&) {
-                                  ++hits2;
-                                })
+  ASSERT_TRUE(Submit(proc.get(), "q1",
+                     "SELECT itemID, start_price FROM "
+                     "OpenAuction WHERE "
+                     "start_price >= 100 AND start_price <= 500",
+                     2,
+                     [&](const std::string&, const Tuple&) {
+                       ++hits2;
+                     })
                   .ok());
-  ASSERT_TRUE(proc->SubmitQuery("q2",
-                                "SELECT itemID, start_price FROM "
-                                "OpenAuction WHERE "
-                                "start_price >= 300 AND start_price <= 800",
-                                3,
-                                [&](const std::string&, const Tuple&) {
-                                  ++hits3;
-                                })
+  ASSERT_TRUE(Submit(proc.get(), "q2",
+                     "SELECT itemID, start_price FROM "
+                     "OpenAuction WHERE "
+                     "start_price >= 300 AND start_price <= 800",
+                     3,
+                     [&](const std::string&, const Tuple&) {
+                       ++hits3;
+                     })
                   .ok());
   EXPECT_EQ(proc->grouping().num_groups(), 1u);
   EXPECT_EQ(proc->num_installed_representatives(), 1u);
@@ -110,11 +113,11 @@ TEST_F(ProcessorTest, MergedQueriesShareOneRepresentative) {
 
 TEST_F(ProcessorTest, UnmergedProcessorKeepsQueriesSeparate) {
   auto proc = MakeProcessor(/*merging=*/false);
-  ASSERT_TRUE(proc->SubmitQuery("q1", "SELECT itemID FROM OpenAuction", 2,
-                                nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "q1", "SELECT itemID FROM OpenAuction", 2,
+                     nullptr)
                   .ok());
-  ASSERT_TRUE(proc->SubmitQuery("q2", "SELECT itemID FROM OpenAuction", 3,
-                                nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "q2", "SELECT itemID FROM OpenAuction", 3,
+                     nullptr)
                   .ok());
   EXPECT_EQ(proc->grouping().num_groups(), 2u);
   EXPECT_EQ(proc->num_installed_representatives(), 2u);
@@ -123,26 +126,26 @@ TEST_F(ProcessorTest, UnmergedProcessorKeepsQueriesSeparate) {
 TEST_F(ProcessorTest, LateJoinerStillGetsOnlyItsResults) {
   auto proc = MakeProcessor();
   int hits_q1 = 0, hits_q2 = 0;
-  ASSERT_TRUE(proc->SubmitQuery("q1",
-                                "SELECT itemID, start_price FROM "
-                                "OpenAuction WHERE "
-                                "start_price >= 100 AND start_price <= 200",
-                                2,
-                                [&](const std::string&, const Tuple&) {
-                                  ++hits_q1;
-                                })
+  ASSERT_TRUE(Submit(proc.get(), "q1",
+                     "SELECT itemID, start_price FROM "
+                     "OpenAuction WHERE "
+                     "start_price >= 100 AND start_price <= 200",
+                     2,
+                     [&](const std::string&, const Tuple&) {
+                       ++hits_q1;
+                     })
                   .ok());
   network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
   EXPECT_EQ(hits_q1, 1);
   // Second query widens the group (version bump + resubscription of q1).
-  ASSERT_TRUE(proc->SubmitQuery("q2",
-                                "SELECT itemID, start_price FROM "
-                                "OpenAuction WHERE "
-                                "start_price >= 150 AND start_price <= 400",
-                                3,
-                                [&](const std::string&, const Tuple&) {
-                                  ++hits_q2;
-                                })
+  ASSERT_TRUE(Submit(proc.get(), "q2",
+                     "SELECT itemID, start_price FROM "
+                     "OpenAuction WHERE "
+                     "start_price >= 150 AND start_price <= 400",
+                     3,
+                     [&](const std::string&, const Tuple&) {
+                       ++hits_q2;
+                     })
                   .ok());
   network_->Publish(0, Datagram{"OpenAuction", Open(2, 180, 1)});  // both
   network_->Publish(0, Datagram{"OpenAuction", Open(3, 300, 2)});  // q2 only
@@ -153,12 +156,12 @@ TEST_F(ProcessorTest, LateJoinerStillGetsOnlyItsResults) {
 TEST_F(ProcessorTest, RemoveQueryStopsItsDeliveries) {
   auto proc = MakeProcessor();
   int hits1 = 0, hits2 = 0;
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q1", "SELECT itemID FROM OpenAuction", 2,
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q1", "SELECT itemID FROM OpenAuction", 2,
                       [&](const std::string&, const Tuple&) { ++hits1; })
                   .ok());
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q2", "SELECT itemID FROM OpenAuction", 3,
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q2", "SELECT itemID FROM OpenAuction", 3,
                       [&](const std::string&, const Tuple&) { ++hits2; })
                   .ok());
   ASSERT_TRUE(proc->RemoveQuery("q1").ok());
@@ -170,8 +173,8 @@ TEST_F(ProcessorTest, RemoveQueryStopsItsDeliveries) {
 
 TEST_F(ProcessorTest, RemovingLastQueryTearsDownEverything) {
   auto proc = MakeProcessor();
-  ASSERT_TRUE(proc->SubmitQuery("q", "SELECT itemID FROM OpenAuction", 2,
-                                nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "q", "SELECT itemID FROM OpenAuction", 2,
+                     nullptr)
                   .ok());
   ASSERT_TRUE(proc->RemoveQuery("q").ok());
   EXPECT_EQ(proc->num_installed_representatives(), 0u);
@@ -187,12 +190,12 @@ TEST_F(ProcessorTest, SourceSubscriptionIsShared) {
   // merged source subscription, so each source tuple enters the SPE once.
   auto proc = MakeProcessor(/*merging=*/false);
   int hits1 = 0, hits2 = 0;
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q1", "SELECT itemID FROM OpenAuction", 2,
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q1", "SELECT itemID FROM OpenAuction", 2,
                       [&](const std::string&, const Tuple&) { ++hits1; })
                   .ok());
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q2", "SELECT itemID FROM OpenAuction", 3,
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q2", "SELECT itemID FROM OpenAuction", 3,
                       [&](const std::string&, const Tuple&) { ++hits2; })
                   .ok());
   network_->Publish(0, Datagram{"OpenAuction", Open(1, 10, 0)});
@@ -214,14 +217,14 @@ TEST_F(ProcessorTest, SourceSubscriptionPerStreamTouchesOnlyChangedStreams) {
     return out;
   };
   int open_hits = 0, closed_hits = 0;
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q1",
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q1",
                       "SELECT itemID FROM OpenAuction WHERE start_price >= 100 "
                       "AND start_price <= 200",
                       2, [&](const std::string&, const Tuple&) { ++open_hits; })
                   .ok());
-  ASSERT_TRUE(proc->SubmitQuery(
-                      "q2",
+  ASSERT_TRUE(Submit(
+                      proc.get(), "q2",
                       "SELECT itemID FROM ClosedAuction WHERE buyerID > 5", 3,
                       [&](const std::string&, const Tuple&) { ++closed_hits; })
                   .ok());
@@ -229,10 +232,10 @@ TEST_F(ProcessorTest, SourceSubscriptionPerStreamTouchesOnlyChangedStreams) {
   ASSERT_EQ(before.size(), 2u);
 
   // Widening the OpenAuction group resubscribes only OpenAuction's part.
-  ASSERT_TRUE(proc->SubmitQuery("q3",
-                                "SELECT itemID FROM OpenAuction WHERE "
-                                "start_price >= 150 AND start_price <= 400",
-                                3, nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "q3",
+                     "SELECT itemID FROM OpenAuction WHERE "
+                     "start_price >= 150 AND start_price <= 400",
+                     3, nullptr)
                   .ok());
   auto after = source_profiles();
   ASSERT_EQ(after.size(), 2u);
@@ -265,18 +268,18 @@ TEST_F(ProcessorTest, UnchangedSourcePartIsNotResubscribed) {
     });
     return out;
   };
-  ASSERT_TRUE(proc->SubmitQuery("wide",
-                                "SELECT itemID, start_price FROM OpenAuction "
-                                "WHERE start_price >= 100 AND "
-                                "start_price <= 400",
-                                2, nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "wide",
+                     "SELECT itemID, start_price FROM OpenAuction "
+                     "WHERE start_price >= 100 AND "
+                     "start_price <= 400",
+                     2, nullptr)
                   .ok());
   const Profile* wide_only = source_profile();
-  ASSERT_TRUE(proc->SubmitQuery("narrow",
-                                "SELECT itemID, start_price FROM OpenAuction "
-                                "WHERE start_price >= 150 AND "
-                                "start_price <= 200",
-                                3, nullptr)
+  ASSERT_TRUE(Submit(proc.get(), "narrow",
+                     "SELECT itemID, start_price FROM OpenAuction "
+                     "WHERE start_price >= 150 AND "
+                     "start_price <= 200",
+                     3, nullptr)
                   .ok());
   ASSERT_EQ(proc->grouping().num_groups(), 2u);
   // The narrow group's filter is covered by the wide one's, so the merged
@@ -284,6 +287,30 @@ TEST_F(ProcessorTest, UnchangedSourcePartIsNotResubscribed) {
   EXPECT_EQ(source_profile(), wide_only);
   ASSERT_TRUE(proc->RemoveQuery("narrow").ok());
   EXPECT_EQ(source_profile(), wide_only);
+}
+
+// q2 widens the group's representative from start_price >= 456.7894 to
+// >= 456.7891. Both source parts print as [456.789, +inf) at ToString's 6
+// significant digits, yet the part changed, so the processor resubscribes
+// and 456.7892 reaches the SPE for q2.
+TEST_F(ProcessorTest, SourcePartChangeBelowPrintPrecisionResubscribes) {
+  auto proc = MakeProcessor();
+  int hits1 = 0, hits2 = 0;
+  ASSERT_TRUE(Submit(proc.get(), "q1",
+                     "SELECT itemID, start_price FROM OpenAuction WHERE "
+                     "start_price >= 456.7894",
+                     2, [&](const std::string&, const Tuple&) { ++hits1; })
+                  .ok());
+  ASSERT_TRUE(Submit(proc.get(), "q2",
+                     "SELECT itemID, start_price FROM OpenAuction WHERE "
+                     "start_price >= 456.7891",
+                     3, [&](const std::string&, const Tuple&) { ++hits2; })
+                  .ok());
+  ASSERT_EQ(proc->grouping().num_groups(), 1u);
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 456.7892, 0)});  // q2
+  network_->Publish(0, Datagram{"OpenAuction", Open(2, 456.7895, 1)});  // both
+  EXPECT_EQ(hits1, 1);
+  EXPECT_EQ(hits2, 2);
 }
 
 }  // namespace

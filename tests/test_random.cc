@@ -140,7 +140,7 @@ TEST(Rng, WeightedFollowsWeights) {
 
 TEST(Rng, ForkIsDecorrelatedFromParent) {
   Rng parent(77);
-  Rng child = parent.Fork(1);
+  Rng child = parent.Derive(1);
   int same = 0;
   for (int i = 0; i < 100; ++i) {
     if (parent.NextUint64() == child.NextUint64()) ++same;
@@ -150,8 +150,8 @@ TEST(Rng, ForkIsDecorrelatedFromParent) {
 
 TEST(Rng, ForksWithDifferentStreamsDiffer) {
   Rng parent(77);
-  Rng a = parent.Fork(1);
-  Rng b = parent.Fork(2);
+  Rng a = parent.Derive(1);
+  Rng b = parent.Derive(2);
   int same = 0;
   for (int i = 0; i < 100; ++i) {
     if (a.NextUint64() == b.NextUint64()) ++same;
@@ -162,8 +162,8 @@ TEST(Rng, ForksWithDifferentStreamsDiffer) {
 TEST(Rng, ForkIsDeterministic) {
   Rng p1(77);
   Rng p2(77);
-  Rng a = p1.Fork(5);
-  Rng b = p2.Fork(5);
+  Rng a = p1.Derive(5);
+  Rng b = p2.Derive(5);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(a.NextUint64(), b.NextUint64());
   }
@@ -260,15 +260,6 @@ TEST(Rng, DeriveSameStreamOfDifferentSeedsDiffers) {
     if (a.NextUint64() == b.NextUint64()) ++same;
   }
   EXPECT_LT(same, 3);
-}
-
-TEST(Rng, ForkIsAnAliasForDerive) {
-  Rng parent(31);
-  Rng f = parent.Fork(4);
-  Rng d = parent.Derive(4);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(f.NextUint64(), d.NextUint64());
-  }
 }
 
 }  // namespace

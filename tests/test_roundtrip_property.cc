@@ -1,7 +1,8 @@
 // Property: for any workload-generated query, analyze -> Unparse ->
-// re-analyze yields a semantically equal query (mutual containment). This
-// is the exact path representative queries take into the pluggable SPE
-// wrapper, so it must hold for everything the system can generate.
+// re-analyze yields a semantically equal query (mutual containment).
+// Unparse is for display and error messages only; representatives reach
+// the SPE in analyzed form. Its double literals keep 6 significant digits,
+// which the generators' constants need no more than.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +63,7 @@ TEST_P(RoundTripPropertyTest, PairwiseMergesRoundTripThroughCql) {
           ComposeRepresentative({&queries[i], &queries[j]}, catalog_, "rep");
       if (!rep.ok()) continue;
       ++merged;
-      // The representative survives the CQL wrapper boundary.
+      // The representative survives printing and re-parsing.
       auto reparsed = ParseAndAnalyze(Unparse(*rep), catalog_, "rep");
       ASSERT_TRUE(reparsed.ok()) << Unparse(*rep);
       EXPECT_TRUE(QueryContains(*reparsed, queries[i]));

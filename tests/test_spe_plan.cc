@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "spe/wrapper.h"
+#include "spe/engine.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
@@ -289,29 +289,6 @@ TEST_F(PlanTest, EngineDuplicateIdRejected) {
   ASSERT_TRUE(engine.InstallQuery("q", *q, nullptr).ok());
   EXPECT_EQ(engine.InstallQuery("q", *q, nullptr).code(),
             StatusCode::kAlreadyExists);
-}
-
-TEST_F(PlanTest, WrapperInstallsFromCqlText) {
-  NativeSpeWrapper wrapper(&catalog_);
-  int n = 0;
-  ASSERT_TRUE(wrapper
-                  .InstallQuery("w1",
-                                "SELECT itemID FROM OpenAuction WHERE "
-                                "start_price > 10",
-                                "res_w1",
-                                [&](const std::string&, const Tuple&) { ++n; })
-                  .ok());
-  auto schema = wrapper.ResultSchema("w1");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->stream_name(), "res_w1");
-  wrapper.DeliverTuple("OpenAuction", Open(1, 1, 50, 0));
-  EXPECT_EQ(n, 1);
-  EXPECT_EQ(wrapper.ResultSchema("nope"), nullptr);
-}
-
-TEST_F(PlanTest, WrapperRejectsBadCql) {
-  NativeSpeWrapper wrapper(&catalog_);
-  EXPECT_FALSE(wrapper.InstallQuery("w", "SELECT FROM", "r", nullptr).ok());
 }
 
 }  // namespace

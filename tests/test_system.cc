@@ -41,6 +41,35 @@ TEST(System, EndToEndSingleQuery) {
   EXPECT_EQ(system.TotalGroups(), 1u);
 }
 
+// The SPE runs the analyzed representative, so a constant with 7
+// significant digits stays exact. As CQL text it would print at 6 digits,
+// and >= 456.7896 would run as >= 456.79 and drop 456.7898.
+TEST(System, RepresentativeKeepsFullPrecisionConstants) {
+  CosmosSystem system(ChainTree(4));
+  ASSERT_TRUE(
+      system.RegisterSource(AuctionDataset::OpenAuctionSchema(), 1.0, 0)
+          .ok());
+  ASSERT_TRUE(system.AddProcessor(1).ok());
+  int hits = 0;
+  auto id = system.SubmitQuery(
+      "SELECT itemID FROM OpenAuction WHERE start_price >= 456.7896", 3,
+      [&](const std::string&, const Tuple&) { ++hits; });
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  auto open = AuctionDataset::OpenAuctionSchema();
+  int64_t item = 0;
+  for (double price : {456.7898, 500.0, 456.7895}) {
+    ASSERT_TRUE(system
+                    .PublishSourceTuple(
+                        "OpenAuction",
+                        Tuple(open, {Value(++item), Value(int64_t{1}),
+                                     Value(price), Value(item)},
+                              item))
+                    .ok());
+  }
+  EXPECT_EQ(hits, 2);  // 456.7898 and 500; 456.7895 is below the bound
+}
+
 TEST(System, QueriesWithoutProcessorsFail) {
   CosmosSystem system(ChainTree(2));
   auto id = system.SubmitQuery("SELECT x FROM S", 0, nullptr);
