@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "cbn/network.h"
+#include "common/string_util.h"
 #include "core/profile_composer.h"
 #include "core/workload.h"
 #include "overlay/spanning_tree.h"
@@ -60,7 +61,7 @@ Outcome Run(int mode, int num_nodes, int num_subs) {
   Rng sub_rng(55);
   for (int i = 0; i < num_subs; ++i) {
     auto q = ParseAndAnalyze(gen.NextCql(), catalog,
-                             "r" + std::to_string(i));
+                             StrFormat("r%d", i));
     if (!q.ok()) continue;
     net.Subscribe(static_cast<NodeId>(sub_rng.NextBounded(num_nodes)),
                   ComposeSourceProfile(*q),

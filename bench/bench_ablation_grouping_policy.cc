@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/string_util.h"
 #include "core/grouping.h"
 #include "core/workload.h"
 #include "stream/sensor_dataset.h"
@@ -30,9 +31,9 @@ Outcome RunGreedy(const Catalog& catalog, const std::vector<std::string>& cqls,
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < cqls.size(); ++i) {
     auto analyzed =
-        ParseAndAnalyze(cqls[i], catalog, "r" + std::to_string(i));
+        ParseAndAnalyze(cqls[i], catalog, StrFormat("r%zu", i));
     if (!analyzed.ok()) continue;
-    (void)engine.AddQuery("q" + std::to_string(i), *analyzed);
+    (void)engine.AddQuery(StrFormat("q%zu", i), *analyzed);
   }
   auto end = std::chrono::steady_clock::now();
   Outcome o;
@@ -61,7 +62,7 @@ Outcome RunExhaustive(const Catalog& catalog,
   auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < cqls.size(); ++i) {
     auto analyzed =
-        ParseAndAnalyze(cqls[i], catalog, "r" + std::to_string(i));
+        ParseAndAnalyze(cqls[i], catalog, StrFormat("r%zu", i));
     if (!analyzed.ok()) continue;
     double rate = estimator.EstimateOutputRate(*analyzed);
     unmerged += rate;
@@ -73,7 +74,7 @@ Outcome RunExhaustive(const Catalog& catalog,
       std::vector<const AnalyzedQuery*> pair = {&groups[g].rep,
                                                 &*analyzed};
       auto rep = ComposeRepresentative(pair, catalog,
-                                       "g" + std::to_string(g));
+                                       StrFormat("g%zu", g));
       if (!rep.ok()) continue;
       double merged_rate = estimator.EstimateOutputRate(*rep);
       double marginal = groups[g].rate + rate - merged_rate;

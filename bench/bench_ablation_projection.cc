@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "cbn/network.h"
+#include "common/string_util.h"
 #include "core/profile_composer.h"
 #include "core/workload.h"
 #include "overlay/spanning_tree.h"
@@ -45,7 +46,7 @@ uint64_t Run(bool early_projection, int num_queries) {
   Rng rng(123);
   for (int i = 0; i < num_queries; ++i) {
     auto analyzed = ParseAndAnalyze(gen.NextCql(), catalog,
-                                    "r" + std::to_string(i));
+                                    StrFormat("r%d", i));
     if (!analyzed.ok()) continue;
     Profile profile = ComposeSourceProfile(*analyzed);
     NodeId node = static_cast<NodeId>(rng.NextBounded(topo_opts.num_nodes));

@@ -26,6 +26,7 @@
 #include <map>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/grouping.h"
 #include "core/workload.h"
 #include "overlay/dissemination_tree.h"
@@ -110,7 +111,7 @@ inline Fig4Table RunFig4(const Fig4Options& options) {
       int inserted = 0;
       for (int snap = 0; snap < num_snapshots; ++snap) {
         while (inserted < (snap + 1) * options.snapshot_step) {
-          std::string id = "q" + std::to_string(inserted);
+          std::string id = StrFormat("q%d", inserted);
           auto analyzed =
               ParseAndAnalyze(gen.NextCql(), catalog, "result_" + id);
           if (!analyzed.ok()) continue;  // workload always parses; safety

@@ -137,9 +137,19 @@ std::string Profile::ToString() const {
   out += "} P={";
   std::vector<std::string> projs;
   for (const auto& [stream, record] : records_) {
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the chained
+    // operator+ form at -O3.
     const std::vector<std::string>& attrs = record.projection;
-    projs.push_back(stream + ":" +
-                    (attrs.empty() ? "*" : "[" + StrJoin(attrs, ",") + "]"));
+    std::string proj = stream;
+    proj += ':';
+    if (attrs.empty()) {
+      proj += '*';
+    } else {
+      proj += '[';
+      proj += StrJoin(attrs, ",");
+      proj += ']';
+    }
+    projs.push_back(std::move(proj));
   }
   out += StrJoin(projs, "; ");
   out += "} F={";

@@ -24,7 +24,7 @@
 #include "overlay/topology.h"     // IWYU pragma: export
 #include "query/parser.h"         // IWYU pragma: export
 #include "query/unparser.h"       // IWYU pragma: export
-#include "spe/engine.h"           // IWYU pragma: export
+#include "spe/plan.h"             // IWYU pragma: export
 #include "stream/auction_dataset.h"  // IWYU pragma: export
 #include "stream/sensor_dataset.h"   // IWYU pragma: export
 

@@ -52,10 +52,16 @@ std::multiset<std::string> CanonicalResiduals(const AnalyzedQuery& q) {
         return Render(c.lhs()) + CompareOpToString(c.op()) + Render(c.rhs());
       }
       if (e->kind() == ExprKind::kArithmetic) {
+        // Appended piecewise: GCC 12's -Wrestrict misfires on the chained
+        // operator+ form at -O3.
         const auto& a = static_cast<const ArithmeticExpr&>(*e);
         const char* ops[] = {"+", "-", "*", "/"};
-        return "(" + Render(a.lhs()) + ops[static_cast<int>(a.op())] +
-               Render(a.rhs()) + ")";
+        std::string out = "(";
+        out += Render(a.lhs());
+        out += ops[static_cast<int>(a.op())];
+        out += Render(a.rhs());
+        out += ')';
+        return out;
       }
       if (e->kind() == ExprKind::kLogical) {
         const auto& l = static_cast<const LogicalExpr&>(*e);

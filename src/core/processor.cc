@@ -25,7 +25,12 @@ Processor::Processor(NodeId node, const Catalog* catalog,
       options_(options),
       grouping_(catalog, EffectiveGrouping(options), options.rates,
                 StrFormat("p%d_", node)) {
-  engine_.SetTelemetry(options_.metrics, options_.tracer, node_);
+  if (options_.metrics != nullptr) {
+    const std::string label = StrFormat("%d", node_);
+    tuples_in_ = options_.metrics->GetCounter("spe.tuples_in", "node", label);
+    results_out_ =
+        options_.metrics->GetCounter("spe.results_out", "node", label);
+  }
 }
 
 Status Processor::SubmitQuery(const std::string& query_id,
@@ -67,12 +72,31 @@ Status Processor::SubmitQuery(const std::string& query_id,
   return Status::OK();
 }
 
-Status Processor::UninstallGroup(GroupRuntime& rt) {
-  if (!rt.spe_query_id.empty()) {
-    COSMOS_RETURN_IF_ERROR(engine_.RemoveQuery(rt.spe_query_id));
-    rt.spe_query_id.clear();
+void Processor::UninstallGroup(GroupRuntime& rt) {
+  if (rt.plan == nullptr) return;
+  for (const std::string& stream : rt.plan->input_streams()) {
+    std::erase_if(source_subscriptions_.at(stream).readers,
+                  [&rt](const PlanPort& in) { return in.group == &rt; });
   }
-  return Status::OK();
+  rt.plan.reset();
+}
+
+void Processor::PushSourceTuple(const SourceSubscription& sub,
+                                const std::string& stream,
+                                const Tuple& tuple) {
+  if (tuples_in_ != nullptr) tuples_in_->Increment();
+  Tracer* tracer = options_.tracer;
+  const bool traced = tracer != nullptr && tracer->enabled();
+  for (const PlanPort& in : sub.readers) {
+    if (!traced) {
+      in.group->plan->Push(in.port, tuple);
+      continue;
+    }
+    Tracer::Span span = tracer->BeginSpan("spe", "eval", node_);
+    span.AddArg("query", Tracer::ArgString(in.group->result_stream));
+    span.AddArg("stream", Tracer::ArgString(stream));
+    in.group->plan->Push(in.port, tuple);
+  }
 }
 
 void Processor::RefreshSourceSubscriptions(
@@ -88,24 +112,28 @@ void Processor::RefreshSourceSubscriptions(
       merged = any ? MergeProfiles(merged, part) : std::move(part);
       any = true;
     }
-    auto it = source_subscriptions_.find(stream);
-    const ProfileId old = it == source_subscriptions_.end() ? 0 : it->second.id;
     if (!any) {
-      if (old != 0) {
-        source_subscriptions_.erase(it);
-        network_->Unsubscribe(old);
-      }
+      auto it = source_subscriptions_.find(stream);
+      if (it == source_subscriptions_.end()) continue;
+      COSMOS_DCHECK(it->second.readers.empty())
+          << "a plan reads " << stream << " with no representative wanting it";
+      const ProfileId old = it->second.id;
+      source_subscriptions_.erase(it);
+      if (old != 0) network_->Unsubscribe(old);
       continue;
     }
-    if (old != 0 && it->second.part == merged) continue;  // part unchanged
+    SourceSubscription& sub = source_subscriptions_[stream];
+    const ProfileId old = sub.id;
+    if (old != 0 && sub.part == merged) continue;  // part unchanged
     // Subscribe the new part before unsubscribing the old so source
-    // coverage never lapses.
-    SpeEngine* engine = &engine_;
-    const ProfileId id = network_->Subscribe(
-        node_, merged, [engine](const std::string& s, const Tuple& tuple) {
-          engine->PushSourceTuple(s, tuple);
+    // coverage never lapses. Both callbacks feed the same readers.
+    const SourceSubscription* record = &sub;
+    sub.id = network_->Subscribe(
+        node_, merged,
+        [this, record](const std::string& s, const Tuple& tuple) {
+          PushSourceTuple(*record, s, tuple);
         });
-    source_subscriptions_[stream] = SourceSubscription{std::move(merged), id};
+    sub.part = std::move(merged);
     if (old != 0) network_->Unsubscribe(old);
   }
 }
@@ -116,7 +144,7 @@ Status Processor::SyncGroup(uint64_t group_id) {
 
   if (group == nullptr) {
     // Group dissolved: tear everything down.
-    COSMOS_RETURN_IF_ERROR(UninstallGroup(rt));
+    UninstallGroup(rt);
     const std::set<std::string> streams = rt.source.streams();
     group_runtime_.erase(group_id);
     RefreshSourceSubscriptions(streams);
@@ -128,13 +156,11 @@ Status Processor::SyncGroup(uint64_t group_id) {
 
   const bool reinstall = rt.installed_version != group->version;
   if (reinstall) {
-    COSMOS_RETURN_IF_ERROR(UninstallGroup(rt));
+    UninstallGroup(rt);
 
     const std::string result_stream = group->ResultStreamName();
-    const std::string spe_id = StrFormat(
-        "grp_%llu", static_cast<unsigned long long>(group_id));
 
-    // Install the analyzed representative on the SPE; its results are
+    // Compile the analyzed representative into a plan; its results are
     // published into the CBN as the group's result stream, which this
     // processor advertises (paper §2: "the processors would also advertise
     // the result streams that they generate").
@@ -143,14 +169,21 @@ Status Processor::SyncGroup(uint64_t group_id) {
         << "representative analyzed under a stale result stream name";
     ContentBasedNetwork* network = network_;
     NodeId node = node_;
+    Counter* results_out = results_out_;
     network_->Advertise(node_, result_stream);
-    COSMOS_RETURN_IF_ERROR(engine_.InstallQuery(
-        spe_id, group->representative,
-        [network, node, result_stream](const std::string& /*qid*/,
-                                       const Tuple& tuple) {
+    COSMOS_ASSIGN_OR_RETURN(rt.plan, QueryPlan::Build(group->representative));
+    rt.plan->SetSink(
+        [network, node, results_out, result_stream](const Tuple& tuple) {
+          if (results_out != nullptr) results_out->Increment();
           network->Publish(node, Datagram{result_stream, tuple});
-        }));
-    rt.spe_query_id = spe_id;
+        });
+    // Bind each input port to its stream's record now, so a delivered
+    // tuple reaches the port without a name lookup.
+    const std::vector<std::string>& inputs = rt.plan->input_streams();
+    for (size_t port = 0; port < inputs.size(); ++port) {
+      source_subscriptions_[inputs[port]].readers.push_back(
+          PlanPort{&rt, port});
+    }
     rt.result_stream = result_stream;
     rt.installed_version = group->version;
     std::set<std::string> streams = rt.source.streams();

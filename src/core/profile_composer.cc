@@ -2,6 +2,7 @@
 
 #include "common/string_util.h"
 #include "expr/implication.h"
+#include "spe/operator.h"
 
 namespace cosmos {
 
@@ -94,23 +95,25 @@ DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
     // before this matters.
     return inner;
   }
-  // Per delivered schema (the CBN may deliver projections), cache the
-  // index of each user column. Keys retain their schema so pointer
-  // identity stays unambiguous for the callback's whole lifetime.
+  // Shared, so the copies the CBN keeps of the callback copy no state.
   struct State {
-    std::vector<std::string> rep_names;
     std::shared_ptr<const Schema> user_schema;
     DeliveryCallback inner;
-    std::map<std::shared_ptr<const Schema>, std::vector<int>> mappings;
+    // By name; nullopt for an aggregate, which maps positionally.
+    std::optional<ReshapeByName> reshape;
   };
   auto state = std::make_shared<State>();
-  state->rep_names = std::move(*rep_names);
+  if (!rep_names->empty()) {
+    // The CBN may deliver projections, so the reshape resolves the user
+    // columns once per delivered schema.
+    state->reshape.emplace(user_schema, std::move(*rep_names));
+  }
   state->user_schema = std::move(user_schema);
   state->inner = std::move(inner);
 
   return [state](const std::string& /*stream*/, const Tuple& t) {
     const std::string& user_stream = state->user_schema->stream_name();
-    if (state->rep_names.empty()) {
+    if (!state->reshape) {
       // Aggregate: positional rename (same arity by construction).
       if (t.num_values() == state->user_schema->num_attributes()) {
         state->inner(user_stream,
@@ -120,24 +123,9 @@ DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
       }
       return;
     }
-    auto it = state->mappings.find(t.schema());
-    if (it == state->mappings.end()) {
-      std::vector<int> mapping;
-      mapping.reserve(state->rep_names.size());
-      for (const auto& name : state->rep_names) {
-        auto idx = t.schema()->IndexOf(name);
-        mapping.push_back(idx.has_value() ? static_cast<int>(*idx) : -1);
-      }
-      it = state->mappings.emplace(t.schema(), std::move(mapping)).first;
-    }
-    std::vector<Value> values;
-    values.reserve(it->second.size());
-    for (int idx : it->second) {
-      if (idx < 0) return;  // malformed delivery; drop rather than garble
-      values.push_back(t.value(static_cast<size_t>(idx)));
-    }
-    state->inner(user_stream, Tuple(state->user_schema, std::move(values),
-                                    t.timestamp()));
+    std::optional<Tuple> presented = state->reshape->Apply(t);
+    // A malformed delivery is dropped rather than garbled.
+    if (presented) state->inner(user_stream, *presented);
   };
 }
 

@@ -7,7 +7,6 @@ namespace cosmos {
 CosmosSystem::CosmosSystem(DisseminationTree tree, SystemOptions options,
                            Simulator* sim)
     : sim_(sim),
-      catalog_(options.directory, tree.num_nodes()),
       network_(std::move(tree), options.network, sim),
       options_(options),
       distributor_(options.distribution) {

@@ -17,7 +17,6 @@ struct SystemOptions {
   NetworkOptions network;
   DistributionPolicy distribution = DistributionPolicy::kSignatureAffinity;
   ProcessorOptions processor;
-  DirectoryMode directory = DirectoryMode::kFlooded;
   // Telemetry taps (either nullptr = off). When set they are wired through
   // the CBN, every processor's SPE, the simulator and optimizer runs; the
   // tracer's clock is bound to the simulator's virtual time.

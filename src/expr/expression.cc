@@ -105,7 +105,16 @@ std::string ArithmeticExpr::ToString() const {
       op = "/";
       break;
   }
-  return "(" + lhs_->ToString() + " " + op + " " + rhs_->ToString() + ")";
+  // Appended piecewise: GCC 12's -Wrestrict misfires on the chained
+  // operator+ form of this expression at -O3.
+  std::string out = "(";
+  out += lhs_->ToString();
+  out += ' ';
+  out += op;
+  out += ' ';
+  out += rhs_->ToString();
+  out += ')';
+  return out;
 }
 
 bool ArithmeticExpr::Equals(const Expr& other) const {

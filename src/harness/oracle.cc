@@ -4,6 +4,20 @@
 #include "common/string_util.h"
 
 namespace cosmos {
+namespace {
+
+// The reference matches names on every tuple rather than binding ports at
+// install: each port of `plan` reading `stream` takes the tuple, in port
+// order.
+void PushByName(QueryPlan& plan, const std::string& stream,
+                const Tuple& tuple) {
+  const std::vector<std::string>& inputs = plan.input_streams();
+  for (size_t port = 0; port < inputs.size(); ++port) {
+    if (inputs[port] == stream) plan.Push(port, tuple);
+  }
+}
+
+}  // namespace
 
 GroundTruthOracle::GroundTruthOracle(const Catalog* catalog)
     : catalog_(catalog) {}
@@ -17,14 +31,11 @@ Status GroundTruthOracle::Submit(const std::string& tag,
       AnalyzedQuery analyzed,
       ParseAndAnalyze(cql, *catalog_, "oracle_" + tag));
   Entry entry;
-  entry.query = analyzed;
-  entry.engine = std::make_unique<SpeEngine>();
+  COSMOS_ASSIGN_OR_RETURN(entry.plan, QueryPlan::Build(analyzed));
+  entry.query = std::move(analyzed);
   entry.results = std::make_unique<std::vector<Tuple>>();
   std::vector<Tuple>* sink = entry.results.get();
-  COSMOS_RETURN_IF_ERROR(entry.engine->InstallQuery(
-      tag, analyzed, [sink](const std::string&, const Tuple& t) {
-        sink->push_back(t);
-      }));
+  entry.plan->SetSink([sink](const Tuple& t) { sink->push_back(t); });
   entries_.emplace(tag, std::move(entry));
   return Status::OK();
 }
@@ -41,8 +52,7 @@ Status GroundTruthOracle::Remove(const std::string& tag) {
 void GroundTruthOracle::Inject(const std::string& stream,
                                const Tuple& tuple) {
   for (auto& [tag, entry] : entries_) {
-    if (!entry.live) continue;
-    entry.engine->PushSourceTuple(stream, tuple);
+    if (entry.live) PushByName(*entry.plan, stream, tuple);
   }
 }
 
@@ -68,15 +78,12 @@ const std::vector<Tuple>& GroundTruthOracle::ResultsFor(
 std::vector<Tuple> GroundTruthOracle::Evaluate(
     const AnalyzedQuery& query,
     const std::vector<std::pair<std::string, Tuple>>& log) {
-  SpeEngine engine;
+  auto plan = QueryPlan::Build(query);
+  COSMOS_CHECK(plan.ok());
   std::vector<Tuple> results;
-  Status status = engine.InstallQuery(
-      "eval", query, [&results](const std::string&, const Tuple& t) {
-        results.push_back(t);
-      });
-  COSMOS_CHECK(status.ok());
+  (*plan)->SetSink([&results](const Tuple& t) { results.push_back(t); });
   for (const auto& [stream, tuple] : log) {
-    engine.PushSourceTuple(stream, tuple);
+    PushByName(**plan, stream, tuple);
   }
   return results;
 }

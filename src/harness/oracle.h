@@ -8,16 +8,16 @@
 #include <vector>
 
 #include "query/analyzer.h"
-#include "spe/engine.h"
+#include "spe/plan.h"
 #include "stream/catalog.h"
 
 namespace cosmos {
 
 // The DST ground-truth oracle: evaluates each submitted query directly on
-// the injected tuple stream with a private reference SpeEngine — no CBN, no
-// grouping, no representatives, no failures. Whatever the distributed
-// system delivers to a user must match what the oracle computed for that
-// user's query.
+// the injected tuple stream with a private reference QueryPlan per query —
+// no CBN, no grouping, no representatives, no failures. Whatever the
+// distributed system delivers to a user must match what the oracle computed
+// for that user's query.
 class GroundTruthOracle {
  public:
   explicit GroundTruthOracle(const Catalog* catalog);
@@ -37,7 +37,7 @@ class GroundTruthOracle {
   const std::vector<Tuple>& ResultsFor(const std::string& tag) const;
 
   // Evaluates an already-analyzed query over a complete injection log in a
-  // fresh reference engine. Used for the representative-containment check
+  // fresh reference plan. Used for the representative-containment check
   // (the group representative is not a user query, so it has no live oracle
   // entry).
   static std::vector<Tuple> Evaluate(
@@ -47,9 +47,9 @@ class GroundTruthOracle {
  private:
   struct Entry {
     AnalyzedQuery query;
-    std::unique_ptr<SpeEngine> engine;
+    std::unique_ptr<QueryPlan> plan;
     bool live = true;
-    // Owned behind a stable pointer: the engine's sink captures it.
+    // Owned behind a stable pointer: the plan's sink captures it.
     std::unique_ptr<std::vector<Tuple>> results;
   };
 

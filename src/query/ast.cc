@@ -38,29 +38,42 @@ const char* AggFuncToString(AggFunc f) {
 }
 
 std::string SelectItem::ToString() const {
+  // Appended piecewise: GCC 12's -Wrestrict misfires on string operator+
+  // chains in this function at -O3.
   std::string out;
+  auto append_column = [this, &out] {
+    if (!qualifier.empty()) {
+      out += qualifier;
+      out += '.';
+    }
+    out += name;
+  };
   switch (kind) {
     case Kind::kStar:
-      out = "*";
+      out += '*';
       break;
     case Kind::kQualifiedStar:
-      out = qualifier + ".*";
+      out += qualifier;
+      out += ".*";
       break;
     case Kind::kColumn:
-      out = qualifier.empty() ? name : qualifier + "." + name;
+      append_column();
       break;
     case Kind::kAggregate:
-      out = AggFuncToString(func);
-      out += "(";
+      out += AggFuncToString(func);
+      out += '(';
       if (agg_star) {
-        out += "*";
+        out += '*';
       } else {
-        out += qualifier.empty() ? name : qualifier + "." + name;
+        append_column();
       }
-      out += ")";
+      out += ')';
       break;
   }
-  if (!alias.empty()) out += " AS " + alias;
+  if (!alias.empty()) {
+    out += " AS ";
+    out += alias;
+  }
   return out;
 }
 

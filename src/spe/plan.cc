@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/string_util.h"
 #include "spe/aggregate.h"
 #include "spe/join.h"
@@ -35,13 +36,10 @@ void QueryPlan::SetSink(Operator::Sink sink) {
   });
 }
 
-void QueryPlan::Push(const std::string& stream, const Tuple& tuple) {
-  for (size_t i = 0; i < input_streams_.size(); ++i) {
-    if (input_streams_[i] == stream) {
-      ++tuples_in_;
-      entries_[i]->Push(0, tuple);
-    }
-  }
+void QueryPlan::Push(size_t port, const Tuple& tuple) {
+  COSMOS_DCHECK_LT(port, entries_.size());
+  ++tuples_in_;
+  entries_[port]->Push(0, tuple);
 }
 
 Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(

@@ -45,10 +45,11 @@ class QueryPlan {
   // Result tuples of the plan are delivered here.
   void SetSink(Operator::Sink sink);
 
-  // Pushes one source tuple; `stream` selects the input port. Tuples of
-  // streams the plan does not consume are ignored. A stream consumed twice
-  // (self-join) feeds every matching port.
-  void Push(const std::string& stream, const Tuple& tuple);
+  // Pushes one source tuple into input `port` (an index into
+  // input_streams()). A caller binds each stream it feeds to that stream's
+  // ports once, when the plan is installed; a stream consumed twice
+  // (self-join) is pushed on each of its ports.
+  void Push(size_t port, const Tuple& tuple);
 
   uint64_t tuples_in() const { return tuples_in_; }
   uint64_t tuples_out() const { return tuples_out_; }

@@ -1,16 +1,9 @@
 #include "stream/catalog.h"
 
-#include <functional>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace cosmos {
-
-Catalog::Catalog(DirectoryMode mode, int num_directory_nodes)
-    : mode_(mode), num_directory_nodes_(num_directory_nodes) {
-  COSMOS_CHECK_GE(num_directory_nodes_, 1);
-}
 
 Status Catalog::RegisterStream(std::shared_ptr<const Schema> schema,
                                double rate_tuples_per_sec,
@@ -57,16 +50,6 @@ Result<std::shared_ptr<const Schema>> Catalog::LookupSchema(
     const std::string& name) const {
   COSMOS_ASSIGN_OR_RETURN(StreamInfo info, Lookup(name));
   return info.schema;
-}
-
-int Catalog::ResponsibleNode(const std::string& name) const {
-  return static_cast<int>(std::hash<std::string>{}(name) %
-                          static_cast<size_t>(num_directory_nodes_));
-}
-
-int Catalog::LookupHops(const std::string& name, int from_node) const {
-  if (mode_ == DirectoryMode::kFlooded) return 0;
-  return ResponsibleNode(name) == from_node ? 0 : 1;
 }
 
 std::vector<std::string> Catalog::StreamNames() const {

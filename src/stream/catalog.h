@@ -20,22 +20,12 @@ struct StreamInfo {
   int publisher_node = -1;
 };
 
-// How schema metadata is disseminated among nodes (paper §3): with few
-// streams it is flooded to every node; otherwise a DHT keyed by the unique
-// stream name stores it.
-enum class DirectoryMode { kFlooded, kDht };
-
-// The stream catalog: the authoritative name -> StreamInfo registry.
-// A Catalog instance represents the logical directory; DirectoryMode only
-// affects the modeled lookup cost (see LookupHops), since in-process both
-// modes resolve identically.
+// The stream catalog: the authoritative name -> StreamInfo registry. The
+// paper (§3) floods schema metadata to every node, or keys it in a DHT when
+// there are many streams; in-process both resolve identically, so one
+// Catalog instance stands for the logical directory.
 class Catalog {
  public:
-  explicit Catalog(DirectoryMode mode = DirectoryMode::kFlooded,
-                   int num_directory_nodes = 1);
-
-  DirectoryMode mode() const { return mode_; }
-
   // Registers a stream; fails with kAlreadyExists on duplicate names.
   Status RegisterStream(std::shared_ptr<const Schema> schema,
                         double rate_tuples_per_sec = 1.0,
@@ -49,21 +39,10 @@ class Catalog {
   Result<std::shared_ptr<const Schema>> LookupSchema(
       const std::string& name) const;
 
-  // Number of network hops a lookup of `name` from `from_node` costs under
-  // the configured mode: 0 when flooded (every node holds a replica), and
-  // 0 or 1 under DHT depending on whether `from_node` is the responsible
-  // node for the name's hash.
-  int LookupHops(const std::string& name, int from_node) const;
-
-  // The DHT node responsible for `name` (hash mod num_directory_nodes).
-  int ResponsibleNode(const std::string& name) const;
-
   std::vector<std::string> StreamNames() const;
   size_t num_streams() const { return streams_.size(); }
 
  private:
-  DirectoryMode mode_;
-  int num_directory_nodes_;
   std::map<std::string, StreamInfo> streams_;
 };
 

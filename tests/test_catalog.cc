@@ -57,33 +57,5 @@ TEST(Catalog, StreamNamesSorted) {
   EXPECT_EQ(names[1], "b");
 }
 
-TEST(Catalog, FloodedModeLookupIsFree) {
-  Catalog c(DirectoryMode::kFlooded, 10);
-  (void)c.RegisterStream(MakeSchema("S"));
-  for (int n = 0; n < 10; ++n) {
-    EXPECT_EQ(c.LookupHops("S", n), 0);
-  }
-}
-
-TEST(Catalog, DhtModeChargesOneHopExceptAtHome) {
-  Catalog c(DirectoryMode::kDht, 10);
-  (void)c.RegisterStream(MakeSchema("S"));
-  int home = c.ResponsibleNode("S");
-  ASSERT_GE(home, 0);
-  ASSERT_LT(home, 10);
-  EXPECT_EQ(c.LookupHops("S", home), 0);
-  EXPECT_EQ(c.LookupHops("S", (home + 1) % 10), 1);
-}
-
-TEST(Catalog, DhtSpreadsResponsibility) {
-  Catalog c(DirectoryMode::kDht, 16);
-  std::set<int> homes;
-  for (int i = 0; i < 50; ++i) {
-    homes.insert(c.ResponsibleNode("stream_" + std::to_string(i)));
-  }
-  // 50 names over 16 nodes should hit a decent spread.
-  EXPECT_GT(homes.size(), 8u);
-}
-
 }  // namespace
 }  // namespace cosmos

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/system.h"
 #include "core/workload.h"
 #include "stream/sensor_dataset.h"
@@ -50,7 +51,7 @@ TEST_P(ChurnTest, AddRemoveCyclesStayConsistent) {
       auto id = system.SubmitQuery(
           gen.NextCql(), user,
           [&hits, round](const std::string&, const Tuple&) {
-            ++hits["r" + std::to_string(round)];
+            ++hits[StrFormat("r%d", round)];
           });
       ASSERT_TRUE(id.ok());
       live.push_back(*id);

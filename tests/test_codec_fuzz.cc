@@ -6,6 +6,7 @@
 #include "cbn/codec.h"
 #include "cbn/profile.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "expr/expression.h"
 
 namespace cosmos {
@@ -69,9 +70,10 @@ Datagram RandomDatagram(Rng& rng) {
   for (size_t i = 0; i < num_attrs; ++i) {
     ValueType t = RandomType(rng);
     types.push_back(t);
-    defs.push_back({"a" + std::to_string(i), t});
+    defs.push_back({StrFormat("a%zu", i), t});
   }
-  std::string stream = "s" + std::to_string(rng.NextBounded(4));
+  std::string stream =
+      StrFormat("s%d", static_cast<int>(rng.NextBounded(4)));
   auto schema = std::make_shared<Schema>(stream, std::move(defs));
   for (size_t i = 0; i < num_attrs; ++i) {
     values.push_back(RandomValue(rng, types[i]));
@@ -82,7 +84,9 @@ Datagram RandomDatagram(Rng& rng) {
 
 ExprPtr RandomResidual(Rng& rng, int depth = 0) {
   if (depth >= 2 || rng.NextBool(0.4)) {
-    if (rng.NextBool()) return MakeColumn("a" + std::to_string(rng.NextBounded(4)));
+    if (rng.NextBool()) {
+      return MakeColumn(StrFormat("a%d", static_cast<int>(rng.NextBounded(4))));
+    }
     return MakeLiteral(RandomValue(
         rng, rng.NextBool() ? ValueType::kDouble : ValueType::kInt64));
   }
@@ -103,11 +107,12 @@ Profile RandomProfile(Rng& rng) {
   Profile p;
   size_t num_streams = 1 + rng.NextBounded(3);
   for (size_t s = 0; s < num_streams; ++s) {
-    std::string stream = "s" + std::to_string(s);
+    std::string stream = StrFormat("s%zu", s);
     std::vector<std::string> projection;
     size_t num_proj = rng.NextBounded(4);  // 0 = all attributes
     for (size_t i = 0; i < num_proj; ++i) {
-      projection.push_back("a" + std::to_string(rng.NextBounded(6)));
+      projection.push_back(
+          StrFormat("a%d", static_cast<int>(rng.NextBounded(6))));
     }
     p.AddStream(stream, projection);
     size_t num_filters = rng.NextBounded(3);
@@ -115,7 +120,8 @@ Profile RandomProfile(Rng& rng) {
       ConjunctiveClause clause;
       size_t num_constraints = rng.NextBounded(3);
       for (size_t c = 0; c < num_constraints; ++c) {
-        std::string attr = "a" + std::to_string(rng.NextBounded(4));
+        std::string attr =
+            StrFormat("a%d", static_cast<int>(rng.NextBounded(4)));
         switch (rng.NextBounded(4)) {
           case 0: {
             double lo = rng.NextDouble(-100, 100);

@@ -147,9 +147,9 @@ TEST_F(GroupingTest, MergedRateNeverExceedsUnmerged) {
   wl.seed = 321;
   QueryWorkloadGenerator gen(&catalog_, wl);
   for (int i = 0; i < 100; ++i) {
-    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, "r" + std::to_string(i));
+    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, StrFormat("r%d", i));
     ASSERT_TRUE(q.ok());
-    ASSERT_TRUE(engine.AddQuery("q" + std::to_string(i), *q).ok());
+    ASSERT_TRUE(engine.AddQuery(StrFormat("q%d", i), *q).ok());
   }
   EXPECT_LE(engine.TotalRepresentativeRate(),
             engine.TotalMemberRate() * (1.0 + 1e-9));
@@ -163,9 +163,9 @@ TEST_F(GroupingTest, EveryMemberContainedInItsRepresentative) {
   wl.seed = 654;
   QueryWorkloadGenerator gen(&catalog_, wl);
   for (int i = 0; i < 80; ++i) {
-    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, "r" + std::to_string(i));
+    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, StrFormat("r%d", i));
     ASSERT_TRUE(q.ok());
-    ASSERT_TRUE(engine.AddQuery("q" + std::to_string(i), *q).ok());
+    ASSERT_TRUE(engine.AddQuery(StrFormat("q%d", i), *q).ok());
   }
   for (const auto& [gid, group] : engine.groups()) {
     for (const auto& m : group.members) {
@@ -180,7 +180,7 @@ TEST_F(GroupingTest, ZeroCandidatesDisablesMerging) {
   opts.max_candidates = 0;
   GroupingEngine engine(&catalog_, opts);
   for (int i = 0; i < 5; ++i) {
-    (void)engine.AddQuery("q" + std::to_string(i),
+    (void)engine.AddQuery(StrFormat("q%d", i),
                           Q("SELECT ambient_temperature FROM sensor_00"));
   }
   EXPECT_EQ(engine.num_groups(), 5u);

@@ -313,5 +313,158 @@ TEST_F(ProcessorTest, SourcePartChangeBelowPrintPrecisionResubscribes) {
   EXPECT_EQ(hits2, 2);
 }
 
+// The eval spans a processor's plans opened, as their "query" args (the
+// quoted result stream of the plan's group), in order.
+std::vector<std::string> EvalQueries(const Tracer& tracer) {
+  std::vector<std::string> out;
+  for (const Tracer::Event& e : tracer.events()) {
+    if (e.category != "spe" || e.name != "eval") continue;
+    for (const auto& [key, value] : e.args) {
+      if (key == "query") out.push_back(value);
+    }
+  }
+  return out;
+}
+
+std::string Quoted(const std::string& s) { return Tracer::ArgString(s); }
+
+// Two groups read OpenAuction (a range select and an aggregate) and one
+// reads ClosedAuction. Widening the select group replaces
+// its plan; afterwards each source tuple enters each live plan exactly once
+// and the replaced plan none.
+TEST_F(ProcessorTest, EachSourceTupleEntersEachLivePlanOnce) {
+  MetricsRegistry metrics;
+  Tracer tracer;
+  tracer.Enable();
+  ProcessorOptions opts;
+  opts.metrics = &metrics;
+  opts.tracer = &tracer;
+  Processor proc(0, &catalog_, network_.get(), opts);
+  std::map<std::string, int> hits;
+  auto count = [&hits](const std::string& id) {
+    return [&hits, id](const std::string&, const Tuple&) { ++hits[id]; };
+  };
+  ASSERT_TRUE(Submit(&proc, "select",
+                     "SELECT itemID, start_price FROM OpenAuction WHERE "
+                     "start_price >= 100 AND start_price <= 200",
+                     2, count("select"))
+                  .ok());
+  ASSERT_TRUE(Submit(&proc, "agg",
+                     "SELECT sellerID, COUNT(*) FROM OpenAuction "
+                     "[Range 1 Hour] GROUP BY sellerID",
+                     3, count("agg"))
+                  .ok());
+  ASSERT_TRUE(Submit(&proc, "closed",
+                     "SELECT itemID FROM ClosedAuction WHERE buyerID > 5", 3,
+                     count("closed"))
+                  .ok());
+  const std::string replaced =
+      proc.grouping().GroupOf("select")->ResultStreamName();
+  ASSERT_TRUE(Submit(&proc, "wide",
+                     "SELECT itemID, start_price FROM OpenAuction WHERE "
+                     "start_price >= 150 AND start_price <= 400",
+                     2, count("wide"))
+                  .ok());
+  ASSERT_EQ(proc.grouping().num_groups(), 3u);
+  ASSERT_EQ(proc.num_installed_representatives(), 3u);
+  const std::string widened =
+      proc.grouping().GroupOf("wide")->ResultStreamName();
+  ASSERT_EQ(proc.grouping().GroupOf("select")->ResultStreamName(), widened);
+  ASSERT_NE(widened, replaced);
+  const std::string agg = proc.grouping().GroupOf("agg")->ResultStreamName();
+  const std::string closed =
+      proc.grouping().GroupOf("closed")->ResultStreamName();
+
+  const Counter* tuples_in = metrics.FindCounter(
+      MetricsRegistry::LabeledName("spe.tuples_in", "node", "0"));
+  const Counter* results_out = metrics.FindCounter(
+      MetricsRegistry::LabeledName("spe.results_out", "node", "0"));
+  ASSERT_NE(tuples_in, nullptr);
+  ASSERT_NE(results_out, nullptr);
+  EXPECT_EQ(tuples_in->value(), 0u);
+  tracer.Clear();
+
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 180, 0)});
+  EXPECT_EQ(tuples_in->value(), 1u);
+  // The widened plan was installed after the aggregate, so it is fed
+  // after it.
+  EXPECT_EQ(EvalQueries(tracer),
+            (std::vector<std::string>{Quoted(agg), Quoted(widened)}));
+  tracer.Clear();
+
+  network_->Publish(
+      0, Datagram{"ClosedAuction",
+                  Tuple(AuctionDataset::ClosedAuctionSchema(),
+                        {Value(int64_t{1}), Value(int64_t{9}),
+                         Value(int64_t{1})},
+                        1)});
+  EXPECT_EQ(tuples_in->value(), 2u);
+  EXPECT_EQ(EvalQueries(tracer), std::vector<std::string>{Quoted(closed)});
+
+  // One widened result split to both members, one count, one ClosedAuction
+  // result: three results left the plans.
+  EXPECT_EQ(results_out->value(), 3u);
+  EXPECT_EQ(hits["select"], 1);
+  EXPECT_EQ(hits["wide"], 1);
+  EXPECT_EQ(hits["agg"], 1);
+  EXPECT_EQ(hits["closed"], 1);
+}
+
+// Removing groups unbinds only their plans: the plans left on a shared
+// stream keep being fed, and a stream no plan reads any more is not
+// delivered to the processor at all.
+TEST_F(ProcessorTest, RemovingAGroupKeepsOtherReadersBound) {
+  MetricsRegistry metrics;
+  Tracer tracer;
+  tracer.Enable();
+  ProcessorOptions opts;
+  opts.enable_merging = false;
+  opts.metrics = &metrics;
+  opts.tracer = &tracer;
+  Processor proc(0, &catalog_, network_.get(), opts);
+  std::map<std::string, int> hits;
+  auto count = [&hits](const std::string& id) {
+    return [&hits, id](const std::string&, const Tuple&) { ++hits[id]; };
+  };
+  ASSERT_TRUE(
+      Submit(&proc, "q1", "SELECT itemID FROM OpenAuction", 2, count("q1"))
+          .ok());
+  ASSERT_TRUE(Submit(&proc, "q2",
+                     "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, "
+                     "ClosedAuction [Now] C WHERE O.itemID = C.itemID",
+                     2, count("q2"))
+                  .ok());
+  ASSERT_TRUE(Submit(&proc, "q3",
+                     "SELECT itemID FROM OpenAuction WHERE start_price > 100",
+                     3, count("q3"))
+                  .ok());
+  ASSERT_TRUE(Submit(&proc, "q4",
+                     "SELECT sellerID, COUNT(*) FROM OpenAuction "
+                     "[Range 1 Hour] GROUP BY sellerID",
+                     3, count("q4"))
+                  .ok());
+  ASSERT_TRUE(proc.RemoveQuery("q2").ok());
+  ASSERT_TRUE(proc.RemoveQuery("q3").ok());
+  EXPECT_EQ(proc.num_installed_representatives(), 2u);
+  const Counter* tuples_in = metrics.FindCounter(
+      MetricsRegistry::LabeledName("spe.tuples_in", "node", "0"));
+  ASSERT_NE(tuples_in, nullptr);
+  tracer.Clear();
+
+  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  network_->Publish(
+      0, Datagram{"ClosedAuction",
+                  Tuple(AuctionDataset::ClosedAuctionSchema(),
+                        {Value(int64_t{1}), Value(int64_t{2}),
+                         Value(int64_t{1})},
+                        1)});
+  EXPECT_EQ(tuples_in->value(), 1u);  // ClosedAuction is unsubscribed
+  EXPECT_EQ(EvalQueries(tracer).size(), 2u);
+  EXPECT_EQ(hits["q1"], 1);
+  EXPECT_EQ(hits["q4"], 1);
+  EXPECT_EQ(hits.count("q2"), 0u);
+  EXPECT_EQ(hits.count("q3"), 0u);
+}
+
 }  // namespace
 }  // namespace cosmos

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/containment.h"
 #include "core/merger.h"
 #include "core/workload.h"
@@ -51,7 +52,7 @@ TEST_P(RoundTripPropertyTest, PairwiseMergesRoundTripThroughCql) {
   QueryWorkloadGenerator gen(&catalog_, wl);
   std::vector<AnalyzedQuery> queries;
   for (int i = 0; i < 40; ++i) {
-    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, "r" + std::to_string(i));
+    auto q = ParseAndAnalyze(gen.NextCql(), catalog_, StrFormat("r%d", i));
     ASSERT_TRUE(q.ok());
     queries.push_back(std::move(*q));
   }
@@ -87,7 +88,7 @@ TEST(ParserRobustness, DeepNestingAndLongConjunctions) {
   // 200-term conjunction.
   std::string conj = "SELECT a FROM S WHERE a > 0";
   for (int i = 1; i < 200; ++i) {
-    conj += " AND a > " + std::to_string(-i);
+    conj += StrFormat(" AND a > %d", -i);
   }
   auto q = ParseQuery(conj);
   ASSERT_TRUE(q.ok());

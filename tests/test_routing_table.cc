@@ -10,6 +10,7 @@
 #include "cbn/network.h"
 #include "cbn/router.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "overlay/graph.h"
 
 namespace cosmos {
@@ -216,7 +217,7 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
        {size_t{6}, StreamTable::kMaxAttributes + 20}) {
     std::vector<std::string> names;
     for (size_t i = 0; i < dictionary; ++i) {
-      names.push_back("a" + std::to_string(i));
+      names.push_back(StrFormat("a%zu", i));
     }
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       Rng rng = Rng(0xC0DE).Derive(seed * 1000 + dictionary);
@@ -581,7 +582,7 @@ TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {
   EXPECT_EQ(streams.MaskOf(b, {"y", "x"}), x | streams.MaskOf(b, {"y"}));
   for (size_t i = streams.attributes(b).size();
        i < StreamTable::kMaxAttributes; ++i) {
-    EXPECT_EQ(streams.MaskOf(b, {"f" + std::to_string(i)}) & kAllAttributes,
+    EXPECT_EQ(streams.MaskOf(b, {StrFormat("f%zu", i)}) & kAllAttributes,
               0u);
   }
   EXPECT_EQ(streams.MaskOf(b, {"x", "one_too_many"}), x | kAllAttributes);

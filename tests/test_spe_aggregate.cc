@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace cosmos {
 namespace {
@@ -404,7 +405,7 @@ std::vector<AggSpec> FuzzAggs(Rng& rng) {
 std::shared_ptr<const Schema> FuzzOutSchema(size_t keys, size_t aggs) {
   std::vector<AttributeDef> defs;
   for (size_t i = 0; i < keys + aggs; ++i) {
-    defs.push_back({"c" + std::to_string(i), ValueType::kDouble});
+    defs.push_back({StrFormat("c%zu", i), ValueType::kDouble});
   }
   return std::make_shared<Schema>("out", std::move(defs));
 }

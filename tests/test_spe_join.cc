@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "query/parser.h"
 
 namespace cosmos {
@@ -583,7 +584,7 @@ TEST(WindowJoinFuzz, MatchesNestedLoopReference) {
                                          {"v", ValueType::kDouble}};
       if (!k_first) std::swap(attrs[0], attrs[1]);
       stream_schema.push_back(std::make_shared<Schema>(
-          "S" + std::to_string(s), std::move(attrs)));
+          StrFormat("S%zu", s), std::move(attrs)));
       k_col.push_back(k_first ? 0 : 1);
       v_col.push_back(k_first ? 1 : 0);
     }
@@ -600,7 +601,7 @@ TEST(WindowJoinFuzz, MatchesNestedLoopReference) {
     std::vector<std::pair<const Schema*, std::string>> parts;
     for (size_t p = 0; p < n; ++p) {
       parts.emplace_back(stream_schema[stream_of(p)].get(),
-                         "P" + std::to_string(p));
+                         StrFormat("P%zu", p));
     }
     auto out = MakeJoinedSchema(parts, "J");
 

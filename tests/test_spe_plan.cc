@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "spe/engine.h"
+#include "common/string_util.h"
+#include "harness/oracle.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
 
@@ -47,8 +48,8 @@ TEST_F(PlanTest, SelectProjectPipeline) {
       "start_price > 100");
   std::vector<Tuple> out;
   plan->SetSink([&](const Tuple& t) { out.push_back(t); });
-  plan->Push("OpenAuction", Open(1, 2, 50.0, 0));
-  plan->Push("OpenAuction", Open(2, 2, 150.0, 1));
+  plan->Push(0, Open(1, 2, 50.0, 0));
+  plan->Push(0, Open(2, 2, 150.0, 1));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].num_values(), 2u);
   EXPECT_EQ(out[0].GetAttribute("itemID")->AsInt64(), 2);
@@ -56,12 +57,16 @@ TEST_F(PlanTest, SelectProjectPipeline) {
   EXPECT_EQ(plan->tuples_out(), 1u);
 }
 
+// Ports are the plan's input streams in FROM order; a stream the query
+// does not read has no port, so a caller binding ports never feeds it.
 TEST_F(PlanTest, IgnoresForeignStreams) {
   auto plan = MustBuild("SELECT itemID FROM OpenAuction");
-  int n = 0;
-  plan->SetSink([&](const Tuple&) { ++n; });
-  plan->Push("ClosedAuction", Closed(1, 1, 0));
-  EXPECT_EQ(n, 0);
+  EXPECT_EQ(plan->input_streams(), std::vector<std::string>{"OpenAuction"});
+  auto join = MustBuild(
+      "SELECT O.itemID FROM OpenAuction O, ClosedAuction C "
+      "WHERE O.itemID = C.itemID");
+  EXPECT_EQ(join->input_streams(),
+            (std::vector<std::string>{"OpenAuction", "ClosedAuction"}));
   EXPECT_EQ(plan->tuples_in(), 0u);
 }
 
@@ -83,8 +88,7 @@ TEST_F(PlanTest, AcceptsProjectedInputTuples) {
                          {"start_price", ValueType::kDouble}});
   int n = 0;
   plan->SetSink([&](const Tuple&) { ++n; });
-  plan->Push("OpenAuction",
-             Tuple(projected_schema, {Value(int64_t{5}), Value(20.0)}, 0));
+  plan->Push(0, Tuple(projected_schema, {Value(int64_t{5}), Value(20.0)}, 0));
   EXPECT_EQ(n, 1);
 }
 
@@ -95,8 +99,8 @@ TEST_F(PlanTest, JoinPlanProducesQualifiedOutputs) {
   std::vector<Tuple> out;
   plan->SetSink([&](const Tuple& t) { out.push_back(t); });
   Timestamp t0 = 0;
-  plan->Push("OpenAuction", Open(1, 10, 100, t0));
-  plan->Push("ClosedAuction", Closed(1, 42, t0 + kHour));
+  plan->Push(0, Open(1, 10, 100, t0));
+  plan->Push(1, Closed(1, 42, t0 + kHour));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].GetAttribute("O.itemID")->AsInt64(), 1);
   EXPECT_EQ(out[0].GetAttribute("C.buyerID")->AsInt64(), 42);
@@ -108,11 +112,11 @@ TEST_F(PlanTest, JoinRespectsWindows) {
       "[Now] C WHERE O.itemID = C.itemID");
   int n = 0;
   plan->SetSink([&](const Tuple&) { ++n; });
-  plan->Push("OpenAuction", Open(1, 1, 1, 0));
-  plan->Push("ClosedAuction", Closed(1, 1, 2 * kHour));  // within 3h
+  plan->Push(0, Open(1, 1, 1, 0));
+  plan->Push(1, Closed(1, 1, 2 * kHour));  // within 3h
   EXPECT_EQ(n, 1);
-  plan->Push("OpenAuction", Open(2, 1, 1, 3 * kHour));
-  plan->Push("ClosedAuction", Closed(2, 1, 7 * kHour));  // 4h later: out
+  plan->Push(0, Open(2, 1, 1, 3 * kHour));
+  plan->Push(1, Closed(2, 1, 7 * kHour));  // 4h later: out
   EXPECT_EQ(n, 1);
 }
 
@@ -126,7 +130,7 @@ TEST_F(PlanTest, AggregatePlan) {
   auto gen = sensors.MakeGenerator(0);
   int pushed = 0;
   while (auto t = gen->Next()) {
-    plan->Push("sensor_00", *t);
+    plan->Push(0, *t);
     ++pushed;
     if (pushed >= 5) break;
   }
@@ -163,9 +167,9 @@ TEST_F(PlanTest, ThreeWayJoinBuildsAndRuns) {
   };
 
   Timestamp t0 = kHour;
-  (*plan)->Push("OpenAuction", Open(1, 1, 10, t0));
-  (*plan)->Push("sensor_00", sensor_tuple(t0 + kHour));
-  (*plan)->Push("ClosedAuction", Closed(1, 2, t0 + kHour));  // same instant
+  (*plan)->Push(0, Open(1, 1, 10, t0));
+  (*plan)->Push(2, sensor_tuple(t0 + kHour));
+  (*plan)->Push(1, Closed(1, 2, t0 + kHour));  // same instant
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].GetAttribute("O.itemID")->AsInt64(), 1);
   EXPECT_EQ(out[0].GetAttribute("C.buyerID")->AsInt64(), 2);
@@ -176,7 +180,7 @@ TEST_F(PlanTest, NineWayJoinRejected) {
   Catalog c;
   std::string from;
   for (int i = 0; i < 9; ++i) {
-    std::string name = "t" + std::to_string(i);
+    std::string name = StrFormat("t%d", i);
     (void)c.RegisterStream(std::make_shared<Schema>(
         name, std::vector<AttributeDef>{{"k", ValueType::kInt64}}));
     if (i > 0) from += ", ";
@@ -201,6 +205,8 @@ TEST_F(PlanTest, JoinAggregateUnimplemented) {
   }
 }
 
+// A self-join reads one stream on two ports. Pushing each tuple on both,
+// in port order, emits exactly what the name-matching reference emits.
 TEST_F(PlanTest, SelfJoinSameStreamFeedsBothPorts) {
   auto analyzed = ParseAndAnalyze(
       "SELECT A.itemID FROM OpenAuction A, OpenAuction B "
@@ -209,86 +215,69 @@ TEST_F(PlanTest, SelfJoinSameStreamFeedsBothPorts) {
   ASSERT_TRUE(analyzed.ok());
   auto plan = QueryPlan::Build(*analyzed);
   ASSERT_TRUE(plan.ok());
-  int n = 0;
-  (*plan)->SetSink([&](const Tuple&) { ++n; });
-  (*plan)->Push("OpenAuction", Open(1, 1, 1, 0));
-  // The single tuple entered both ports and joins with itself.
-  EXPECT_GE(n, 1);
+  ASSERT_EQ((*plan)->input_streams(),
+            (std::vector<std::string>{"OpenAuction", "OpenAuction"}));
+  std::vector<Tuple> out;
+  (*plan)->SetSink([&](const Tuple& t) { out.push_back(t); });
+  std::vector<std::pair<std::string, Tuple>> log;
+  log.emplace_back("OpenAuction", Open(1, 1, 1, 0));
+  log.emplace_back("OpenAuction", Open(2, 1, 1, 1));
+  log.emplace_back("OpenAuction", Open(1, 1, 1, 2));
+  for (const auto& [stream, tuple] : log) {
+    (*plan)->Push(0, tuple);
+    (*plan)->Push(1, tuple);
+  }
+  // Item 1 twice and item 2 once: 2 * 2 + 1 pairs, each with itself.
+  EXPECT_EQ(out.size(), 5u);
+  EXPECT_EQ((*plan)->tuples_in(), 6u);
+  const std::vector<Tuple> reference =
+      GroundTruthOracle::Evaluate(*analyzed, log);
+  ASSERT_EQ(out.size(), reference.size());
+  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], reference[i]);
 }
 
-TEST_F(PlanTest, EngineFansOutToAllConsumingPlans) {
-  SpeEngine engine;
-  auto q1 = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r1");
-  auto q2 = ParseAndAnalyze(
-      "SELECT itemID FROM OpenAuction WHERE start_price > 100", catalog_,
-      "r2");
-  ASSERT_TRUE(q1.ok() && q2.ok());
-  std::map<std::string, int> results;
-  auto sink = [&](const std::string& id, const Tuple&) { ++results[id]; };
-  ASSERT_TRUE(engine.InstallQuery("q1", *q1, sink).ok());
-  ASSERT_TRUE(engine.InstallQuery("q2", *q2, sink).ok());
-  EXPECT_EQ(engine.num_queries(), 2u);
-  engine.PushSourceTuple("OpenAuction", Open(1, 1, 50, 0));
-  engine.PushSourceTuple("OpenAuction", Open(2, 1, 150, 1));
-  EXPECT_EQ(results["q1"], 2);
-  EXPECT_EQ(results["q2"], 1);
-  EXPECT_EQ(engine.results_emitted(), 3u);
-}
-
+// The name-matching reference engine (the DST oracle) stops feeding a
+// removed query and reports a second removal as NotFound.
 TEST_F(PlanTest, EngineRemoveQueryStopsResults) {
-  SpeEngine engine;
-  auto q = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r");
-  int n = 0;
-  ASSERT_TRUE(engine
-                  .InstallQuery("q", *q,
-                                [&](const std::string&, const Tuple&) { ++n; })
-                  .ok());
-  ASSERT_TRUE(engine.RemoveQuery("q").ok());
-  EXPECT_EQ(engine.RemoveQuery("q").code(), StatusCode::kNotFound);
-  engine.PushSourceTuple("OpenAuction", Open(1, 1, 1, 0));
-  EXPECT_EQ(n, 0);
+  GroundTruthOracle engine(&catalog_);
+  ASSERT_TRUE(engine.Submit("q", "SELECT itemID FROM OpenAuction").ok());
+  engine.Inject("OpenAuction", Open(1, 1, 1, 0));
+  ASSERT_EQ(engine.ResultsFor("q").size(), 1u);
+  ASSERT_TRUE(engine.Remove("q").ok());
+  EXPECT_EQ(engine.Remove("nope").code(), StatusCode::kNotFound);
+  engine.Inject("OpenAuction", Open(2, 1, 1, 1));
+  EXPECT_EQ(engine.ResultsFor("q").size(), 1u);
 }
 
-// Removing one of several plans on a shared stream leaves the others
-// consuming it, including a plan that reads the stream on two ports.
+// Removing one of several queries on a shared stream leaves the others
+// consuming it, including a query that reads the stream on two ports.
 TEST_F(PlanTest, EngineRemoveQueryKeepsOtherConsumers) {
-  SpeEngine engine;
-  std::map<std::string, int> results;
-  auto sink = [&](const std::string& id, const Tuple&) { ++results[id]; };
-  auto q1 = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r1");
-  auto q2 = ParseAndAnalyze(
-      "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, "
-      "ClosedAuction [Now] C WHERE O.itemID = C.itemID",
-      catalog_, "r2");
-  auto q3 = ParseAndAnalyze(
-      "SELECT itemID FROM OpenAuction WHERE start_price > 100", catalog_,
-      "r3");
-  auto q4 = ParseAndAnalyze(
-      "SELECT A.itemID FROM OpenAuction A, OpenAuction B "
-      "WHERE A.itemID = B.itemID",
-      catalog_, "r4");
-  ASSERT_TRUE(q1.ok() && q2.ok() && q3.ok() && q4.ok());
-  ASSERT_TRUE(engine.InstallQuery("q1", *q1, sink).ok());
-  ASSERT_TRUE(engine.InstallQuery("q2", *q2, sink).ok());
-  ASSERT_TRUE(engine.InstallQuery("q3", *q3, sink).ok());
-  ASSERT_TRUE(engine.InstallQuery("q4", *q4, sink).ok());
-  ASSERT_TRUE(engine.RemoveQuery("q2").ok());
-  ASSERT_TRUE(engine.RemoveQuery("q3").ok());
-  EXPECT_EQ(engine.num_queries(), 2u);
-  engine.PushSourceTuple("OpenAuction", Open(1, 1, 150, 0));
-  engine.PushSourceTuple("ClosedAuction", Closed(1, 2, 1));
-  EXPECT_EQ(results["q1"], 1);
-  EXPECT_GE(results["q4"], 1);
-  EXPECT_EQ(results.count("q2"), 0u);
-  EXPECT_EQ(results.count("q3"), 0u);
-}
-
-TEST_F(PlanTest, EngineDuplicateIdRejected) {
-  SpeEngine engine;
-  auto q = ParseAndAnalyze("SELECT itemID FROM OpenAuction", catalog_, "r");
-  ASSERT_TRUE(engine.InstallQuery("q", *q, nullptr).ok());
-  EXPECT_EQ(engine.InstallQuery("q", *q, nullptr).code(),
-            StatusCode::kAlreadyExists);
+  GroundTruthOracle engine(&catalog_);
+  ASSERT_TRUE(engine.Submit("q1", "SELECT itemID FROM OpenAuction").ok());
+  ASSERT_TRUE(engine
+                  .Submit("q2",
+                          "SELECT O.itemID FROM OpenAuction [Range 1 Hour] O, "
+                          "ClosedAuction [Now] C WHERE O.itemID = C.itemID")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .Submit("q3",
+                          "SELECT itemID FROM OpenAuction "
+                          "WHERE start_price > 100")
+                  .ok());
+  ASSERT_TRUE(engine
+                  .Submit("q4",
+                          "SELECT A.itemID FROM OpenAuction A, OpenAuction B "
+                          "WHERE A.itemID = B.itemID")
+                  .ok());
+  ASSERT_TRUE(engine.Remove("q2").ok());
+  ASSERT_TRUE(engine.Remove("q3").ok());
+  engine.Inject("OpenAuction", Open(1, 1, 150, 0));
+  engine.Inject("ClosedAuction", Closed(1, 2, 1));
+  EXPECT_EQ(engine.ResultsFor("q1").size(), 1u);
+  // The one tuple entered both ports of the self-join and joined itself.
+  EXPECT_EQ(engine.ResultsFor("q4").size(), 1u);
+  EXPECT_EQ(engine.ResultsFor("q2").size(), 0u);
+  EXPECT_EQ(engine.ResultsFor("q3").size(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/grouping.h"
 #include "core/profile_composer.h"
 #include "stream/auction_dataset.h"
@@ -129,7 +130,7 @@ TEST_F(SplittableTest, EveryGroupMemberProfileComposes) {
   int i = 0;
   for (const char* cql : queries) {
     ASSERT_TRUE(
-        engine.AddQuery("q" + std::to_string(i++), Q(cql)).ok());
+        engine.AddQuery(StrFormat("q%d", i++), Q(cql)).ok());
   }
   for (const auto& [gid, group] : engine.groups()) {
     for (const auto& m : group.members) {

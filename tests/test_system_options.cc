@@ -1,5 +1,5 @@
-// System option matrix: DHT schema directory, advertisement scoping, and
-// early projection exercised end-to-end through CosmosSystem.
+// System option matrix: advertisement scoping and early projection
+// exercised end-to-end through CosmosSystem.
 
 #include <gtest/gtest.h>
 
@@ -43,34 +43,19 @@ int RunScenario(SystemOptions options) {
 
 TEST(SystemOptionsMatrix, AllCombinationsDeliverIdentically) {
   std::vector<int> results;
-  for (bool dht : {false, true}) {
-    for (bool adv : {false, true}) {
-      for (bool proj : {false, true}) {
-        SystemOptions options;
-        options.directory =
-            dht ? DirectoryMode::kDht : DirectoryMode::kFlooded;
-        options.network.advertisement_scoping = adv;
-        options.network.early_projection = proj;
-        results.push_back(RunScenario(options));
-      }
+  for (bool adv : {false, true}) {
+    for (bool proj : {false, true}) {
+      SystemOptions options;
+      options.network.advertisement_scoping = adv;
+      options.network.early_projection = proj;
+      results.push_back(RunScenario(options));
     }
   }
-  ASSERT_EQ(results.size(), 8u);
+  ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], 20);
   for (int r : results) {
     EXPECT_EQ(r, results[0]);
   }
-}
-
-TEST(SystemOptionsMatrix, DhtDirectoryChargesLookupHops) {
-  SystemOptions options;
-  options.directory = DirectoryMode::kDht;
-  CosmosSystem system(ChainTree(4), options);
-  SensorDataset sensors;
-  (void)system.RegisterSource(sensors.SchemaOf(0), 1.0, 0);
-  int home = system.catalog().ResponsibleNode("sensor_00");
-  EXPECT_EQ(system.catalog().LookupHops("sensor_00", home), 0);
-  EXPECT_EQ(system.catalog().LookupHops("sensor_00", (home + 1) % 4), 1);
 }
 
 TEST(SystemOptionsMatrix, AdvertisementScopingShrinksSystemTables) {
