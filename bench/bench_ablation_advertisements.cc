@@ -47,10 +47,11 @@ Outcome Run(int mode, int num_nodes, int num_subs) {
 
   // Publishers at deterministic nodes.
   Rng pub_rng(7);
-  std::vector<NodeId> publisher(sensors.num_stations());
+  std::vector<ContentBasedNetwork::Publisher> publisher;
   for (int k = 0; k < sensors.num_stations(); ++k) {
-    publisher[k] = static_cast<NodeId>(pub_rng.NextBounded(num_nodes));
-    net.Advertise(publisher[k], SensorDataset::StreamName(k));
+    publisher.push_back(
+        net.Advertise(static_cast<NodeId>(pub_rng.NextBounded(num_nodes)),
+                      SensorDataset::StreamName(k)));
   }
 
   WorkloadOptions wl;
@@ -79,8 +80,7 @@ Outcome Run(int mode, int num_nodes, int num_subs) {
   auto replay = data.MakeReplay();
   while (auto t = replay->Next()) {
     int station = static_cast<int>(t->value(0).AsInt64());
-    net.Publish(publisher[station],
-                Datagram{t->schema()->stream_name(), *t});
+    net.Publish(publisher[station], *t);
   }
   return out;
 }

@@ -43,9 +43,11 @@ Outcome Run(bool buffering, int num_failures, int num_nodes) {
 
   Outcome out;
   Rng rng(17);
-  std::vector<NodeId> publisher(sopts.num_stations);
-  for (auto& p : publisher) {
-    p = static_cast<NodeId>(rng.NextBounded(num_nodes));
+  std::vector<ContentBasedNetwork::Publisher> publisher;
+  for (int k = 0; k < sopts.num_stations; ++k) {
+    publisher.push_back(net.Advertise(
+        static_cast<NodeId>(rng.NextBounded(num_nodes)),
+        SensorDataset::StreamName(k)));
   }
   for (int i = 0; i < 40; ++i) {
     Profile p;
@@ -71,7 +73,7 @@ Outcome Run(bool buffering, int num_failures, int num_nodes) {
       }
     }
     int station = static_cast<int>(t->value(0).AsInt64());
-    net.Publish(publisher[station], Datagram{t->schema()->stream_name(), *t});
+    net.Publish(publisher[station], *t);
     ++streamed;
     if (streamed == 2 * total / 3) {
       uint64_t before = net.control_messages();

@@ -55,15 +55,16 @@ uint64_t Run(bool early_projection, int num_queries) {
 
   // Publish the sensor replay from per-station publisher nodes.
   Rng pub_rng(9);
-  std::vector<NodeId> publisher(sensors.num_stations());
-  for (auto& p : publisher) {
-    p = static_cast<NodeId>(pub_rng.NextBounded(topo_opts.num_nodes));
+  std::vector<ContentBasedNetwork::Publisher> publisher;
+  for (int k = 0; k < sensors.num_stations(); ++k) {
+    publisher.push_back(network.Advertise(
+        static_cast<NodeId>(pub_rng.NextBounded(topo_opts.num_nodes)),
+        SensorDataset::StreamName(k)));
   }
   auto replay = sensors.MakeReplay();
   while (auto t = replay->Next()) {
-    const std::string& stream = t->schema()->stream_name();
     int station = static_cast<int>(t->value(0).AsInt64());
-    network.Publish(publisher[station], Datagram{stream, *t});
+    network.Publish(publisher[station], *t);
   }
   return network.total_bytes();
 }

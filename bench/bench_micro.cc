@@ -364,7 +364,8 @@ struct TelemetryForwardFixture {
       network.Subscribe(static_cast<NodeId>(rng.NextBounded(100)),
                         std::move(p), nullptr);
     }
-    d = Datagram{schema->stream_name(), MakeSensorTuple(schema, 18.0, 1)};
+    publisher = network.Advertise(0, schema->stream_name());
+    tuple = MakeSensorTuple(schema, 18.0, 1);
   }
 
   static DisseminationTree MakeTree() {
@@ -379,13 +380,14 @@ struct TelemetryForwardFixture {
 
   ContentBasedNetwork network;
   std::shared_ptr<const Schema> schema;
-  Datagram d;
+  ContentBasedNetwork::Publisher publisher;
+  Tuple tuple;
 };
 
 void BM_ForwardWithoutTelemetry(benchmark::State& state) {
   TelemetryForwardFixture fix;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fix.network.Publish(0, fix.d));
+    benchmark::DoNotOptimize(fix.network.Publish(fix.publisher, fix.tuple));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["datagrams_per_sec"] = benchmark::Counter(
@@ -398,7 +400,7 @@ void BM_ForwardWithTelemetry(benchmark::State& state) {
   MetricsRegistry registry;
   fix.network.SetTelemetry(&registry, nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fix.network.Publish(0, fix.d));
+    benchmark::DoNotOptimize(fix.network.Publish(fix.publisher, fix.tuple));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["datagrams_per_sec"] = benchmark::Counter(

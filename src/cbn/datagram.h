@@ -20,8 +20,9 @@ inline constexpr StreamId kNoStream = UINT32_MAX;
 // of the stream's full schema after early projection.
 //
 // `stream_id` is the stream's id in the network carrying the datagram.
-// ContentBasedNetwork::Publish resolves it from `stream`; the name stays
-// because the wire-size model, the codec and delivery callbacks use it.
+// ContentBasedNetwork::Publish stamps it, and the name, from the
+// publisher's handle. The name stays because the wire-size model, the
+// codec, the trace and delivery callbacks use it.
 struct Datagram {
   std::string stream;
   Tuple tuple;

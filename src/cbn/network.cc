@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -63,14 +64,13 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   covering_checks_ = metrics_->GetCounter("cbn.covering_checks");
   ledger_binds_ = metrics_->GetCounter("cbn.ledger_binds");
   datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
-  // Rebound now: datagrams in flight or buffered count into these entries.
+  // Rebound now: the publishers that bound an entry, and their datagrams
+  // in flight or buffered, hold a reference on its id.
   for (StreamId id = 0; id < ledger_.size(); ++id) {
-    LedgerSlot& slot = ledger_[id];
-    if (slot.epoch == streams_->epoch(id)) {
-      slot.counters = &Bundle(streams_->Name(id));
-    } else {
-      slot = LedgerSlot{};
-    }
+    StreamCounters*& counters = ledger_[id];
+    counters = counters != nullptr && streams_->referenced(id)
+                   ? &Bundle(streams_->Name(id))
+                   : nullptr;
   }
   ResetLinkLedger();
   reset_.clear();
@@ -99,10 +99,7 @@ ContentBasedNetwork::StreamCounters& ContentBasedNetwork::Bundle(
 
 void ContentBasedNetwork::BindLedger(StreamId id) {
   if (ledger_.size() <= id) ledger_.resize(id + 1);
-  LedgerSlot& slot = ledger_[id];
-  if (slot.epoch == streams_->epoch(id)) return;
-  slot.epoch = streams_->epoch(id);
-  slot.counters = &Bundle(streams_->Name(id));
+  ledger_[id] = &Bundle(streams_->Name(id));
 }
 
 ContentBasedNetwork::LinkCounters& ContentBasedNetwork::LinkLedger(
@@ -155,17 +152,50 @@ void ContentBasedNetwork::ForEachSubscription(
   }
 }
 
-void ContentBasedNetwork::Advertise(NodeId node, const std::string& stream) {
+ContentBasedNetwork::Publisher ContentBasedNetwork::Advertise(
+    NodeId node, const std::string& stream) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
-  auto& publishers = advertisements_[stream];
-  if (!publishers.insert(node).second) return;  // already advertised
-  if (!options_.advertisement_scoping) return;
+  COSMOS_CHECK(advertisements_[stream].insert(node).second)
+      << "node " << node << " already advertises " << stream;
+  Publisher publisher(this, node, StreamRef(streams_.get(), stream));
+  if (!options_.advertisement_scoping) return publisher;
   // A new publisher appeared: existing subscriptions interested in this
   // stream need routing entries along the new publisher->subscriber paths.
   for (const auto& [id, sub] : subscriptions_) {
     if (!sub.profile->WantsStream(stream)) continue;
     InstallAlongPath(node, sub.node, id, sub.profile);
   }
+  return publisher;
+}
+
+ContentBasedNetwork::Publisher::Publisher(Publisher&& other) noexcept
+    : network_(std::exchange(other.network_, nullptr)),
+      node_(other.node_),
+      stream_(std::move(other.stream_)),
+      bound_(other.bound_) {}
+
+ContentBasedNetwork::Publisher& ContentBasedNetwork::Publisher::operator=(
+    Publisher&& other) noexcept {
+  if (this != &other) {
+    Withdraw();
+    network_ = std::exchange(other.network_, nullptr);
+    node_ = other.node_;
+    stream_ = std::move(other.stream_);
+    bound_ = other.bound_;
+  }
+  return *this;
+}
+
+void ContentBasedNetwork::Publisher::Withdraw() {
+  if (network_ == nullptr) return;
+  // The stream's last publisher takes its key along, so advertisements
+  // stay bounded by the live publishers however many result-stream
+  // versions come and go.
+  auto it = network_->advertisements_.find(stream());
+  it->second.erase(node_);
+  if (it->second.empty()) network_->advertisements_.erase(it);
+  network_ = nullptr;
+  stream_ = StreamRef();
 }
 
 ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
@@ -218,15 +248,15 @@ void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
   // applies: if an unpruned entry on that same link covers the new one,
   // nodes farther out already route everything it wants toward us, so
   // propagation stops and the entry records its coverer.
-  std::queue<Hop> q;
+  std::vector<Hop>& q = flood_hops_;
+  q.clear();
   for (const auto& [n, w] : tree_.Neighbors(from)) {
     if (n == prev) continue;
-    q.push(Hop{n, from});
+    q.push_back(Hop{n, from});
     control_->Increment();
   }
-  while (!q.empty()) {
-    Hop h = q.front();
-    q.pop();
+  for (size_t head = 0; head < q.size(); ++head) {
+    const Hop h = q[head];
     RoutingTable& table = routers_[h.node].table();
     ProfileId coverer = 0;
     if (options_.covering_prune) {
@@ -238,7 +268,7 @@ void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
     if (coverer != 0) continue;  // no need to announce farther out
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n == h.prev) continue;
-      q.push(Hop{n, h.node});
+      q.push_back(Hop{n, h.node});
       control_->Increment();
     }
   }
@@ -254,14 +284,14 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   // subscriber, so the walk visits only the nodes that hold one. At each,
   // the entries it was covering are re-checked, and the ones left
   // uncovered resume flooding past that hop; nothing else is touched.
-  std::queue<Hop> q;
+  std::vector<Hop>& q = unsubscribe_hops_;
+  q.clear();
   for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
-    q.push(Hop{n, subscriber});
+    q.push_back(Hop{n, subscriber});
   }
   std::vector<ProfileId> uncovered;
-  while (!q.empty()) {
-    Hop h = q.front();
-    q.pop();
+  for (size_t head = 0; head < q.size(); ++head) {
+    const Hop h = q[head];
     uncovered.clear();
     uint64_t checks = 0;
     if (!routers_[h.node].table().Remove(h.prev, id, &uncovered, &checks)) {
@@ -272,7 +302,7 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
       Flood(u, subscriptions_.at(u).profile, h.node, h.prev);
     }
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
-      if (n != h.prev) q.push(Hop{n, h.node});
+      if (n != h.prev) q.push_back(Hop{n, h.node});
     }
   }
   return true;
@@ -281,14 +311,10 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
 void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
                                const Datagram& d, size_t count,
                                LinkCounters* link) {
-  COSMOS_DCHECK(d.stream_id != kNoStream || kind == Event::kPublish)
-      << "unrouted " << d.stream << " past its publish";
-  COSMOS_DCHECK(d.stream_id == kNoStream ||
-                ledger_[d.stream_id].epoch == streams_->epoch(d.stream_id))
+  COSMOS_DCHECK(d.stream_id < ledger_.size() &&
+                ledger_[d.stream_id] != nullptr)
       << "unbound ledger for " << d.stream;
-  StreamCounters& sc = d.stream_id == kNoStream
-                           ? Bundle(d.stream)
-                           : *ledger_[d.stream_id].counters;
+  StreamCounters& sc = *ledger_[d.stream_id];
   switch (kind) {
     case Event::kPublish:
       sc.published->Increment();
@@ -484,31 +510,20 @@ void ContentBasedNetwork::AppendInterestedLinks(NodeId node, NodeId from,
             hop_links_.end());
 }
 
-size_t ContentBasedNetwork::Publish(NodeId node, Datagram datagram) {
-  COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
-  if (options_.advertisement_scoping) {
-    const std::set<NodeId>* publishers = PublishersOf(datagram.stream);
-    COSMOS_CHECK(publishers != nullptr && publishers->count(node) > 0)
-        << "node " << node << " advertises a stream it never registered";
+size_t ContentBasedNetwork::Publish(Publisher& publisher, Tuple tuple) {
+  COSMOS_CHECK(publisher.network_ == this) << "not a publisher of this network";
+  const StreamId id = publisher.stream_.id();
+  // The handle's id stays assigned to its stream while the handle lives,
+  // but a reused id's ledger entry may still point at the counters of the
+  // stream that held it before: each handle binds the entry once, before
+  // its first datagram.
+  if (!publisher.bound_) {
+    BindLedger(id);
+    publisher.bound_ = true;
   }
-  // The only name lookup on the data plane. Every bucket and local
-  // subscriber holds a reference on its stream's id, so a stream without a
-  // referenced id has nobody to reach: only its publish is counted.
-  const StreamId id = streams_->Find(datagram.stream);
-  if (id == kNoStream || !streams_->referenced(id)) {
-    datagram.stream_id = kNoStream;
-    Emit(Event::kPublish, node, /*peer=*/-1, datagram);
-    return 0;
-  }
-  // The reference keeps the id assigned to this stream while the datagram
-  // travels, even if a delivery callback drops the stream's last bucket.
-  datagram.stream_id = id;
-  streams_->Acquire(id);
-  BindLedger(id);
-  Emit(Event::kPublish, node, /*peer=*/-1, datagram);
-  const size_t delivered = Process(node, /*from=*/-1, datagram);
-  streams_->Release(id);
-  return delivered;
+  const Datagram d{streams_->Name(id), std::move(tuple), id};
+  Emit(Event::kPublish, publisher.node_, /*peer=*/-1, d);
+  return Process(publisher.node_, /*from=*/-1, d);
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -607,7 +622,6 @@ void ContentBasedNetwork::FlushBuffered() {
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
   for (auto& b : pending) {
-    BindLedger(b.datagram.stream_id);
     Emit(Event::kRecover, b.entry, /*peer=*/-1, b.datagram);
     Process(b.entry, /*from=*/-1, b.datagram, &b.allowed);
     streams_->Release(b.datagram.stream_id);

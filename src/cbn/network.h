@@ -37,8 +37,7 @@ struct NetworkOptions {
   // Advertisement scoping (paper §2: sources advertise their streams,
   // processors advertise their result streams): subscription state is
   // installed only on the tree paths from advertised publishers of the
-  // requested streams to the subscriber, instead of network-wide. Requires
-  // every publisher to Advertise() before publishing.
+  // requested streams to the subscriber, instead of network-wide.
   bool advertisement_scoping = false;
   // Buffer datagrams that would cross a failed link and flush them after
   // Repair() (data-layer high availability, paper §2's fault-tolerance
@@ -63,11 +62,47 @@ class ContentBasedNetwork {
   const DisseminationTree& tree() const { return tree_; }
   int num_nodes() const { return tree_.num_nodes(); }
 
-  // Declares that `node` publishes `stream` (idempotent). Required before
-  // publishing when advertisement_scoping is on; otherwise optional
-  // bookkeeping. Installs the entries of existing subscriptions along the
-  // new publisher's paths.
-  void Advertise(NodeId node, const std::string& stream);
+  // A publisher: the advertisement that `node` publishes one stream (paper
+  // §2: sources advertise the streams they provide, processors the result
+  // streams they generate), and the only way to publish. The advertisement
+  // lasts as long as the handle, and the handle holds a reference on its
+  // stream's id, so a publish resolves no name and the id cannot be
+  // reassigned under it. Move-only; the network must outlive it, and a
+  // delivery callback must not destroy the handle whose Publish it runs in.
+  class Publisher {
+   public:
+    Publisher() = default;
+    Publisher(Publisher&& other) noexcept;
+    Publisher& operator=(Publisher&& other) noexcept;
+    Publisher(const Publisher&) = delete;
+    Publisher& operator=(const Publisher&) = delete;
+    ~Publisher() { Withdraw(); }
+
+    // The advertised stream's name.
+    const std::string& stream() const {
+      return network_->streams_->Name(stream_.id());
+    }
+
+   private:
+    friend class ContentBasedNetwork;
+    Publisher(ContentBasedNetwork* network, NodeId node, StreamRef stream)
+        : network_(network), node_(node), stream_(std::move(stream)) {}
+    // Ends the advertisement and drops the id reference (no-op when empty).
+    void Withdraw();
+
+    ContentBasedNetwork* network_ = nullptr;
+    NodeId node_ = -1;
+    StreamRef stream_;
+    // Whether a publish through this handle has bound the ledger entry of
+    // its id (see Publish).
+    bool bound_ = false;
+  };
+
+  // Advertises that `node` publishes `stream` and returns the handle to
+  // publish it through; `node` must not already hold one for `stream`.
+  // With advertisement_scoping, installs the entries of existing
+  // subscriptions along the new publisher's paths.
+  [[nodiscard]] Publisher Advertise(NodeId node, const std::string& stream);
 
   // Installs `profile` for a subscriber at `node`; `callback` fires on each
   // delivered tuple. Returns the profile id (for Unsubscribe).
@@ -79,14 +114,11 @@ class ContentBasedNetwork {
   // that no other entry covers. False when unknown.
   bool Unsubscribe(ProfileId id);
 
-  // Publishes a datagram from `node` (a source or a processor emitting a
-  // result stream). Its stream name is looked up here, once. A stream that
-  // no routing state names has no id, so nothing can deliver or forward it:
-  // the publish is counted and returns 0. Otherwise every hop below keys
-  // its lookups by the stream's id and visits only the links with a bucket
-  // for it. Returns the number of local deliveries performed (synchronous
-  // mode) or scheduled so far (simulated mode).
-  size_t Publish(NodeId node, Datagram datagram);
+  // Publishes `tuple` as a datagram of `publisher`'s stream from its node.
+  // Every hop keys its lookups by the id the handle holds and visits only
+  // the links with a bucket for it. Returns the number of local deliveries
+  // performed (synchronous mode) or scheduled so far (simulated mode).
+  size_t Publish(Publisher& publisher, Tuple tuple);
 
   // ---- fault tolerance (data-layer module of paper Figure 2) ----
 
@@ -144,6 +176,7 @@ class ContentBasedNetwork {
   void ResetStats();
 
   const Router& router(NodeId node) const { return routers_[node]; }
+  // The nodes holding a Publisher of `stream` (nullptr when none does).
   const std::set<NodeId>* PublishersOf(const std::string& stream) const;
   // The stream-name interner the routers key their state by.
   const StreamTable& streams() const { return *streams_; }
@@ -207,14 +240,8 @@ class ContentBasedNetwork {
     Counter* forwarded = nullptr;
     Counter* forwarded_bytes = nullptr;
   };
-  // A stream id's entry in the ledger: the counters of the name it was
-  // bound to.
-  struct LedgerSlot {
-    uint32_t epoch = 0;  // StreamTable::epoch() bound at; 0 = unbound
-    StreamCounters* counters = nullptr;
-  };
-  // Binds the ledger entry of `id` (a referenced id) to its name unless
-  // already bound at the id's current epoch.
+  // Points the ledger entry of `id` (a referenced id) at its name's
+  // counters.
   void BindLedger(StreamId id);
   // `stream`'s counters, resolved by name once per attached registry
   // (cbn.ledger_binds counts the resolutions).
@@ -245,11 +272,10 @@ class ContentBasedNetwork {
     kRecover,          // buffered datagram re-entering at `node`
   };
   // The only place a data event is recorded: counts it into the cbn.*
-  // counters of d's stream (bound by Publish or FlushBuffered; by name for
-  // the publish of a stream without an id) and, when the tracer is on,
-  // records it there. `link` is the forwarding link's counters (kForward
-  // only). Recovery traffic travels a recovery channel and is never
-  // charged to links.
+  // counters of d's stream (its ledger entry, bound by Publish) and, when
+  // the tracer is on, records it there. `link` is the forwarding link's
+  // counters (kForward only). Recovery traffic travels a recovery channel
+  // and is never charged to links.
   void Emit(Event kind, NodeId node, NodeId peer, const Datagram& d,
             size_t count = 1, LinkCounters* link = nullptr);
 
@@ -307,8 +333,10 @@ class ContentBasedNetwork {
   // Stream name -> its counters, for the attached registry. Node-based,
   // so the ledger's pointers survive rehashing.
   std::unordered_map<std::string, StreamCounters> bundles_;
-  // Stream id -> its counters.
-  std::vector<LedgerSlot> ledger_;
+  // Stream id -> its counters. Each Publisher binds its id's entry on its
+  // first publish, so an entry a reused id carries over is rebound before
+  // any datagram of the id's new stream exists.
+  std::vector<StreamCounters*> ledger_;
   // Node -> per tree neighbor (in Neighbors() order) -> link counters.
   std::vector<std::vector<LinkCounters>> link_counters_;
   Counter* forwards_ = nullptr;
@@ -320,6 +348,11 @@ class ContentBasedNetwork {
   Counter* covering_checks_ = nullptr;
   Counter* ledger_binds_ = nullptr;
   Histogram* datagram_bytes_ = nullptr;
+  // The breadth-first walks of Flood and Unsubscribe, which calls Flood
+  // while its own walk is under way. Kept so each walk reuses the
+  // capacity of the last.
+  std::vector<Hop> flood_hops_;
+  std::vector<Hop> unsubscribe_hops_;
   // The neighbor positions each active Process call still has to visit,
   // stacked: a nested call appends its own above its caller's and pops
   // them before it returns.

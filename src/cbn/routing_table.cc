@@ -290,31 +290,6 @@ const std::vector<RoutingTable::LinkBucket>& RoutingTable::BucketsOf(
   return stream < by_stream_.size() ? by_stream_[stream] : kNone;
 }
 
-bool RoutingTable::LinkCovers(NodeId link, const Datagram& d) const {
-  const StreamBucket* bucket = BucketFor(link, d.stream_id);
-  if (bucket == nullptr) return false;
-  for (const auto& slot : bucket->slots()) {
-    if (slot.profile->Covers(d)) return true;
-  }
-  return false;
-}
-
-void RoutingTable::MatchingProfiles(NodeId link, const Datagram& d,
-                                    std::vector<const Profile*>* out) const {
-  const StreamBucket* bucket = BucketFor(link, d.stream_id);
-  if (bucket == nullptr) return;
-  for (const auto& slot : bucket->slots()) {
-    if (slot.profile->Covers(d)) out->push_back(slot.profile);
-  }
-}
-
-std::vector<const Profile*> RoutingTable::MatchingProfiles(
-    NodeId link, const Datagram& d) const {
-  std::vector<const Profile*> out;
-  MatchingProfiles(link, d, &out);
-  return out;
-}
-
 size_t RoutingTable::TotalEntries() const {
   size_t total = 0;
   for (const auto& [link, entries] : per_link_) total += entries.size();

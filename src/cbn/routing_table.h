@@ -153,18 +153,6 @@ class RoutingTable {
   // snapshotted BucketsOf() can tell that its set of links changed.
   uint64_t bucket_version() const { return bucket_version_; }
 
-  // True when any profile on `link` covers `d`.
-  bool LinkCovers(NodeId link, const Datagram& d) const;
-
-  // Appends the profiles on `link` covering `d` to `*out` (caller-owned
-  // scratch; not cleared here so callers can reuse one vector).
-  void MatchingProfiles(NodeId link, const Datagram& d,
-                        std::vector<const Profile*>* out) const;
-
-  // Allocating convenience wrapper for tests and cold paths.
-  std::vector<const Profile*> MatchingProfiles(NodeId link,
-                                               const Datagram& d) const;
-
   size_t TotalEntries() const;
 
   // Sum of bucket slot counts across all links: each entry contributes one

@@ -36,7 +36,6 @@ StreamId StreamTable::Acquire(const std::string& name) {
   }
   Slot& slot = slots_[id];
   slot.name = name;
-  ++slot.epoch;
   slot.attributes.clear();
   ids_.emplace(name, id);
   Acquire(id);

@@ -18,21 +18,20 @@ using AttrMask = uint64_t;
 inline constexpr AttrMask kAllAttributes = AttrMask{1} << 63;
 
 // Interns stream names into dense StreamIds, once per network. Names are
-// resolved here only at the network's boundary (Subscribe installing
-// routing state, Publish); every per-datagram lookup below it indexes by
-// id.
+// resolved here only at the network's boundary: when a subscription
+// installs routing state and when a publisher advertises. Every
+// per-datagram lookup below it indexes by id.
 //
 // Ids are reference-counted and reused, so id-indexed storage stays
 // bounded by the live stream set even though result streams are renamed
 // on every representative change. References are held by routing buckets,
-// local subscriptions, and datagrams being published, in flight on the
-// simulator or buffered at a failed link. An id reaches zero references
-// only when none of those exists, so a later stream that takes the freed
-// id can never reach the old owner's buckets, matchers or projection
-// plans. A publish only looks its name up: a stream no routing state
-// names takes no id at all. A freed id keeps its name until the slot is
-// reused, so a stream whose subscriptions come back before then gets its
-// old id again.
+// local subscriptions, publishers (ContentBasedNetwork::Publisher) and
+// datagrams in flight on the simulator or buffered at a failed link. An id
+// reaches zero references only when none of those exists, so a later
+// stream that takes the freed id can never reach the old owner's buckets,
+// matchers or projection plans. A freed id keeps its name until the slot
+// is reused, so a stream whose subscriptions or publisher come back before
+// then gets its old id again.
 //
 // Each stream also owns an attribute dictionary that assigns bits to the
 // attribute names profiles ask for, so required and projection attribute
@@ -49,6 +48,7 @@ class StreamTable {
 
   // The id of `name`, or kNoStream when it has none. A freed id is still
   // found until it is reassigned; referenced() tells it from a live one.
+  // No data-plane path calls this: publishers and buckets hold their ids.
   StreamId Find(const std::string& name) const;
 
   // Takes one reference on the id of `name`, assigning one (reusing a
@@ -60,11 +60,9 @@ class StreamTable {
   void Release(StreamId id);
 
   const std::string& Name(StreamId id) const { return slots_[id].name; }
-  // Whether `id` has a reference: some routing state or datagram holds it.
+  // Whether `id` has a reference: some routing state, publisher or
+  // datagram holds it.
   bool referenced(StreamId id) const { return slots_[id].refs > 0; }
-  // Bumped each time the id is assigned to a name, so per-id caches
-  // outside the table can tell a reassigned id from the one they bound.
-  uint32_t epoch(StreamId id) const { return slots_[id].epoch; }
 
   // The mask of `attributes` in `id`'s dictionary, adding unknown names.
   // Empty `attributes` means all attributes: kAllAttributes.
@@ -89,7 +87,6 @@ class StreamTable {
   struct Slot {
     std::string name;
     uint32_t refs = 0;
-    uint32_t epoch = 0;
     bool on_free_list = false;
     std::vector<std::string> attributes;
   };

@@ -64,15 +64,16 @@ Status Processor::SubmitQuery(const std::string& query_id,
 
   Status status = SyncGroup(placement.group_id);
   if (!status.ok()) {
-    // Roll back the placement so the engine and runtime stay consistent.
-    (void)grouping_.RemoveQuery(query_id);
-    queries_.erase(query_id);
+    // Roll back the placement, and with it whatever SyncGroup installed
+    // before it failed, so the engine, runtime and CBN stay consistent.
+    (void)RemoveQuery(query_id);
     return status;
   }
   return Status::OK();
 }
 
 void Processor::UninstallGroup(GroupRuntime& rt) {
+  rt.publisher = {};
   if (rt.plan == nullptr) return;
   for (const std::string& stream : rt.plan->input_streams()) {
     std::erase_if(source_subscriptions_.at(stream).readers,
@@ -93,7 +94,7 @@ void Processor::PushSourceTuple(const SourceSubscription& sub,
       continue;
     }
     Tracer::Span span = tracer->BeginSpan("spe", "eval", node_);
-    span.AddArg("query", Tracer::ArgString(in.group->result_stream));
+    span.AddArg("query", Tracer::ArgString(in.group->publisher.stream()));
     span.AddArg("stream", Tracer::ArgString(stream));
     in.group->plan->Push(in.port, tuple);
   }
@@ -158,25 +159,22 @@ Status Processor::SyncGroup(uint64_t group_id) {
   if (reinstall) {
     UninstallGroup(rt);
 
-    const std::string result_stream = group->ResultStreamName();
-
     // Compile the analyzed representative into a plan; its results are
     // published into the CBN as the group's result stream, which this
     // processor advertises (paper §2: "the processors would also advertise
     // the result streams that they generate").
     COSMOS_DCHECK(group->representative.output_schema()->stream_name() ==
-                  result_stream)
+                  group->ResultStreamName())
         << "representative analyzed under a stale result stream name";
-    ContentBasedNetwork* network = network_;
-    NodeId node = node_;
-    Counter* results_out = results_out_;
-    network_->Advertise(node_, result_stream);
+    rt.publisher = network_->Advertise(node_, group->ResultStreamName());
     COSMOS_ASSIGN_OR_RETURN(rt.plan, QueryPlan::Build(group->representative));
-    rt.plan->SetSink(
-        [network, node, results_out, result_stream](const Tuple& tuple) {
-          if (results_out != nullptr) results_out->Increment();
-          network->Publish(node, Datagram{result_stream, tuple});
-        });
+    ContentBasedNetwork* network = network_;
+    ContentBasedNetwork::Publisher* publisher = &rt.publisher;
+    Counter* results_out = results_out_;
+    rt.plan->SetSink([network, publisher, results_out](const Tuple& tuple) {
+      if (results_out != nullptr) results_out->Increment();
+      network->Publish(*publisher, tuple);
+    });
     // Bind each input port to its stream's record now, so a delivered
     // tuple reaches the port without a name lookup.
     const std::vector<std::string>& inputs = rt.plan->input_streams();
@@ -184,7 +182,6 @@ Status Processor::SyncGroup(uint64_t group_id) {
       source_subscriptions_[inputs[port]].readers.push_back(
           PlanPort{&rt, port});
     }
-    rt.result_stream = result_stream;
     rt.installed_version = group->version;
     std::set<std::string> streams = rt.source.streams();
     rt.source = ComposeSourceProfile(group->representative);

@@ -79,10 +79,11 @@ class Processor {
  private:
   struct GroupRuntime {
     uint64_t installed_version = 0;
-    std::string result_stream;
-    // The installed representative's plan (null when none is installed);
-    // its results are published as `result_stream`.
+    // The installed representative's plan (null when none is installed),
+    // and the advertisement of its result stream that it publishes through
+    // (empty when none is installed).
     std::unique_ptr<QueryPlan> plan;
+    ContentBasedNetwork::Publisher publisher;
     // The installed representative's source profile: its share of the
     // processor's source subscriptions.
     Profile source;
@@ -112,7 +113,8 @@ class Processor {
   // Brings the installed plan and all member subscriptions of `group_id`
   // in line with the grouping engine's current state.
   Status SyncGroup(uint64_t group_id);
-  // Unbinds `rt`'s plan from the streams it reads and drops it.
+  // Unbinds `rt`'s plan from the streams it reads and drops it, with the
+  // advertisement of its result stream.
   void UninstallGroup(GroupRuntime& rt);
 
   // The processor holds one data-layer subscription per source stream: the

@@ -15,7 +15,7 @@ RateMonitor::Series* RateMonitor::Track(const std::string& stream) {
   return &series_[stream];
 }
 
-void RateMonitor::Record(Series* series, Timestamp ts, size_t bytes) {
+void RateMonitor::Record(Series* series, Timestamp ts) {
   Series& s = *series;
   ++s.total_tuples;
   if (s.max_ts == kInvalidTimestamp || ts > s.max_ts) s.max_ts = ts;
@@ -24,23 +24,21 @@ void RateMonitor::Record(Series* series, Timestamp ts, size_t bytes) {
   // window stats for up to another full window: count it in the lifetime
   // total only.
   if (ts < s.max_ts - window_) return;
-  s.events.emplace_back(ts, bytes);
-  s.window_bytes += bytes;
+  s.events.push_back(ts);
   // Keep memory bounded even without rate queries.
   Prune(s, s.max_ts);
 }
 
 void RateMonitor::Prune(const Series& s, Timestamp now) const {
   const Timestamp cutoff = now - window_;
-  while (!s.events.empty() && s.events.front().first < cutoff) {
-    s.window_bytes -= s.events.front().second;
+  while (!s.events.empty() && s.events.front() < cutoff) {
     s.events.pop_front();
   }
 }
 
 double RateMonitor::SpanSeconds(const Series& s, Timestamp now) const {
   if (s.events.empty()) return 0.0;
-  Timestamp oldest = s.events.front().first;
+  Timestamp oldest = s.events.front();
   Duration span = std::min<Duration>(window_, now - oldest);
   // A single sample spans at least one second so rates stay finite.
   return std::max(1.0, static_cast<double>(span) / kSecond);
@@ -53,15 +51,6 @@ double RateMonitor::TupleRate(const std::string& stream,
   Prune(it->second, now);
   if (it->second.events.empty()) return 0.0;
   return static_cast<double>(it->second.events.size()) /
-         SpanSeconds(it->second, now);
-}
-
-double RateMonitor::ByteRate(const std::string& stream, Timestamp now) const {
-  auto it = series_.find(stream);
-  if (it == series_.end()) return 0.0;
-  Prune(it->second, now);
-  if (it->second.events.empty()) return 0.0;
-  return static_cast<double>(it->second.window_bytes) /
          SpanSeconds(it->second, now);
 }
 

@@ -25,9 +25,8 @@ class RateMonitor {
   // One stream's observations. Series are never removed, so a pointer
   // from Track() stays valid for the monitor's lifetime.
   struct Series {
-    // (event time, bytes), pruned against the window lazily.
-    mutable std::deque<std::pair<Timestamp, size_t>> events;
-    mutable uint64_t window_bytes = 0;
+    // Event times, pruned against the window lazily.
+    mutable std::deque<Timestamp> events;
     uint64_t total_tuples = 0;
     Timestamp max_ts = kInvalidTimestamp;
   };
@@ -35,21 +34,17 @@ class RateMonitor {
   // `stream`'s series, created empty (observed from now on) when new.
   Series* Track(const std::string& stream);
 
-  // Records one tuple of `stream` at event time `ts` with `bytes` payload.
-  // Timestamps may arrive slightly out of order; pruning uses the maximum
-  // seen so far.
-  void Record(const std::string& stream, Timestamp ts, size_t bytes) {
-    Record(Track(stream), ts, bytes);
+  // Records one tuple of `stream` at event time `ts`. Timestamps may
+  // arrive slightly out of order; pruning uses the maximum seen so far.
+  void Record(const std::string& stream, Timestamp ts) {
+    Record(Track(stream), ts);
   }
   // The same, for a series already resolved with Track().
-  void Record(Series* series, Timestamp ts, size_t bytes);
+  void Record(Series* series, Timestamp ts);
 
   // Observed tuples per second of `stream` over the trailing window ending
   // at `now` (0.0 when nothing was observed).
   double TupleRate(const std::string& stream, Timestamp now) const;
-
-  // Observed bytes per second.
-  double ByteRate(const std::string& stream, Timestamp now) const;
 
   // Tuples currently inside the window.
   size_t WindowCount(const std::string& stream, Timestamp now) const;

@@ -53,7 +53,8 @@ Status CosmosSystem::RegisterSource(std::shared_ptr<const Schema> schema,
       std::move(schema), rate_tuples_per_sec, publisher_node));
   // Paper §2: "the data sources advertise the source streams that they
   // provide".
-  network_.Advertise(publisher_node, stream);
+  sources_.emplace(stream, Source{network_.Advertise(publisher_node, stream),
+                                  rate_monitor_.Track(stream)});
   return Status::OK();
 }
 
@@ -164,24 +165,14 @@ Status CosmosSystem::PublishSourceTuple(const std::string& stream,
                                         const Tuple& tuple) {
   auto source = sources_.find(stream);
   if (source == sources_.end()) {
-    COSMOS_ASSIGN_OR_RETURN(StreamInfo info, catalog_.Lookup(stream));
-    if (info.publisher_node < 0) {
-      return Status::FailedPrecondition(
-          StrFormat("stream '%s' has no publisher node", stream.c_str()));
-    }
-    source = sources_
-                 .emplace(stream, Source{info.publisher_node,
-                                         rate_monitor_.Track(stream)})
-                 .first;
+    return Status::NotFound(StrFormat("stream '%s'", stream.c_str()));
   }
-  Datagram d{stream, tuple};
   if (injection_log_enabled_) injection_log_.emplace_back(stream, tuple);
-  rate_monitor_.Record(source->second.rate, tuple.timestamp(),
-                       d.SerializedSize());
+  rate_monitor_.Record(source->second.rate, tuple.timestamp());
   if (tuple.timestamp() > max_event_time_) {
     max_event_time_ = tuple.timestamp();
   }
-  network_.Publish(source->second.publisher, std::move(d));
+  network_.Publish(source->second.publisher, tuple);
   return Status::OK();
 }
 

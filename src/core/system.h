@@ -50,7 +50,8 @@ class CosmosSystem {
   Processor* processor(NodeId node);
   size_t num_processors() const { return processors_.size(); }
 
-  // Registers a source stream published at `publisher_node`.
+  // Registers a source stream published at `publisher_node`, which
+  // advertises it from then on.
   Status RegisterSource(std::shared_ptr<const Schema> schema,
                         double rate_tuples_per_sec, NodeId publisher_node);
 
@@ -138,19 +139,18 @@ class CosmosSystem {
   Simulator* sim_ = nullptr;
   std::optional<Graph> overlay_;
   RateMonitor rate_monitor_;
-  // A source stream as PublishSourceTuple needs it, resolved from the
-  // catalog on the stream's first tuple. A catalog entry's publisher never
-  // changes once registered.
-  struct Source {
-    NodeId publisher = -1;
-    RateMonitor::Series* rate = nullptr;
-  };
-  std::unordered_map<std::string, Source> sources_;
   bool injection_log_enabled_ = false;
   std::vector<std::pair<std::string, Tuple>> injection_log_;
   Timestamp max_event_time_ = 0;
   Catalog catalog_;
   ContentBasedNetwork network_;
+  // A registered source stream as PublishSourceTuple needs it. Declared
+  // after the network, which its publisher must not outlive.
+  struct Source {
+    ContentBasedNetwork::Publisher publisher;
+    RateMonitor::Series* rate = nullptr;
+  };
+  std::unordered_map<std::string, Source> sources_;
   SystemOptions options_;
   QueryDistributor distributor_;
   std::map<NodeId, std::unique_ptr<Processor>> processors_;

@@ -17,11 +17,19 @@ std::shared_ptr<const Schema> SensorSchema() {
                                      {"timestamp", ValueType::kInt64}});
 }
 
-Datagram MakeDatagram(double temp, double hum, Timestamp ts = 0) {
-  return Datagram{
-      "s", Tuple(SensorSchema(),
-                 {Value(temp), Value(hum), Value(static_cast<int64_t>(ts))},
-                 ts)};
+Tuple MakeTuple(double temp, double hum, Timestamp ts = 0) {
+  return Tuple(SensorSchema(),
+               {Value(temp), Value(hum), Value(static_cast<int64_t>(ts))}, ts);
+}
+
+// One publisher of "s" at every node of `net`.
+std::vector<ContentBasedNetwork::Publisher> PublishersEverywhere(
+    ContentBasedNetwork& net) {
+  std::vector<ContentBasedNetwork::Publisher> pubs;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    pubs.push_back(net.Advertise(n, "s"));
+  }
+  return pubs;
 }
 
 ConjunctiveClause Clause(const std::string& text) {
@@ -41,6 +49,7 @@ DisseminationTree StarTree() {
 
 TEST(Network, DeliversToMatchingSubscriberOnly) {
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   int hits2 = 0;
   int hits3 = 0;
   Profile p2;
@@ -50,26 +59,28 @@ TEST(Network, DeliversToMatchingSubscriberOnly) {
   p3.AddFilter(Filter("s", Clause("temp <= 20")));
   net.Subscribe(3, p3, [&](const std::string&, const Tuple&) { ++hits3; });
 
-  net.Publish(0, MakeDatagram(25, 50));
-  net.Publish(0, MakeDatagram(10, 50));
+  net.Publish(pub, MakeTuple(25, 50));
+  net.Publish(pub, MakeTuple(10, 50));
   EXPECT_EQ(hits2, 1);
   EXPECT_EQ(hits3, 1);
 }
 
 TEST(Network, NoSubscribersMeansNoTraffic) {
   ContentBasedNetwork net(StarTree());
-  size_t delivered = net.Publish(0, MakeDatagram(25, 50));
+  auto pub = net.Advertise(0, "s");
+  size_t delivered = net.Publish(pub, MakeTuple(25, 50));
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(net.total_bytes(), 0u);
 }
 
 TEST(Network, LocalSubscriberGetsDataWithoutLinkTraffic) {
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   int hits = 0;
   Profile p;
   p.AddStream("s");
   net.Subscribe(0, p, [&](const std::string&, const Tuple&) { ++hits; });
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(net.total_bytes(), 0u);
 }
@@ -77,11 +88,12 @@ TEST(Network, LocalSubscriberGetsDataWithoutLinkTraffic) {
 TEST(Network, SharedPathTransfersOnce) {
   // Two subscribers behind the same branch: link 0-1 carries one copy.
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   Profile p;
   p.AddStream("s");
   net.Subscribe(2, p, nullptr);
   net.Subscribe(3, p, nullptr);
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   const auto& stats = net.link_stats();
   EXPECT_EQ(stats.at({0, 1}).datagrams, 1u);
   EXPECT_EQ(stats.at({1, 2}).datagrams, 1u);
@@ -91,12 +103,13 @@ TEST(Network, SharedPathTransfersOnce) {
 
 TEST(Network, ForwardingStopsWhereNoInterest) {
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   Profile p;
   p.AddFilter(Filter("s", Clause("temp > 20")));
   net.Subscribe(2, p, nullptr);
-  net.Publish(0, MakeDatagram(10, 10));  // matches nobody
+  net.Publish(pub, MakeTuple(10, 10));  // matches nobody
   EXPECT_EQ(net.total_bytes(), 0u);
-  net.Publish(0, MakeDatagram(30, 10));
+  net.Publish(pub, MakeTuple(30, 10));
   // Reaches 2 via 0-1, 1-2; never touches 1-3.
   EXPECT_EQ(net.link_stats().count({1, 3}), 0u);
 }
@@ -109,13 +122,14 @@ TEST(Network, EarlyProjectionShrinksDatagrams) {
 
   for (bool early : {false, true}) {
     ContentBasedNetwork net(StarTree(), early ? with : without);
+    auto pub = net.Advertise(0, "s");
     Profile p;
     p.AddStream("s", {"temp"});
     std::vector<size_t> sizes;
     net.Subscribe(2, p, [&](const std::string&, const Tuple& t) {
       sizes.push_back(t.num_values());
     });
-    net.Publish(0, MakeDatagram(1, 1));
+    net.Publish(pub, MakeTuple(1, 1));
     ASSERT_EQ(sizes.size(), 1u);
     // Last-hop projection always applies: subscriber sees only temp.
     EXPECT_EQ(sizes[0], 1u);
@@ -133,6 +147,7 @@ TEST(Network, ProjectionKeepsFilterAttributesForDownstreamReevaluation) {
   // retain temp so intermediate hops can re-evaluate, while the subscriber
   // still receives only hum.
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   Profile p;
   p.AddStream("s", {"hum"});
   p.AddFilter(Filter("s", Clause("temp > 20")));
@@ -140,7 +155,7 @@ TEST(Network, ProjectionKeepsFilterAttributesForDownstreamReevaluation) {
   net.Subscribe(2, p, [&](const std::string&, const Tuple& t) {
     received.push_back(t);
   });
-  net.Publish(0, MakeDatagram(30, 77));
+  net.Publish(pub, MakeTuple(30, 77));
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].num_values(), 1u);
   EXPECT_DOUBLE_EQ(received[0].value(0).AsDouble(), 77.0);
@@ -148,16 +163,17 @@ TEST(Network, ProjectionKeepsFilterAttributesForDownstreamReevaluation) {
 
 TEST(Network, UnsubscribeStopsDelivery) {
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   int hits = 0;
   Profile p;
   p.AddStream("s");
   ProfileId id =
       net.Subscribe(2, p, [&](const std::string&, const Tuple&) { ++hits; });
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   EXPECT_EQ(hits, 1);
   EXPECT_TRUE(net.Unsubscribe(id));
   EXPECT_FALSE(net.Unsubscribe(id));
-  net.Publish(0, MakeDatagram(2, 2));
+  net.Publish(pub, MakeTuple(2, 2));
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(net.router(0).table().TotalEntries(), 0u);
 }
@@ -206,6 +222,7 @@ TEST(Network, CoveringPruneDoesNotLoseDeliveries) {
     NetworkOptions opts;
     opts.covering_prune = prune;
     ContentBasedNetwork net(tree, opts);
+    auto pubs = PublishersEverywhere(net);
     int hits = 0;
     Rng sub_rng(77);
     for (int i = 0; i < 10; ++i) {
@@ -219,9 +236,8 @@ TEST(Network, CoveringPruneDoesNotLoseDeliveries) {
     }
     Rng pub_rng(99);
     for (int i = 0; i < 50; ++i) {
-      net.Publish(static_cast<NodeId>(pub_rng.NextBounded(30)),
-                  MakeDatagram(pub_rng.NextInt(-10, 40),
-                               pub_rng.NextInt(0, 100)));
+      net.Publish(pubs[pub_rng.NextBounded(30)],
+                  MakeTuple(pub_rng.NextInt(-10, 40), pub_rng.NextInt(0, 100)));
     }
     hits_per_mode.push_back(hits);
   }
@@ -240,6 +256,7 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
   int hits_b = 0;
   Profile wide;
   wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
@@ -248,10 +265,10 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
   ProfileId a = net.Subscribe(3, wide, nullptr);
   net.Subscribe(3, narrow,
                 [&](const std::string&, const Tuple&) { ++hits_b; });
-  net.Publish(0, MakeDatagram(15, 0));
+  net.Publish(pub, MakeTuple(15, 0));
   EXPECT_EQ(hits_b, 1);
   EXPECT_TRUE(net.Unsubscribe(a));
-  net.Publish(0, MakeDatagram(15, 0));
+  net.Publish(pub, MakeTuple(15, 0));
   EXPECT_EQ(hits_b, 2) << "covered subscription went deaf after the "
                           "covering one unsubscribed";
 }
@@ -266,6 +283,7 @@ TEST(Network, EqualProfilesNotStrandedBehindRemovedCoverer) {
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub3 = net.Advertise(3, "s");
   Profile whole;
   whole.AddStream("s");
   const ProfileId w = net.Subscribe(0, whole, nullptr);
@@ -281,9 +299,9 @@ TEST(Network, EqualProfilesNotStrandedBehindRemovedCoverer) {
   // One equal profile is re-forwarded to every hop; the other stays
   // pruned behind it at node 1.
   EXPECT_EQ(net.TotalTableEntries(), 4u);
-  net.Publish(3, MakeDatagram(25, 0));
+  net.Publish(pub3, MakeTuple(25, 0));
   EXPECT_EQ(hits, 2) << "equal profiles stranded behind the removed coverer";
-  net.Publish(3, MakeDatagram(15, 0));
+  net.Publish(pub3, MakeTuple(15, 0));
   EXPECT_EQ(hits, 2);
 }
 
@@ -294,6 +312,7 @@ TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
                   3, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
   int hits = 0;
   Profile p;
   p.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
@@ -304,7 +323,7 @@ TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
         2, p, [&](const std::string&, const Tuple&) { ++hits; });
     net.Unsubscribe(current);
     current = next;
-    net.Publish(0, MakeDatagram(10, round));
+    net.Publish(pub, MakeTuple(10, round));
     EXPECT_EQ(hits, round + 1) << "round " << round;
   }
 }
@@ -312,13 +331,14 @@ TEST(Network, RepeatedRefreshChurnKeepsDelivery) {
 TEST(Network, SimulatedModeDeliversWithDelay) {
   Simulator sim;
   ContentBasedNetwork net(StarTree(), NetworkOptions{}, &sim);
+  auto pub = net.Advertise(0, "s");
   std::vector<Timestamp> delivery_times;
   Profile p;
   p.AddStream("s");
   net.Subscribe(2, p, [&](const std::string&, const Tuple&) {
     delivery_times.push_back(sim.now());
   });
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   EXPECT_TRUE(delivery_times.empty());  // nothing until the sim runs
   sim.Run();
   ASSERT_EQ(delivery_times.size(), 1u);
@@ -328,10 +348,11 @@ TEST(Network, SimulatedModeDeliversWithDelay) {
 
 TEST(Network, ResetStatsClearsCounters) {
   ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(0, "s");
   Profile p;
   p.AddStream("s");
   net.Subscribe(2, p, nullptr);
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   EXPECT_GT(net.total_bytes(), 0u);
   net.ResetStats();
   EXPECT_EQ(net.total_bytes(), 0u);
@@ -344,10 +365,11 @@ TEST(Network, WeightedBytesUsesEdgeWeights) {
                   2, {Edge{0, 1, 10.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
   Profile p;
   p.AddStream("s");
   net.Subscribe(1, p, nullptr);
-  net.Publish(0, MakeDatagram(1, 1));
+  net.Publish(pub, MakeTuple(1, 1));
   EXPECT_DOUBLE_EQ(net.WeightedBytes(),
                    static_cast<double>(net.total_bytes()) * 10.0);
 }
@@ -366,6 +388,7 @@ TEST_P(CbnDeliveryPropertyTest, DeliveryEqualsCoverage) {
       DisseminationTree::FromEdges(25, *MinimumSpanningTree(topo.graph))
           .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pubs = PublishersEverywhere(net);
 
   struct Sub {
     Profile profile;
@@ -387,8 +410,8 @@ TEST_P(CbnDeliveryPropertyTest, DeliveryEqualsCoverage) {
 
   std::vector<Datagram> published;
   for (int i = 0; i < 100; ++i) {
-    Datagram d = MakeDatagram(rng.NextInt(-10, 40), rng.NextInt(0, 100), i);
-    net.Publish(static_cast<NodeId>(rng.NextBounded(25)), d);
+    Datagram d{"s", MakeTuple(rng.NextInt(-10, 40), rng.NextInt(0, 100), i)};
+    net.Publish(pubs[rng.NextBounded(25)], d.tuple);
     published.push_back(d);
   }
 
@@ -414,6 +437,7 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
   int plain_hits = 0;
   int filtered_hits = 0;
   Profile plain;  // everything, but only "hum" retained
@@ -426,7 +450,7 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   net.Subscribe(3, filtered,
                 [&](const std::string&, const Tuple&) { ++filtered_hits; });
 
-  net.Publish(0, MakeDatagram(25, 50));
+  net.Publish(pub, MakeTuple(25, 50));
   EXPECT_EQ(plain_hits, 1);
   EXPECT_EQ(filtered_hits, 1) << "filtered subscriber starved of 'temp'";
 
@@ -436,38 +460,44 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
                        4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                        .value();
   ASSERT_TRUE(net.RebuildTree(std::move(same_tree)).ok());
-  net.Publish(0, MakeDatagram(30, 60));
+  net.Publish(pub, MakeTuple(30, 60));
   EXPECT_EQ(plain_hits, 2);
   EXPECT_EQ(filtered_hits, 2) << "filtered subscriber deaf after rebuild";
 
   // Below the filter threshold only the unfiltered subscriber fires.
-  net.Publish(0, MakeDatagram(10, 70));
+  net.Publish(pub, MakeTuple(10, 70));
   EXPECT_EQ(plain_hits, 3);
   EXPECT_EQ(filtered_hits, 2);
 }
 
-// A publish nobody can receive takes no stream id: two streams without
-// subscribers, alternating, would otherwise free and retake one id slot on
-// every publish and resolve their counters by name each time.
-TEST(Network, UnroutedPublishTakesNoStreamId) {
+// A publish nobody can receive only counts. The publishers' ids are the
+// only ones in the table, so alternating two such streams takes no further
+// id and resolves each stream's counters by name once.
+TEST(Network, PublishWithoutSubscribersOnlyCounts) {
   ContentBasedNetwork net(StarTree());
+  auto s_pub = net.Advertise(0, "s");
+  auto t_pub = net.Advertise(0, "t");
   const auto t_schema = std::make_shared<Schema>(
       "t", std::vector<AttributeDef>{{"x", ValueType::kDouble}});
-  const Datagram s_datagram = MakeDatagram(25, 50);
-  const Datagram t_datagram{"t", Tuple(t_schema, {Value(1.0)}, 0)};
+  const Tuple s_tuple = MakeTuple(25, 50);
+  const Tuple t_tuple(t_schema, {Value(1.0)}, 0);
   constexpr uint64_t kPublishes = 10000;
   for (uint64_t i = 0; i < kPublishes; ++i) {
-    EXPECT_EQ(net.Publish(0, i % 2 == 0 ? s_datagram : t_datagram), 0u);
+    EXPECT_EQ(i % 2 == 0 ? net.Publish(s_pub, s_tuple)
+                         : net.Publish(t_pub, t_tuple),
+              0u);
   }
-  EXPECT_EQ(net.streams().size(), 0u);
+  EXPECT_EQ(net.streams().size(), 2u);
   auto counter = [&net](const std::string& name) -> uint64_t {
     const Counter* c = net.metrics().FindCounter(name);
     return c == nullptr ? 0 : c->value();
   };
-  EXPECT_LE(counter("cbn.ledger_binds"), 2u);
+  EXPECT_EQ(counter("cbn.ledger_binds"), 2u);
   for (const auto& [stream, size] :
-       {std::pair<std::string, size_t>{"s", s_datagram.SerializedSize()},
-        std::pair<std::string, size_t>{"t", t_datagram.SerializedSize()}}) {
+       {std::pair<std::string, size_t>{"s",
+                                       Datagram{"s", s_tuple}.SerializedSize()},
+        std::pair<std::string, size_t>{
+            "t", Datagram{"t", t_tuple}.SerializedSize()}}) {
     EXPECT_EQ(counter(MetricsRegistry::LabeledName("cbn.published", "stream",
                                                    stream)),
               kPublishes / 2)
@@ -482,11 +512,11 @@ TEST(Network, UnroutedPublishTakesNoStreamId) {
   Profile p;
   p.AddStream("s");
   net.Subscribe(2, p, [&](const std::string&, const Tuple&) { ++hits; });
-  EXPECT_EQ(net.Publish(0, s_datagram), 1u);
+  EXPECT_EQ(net.Publish(s_pub, s_tuple), 1u);
   EXPECT_EQ(hits, 1);
-  EXPECT_EQ(net.streams().live(), 1u);
-  // The id the subscription took rebinds to the counters "s" already had.
-  EXPECT_LE(counter("cbn.ledger_binds"), 2u);
+  // The subscription shares the id the publisher holds.
+  EXPECT_EQ(net.streams().size(), 2u);
+  EXPECT_EQ(counter("cbn.ledger_binds"), 2u);
   EXPECT_EQ(counter(MetricsRegistry::LabeledName("cbn.published", "stream",
                                                  "s")),
             kPublishes / 2 + 1);
@@ -502,6 +532,8 @@ TEST(Network, ForwardOrderFollowsTreeNeighbors) {
                       Edge{0, 1, 1.0}, Edge{3, 0, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
+  auto pub5 = net.Advertise(5, "s");
   std::vector<NodeId> order;
   for (NodeId leaf : {3, 1, 5, 2, 4}) {
     Profile p;
@@ -514,12 +546,12 @@ TEST(Network, ForwardOrderFollowsTreeNeighbors) {
   for (const auto& [n, w] : net.tree().Neighbors(0)) hub_order.push_back(n);
   ASSERT_EQ(hub_order, (std::vector<NodeId>{4, 2, 5, 1, 3}));
 
-  EXPECT_EQ(net.Publish(0, MakeDatagram(1, 1)), 5u);
+  EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 5u);
   EXPECT_EQ(order, hub_order);
 
   // From a leaf: its own subscriber first, then the hub's other links.
   order.clear();
-  EXPECT_EQ(net.Publish(5, MakeDatagram(1, 1)), 5u);
+  EXPECT_EQ(net.Publish(pub5, MakeTuple(1, 1)), 5u);
   EXPECT_EQ(order, (std::vector<NodeId>{5, 4, 2, 1, 3}));
 }
 
@@ -535,6 +567,7 @@ TEST(Network, CallbackChurnDuringPublish) {
                       Edge{0, 4, 1.0}})
                   .value();
   ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
   std::vector<NodeId> order;
   auto record = [&order](NodeId leaf) {
     return [&order, leaf](const std::string&, const Tuple&) {
@@ -557,10 +590,10 @@ TEST(Network, CallbackChurnDuringPublish) {
     EXPECT_TRUE(net.Unsubscribe(at2));
   });
 
-  EXPECT_EQ(net.Publish(0, MakeDatagram(1, 1)), 3u);
+  EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 3u);
   EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
   order.clear();
-  EXPECT_EQ(net.Publish(0, MakeDatagram(2, 2)), 3u);
+  EXPECT_EQ(net.Publish(pub, MakeTuple(2, 2)), 3u);
   EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
   EXPECT_TRUE(net.router(0).table().CheckInvariants());
 }
@@ -572,6 +605,7 @@ TEST(Network, CallbackChurnDuringPublish) {
 // outlives its stream.
 TEST(StreamIds, ResultVersionChurnReturnsToLiveSet) {
   ContentBasedNetwork net(StarTree());
+  auto source_pub = net.Advertise(0, "s");
   // A long-lived projected subscription to a source stream.
   int source_hits = 0;
   Profile source;
@@ -583,10 +617,9 @@ TEST(StreamIds, ResultVersionChurnReturnsToLiveSet) {
   });
   const auto source_schema = SensorSchema();
   auto publish_source = [&] {
-    net.Publish(0, Datagram{"s", Tuple(source_schema,
-                                       {Value(5.0), Value(50.0),
-                                        Value(int64_t{0})},
-                                       0)});
+    net.Publish(source_pub, Tuple(source_schema,
+                                  {Value(5.0), Value(50.0), Value(int64_t{0})},
+                                  0));
   };
   publish_source();
   ASSERT_EQ(source_hits, 1);
@@ -603,7 +636,7 @@ TEST(StreamIds, ResultVersionChurnReturnsToLiveSet) {
     auto schema = std::make_shared<Schema>(
         name, std::vector<AttributeDef>{{"x", ValueType::kDouble},
                                         {"y", ValueType::kDouble}});
-    net.Advertise(1, name);
+    auto pub = net.Advertise(1, name);
     Profile user;
     user.AddStream(name, {"x"});
     const ProfileId id =
@@ -613,14 +646,18 @@ TEST(StreamIds, ResultVersionChurnReturnsToLiveSet) {
           EXPECT_EQ(t.schema()->attribute(0).name, "x");
           ++version_hits;
         });
-    net.Publish(1, Datagram{name, Tuple(schema, {Value(1.0 * v), Value(2.0)},
-                                        0)});
+    net.Publish(pub, Tuple(schema, {Value(1.0 * v), Value(2.0)}, 0));
     ASSERT_TRUE(net.Unsubscribe(id));
     // Source traffic interleaves with the churn.
     if (v % 100 == 0) publish_source();
   }
   EXPECT_EQ(version_hits, 1000);
   EXPECT_EQ(source_hits, 11);
+  // Each version's advertisement went with its publisher.
+  EXPECT_EQ(net.PublishersOf("grp_1_v0"), nullptr);
+  EXPECT_EQ(net.PublishersOf("grp_1_v999"), nullptr);
+  ASSERT_NE(net.PublishersOf("s"), nullptr);
+  EXPECT_EQ(*net.PublishersOf("s"), std::set<NodeId>{0});
   EXPECT_EQ(net.streams().live(), live);
   EXPECT_LE(net.streams().size(), ids + 1);
   EXPECT_EQ(net.CachedProjectionPlans(), plans);

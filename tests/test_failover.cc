@@ -125,8 +125,8 @@ std::shared_ptr<const Schema> CbnSchema() {
       "s", std::vector<AttributeDef>{{"temp", ValueType::kDouble, -10, 40}});
 }
 
-Datagram CbnDatagram(double temp, Timestamp ts = 0) {
-  return Datagram{"s", Tuple(CbnSchema(), {Value(temp)}, ts)};
+Tuple CbnTuple(double temp, Timestamp ts = 0) {
+  return Tuple(CbnSchema(), {Value(temp)}, ts);
 }
 
 // Overlay square 0-1-2-3-0; tree is the chain 0-1-2-3.
@@ -151,6 +151,7 @@ TEST(CbnFailureRecovery, RepairUnderSimulatorDoesNotDuplicateDeliveries) {
   // Repair() re-entered the healthy side and was delivered twice there.
   Simulator sim;
   ContentBasedNetwork net(ChainTree(4), NetworkOptions{}, &sim);
+  auto pub = net.Advertise(0, "s");
   int hits1 = 0;
   int hits3 = 0;
   net.Subscribe(1, WholeStreamProfile(),
@@ -158,7 +159,7 @@ TEST(CbnFailureRecovery, RepairUnderSimulatorDoesNotDuplicateDeliveries) {
   net.Subscribe(3, WholeStreamProfile(),
                 [&](const std::string&, const Tuple&) { ++hits3; });
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, CbnDatagram(1));
+  net.Publish(pub, CbnTuple(1));
   sim.Run();
   EXPECT_EQ(hits1, 1);
   EXPECT_EQ(hits3, 0);
@@ -176,6 +177,7 @@ TEST(CbnFailureRecovery, RebuildTreeDeliversBufferedDatagrams) {
   // Regression: RebuildTree() cleared failed_links_ but stranded buffered_
   // datagrams — never delivered, never counted lost or recovered.
   ContentBasedNetwork net(ChainTree(4));
+  auto pub = net.Advertise(0, "s");
   int hits1 = 0;
   int hits3 = 0;
   net.Subscribe(1, WholeStreamProfile(),
@@ -183,7 +185,7 @@ TEST(CbnFailureRecovery, RebuildTreeDeliversBufferedDatagrams) {
   net.Subscribe(3, WholeStreamProfile(),
                 [&](const std::string&, const Tuple&) { ++hits3; });
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, CbnDatagram(1));
+  net.Publish(pub, CbnTuple(1));
   EXPECT_EQ(hits1, 1);
   EXPECT_EQ(hits3, 0);
   EXPECT_EQ(net.buffered_datagrams(), 1u);
@@ -200,9 +202,10 @@ TEST(CbnFailureRecovery, ResetStatsClearsRecoveryCounters) {
   // Regression: ResetStats() left recovered_datagrams_ standing, so
   // ablation runs resetting between trials double-counted recoveries.
   ContentBasedNetwork net(ChainTree(4));
+  auto pub = net.Advertise(0, "s");
   net.Subscribe(3, WholeStreamProfile(), nullptr);
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, CbnDatagram(1));
+  net.Publish(pub, CbnTuple(1));
   ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
   ASSERT_EQ(net.recovered_datagrams(), 1u);
 
@@ -216,11 +219,12 @@ TEST(CbnFailureRecovery, FlushRetransmissionsAreNeverChargedToLinks) {
   // Flushing after Repair() travels the recovery channel: it counts into
   // cbn.recovery_forwards and never into link_stats() or total_bytes().
   ContentBasedNetwork net(ChainTree(4));
+  auto pub = net.Advertise(0, "s");
   MetricsRegistry registry;
   net.SetTelemetry(&registry, nullptr);
   net.Subscribe(3, WholeStreamProfile(), nullptr);
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, CbnDatagram(1));
+  net.Publish(pub, CbnTuple(1));
   const uint64_t bytes = net.total_bytes();
   const uint64_t forwards = net.total_datagrams_forwarded();
   ASSERT_EQ(forwards, 1u);  // 0 -> 1; buffered at 1 -> 2
@@ -241,8 +245,9 @@ TEST(CbnFailureRecovery, RepairDropsStatsForRemovedLinks) {
   // Regression: WeightedBytes() kept charging pre-repair link keys that
   // are no longer tree edges, at the value_or(1.0) fallback weight.
   ContentBasedNetwork net(ChainTree(4));
+  auto pub = net.Advertise(0, "s");
   net.Subscribe(3, WholeStreamProfile(), nullptr);
-  net.Publish(0, CbnDatagram(1));
+  net.Publish(pub, CbnTuple(1));
   ASSERT_GT(net.link_stats().count({1, 2}), 0u);
 
   ASSERT_TRUE(net.FailLink(1, 2).ok());
@@ -284,6 +289,10 @@ TEST(RoutingIndexConsistency, SubscribeUnsubscribeRepairChurn) {
   // per-stream bucket index exactly mirroring its entry list. Profiles are
   // single-stream here, so indexed slots == TotalEntries() per node.
   ContentBasedNetwork net(ChainTree(6));
+  std::vector<ContentBasedNetwork::Publisher> pubs;
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    pubs.push_back(net.Advertise(n, "s"));
+  }
   Graph overlay(6);
   for (int i = 0; i + 1 < 6; ++i) (void)overlay.AddEdge(i, i + 1, 1.0);
   (void)overlay.AddEdge(5, 0, 2.0);
@@ -313,11 +322,10 @@ TEST(RoutingIndexConsistency, SubscribeUnsubscribeRepairChurn) {
       const auto& edges = net.tree().edges();
       const Edge e = edges[rng.NextBounded(edges.size())];
       ASSERT_TRUE(net.FailLink(e.u, e.v).ok());
-      net.Publish(0, CbnDatagram(rng.NextInt(-10, 40)));
+      net.Publish(pubs[0], CbnTuple(rng.NextInt(-10, 40)));
       ASSERT_TRUE(net.Repair(overlay).ok());
     }
-    net.Publish(static_cast<NodeId>(rng.NextBounded(6)),
-                CbnDatagram(rng.NextInt(-10, 40)));
+    net.Publish(pubs[rng.NextBounded(6)], CbnTuple(rng.NextInt(-10, 40)));
     ExpectIndexConsistent(net);
     size_t expected_total = 0;
     for (NodeId n = 0; n < net.num_nodes(); ++n) {
@@ -351,8 +359,10 @@ TEST(RoutingIndexConsistency, MultiStreamProfilesIndexEveryStream) {
       "a", std::vector<AttributeDef>{{"x", ValueType::kDouble}});
   auto sb = std::make_shared<Schema>(
       "b", std::vector<AttributeDef>{{"x", ValueType::kDouble}});
-  net.Publish(0, Datagram{"a", Tuple(sa, {Value(1.0)}, 0)});
-  net.Publish(0, Datagram{"b", Tuple(sb, {Value(2.0)}, 1)});
+  auto pub_a = net.Advertise(0, "a");
+  auto pub_b = net.Advertise(0, "b");
+  net.Publish(pub_a, Tuple(sa, {Value(1.0)}, 0));
+  net.Publish(pub_b, Tuple(sb, {Value(2.0)}, 1));
   EXPECT_EQ(hits, 2);
   EXPECT_TRUE(net.Unsubscribe(id));
   for (NodeId n = 0; n < net.num_nodes(); ++n) {

@@ -17,8 +17,8 @@ std::shared_ptr<const Schema> SensorSchema() {
       "s", std::vector<AttributeDef>{{"temp", ValueType::kDouble, -10, 40}});
 }
 
-Datagram MakeDatagram(double temp, Timestamp ts = 0) {
-  return Datagram{"s", Tuple(SensorSchema(), {Value(temp)}, ts)};
+Tuple MakeTuple(double temp, Timestamp ts = 0) {
+  return Tuple(SensorSchema(), {Value(temp)}, ts);
 }
 
 // Overlay square 0-1-2-3-0; tree is the chain 0-1-2-3.
@@ -48,30 +48,32 @@ TEST(FaultTolerance, LossWithoutBuffering) {
   NetworkOptions opts;
   opts.buffer_on_failure = false;
   ContentBasedNetwork net(ChainTree(), opts);
+  auto pub = net.Advertise(0, "s");
   int hits = 0;
   Profile p;
   p.AddStream("s");
   net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, MakeDatagram(1));
+  net.Publish(pub, MakeTuple(1));
   EXPECT_EQ(hits, 0);
   EXPECT_EQ(net.lost_datagrams(), 1u);
 }
 
 TEST(FaultTolerance, BufferAndRecoverAfterRepair) {
   ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
   std::vector<double> received;
   Profile p;
   p.AddStream("s");
   net.Subscribe(3, p, [&](const std::string&, const Tuple& t) {
     received.push_back(t.value(0).AsDouble());
   });
-  net.Publish(0, MakeDatagram(1, 0));
+  net.Publish(pub, MakeTuple(1, 0));
   ASSERT_EQ(received.size(), 1u);
 
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, MakeDatagram(2, 1));
-  net.Publish(0, MakeDatagram(3, 2));
+  net.Publish(pub, MakeTuple(2, 1));
+  net.Publish(pub, MakeTuple(3, 2));
   EXPECT_EQ(received.size(), 1u);  // cut off
   EXPECT_EQ(net.buffered_datagrams(), 2u);
   EXPECT_EQ(net.lost_datagrams(), 0u);
@@ -84,7 +86,7 @@ TEST(FaultTolerance, BufferAndRecoverAfterRepair) {
   EXPECT_DOUBLE_EQ(received[2], 3.0);
 
   // The repaired tree works for fresh traffic.
-  net.Publish(0, MakeDatagram(4, 3));
+  net.Publish(pub, MakeTuple(4, 3));
   EXPECT_EQ(received.size(), 4u);
 }
 
@@ -101,13 +103,14 @@ TEST(FaultTolerance, NoDuplicateDeliveryOnHealthySide) {
   // Subscriber at node 1 (near side) must see each datagram exactly once
   // even though datagrams toward node 3 were buffered and flushed.
   ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
   int hits1 = 0, hits3 = 0;
   Profile p;
   p.AddStream("s");
   net.Subscribe(1, p, [&](const std::string&, const Tuple&) { ++hits1; });
   net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits3; });
   ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(0, MakeDatagram(1));
+  net.Publish(pub, MakeTuple(1));
   EXPECT_EQ(hits1, 1);
   EXPECT_EQ(hits3, 0);
   ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
@@ -148,13 +151,15 @@ TEST(FaultTolerance, MultipleFailuresRepairedTogether) {
   EXPECT_FALSE(net.HasFailedLinks());
   // Fresh traffic reaches the subscriber from anywhere.
   for (NodeId n = 0; n < 30; n += 7) {
-    net.Publish(n, MakeDatagram(1));
+    auto pub = net.Advertise(n, "s");
+    net.Publish(pub, MakeTuple(1));
   }
   EXPECT_EQ(hits, 5);
 }
 
 TEST(RebuildTree, PreservesSubscriptions) {
   ContentBasedNetwork net(ChainTree());
+  auto pub1 = net.Advertise(1, "s");
   int hits = 0;
   Profile p;
   ConjunctiveClause c;
@@ -167,8 +172,8 @@ TEST(RebuildTree, PreservesSubscriptions) {
                   4, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0}})
                   .value();
   ASSERT_TRUE(net.RebuildTree(star).ok());
-  net.Publish(1, MakeDatagram(5));   // match
-  net.Publish(1, MakeDatagram(20));  // no match
+  net.Publish(pub1, MakeTuple(5));   // match
+  net.Publish(pub1, MakeTuple(20));  // no match
   EXPECT_EQ(hits, 1);
 }
 
@@ -191,7 +196,7 @@ TEST(Advertisements, ScopingShrinksRoutingState) {
   ContentBasedNetwork with(tree, scoped);
   ContentBasedNetwork without(tree, NetworkOptions{});
 
-  with.Advertise(0, "s");
+  auto with_pub = with.Advertise(0, "s");
   Profile p;
   p.AddStream("s");
   with.Subscribe(40, p, nullptr);
@@ -203,7 +208,7 @@ TEST(Advertisements, ScopingShrinksRoutingState) {
     ++hits;
   });
   (void)id;
-  with.Publish(0, MakeDatagram(5));
+  with.Publish(with_pub, MakeTuple(5));
   EXPECT_EQ(hits, 1);
 }
 
@@ -216,8 +221,8 @@ TEST(Advertisements, LateAdvertiserGetsRoutes) {
   p.AddStream("s");
   net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
   // Subscription predates the advertisement.
-  net.Advertise(0, "s");
-  net.Publish(0, MakeDatagram(1));
+  auto pub = net.Advertise(0, "s");
+  net.Publish(pub, MakeTuple(1));
   EXPECT_EQ(hits, 1);
 }
 
@@ -234,8 +239,8 @@ TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {
     NetworkOptions opts;
     opts.advertisement_scoping = scoping;
     ContentBasedNetwork net(tree, opts);
-    net.Advertise(2, "s");
-    net.Advertise(11, "s");
+    auto pub2 = net.Advertise(2, "s");
+    auto pub11 = net.Advertise(11, "s");
     int hits = 0;
     Rng sub_rng(5);
     for (int i = 0; i < 8; ++i) {
@@ -249,8 +254,8 @@ TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {
     }
     Rng pub_rng(9);
     for (int i = 0; i < 60; ++i) {
-      NodeId publisher = pub_rng.NextBool() ? 2 : 11;
-      net.Publish(publisher, MakeDatagram(pub_rng.NextInt(-10, 40)));
+      auto& publisher = pub_rng.NextBool() ? pub2 : pub11;
+      net.Publish(publisher, MakeTuple(pub_rng.NextInt(-10, 40)));
     }
     hits_per_mode.push_back(hits);
   }
@@ -261,12 +266,22 @@ TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {
 TEST(Advertisements, PublishersOfTracksAdvertisers) {
   ContentBasedNetwork net(ChainTree());
   EXPECT_EQ(net.PublishersOf("s"), nullptr);
-  net.Advertise(1, "s");
-  net.Advertise(2, "s");
-  net.Advertise(1, "s");  // idempotent
-  const auto* pubs = net.PublishersOf("s");
-  ASSERT_NE(pubs, nullptr);
-  EXPECT_EQ(pubs->size(), 2u);
+  auto at1 = net.Advertise(1, "s");
+  {
+    auto at2 = net.Advertise(2, "s");
+    const auto* pubs = net.PublishersOf("s");
+    ASSERT_NE(pubs, nullptr);
+    EXPECT_EQ(*pubs, (std::set<NodeId>{1, 2}));
+  }
+  // An advertisement lasts as long as its publisher, and a moved-from
+  // publisher holds none.
+  EXPECT_EQ(*net.PublishersOf("s"), std::set<NodeId>{1});
+  ContentBasedNetwork::Publisher moved = std::move(at1);
+  EXPECT_EQ(moved.stream(), "s");
+  EXPECT_EQ(*net.PublishersOf("s"), std::set<NodeId>{1});
+  moved = ContentBasedNetwork::Publisher();
+  EXPECT_EQ(net.PublishersOf("s"), nullptr);
+  EXPECT_EQ(net.streams().live(), 0u);
 }
 
 }  // namespace

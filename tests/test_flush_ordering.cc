@@ -20,10 +20,8 @@ std::shared_ptr<const Schema> SeqSchema() {
                                      {"timestamp", ValueType::kInt64}});
 }
 
-Datagram SeqDatagram(int64_t seq, Timestamp ts) {
-  return Datagram{
-      "s", Tuple(SeqSchema(), {Value(seq), Value(static_cast<int64_t>(ts))},
-                 ts)};
+Tuple SeqTuple(int64_t seq, Timestamp ts) {
+  return Tuple(SeqSchema(), {Value(seq), Value(static_cast<int64_t>(ts))}, ts);
 }
 
 // Overlay square 0-1-2-3-0; tree is the chain 0-1-2-3.
@@ -44,6 +42,7 @@ DisseminationTree ChainTree() {
 
 TEST(FlushOrdering, RepairReplaysBufferedInPublishOrder) {
   ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
   std::vector<int64_t> seen;
   Profile p;
   p.AddStream("s");
@@ -53,7 +52,7 @@ TEST(FlushOrdering, RepairReplaysBufferedInPublishOrder) {
 
   ASSERT_TRUE(net.FailLink(2, 3).ok());
   for (int64_t i = 0; i < 10; ++i) {
-    net.Publish(0, SeqDatagram(i, static_cast<Timestamp>(i) * 1000));
+    net.Publish(pub, SeqTuple(i, static_cast<Timestamp>(i) * 1000));
   }
   EXPECT_TRUE(seen.empty());
   EXPECT_EQ(net.buffered_datagrams(), 10u);
@@ -71,6 +70,7 @@ TEST(FlushOrdering, RepairReplaysBufferedInPublishOrder) {
 TEST(FlushOrdering, RepairReplaysBufferedInPublishOrderUnderSimulator) {
   Simulator sim;
   ContentBasedNetwork net(ChainTree(), NetworkOptions{}, &sim);
+  auto pub = net.Advertise(0, "s");
   std::vector<int64_t> seen;
   Profile p;
   p.AddStream("s");
@@ -80,7 +80,7 @@ TEST(FlushOrdering, RepairReplaysBufferedInPublishOrderUnderSimulator) {
 
   ASSERT_TRUE(net.FailLink(2, 3).ok());
   for (int64_t i = 0; i < 10; ++i) {
-    net.Publish(0, SeqDatagram(i, static_cast<Timestamp>(i) * 1000));
+    net.Publish(pub, SeqTuple(i, static_cast<Timestamp>(i) * 1000));
   }
   sim.Run();  // everything up to the cut is delivered/buffered
   EXPECT_TRUE(seen.empty());
@@ -99,6 +99,7 @@ TEST(FlushOrdering, PostRepairTrafficFollowsFlushedTraffic) {
   // Tuples published after the repair must not overtake the flushed
   // backlog at the subscriber.
   ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
   std::vector<int64_t> seen;
   Profile p;
   p.AddStream("s");
@@ -106,12 +107,12 @@ TEST(FlushOrdering, PostRepairTrafficFollowsFlushedTraffic) {
     seen.push_back(t.value(0).AsInt64());
   });
 
-  net.Publish(0, SeqDatagram(0, 0));
+  net.Publish(pub, SeqTuple(0, 0));
   ASSERT_TRUE(net.FailLink(2, 3).ok());
-  net.Publish(0, SeqDatagram(1, 1000));
-  net.Publish(0, SeqDatagram(2, 2000));
+  net.Publish(pub, SeqTuple(1, 1000));
+  net.Publish(pub, SeqTuple(2, 2000));
   ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  net.Publish(0, SeqDatagram(3, 3000));
+  net.Publish(pub, SeqTuple(3, 3000));
 
   ASSERT_EQ(seen.size(), 4u);
   for (int64_t i = 0; i < 4; ++i) {
@@ -124,6 +125,7 @@ TEST(FlushOrdering, FlushOnlyReachesTheCutOffSide) {
   // subscriber was served at publish time; the flush must deliver only to
   // the far side, or the near side would see duplicates.
   ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
   std::vector<int64_t> near_seen;
   std::vector<int64_t> far_seen;
   Profile p;
@@ -137,7 +139,7 @@ TEST(FlushOrdering, FlushOnlyReachesTheCutOffSide) {
 
   ASSERT_TRUE(net.FailLink(2, 3).ok());
   for (int64_t i = 0; i < 5; ++i) {
-    net.Publish(0, SeqDatagram(i, static_cast<Timestamp>(i) * 1000));
+    net.Publish(pub, SeqTuple(i, static_cast<Timestamp>(i) * 1000));
   }
   EXPECT_EQ(near_seen.size(), 5u);  // near side unaffected by the cut
   EXPECT_TRUE(far_seen.empty());

@@ -16,6 +16,8 @@ class ProcessorTest : public ::testing::Test {
             4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{1, 3, 1.0}})
             .value());
     network_ = std::make_unique<ContentBasedNetwork>(*tree_);
+    open_pub_ = network_->Advertise(0, "OpenAuction");
+    closed_pub_ = network_->Advertise(0, "ClosedAuction");
     AuctionDataset auctions;
     ASSERT_TRUE(auctions.RegisterAll(catalog_).ok());
   }
@@ -48,6 +50,9 @@ class ProcessorTest : public ::testing::Test {
   Catalog catalog_;
   std::unique_ptr<DisseminationTree> tree_;
   std::unique_ptr<ContentBasedNetwork> network_;
+  // The sources at n0.
+  ContentBasedNetwork::Publisher open_pub_;
+  ContentBasedNetwork::Publisher closed_pub_;
 };
 
 TEST_F(ProcessorTest, SubmitInstallsRepresentativeAndDelivers) {
@@ -63,8 +68,8 @@ TEST_F(ProcessorTest, SubmitInstallsRepresentativeAndDelivers) {
                   .ok());
   EXPECT_EQ(proc->num_queries(), 1u);
   EXPECT_EQ(proc->num_installed_representatives(), 1u);
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
-  network_->Publish(0, Datagram{"OpenAuction", Open(2, 50, 1)});
+  network_->Publish(open_pub_, Open(1, 150, 0));
+  network_->Publish(open_pub_, Open(2, 50, 1));
   EXPECT_EQ(hits, 1);
 }
 
@@ -103,10 +108,10 @@ TEST_F(ProcessorTest, MergedQueriesShareOneRepresentative) {
   EXPECT_EQ(proc->grouping().num_groups(), 1u);
   EXPECT_EQ(proc->num_installed_representatives(), 1u);
 
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 200, 0)});  // q1 only
-  network_->Publish(0, Datagram{"OpenAuction", Open(2, 400, 1)});  // both
-  network_->Publish(0, Datagram{"OpenAuction", Open(3, 700, 2)});  // q2 only
-  network_->Publish(0, Datagram{"OpenAuction", Open(4, 900, 3)});  // neither
+  network_->Publish(open_pub_, Open(1, 200, 0));  // q1 only
+  network_->Publish(open_pub_, Open(2, 400, 1));  // both
+  network_->Publish(open_pub_, Open(3, 700, 2));  // q2 only
+  network_->Publish(open_pub_, Open(4, 900, 3));  // neither
   EXPECT_EQ(hits2, 2);
   EXPECT_EQ(hits3, 2);
 }
@@ -135,7 +140,7 @@ TEST_F(ProcessorTest, LateJoinerStillGetsOnlyItsResults) {
                        ++hits_q1;
                      })
                   .ok());
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
+  network_->Publish(open_pub_, Open(1, 150, 0));
   EXPECT_EQ(hits_q1, 1);
   // Second query widens the group (version bump + resubscription of q1).
   ASSERT_TRUE(Submit(proc.get(), "q2",
@@ -147,8 +152,8 @@ TEST_F(ProcessorTest, LateJoinerStillGetsOnlyItsResults) {
                        ++hits_q2;
                      })
                   .ok());
-  network_->Publish(0, Datagram{"OpenAuction", Open(2, 180, 1)});  // both
-  network_->Publish(0, Datagram{"OpenAuction", Open(3, 300, 2)});  // q2 only
+  network_->Publish(open_pub_, Open(2, 180, 1));  // both
+  network_->Publish(open_pub_, Open(3, 300, 2));  // q2 only
   EXPECT_EQ(hits_q1, 2);
   EXPECT_EQ(hits_q2, 2);
 }
@@ -166,7 +171,7 @@ TEST_F(ProcessorTest, RemoveQueryStopsItsDeliveries) {
                   .ok());
   ASSERT_TRUE(proc->RemoveQuery("q1").ok());
   EXPECT_EQ(proc->RemoveQuery("q1").code(), StatusCode::kNotFound);
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 10, 0)});
+  network_->Publish(open_pub_, Open(1, 10, 0));
   EXPECT_EQ(hits1, 0);
   EXPECT_EQ(hits2, 1);
 }
@@ -180,9 +185,31 @@ TEST_F(ProcessorTest, RemovingLastQueryTearsDownEverything) {
   EXPECT_EQ(proc->num_installed_representatives(), 0u);
   // No dangling subscriptions: publishing moves no bytes.
   network_->ResetStats();
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 10, 0)});
+  network_->Publish(open_pub_, Open(1, 10, 0));
   EXPECT_EQ(network_->total_bytes(), 0u);
   EXPECT_EQ(network_->total_deliveries(), 0u);
+}
+
+// A self-join is rejected at submit: the user profile cannot be composed,
+// because AlignSources needs distinct streams. The rejection happens after
+// the group's plan, source subscription and result advertisement were
+// installed, and must take all of them back.
+TEST_F(ProcessorTest, RejectedSubmitLeavesNothingInstalled) {
+  auto proc = MakeProcessor();
+  const Status st = Submit(proc.get(), "q",
+                           "SELECT A.itemID FROM OpenAuction A, OpenAuction B "
+                           "WHERE A.itemID = B.itemID",
+                           2, nullptr);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(proc->num_queries(), 0u);
+  EXPECT_EQ(proc->grouping().groups().size(), 0u);
+  EXPECT_EQ(proc->num_installed_representatives(), 0u);
+  size_t subscriptions = 0;
+  network_->ForEachSubscription(
+      [&subscriptions](NodeId, const Profile&) { ++subscriptions; });
+  EXPECT_EQ(subscriptions, 0u);
+  EXPECT_EQ(network_->TotalTableEntries(), 0u);
+  EXPECT_EQ(network_->PublishersOf("p0_grp_1_v1"), nullptr);
 }
 
 TEST_F(ProcessorTest, SourceSubscriptionIsShared) {
@@ -198,7 +225,7 @@ TEST_F(ProcessorTest, SourceSubscriptionIsShared) {
                       proc.get(), "q2", "SELECT itemID FROM OpenAuction", 3,
                       [&](const std::string&, const Tuple&) { ++hits2; })
                   .ok());
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 10, 0)});
+  network_->Publish(open_pub_, Open(1, 10, 0));
   EXPECT_EQ(hits1, 1);  // not 2: no duplicate source delivery
   EXPECT_EQ(hits2, 1);
 }
@@ -242,13 +269,12 @@ TEST_F(ProcessorTest, SourceSubscriptionPerStreamTouchesOnlyChangedStreams) {
   EXPECT_NE(after["OpenAuction"], before["OpenAuction"]);
   EXPECT_EQ(after["ClosedAuction"], before["ClosedAuction"]);
 
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
-  network_->Publish(
-      0, Datagram{"ClosedAuction",
-                  Tuple(AuctionDataset::ClosedAuctionSchema(),
-                        {Value(int64_t{1}), Value(int64_t{9}),
-                         Value(int64_t{1})},
-                        1)});
+  network_->Publish(open_pub_, Open(1, 150, 0));
+  network_->Publish(closed_pub_,
+                    Tuple(AuctionDataset::ClosedAuctionSchema(),
+                          {Value(int64_t{1}), Value(int64_t{9}),
+                           Value(int64_t{1})},
+                          1));
   EXPECT_EQ(open_hits, 1);
   EXPECT_EQ(closed_hits, 1);
 
@@ -307,8 +333,8 @@ TEST_F(ProcessorTest, SourcePartChangeBelowPrintPrecisionResubscribes) {
                      3, [&](const std::string&, const Tuple&) { ++hits2; })
                   .ok());
   ASSERT_EQ(proc->grouping().num_groups(), 1u);
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 456.7892, 0)});  // q2
-  network_->Publish(0, Datagram{"OpenAuction", Open(2, 456.7895, 1)});  // both
+  network_->Publish(open_pub_, Open(1, 456.7892, 0));  // q2
+  network_->Publish(open_pub_, Open(2, 456.7895, 1));  // both
   EXPECT_EQ(hits1, 1);
   EXPECT_EQ(hits2, 2);
 }
@@ -384,7 +410,7 @@ TEST_F(ProcessorTest, EachSourceTupleEntersEachLivePlanOnce) {
   EXPECT_EQ(tuples_in->value(), 0u);
   tracer.Clear();
 
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 180, 0)});
+  network_->Publish(open_pub_, Open(1, 180, 0));
   EXPECT_EQ(tuples_in->value(), 1u);
   // The widened plan was installed after the aggregate, so it is fed
   // after it.
@@ -392,12 +418,11 @@ TEST_F(ProcessorTest, EachSourceTupleEntersEachLivePlanOnce) {
             (std::vector<std::string>{Quoted(agg), Quoted(widened)}));
   tracer.Clear();
 
-  network_->Publish(
-      0, Datagram{"ClosedAuction",
-                  Tuple(AuctionDataset::ClosedAuctionSchema(),
-                        {Value(int64_t{1}), Value(int64_t{9}),
-                         Value(int64_t{1})},
-                        1)});
+  network_->Publish(closed_pub_,
+                    Tuple(AuctionDataset::ClosedAuctionSchema(),
+                          {Value(int64_t{1}), Value(int64_t{9}),
+                           Value(int64_t{1})},
+                          1));
   EXPECT_EQ(tuples_in->value(), 2u);
   EXPECT_EQ(EvalQueries(tracer), std::vector<std::string>{Quoted(closed)});
 
@@ -451,13 +476,12 @@ TEST_F(ProcessorTest, RemovingAGroupKeepsOtherReadersBound) {
   ASSERT_NE(tuples_in, nullptr);
   tracer.Clear();
 
-  network_->Publish(0, Datagram{"OpenAuction", Open(1, 150, 0)});
-  network_->Publish(
-      0, Datagram{"ClosedAuction",
-                  Tuple(AuctionDataset::ClosedAuctionSchema(),
-                        {Value(int64_t{1}), Value(int64_t{2}),
-                         Value(int64_t{1})},
-                        1)});
+  network_->Publish(open_pub_, Open(1, 150, 0));
+  network_->Publish(closed_pub_,
+                    Tuple(AuctionDataset::ClosedAuctionSchema(),
+                          {Value(int64_t{1}), Value(int64_t{2}),
+                           Value(int64_t{1})},
+                          1));
   EXPECT_EQ(tuples_in->value(), 1u);  // ClosedAuction is unsubscribed
   EXPECT_EQ(EvalQueries(tracer).size(), 2u);
   EXPECT_EQ(hits["q1"], 1);

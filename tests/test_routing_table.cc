@@ -66,24 +66,40 @@ TEST(RoutingTable, AddAndLookup) {
   EXPECT_EQ(t.Links(), (std::vector<NodeId>{3, 5}));
 }
 
+// A link carries a datagram when any one of its profiles covers it.
 TEST(RoutingTable, LinkCoversAnyProfile) {
   StreamTable streams;
-  RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 10));
-  t.Add(3, 2, MakeProfile(20, 30));
-  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(streams, 5)));
-  EXPECT_TRUE(t.LinkCovers(3, MakeDatagram(streams, 25)));
-  EXPECT_FALSE(t.LinkCovers(3, MakeDatagram(streams, 15)));
-  EXPECT_FALSE(t.LinkCovers(9, MakeDatagram(streams, 5)));
+  Router r(0, &streams);
+  r.table().Add(3, 1, MakeProfile(0, 10));
+  r.table().Add(3, 2, MakeProfile(20, 30));
+  EXPECT_TRUE(Forward(r, MakeDatagram(streams, 5), 3).has_value());
+  EXPECT_TRUE(Forward(r, MakeDatagram(streams, 25), 3).has_value());
+  EXPECT_FALSE(Forward(r, MakeDatagram(streams, 15), 3).has_value());
+  EXPECT_FALSE(Forward(r, MakeDatagram(streams, 5), 9).has_value());
 }
 
-TEST(RoutingTable, MatchingProfilesReturnsAll) {
+// The bucket's compiled matcher returns every slot whose profile covers
+// the datagram.
+TEST(RoutingTable, BucketMatcherReturnsEveryCoveringSlot) {
   StreamTable streams;
   RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 20));
   t.Add(3, 2, MakeProfile(10, 30));
-  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(streams, 15)).size(), 2u);
-  EXPECT_EQ(t.MatchingProfiles(3, MakeDatagram(streams, 5)).size(), 1u);
+  const RoutingTable::StreamBucket* bucket =
+      t.BucketFor(3, streams.Find("s"));
+  ASSERT_NE(bucket, nullptr);
+  CompiledMatcher::Scratch scratch;
+  std::vector<uint32_t> hits;
+  for (const auto& [temp, want] :
+       {std::pair<double, std::vector<uint32_t>>{15, {0, 1}},
+        std::pair<double, std::vector<uint32_t>>{5, {0}}}) {
+    const Datagram d = MakeDatagram(streams, temp);
+    bucket->Compiled("s").Match(d, &scratch, &hits);
+    EXPECT_EQ(hits, want) << "temp " << temp;
+    for (uint32_t h : hits) {
+      EXPECT_TRUE(bucket->slots()[h].profile->Covers(d));
+    }
+  }
 }
 
 TEST(RoutingTable, RemoveByIdOnLink) {
@@ -297,7 +313,8 @@ TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
 
 TEST(RoutingTable, BucketForPartitionsByStream) {
   StreamTable streams;
-  RoutingTable t(&streams);
+  Router r(0, &streams);
+  RoutingTable& t = r.table();
   t.Add(3, 1, MakeProfile(0, 10));
   const StreamId s = streams.Find("s");
   ASSERT_NE(s, kNoStream);
@@ -313,8 +330,7 @@ TEST(RoutingTable, BucketForPartitionsByStream) {
   auto other_schema = std::make_shared<Schema>(
       "other", std::vector<AttributeDef>{{"temp", ValueType::kDouble}});
   Datagram d{"other", Tuple(other_schema, {Value(5.0)}, 0), other.id()};
-  EXPECT_FALSE(t.LinkCovers(3, d));
-  EXPECT_TRUE(t.MatchingProfiles(3, d).empty());
+  EXPECT_FALSE(Forward(r, d, 3).has_value());
 }
 
 TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
@@ -339,19 +355,6 @@ TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
   EXPECT_EQ(t.BucketFor(3, b), nullptr);
   // The emptied buckets released their stream ids.
   EXPECT_EQ(streams.live(), 0u);
-}
-
-TEST(RoutingTable, ScratchMatchingProfilesAppends) {
-  StreamTable streams;
-  RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 20));
-  t.Add(3, 2, MakeProfile(10, 30));
-  std::vector<const Profile*> scratch;
-  t.MatchingProfiles(3, MakeDatagram(streams, 15), &scratch);
-  EXPECT_EQ(scratch.size(), 2u);
-  // Caller owns the scratch: a second call appends rather than clears.
-  t.MatchingProfiles(3, MakeDatagram(streams, 5), &scratch);
-  EXPECT_EQ(scratch.size(), 3u);
 }
 
 TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
@@ -561,7 +564,6 @@ TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {
   StreamTable streams;
   const StreamId a = streams.Acquire("a");
   EXPECT_EQ(streams.Acquire("a"), a);  // one id per name, two references
-  const uint32_t a_epoch = streams.epoch(a);
   streams.Release(a);
   EXPECT_EQ(streams.live(), 1u);
   streams.Release(a);
@@ -570,7 +572,6 @@ TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {
   EXPECT_EQ(streams.Find("a"), a);
   const StreamId b = streams.Acquire("b");
   EXPECT_EQ(b, a);
-  EXPECT_NE(streams.epoch(b), a_epoch);
   EXPECT_EQ(streams.Find("a"), kNoStream);
   EXPECT_EQ(streams.Name(b), "b");
   EXPECT_EQ(streams.size(), 1u);
@@ -619,15 +620,16 @@ TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
   a.AddFilter(range("A", "a2"));
   const ProfileId a_sub = net.Subscribe(
       2, a, [&](const std::string&, const Tuple& t) { a_got.push_back(t); });
-  net.Publish(0, Datagram{"A", Tuple(a_schema, {Value(1.0), Value(5.0),
-                                                Value(9.0)}, 0)});
+  auto a_pub = net.Advertise(0, "A");
+  net.Publish(a_pub, Tuple(a_schema, {Value(1.0), Value(5.0), Value(9.0)}, 0));
   ASSERT_EQ(a_got.size(), 1u);
   const StreamId a_id = net.streams().Find("A");
   ASSERT_NE(a_id, kNoStream);
   ASSERT_GT(net.CachedProjectionPlans(), 0u);
 
-  // Drop A's last subscription: nothing holds its id any more.
+  // Drop A's subscription and publisher: nothing holds its id any more.
   ASSERT_TRUE(net.Unsubscribe(a_sub));
+  a_pub = ContentBasedNetwork::Publisher();
   EXPECT_EQ(net.streams().live(), 0u);
   EXPECT_EQ(net.CachedProjectionPlans(), 0u);
 
@@ -649,12 +651,11 @@ TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
 
   // b1 = 5 passes B's filter; A's stale binding (a2 at column 1) would
   // have read b2 = 50 and dropped it.
-  net.Publish(0, Datagram{"B", Tuple(b_schema, {Value(5.0), Value(50.0),
-                                                Value(7.0)}, 1)});
+  auto b_pub = net.Advertise(0, "B");
+  net.Publish(b_pub, Tuple(b_schema, {Value(5.0), Value(50.0), Value(7.0)}, 1));
   // b1 = 50 fails B's filter; A's binding would have read b2 = 8 and
   // passed it.
-  net.Publish(0, Datagram{"B", Tuple(b_schema, {Value(50.0), Value(8.0),
-                                                Value(7.0)}, 2)});
+  net.Publish(b_pub, Tuple(b_schema, {Value(50.0), Value(8.0), Value(7.0)}, 2));
   ASSERT_EQ(b_got.size(), 1u);
   EXPECT_EQ(b_got[0].first, "B");
   const Tuple& got = b_got[0].second;
@@ -664,11 +665,12 @@ TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
   EXPECT_DOUBLE_EQ(got.value(0).AsDouble(), 50.0);
 
   // A, published again with no subscriber, reaches neither subscriber.
-  net.Publish(0, Datagram{"A", Tuple(a_schema, {Value(1.0), Value(5.0),
-                                                Value(9.0)}, 3)});
+  a_pub = net.Advertise(0, "A");
+  EXPECT_NE(net.streams().Find("A"), a_id);
+  net.Publish(a_pub, Tuple(a_schema, {Value(1.0), Value(5.0), Value(9.0)}, 3));
   EXPECT_EQ(a_got.size(), 1u);
   EXPECT_EQ(b_got.size(), 1u);
-  EXPECT_EQ(net.streams().live(), 1u);
+  EXPECT_EQ(net.streams().live(), 2u);
   // The per-stream ledger followed the names, not the reused id.
   auto published = [&net](const std::string& stream) {
     const Counter* c = net.metrics().FindCounter(

@@ -11,7 +11,6 @@ namespace {
 TEST(RateMonitor, EmptyMonitorReportsZero) {
   RateMonitor m;
   EXPECT_DOUBLE_EQ(m.TupleRate("s", 100), 0.0);
-  EXPECT_DOUBLE_EQ(m.ByteRate("s", 100), 0.0);
   EXPECT_EQ(m.WindowCount("s", 100), 0u);
   EXPECT_EQ(m.TotalTuples("s"), 0u);
   EXPECT_TRUE(m.ObservedStreams().empty());
@@ -21,17 +20,16 @@ TEST(RateMonitor, SteadyRateMeasuredCorrectly) {
   RateMonitor m(kMinute);
   // 2 tuples/second for 30 seconds.
   for (int i = 0; i < 60; ++i) {
-    m.Record("s", i * kSecond / 2, 100);
+    m.Record("s", i * kSecond / 2);
   }
   Timestamp now = 30 * kSecond;
   EXPECT_NEAR(m.TupleRate("s", now), 2.0, 0.1);
-  EXPECT_NEAR(m.ByteRate("s", now), 200.0, 10.0);
   EXPECT_EQ(m.TotalTuples("s"), 60u);
 }
 
 TEST(RateMonitor, WindowForgetsOldTraffic) {
   RateMonitor m(10 * kSecond);
-  for (int i = 0; i < 10; ++i) m.Record("s", i * kSecond, 10);
+  for (int i = 0; i < 10; ++i) m.Record("s", i * kSecond);
   EXPECT_EQ(m.WindowCount("s", 9 * kSecond), 10u);
   // 30 seconds later, everything has aged out.
   EXPECT_EQ(m.WindowCount("s", 40 * kSecond), 0u);
@@ -42,7 +40,7 @@ TEST(RateMonitor, WindowForgetsOldTraffic) {
 
 TEST(RateMonitor, BurstThenIdleDecays) {
   RateMonitor m(10 * kSecond);
-  for (int i = 0; i < 100; ++i) m.Record("s", kSecond + i, 10);  // burst
+  for (int i = 0; i < 100; ++i) m.Record("s", kSecond + i);  // burst
   double during = m.TupleRate("s", kSecond + 100);
   double later = m.TupleRate("s", 8 * kSecond);
   EXPECT_GT(during, later);
@@ -50,31 +48,30 @@ TEST(RateMonitor, BurstThenIdleDecays) {
 
 TEST(RateMonitor, PerStreamIsolation) {
   RateMonitor m(kMinute);
-  m.Record("a", 0, 10);
-  m.Record("a", kSecond, 10);
-  m.Record("b", 0, 10);
+  m.Record("a", 0);
+  m.Record("a", kSecond);
+  m.Record("b", 0);
   EXPECT_GT(m.TupleRate("a", kSecond), m.TupleRate("b", kSecond));
   EXPECT_EQ(m.ObservedStreams().size(), 2u);
 }
 
 TEST(RateMonitor, OutOfOrderNearWindowEdgeStillCounted) {
   RateMonitor m(10 * kSecond);
-  m.Record("s", 20 * kSecond, 10);
+  m.Record("s", 20 * kSecond);
   // Arrives late but still inside the window ending at max_ts: counted.
-  m.Record("s", 11 * kSecond, 10);
+  m.Record("s", 11 * kSecond);
   EXPECT_EQ(m.WindowCount("s", 20 * kSecond), 2u);
   EXPECT_EQ(m.TotalTuples("s"), 2u);
 }
 
 TEST(RateMonitor, OutOfOrderOlderThanWindowNeverLodges) {
   RateMonitor m(10 * kSecond);
-  m.Record("s", 20 * kSecond, 10);
+  m.Record("s", 20 * kSecond);
   // Arrives late AND already outside the window: it must not join the
   // window deque (it would sit behind the newer entry, beyond the reach of
   // front pruning, and inflate window stats for another full window).
-  m.Record("s", 5 * kSecond, 1000);
+  m.Record("s", 5 * kSecond);
   EXPECT_EQ(m.WindowCount("s", 20 * kSecond), 1u);
-  EXPECT_NEAR(m.ByteRate("s", 20 * kSecond), 10.0, 1e-9);
   // The lifetime total still counts it.
   EXPECT_EQ(m.TotalTuples("s"), 2u);
 }
@@ -84,11 +81,11 @@ TEST(RateMonitor, SpanSecondsClipsToObservedDataEarlyOn) {
   // 5 tuples over 4 seconds, queried right away: the averaging span must be
   // the 4 observed seconds, not the 10-minute window (which would dilute
   // the rate toward zero), and never below 1 second.
-  for (int i = 0; i < 5; ++i) m.Record("s", i * kSecond, 10);
+  for (int i = 0; i < 5; ++i) m.Record("s", i * kSecond);
   EXPECT_NEAR(m.TupleRate("s", 4 * kSecond), 1.25, 0.01);
   // A single sample at `now` spans the 1-second floor: finite rate.
   RateMonitor single(10 * kMinute);
-  single.Record("t", 7 * kSecond, 10);
+  single.Record("t", 7 * kSecond);
   EXPECT_NEAR(single.TupleRate("t", 7 * kSecond), 1.0, 1e-9);
 }
 
@@ -101,11 +98,11 @@ TEST(RateMonitor, MaxDriftRatioComparesObservedToCatalog) {
   RateMonitor m(kMinute);
   EXPECT_DOUBLE_EQ(m.MaxDriftRatio(catalog, 0), 0.0);
   // Observed ~3 tuples/sec against an estimate of 1 => drift ~2.0.
-  for (int i = 0; i < 90; ++i) m.Record("s", i * kSecond / 3, 10);
+  for (int i = 0; i < 90; ++i) m.Record("s", i * kSecond / 3);
   double drift = m.MaxDriftRatio(catalog, 30 * kSecond);
   EXPECT_NEAR(drift, 2.0, 0.2);
   // Streams unknown to the catalog are ignored.
-  for (int i = 0; i < 50; ++i) m.Record("mystery", i * kSecond, 10);
+  for (int i = 0; i < 50; ++i) m.Record("mystery", i * kSecond);
   EXPECT_NEAR(m.MaxDriftRatio(catalog, 30 * kSecond), drift, 1e-9);
   // After recalibration the drift collapses.
   EXPECT_EQ(m.CalibrateCatalog(catalog, 30 * kSecond), 1u);
@@ -119,8 +116,8 @@ TEST(RateMonitor, CalibrateCatalogWritesObservedRates) {
           "s", std::vector<AttributeDef>{{"x", ValueType::kInt64}}),
       /*rate=*/999.0);
   RateMonitor m(kMinute);
-  for (int i = 0; i < 20; ++i) m.Record("s", i * kSecond, 10);
-  m.Record("unknown_stream", 0, 10);
+  for (int i = 0; i < 20; ++i) m.Record("s", i * kSecond);
+  m.Record("unknown_stream", 0);
   EXPECT_EQ(m.CalibrateCatalog(catalog, 19 * kSecond), 1u);
   EXPECT_NEAR(catalog.Lookup("s")->rate_tuples_per_sec, 1.0, 0.2);
 }

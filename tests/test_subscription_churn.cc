@@ -33,6 +33,18 @@ Datagram MakeDatagram(const std::string& stream, double temp, double hum) {
                                 0)};
 }
 
+// Publishers of "s" and "t" at every node of `net`, by stream.
+std::map<std::string, std::vector<ContentBasedNetwork::Publisher>>
+PublishersEverywhere(ContentBasedNetwork& net) {
+  std::map<std::string, std::vector<ContentBasedNetwork::Publisher>> pubs;
+  for (const std::string stream : {"s", "t"}) {
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      pubs[stream].push_back(net.Advertise(n, stream));
+    }
+  }
+  return pubs;
+}
+
 DisseminationTree BaTree(int nodes, uint64_t seed) {
   TopologyOptions topo_opts;
   topo_opts.num_nodes = nodes;
@@ -118,6 +130,8 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
     NetworkOptions no_prune;
     no_prune.covering_prune = false;
     ContentBasedNetwork unpruned(tree, no_prune);
+    auto churned_pubs = PublishersEverywhere(churned);
+    auto unpruned_pubs = PublishersEverywhere(unpruned);
     std::vector<Live> live;
     // Deliveries per subscription of the sequence, per network.
     int next_key = 0;
@@ -192,8 +206,8 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
       }
       for (const Datagram& d : samples) {
         const NodeId at = static_cast<NodeId>(rng.NextBounded(nodes));
-        churned.Publish(at, d);
-        unpruned.Publish(at, d);
+        churned.Publish(churned_pubs.at(d.stream)[at], d.tuple);
+        unpruned.Publish(unpruned_pubs.at(d.stream)[at], d.tuple);
       }
       ASSERT_EQ(churned_hits, unpruned_hits)
           << "seed " << seed << " step " << step;

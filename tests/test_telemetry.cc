@@ -257,9 +257,10 @@ TEST(CbnLedger, OneEventStreamFeedsEveryReader) {
       whole.AddStream("s");
       net.Subscribe(1, whole, nullptr);
       net.Subscribe(3, whole, nullptr);
+      auto pub = net.Advertise(0, "s");
       Timestamp ts = 0;
       auto publish = [&] {
-        net.Publish(0, Datagram{"s", Tuple(schema, {Value(20.0)}, ++ts)});
+        net.Publish(pub, Tuple(schema, {Value(20.0)}, ++ts));
       };
       publish();
       ASSERT_TRUE(net.FailLink(1, 2).ok());
