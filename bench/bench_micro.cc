@@ -466,6 +466,9 @@ struct RoutingForwardFixture {
   Router router{0, &streams};
   Datagram projected;
   SeedProjectionCache seed_cache;
+  // The profiles installed on kLink, in installation order: the per-link
+  // entry list the seed table kept, which LinearDecideForward walks.
+  std::vector<ProfilePtr> link_profiles;
   std::vector<Datagram> datagrams;
 
   explicit RoutingForwardFixture(size_t num_entries) {
@@ -487,8 +490,9 @@ struct RoutingForwardFixture {
       c.ConstrainInterval("temp", Interval(lo, false, lo + 10, false));
       p.AddStream(schema->stream_name(), {"temp"});
       p.AddFilter(Filter(schema->stream_name(), std::move(c)));
+      link_profiles.push_back(std::make_shared<const Profile>(std::move(p)));
       router.table().Add(kLink, static_cast<ProfileId>(i + 1),
-                         std::make_shared<const Profile>(std::move(p)));
+                         link_profiles.back());
     }
     datagrams.reserve(512);
     for (size_t i = 0; i < 512; ++i) {
@@ -506,12 +510,12 @@ struct RoutingForwardFixture {
 
 // The seed implementation of MatchingProfiles + DecideForward, kept as the
 // same-run baseline for the BENCH_routing.json speedup gate.
-std::optional<Datagram> LinearDecideForward(const RoutingTable& table,
-                                            const Datagram& d, NodeId link,
-                                            SeedProjectionCache& cache) {
+std::optional<Datagram> LinearDecideForward(
+    const std::vector<ProfilePtr>& link_profiles, const Datagram& d,
+    SeedProjectionCache& cache) {
   std::vector<const Profile*> matching;
-  for (const auto& e : table.EntriesFor(link)) {
-    if (e.profile->Covers(d)) matching.push_back(e.profile.get());
+  for (const ProfilePtr& p : link_profiles) {
+    if (p->Covers(d)) matching.push_back(p.get());
   }
   if (matching.empty()) return std::nullopt;
   std::set<std::string> needed;
@@ -555,8 +559,7 @@ void BM_RoutingForwardLinear(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
-    auto out = LinearDecideForward(fix.router.table(), fix.datagrams[i & 511],
-                                   RoutingForwardFixture::kLink,
+    auto out = LinearDecideForward(fix.link_profiles, fix.datagrams[i & 511],
                                    fix.seed_cache);
     benchmark::DoNotOptimize(out);
     ++i;

@@ -63,7 +63,6 @@ void ContentBasedNetwork::SetTelemetry(MetricsRegistry* metrics,
   control_ = metrics_->GetCounter("cbn.control_messages");
   covering_checks_ = metrics_->GetCounter("cbn.covering_checks");
   ledger_binds_ = metrics_->GetCounter("cbn.ledger_binds");
-  datagram_bytes_ = metrics_->GetHistogram("cbn.datagram_bytes");
   // Rebound now: the publishers that bound an entry, and their datagrams
   // in flight or buffered, hold a reference on its id.
   for (StreamId id = 0; id < ledger_.size(); ++id) {
@@ -278,6 +277,9 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   auto sit = subscriptions_.find(id);
   if (sit == subscriptions_.end()) return false;
   const NodeId subscriber = sit->second.node;
+  // Held for the walk: Remove locates each entry through the profile's
+  // streams, and the slots it erases may hold the last other references.
+  const ProfilePtr profile = std::move(sit->second.profile);
   subscriptions_.erase(sit);
   routers_[subscriber].RemoveLocal(id);
   // The removed profile's entries form a subtree grown outward from its
@@ -294,7 +296,8 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
     const Hop h = q[head];
     uncovered.clear();
     uint64_t checks = 0;
-    if (!routers_[h.node].table().Remove(h.prev, id, &uncovered, &checks)) {
+    if (!routers_[h.node].table().Remove(h.prev, id, *profile, &uncovered,
+                                         &checks)) {
       continue;
     }
     covering_checks_->Add(checks);
@@ -325,7 +328,6 @@ void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
       matches_->Increment();
       forwards_->Increment();
       forwarded_bytes_->Add(size);
-      datagram_bytes_->Observe(size);
       sc.forwarded->Increment();
       sc.forwarded_bytes->Add(size);
       link->datagrams->Increment();

@@ -347,7 +347,6 @@ class ContentBasedNetwork {
   Counter* control_ = nullptr;
   Counter* covering_checks_ = nullptr;
   Counter* ledger_binds_ = nullptr;
-  Histogram* datagram_bytes_ = nullptr;
   // The breadth-first walks of Flood and Unsubscribe, which calls Flood
   // while its own walk is under way. Kept so each walk reuses the
   // capacity of the last.

@@ -31,14 +31,18 @@ const CompiledMatcher& RoutingTable::StreamBucket::Compiled(
   if (matcher_ == nullptr) {
     std::vector<const Profile*> profiles;
     profiles.reserve(slots_.size());
-    for (const auto& slot : slots_) profiles.push_back(slot.profile);
+    for (const auto& slot : slots_) profiles.push_back(slot.profile.get());
     matcher_ = std::make_unique<CompiledMatcher>(stream, profiles);
   }
   return *matcher_;
 }
 
-void RoutingTable::IndexEntry(NodeId link, ProfileId id, const Profile& p) {
-  for (const auto& stream : p.streams()) {
+void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile,
+                       ProfileId covered_by) {
+  COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
+  COSMOS_CHECK(!profile->streams().empty())
+      << "routing entry " << id << " requests no stream";
+  for (const auto& stream : profile->streams()) {
     StreamRef ref(streams_, stream);
     const StreamId sid = ref.id();
     if (by_stream_.size() <= sid) by_stream_.resize(sid + 1);
@@ -53,27 +57,37 @@ void RoutingTable::IndexEntry(NodeId link, ProfileId id, const Profile& p) {
     }
     StreamBucket& bucket = it->bucket;
     const AttrMask required =
-        streams_->MaskOf(sid, p.RequiredAttributes(stream));
-    bucket.slots_.push_back(BucketSlot{id, &p, required});
+        streams_->MaskOf(sid, profile->RequiredAttributes(stream));
+    bucket.slots_.push_back(BucketSlot{id, profile, required});
     bucket.union_ |= required;
     bucket.matcher_.reset();
   }
+  if (covered_by != 0) covered_by_[{link, id}] = covered_by;
+  COSMOS_DCHECK(CheckInvariants());
 }
 
-void RoutingTable::DeindexEntry(NodeId link, ProfileId id, const Profile& p) {
-  for (const auto& stream : p.streams()) {
+bool RoutingTable::AddUnique(NodeId link, ProfileId id, ProfilePtr profile) {
+  COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
+  if (Contains(link, id, *profile)) return false;
+  Add(link, id, std::move(profile));
+  return true;
+}
+
+bool RoutingTable::Remove(NodeId link, ProfileId id, const Profile& profile,
+                          std::vector<ProfileId>* uncovered,
+                          uint64_t* covering_checks) {
+  if (!Contains(link, id, profile)) return false;
+  for (const auto& stream : profile.streams()) {
     const StreamId sid = streams_->Find(stream);
     COSMOS_DCHECK(sid < by_stream_.size()) << "unindexed stream " << stream;
     std::vector<LinkBucket>& buckets = by_stream_[sid];
     auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
     COSMOS_DCHECK(it != buckets.end()) << "no bucket for stream " << stream;
     auto& slots = it->bucket.slots_;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].id == id && slots[i].profile == &p) {
-        slots.erase(slots.begin() + static_cast<long>(i));
-        break;
-      }
-    }
+    auto slot = std::find_if(slots.begin(), slots.end(),
+                             [id](const BucketSlot& s) { return s.id == id; });
+    COSMOS_DCHECK(slot != slots.end()) << "no slot for entry " << id;
+    slots.erase(slot);
     if (slots.empty()) {
       buckets.erase(it);  // releases the bucket's stream id
       ++bucket_version_;
@@ -82,36 +96,6 @@ void RoutingTable::DeindexEntry(NodeId link, ProfileId id, const Profile& p) {
       it->bucket.matcher_.reset();
     }
   }
-}
-
-void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile,
-                       ProfileId covered_by) {
-  COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
-  IndexEntry(link, id, *profile);
-  per_link_[link].push_back(Entry{id, std::move(profile)});
-  if (covered_by != 0) covered_by_[{link, id}] = covered_by;
-  COSMOS_DCHECK(CheckInvariants());
-}
-
-bool RoutingTable::AddUnique(NodeId link, ProfileId id, ProfilePtr profile) {
-  COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
-  if (Contains(link, id)) return false;
-  Add(link, id, std::move(profile));
-  return true;
-}
-
-bool RoutingTable::Remove(NodeId link, ProfileId id,
-                          std::vector<ProfileId>* uncovered,
-                          uint64_t* covering_checks) {
-  auto it = per_link_.find(link);
-  if (it == per_link_.end()) return false;
-  auto& entries = it->second;
-  auto victim = std::find_if(entries.begin(), entries.end(),
-                             [id](const Entry& e) { return e.id == id; });
-  if (victim == entries.end()) return false;
-  DeindexEntry(link, id, *victim->profile);
-  entries.erase(victim);
-  if (entries.empty()) per_link_.erase(it);
   covered_by_.erase({link, id});
   // Re-check the entries pruned behind `id`, in id order. Until its turn
   // each still names `id`, which keeps it out of FindCoverer: an entry is
@@ -123,8 +107,17 @@ bool RoutingTable::Remove(NodeId link, ProfileId id,
       continue;
     }
     const ProfileId entry = pruned->first.second;
+    // A coverer requests every stream the entry it covers does, so the
+    // entry has a slot in one of `profile`'s buckets on `link`.
+    const BucketSlot* slot = nullptr;
+    for (const auto& stream : profile.streams()) {
+      slot = SlotFor(link, streams_->Find(stream), entry);
+      if (slot != nullptr) break;
+    }
+    COSMOS_CHECK(slot != nullptr) << "pruned entry " << entry << " on link "
+                                  << link << " has no slot";
     const ProfileId coverer =
-        FindCoverer(link, entry, *EntryProfile(link, entry), covering_checks);
+        FindCoverer(link, entry, *slot->profile, covering_checks);
     if (coverer != 0) {
       pruned->second = coverer;
       ++pruned;
@@ -184,97 +177,69 @@ ProfileId RoutingTable::CoveredBy(NodeId link, ProfileId id) const {
   return it == covered_by_.end() ? 0 : it->second;
 }
 
-bool RoutingTable::Contains(NodeId link, ProfileId id) const {
-  auto it = per_link_.find(link);
-  if (it == per_link_.end()) return false;
-  for (const auto& e : it->second) {
-    if (e.id == id) return true;
-  }
-  return false;
+bool RoutingTable::Contains(NodeId link, ProfileId id,
+                           const Profile& profile) const {
+  return !profile.streams().empty() &&
+         SlotFor(link, streams_->Find(*profile.streams().begin()), id) !=
+             nullptr;
 }
 
-const Profile* RoutingTable::EntryProfile(NodeId link, ProfileId id) const {
-  for (const auto& e : EntriesFor(link)) {
-    if (e.id == id) return e.profile.get();
+const RoutingTable::BucketSlot* RoutingTable::SlotFor(NodeId link,
+                                                      StreamId stream,
+                                                      ProfileId id) const {
+  const StreamBucket* bucket = BucketFor(link, stream);
+  if (bucket == nullptr) return nullptr;
+  for (const BucketSlot& slot : bucket->slots_) {
+    if (slot.id == id) return &slot;
   }
   return nullptr;
 }
 
 bool RoutingTable::CheckInvariants() const {
-  std::map<NodeId, size_t> expected_slots;
-  for (const auto& [link, entries] : per_link_) {
-    if (entries.empty()) return false;  // empty lists must be erased
-    std::set<ProfileId> ids;
-    for (const auto& e : entries) {
-      if (e.profile == nullptr) return false;
-      if (!ids.insert(e.id).second) return false;  // duplicate id
-      expected_slots[link] += e.profile->streams().size();
-      // Every (entry, stream) pair must be indexed.
-      for (const auto& stream : e.profile->streams()) {
-        const StreamBucket* bucket = BucketFor(link, streams_->Find(stream));
-        if (bucket == nullptr) return false;
-        bool found = false;
-        for (const auto& slot : bucket->slots()) {
-          if (slot.id == e.id && slot.profile == e.profile.get()) {
-            found = true;
-            break;
-          }
+  // Each entry's profile and the number of slots it has.
+  struct Seen {
+    const Profile* profile = nullptr;
+    size_t slots = 0;
+  };
+  std::map<std::pair<NodeId, ProfileId>, Seen> entries;
+  for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
+    for (const LinkBucket& lb : by_stream_[sid]) {
+      if (lb.bucket.slots().empty() || lb.bucket.stream_.id() != sid ||
+          BucketFor(lb.link, sid) != &lb.bucket) {
+        return false;
+      }
+      std::set<ProfileId> ids;
+      for (const BucketSlot& slot : lb.bucket.slots()) {
+        if (slot.profile == nullptr ||
+            !slot.profile->WantsStream(streams_->Name(sid)) ||
+            !ids.insert(slot.id).second) {
+          return false;
         }
-        if (!found) return false;
+        Seen& seen = entries[{lb.link, slot.id}];
+        if (seen.profile == nullptr) seen.profile = slot.profile.get();
+        if (seen.profile != slot.profile.get()) return false;
+        ++seen.slots;
       }
     }
+  }
+  // An entry has a slot in every stream its profile requests (each slot's
+  // stream is requested, and no bucket holds an id twice).
+  for (const auto& [key, seen] : entries) {
+    if (seen.slots != seen.profile->streams().size()) return false;
   }
   // A pruned entry and its coverer are live entries of the same link, the
   // coverer is unpruned and covers it; anything else strands the pruned
   // subscription.
   for (const auto& [key, coverer] : covered_by_) {
-    const Profile* narrow = EntryProfile(key.first, key.second);
-    const Profile* wide = EntryProfile(key.first, coverer);
-    if (narrow == nullptr || wide == nullptr ||
-        CoveredBy(key.first, coverer) != 0 || !ProfileCovers(*wide, *narrow)) {
+    auto narrow = entries.find(key);
+    auto wide = entries.find({key.first, coverer});
+    if (narrow == entries.end() || wide == entries.end() ||
+        CoveredBy(key.first, coverer) != 0 ||
+        !ProfileCovers(*wide->second.profile, *narrow->second.profile)) {
       return false;
     }
   }
-  // No empty or stray buckets/slots; slot count matches the entries'
-  // stream count exactly (no duplicate or leaked slots).
-  std::map<NodeId, size_t> total_slots;
-  for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
-    for (const LinkBucket& lb : by_stream_[sid]) {
-      if (lb.bucket.slots().empty() || lb.bucket.stream_.id() != sid) {
-        return false;
-      }
-      total_slots[lb.link] += lb.bucket.slots().size();
-      const std::vector<Entry>& entries = EntriesFor(lb.link);
-      for (const auto& slot : lb.bucket.slots()) {
-        if (slot.profile == nullptr) return false;
-        bool backed = false;
-        for (const auto& e : entries) {
-          if (e.id == slot.id && e.profile.get() == slot.profile &&
-              e.profile->WantsStream(streams_->Name(sid))) {
-            backed = true;
-            break;
-          }
-        }
-        if (!backed) return false;
-      }
-    }
-  }
-  return total_slots == expected_slots;
-}
-
-const std::vector<RoutingTable::Entry>& RoutingTable::EntriesFor(
-    NodeId link) const {
-  static const std::vector<Entry> kEmpty;
-  auto it = per_link_.find(link);
-  if (it == per_link_.end()) return kEmpty;
-  return it->second;
-}
-
-std::vector<NodeId> RoutingTable::Links() const {
-  std::vector<NodeId> out;
-  out.reserve(per_link_.size());
-  for (const auto& [link, entries] : per_link_) out.push_back(link);
-  return out;
+  return true;
 }
 
 const RoutingTable::StreamBucket* RoutingTable::BucketFor(
@@ -292,7 +257,13 @@ const std::vector<RoutingTable::LinkBucket>& RoutingTable::BucketsOf(
 
 size_t RoutingTable::TotalEntries() const {
   size_t total = 0;
-  for (const auto& [link, entries] : per_link_) total += entries.size();
+  for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
+    for (const LinkBucket& lb : by_stream_[sid]) {
+      for (const BucketSlot& slot : lb.bucket.slots()) {
+        if (*slot.profile->streams().begin() == streams_->Name(sid)) ++total;
+      }
+    }
+  }
   return total;
 }
 

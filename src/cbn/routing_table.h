@@ -17,17 +17,21 @@ namespace cosmos {
 
 // One node's content-based routing state: for every tree link (identified
 // by the neighbor node id), the profiles subscribed somewhere downstream
-// through that link. A datagram is forwarded onto a link iff some profile
-// in the link's entry list covers it.
+// through that link, kept as one bucket per (stream id, link). The buckets
+// are the table: an entry (link, id, profile) is one slot in the link's
+// bucket of every stream its profile requests, and nothing else records
+// it. A datagram of stream S is forwarded onto a link iff some slot in S's
+// bucket for that link covers it, so a forwarding decision touches only
+// the entries whose profile requests S (the posting-list layout of
+// large-scale pub/sub matching engines). The buckets are keyed by the
+// StreamId the datagram carries, so a lookup hashes no name. Each slot
+// precomputes the profile's required attributes for its stream as an
+// AttrMask, and the bucket caches their OR, so early projection builds no
+// attribute set per datagram.
 //
-// Entries are additionally indexed per (stream id, link): a forwarding
-// decision for a datagram of stream S touches only the entries whose
-// profile requests S, so matching is sub-linear in table size (the
-// posting-list layout of large-scale pub/sub matching engines). The index
-// is keyed by the StreamId the datagram carries, so a lookup hashes no
-// name. Each bucket slot precomputes the profile's required attributes
-// for its stream as an AttrMask, and the bucket caches their OR, so early
-// projection builds no attribute set per datagram.
+// An entry is reached through its profile's streams: its slot in the
+// bucket of any one of them names it, which is why a profile must request
+// at least one stream to be installed.
 //
 // The table also records which entries had their subscription's
 // propagation pruned at this hop, and behind which entry: an unpruned
@@ -36,17 +40,13 @@ namespace cosmos {
 // covered, so an unsubscribe re-forwards only what it was covering.
 class RoutingTable {
  public:
-  struct Entry {
-    ProfileId id = 0;
-    ProfilePtr profile;
-  };
-
-  // One entry's projection into a (stream, link) bucket: the profile plus
-  // its RequiredAttributes(stream) as a mask over the stream's attribute
+  // One entry's slot in a (stream, link) bucket: the entry's profile
+  // (shared by its slots in the other streams' buckets) plus its
+  // RequiredAttributes(stream) as a mask over the stream's attribute
   // dictionary (kAllAttributes: it needs every attribute).
   struct BucketSlot {
     ProfileId id = 0;
-    const Profile* profile = nullptr;
+    ProfilePtr profile;
     AttrMask required = 0;
   };
 
@@ -97,7 +97,7 @@ class RoutingTable {
 
   // Adds an entry for `id` on `link`, which must not have one yet;
   // `covered_by` (0: none) is the unpruned entry on `link` it was pruned
-  // behind.
+  // behind. `profile` must request at least one stream.
   void Add(NodeId link, ProfileId id, ProfilePtr profile,
            ProfileId covered_by = 0);
 
@@ -105,13 +105,15 @@ class RoutingTable {
   // when something was added (advertisement-scoped paths overlap).
   bool AddUnique(NodeId link, ProfileId id, ProfilePtr profile);
 
-  // Removes the entry with `id` on `link`; true when something was removed.
-  // The entries on `link` it covered are re-checked, in id order, against
-  // the unpruned entries left: each either takes a new coverer or
-  // becomes unpruned and is appended to `*uncovered` (its propagation must
-  // resume past this hop). The slots FindCoverer examines are added to
-  // `*covering_checks`. Either pointer may be null.
-  bool Remove(NodeId link, ProfileId id,
+  // Removes the entry with `id` on `link`, whose profile is `profile` (its
+  // streams locate the entry's slots); true when something was removed.
+  // `profile` must outlive the call: the slots may hold the only other
+  // reference. The entries on `link` it covered are re-checked, in id
+  // order, against the unpruned entries left: each either takes a new
+  // coverer or becomes unpruned and is appended to `*uncovered` (its
+  // propagation must resume past this hop). The slots FindCoverer examines
+  // are added to `*covering_checks`. Either pointer may be null.
+  bool Remove(NodeId link, ProfileId id, const Profile& profile,
               std::vector<ProfileId>* uncovered = nullptr,
               uint64_t* covering_checks = nullptr);
 
@@ -127,18 +129,14 @@ class RoutingTable {
   ProfileId FindCoverer(NodeId link, ProfileId self, const Profile& narrow,
                         uint64_t* covering_checks) const;
 
-  // True when an entry with `id` exists on `link`.
-  bool Contains(NodeId link, ProfileId id) const;
+  // True when an entry with `id`, whose profile is `profile`, exists on
+  // `link`. The bucket of the profile's first stream answers: an entry has
+  // a slot in each of its streams' buckets.
+  bool Contains(NodeId link, ProfileId id, const Profile& profile) const;
 
   // The entry `id` on `link` was pruned behind: 0 when its subscription
   // propagated past this hop (or there is no such entry).
   ProfileId CoveredBy(NodeId link, ProfileId id) const;
-
-  // Entries installed for `link` (empty when none).
-  const std::vector<Entry>& EntriesFor(NodeId link) const;
-
-  // Links that have at least one entry.
-  std::vector<NodeId> Links() const;
 
   // The (stream, link) bucket; nullptr when no entry on `link` requests
   // `stream`. This is the forwarding hot path's view of the table.
@@ -153,6 +151,8 @@ class RoutingTable {
   // snapshotted BucketsOf() can tell that its set of links changed.
   uint64_t bucket_version() const { return bucket_version_; }
 
+  // Entries across all links, each counted once: at its slot in the
+  // bucket of its profile's first stream.
   size_t TotalEntries() const;
 
   // Sum of bucket slot counts across all links: each entry contributes one
@@ -163,31 +163,28 @@ class RoutingTable {
   // Projection plans cached across all buckets.
   size_t CachedPlans() const;
 
-  // Structural invariants: no link maps to an empty entry list, no entry
-  // holds a null profile, no id appears twice on a link, and the
-  // per-stream index is consistent with the entry list (every (entry,
-  // stream) pair has exactly one bucket slot, no bucket is empty, no slot
-  // is stray, every bucket sits at its stream's id). Every pruned entry is
+  // Structural invariants of the buckets: none is empty, each sits at its
+  // stream's id and is its link's only bucket for that stream, and each
+  // slot holds a profile that requests the bucket's stream under an id
+  // unique in the bucket. Every entry is whole: its slots share one
+  // profile, one per stream that profile requests. Every pruned entry is
   // live, and its coverer is live, unpruned, on the same link, and covers
   // it. DCHECK'd after every mutation so a dangling subscription, a
-  // stranded prune or index drift cannot survive unnoticed.
+  // stranded prune or a half-removed entry cannot survive unnoticed.
   bool CheckInvariants() const;
 
  private:
-  // The profile of the entry `id` on `link`; nullptr when there is none.
-  const Profile* EntryProfile(NodeId link, ProfileId id) const;
-  // Adds/removes the bucket slots of one entry (one per profile stream).
-  void IndexEntry(NodeId link, ProfileId id, const Profile& p);
-  void DeindexEntry(NodeId link, ProfileId id, const Profile& p);
+  // The slot of entry `id` in the (stream, link) bucket; nullptr when
+  // there is none.
+  const BucketSlot* SlotFor(NodeId link, StreamId stream, ProfileId id) const;
 
   StreamTable* streams_;
-  std::map<NodeId, std::vector<Entry>> per_link_;
   // Stream id -> its buckets, one per link with a subscribed entry.
   std::vector<std::vector<LinkBucket>> by_stream_;
   uint64_t bucket_version_ = 0;
   // (link, id) of each pruned entry -> the entry it was pruned behind. Only
-  // pruned entries have one, so the forwarding path's entries and bucket
-  // slots carry nothing for it.
+  // pruned entries have one, so the forwarding path's bucket slots carry
+  // nothing for it.
   std::map<std::pair<NodeId, ProfileId>, ProfileId> covered_by_;
 };
 

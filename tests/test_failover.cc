@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "cbn/network.h"
 #include "core/system.h"
 #include "stream/sensor_dataset.h"
@@ -263,14 +266,21 @@ TEST(CbnFailureRecovery, RepairDropsStatsForRemovedLinks) {
 
 // ---- stream-partitioned routing index under churn -------------------------
 
-// Sum over (link, entry) of the entry's stream count: what the per-stream
-// index must hold for the table to be consistent.
-size_t ExpectedIndexSlots(const RoutingTable& table) {
-  size_t expected = 0;
-  for (NodeId link : table.Links()) {
-    for (const auto& e : table.EntriesFor(link)) {
-      expected += e.profile->streams().size();
+// Sum over the (link, entry) pairs found in the buckets of the entry's
+// stream count: what the buckets must hold for every entry to be whole.
+size_t ExpectedIndexSlots(const RoutingTable& table,
+                          const StreamTable& streams) {
+  std::map<std::pair<NodeId, ProfileId>, const Profile*> entries;
+  for (StreamId sid = 0; sid < streams.size(); ++sid) {
+    for (const auto& lb : table.BucketsOf(sid)) {
+      for (const auto& slot : lb.bucket.slots()) {
+        entries.emplace(std::make_pair(lb.link, slot.id), slot.profile.get());
+      }
     }
+  }
+  size_t expected = 0;
+  for (const auto& [key, profile] : entries) {
+    expected += profile->streams().size();
   }
   return expected;
 }
@@ -279,7 +289,8 @@ void ExpectIndexConsistent(const ContentBasedNetwork& net) {
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
     const RoutingTable& table = net.router(n).table();
     ASSERT_TRUE(table.CheckInvariants()) << "node " << n;
-    EXPECT_EQ(table.TotalIndexedSlots(), ExpectedIndexSlots(table))
+    EXPECT_EQ(table.TotalIndexedSlots(),
+              ExpectedIndexSlots(table, net.streams()))
         << "node " << n;
   }
 }

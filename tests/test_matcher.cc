@@ -237,7 +237,8 @@ TEST(CompiledMatcher, NumericNotEqualsStaysExactViaResidual) {
 TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(1, 1, RangeProfile(0, 5));
+  const ProfilePtr first = RangeProfile(0, 5);
+  t.Add(1, 1, first);
   const StreamId s = streams.Find("s");
   const RoutingTable::StreamBucket* bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
@@ -252,7 +253,7 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   EXPECT_FALSE(bucket->has_compiled());
   EXPECT_EQ(bucket->Compiled("s").num_profiles(), 2u);
 
-  t.Remove(1, 1);
+  t.Remove(1, 1, *first);
   bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
@@ -460,7 +461,8 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       }
       if (round > 0 && !live.empty() && rng.NextBool(0.7)) {
         const size_t victim = rng.NextBounded(live.size());
-        router.table().Remove(kLink, live[victim].first);
+        router.table().Remove(kLink, live[victim].first,
+                              *live[victim].second);
         live.erase(live.begin() + static_cast<long>(victim));
       }
       check_round(round);

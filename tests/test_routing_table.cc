@@ -4,6 +4,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "cbn/covering.h"
@@ -53,17 +54,39 @@ ProfilePtr MakeProfile(double lo, double hi,
   return p;
 }
 
+// The ids of the entries on `link`, read from every stream's buckets.
+std::set<ProfileId> EntriesOn(const RoutingTable& t,
+                              const StreamTable& streams, NodeId link) {
+  std::set<ProfileId> ids;
+  for (StreamId sid = 0; sid < streams.size(); ++sid) {
+    for (const auto& lb : t.BucketsOf(sid)) {
+      if (lb.link != link) continue;
+      for (const auto& slot : lb.bucket.slots()) ids.insert(slot.id);
+    }
+  }
+  return ids;
+}
+
+// The links with at least one entry, in link order.
+std::set<NodeId> LinksOf(const RoutingTable& t, const StreamTable& streams) {
+  std::set<NodeId> links;
+  for (StreamId sid = 0; sid < streams.size(); ++sid) {
+    for (const auto& lb : t.BucketsOf(sid)) links.insert(lb.link);
+  }
+  return links;
+}
+
 TEST(RoutingTable, AddAndLookup) {
   StreamTable streams;
   RoutingTable t(&streams);
   t.Add(3, 1, MakeProfile(0, 10));
   t.Add(3, 2, MakeProfile(20, 30));
   t.Add(5, 3, MakeProfile(0, 40));
-  EXPECT_EQ(t.EntriesFor(3).size(), 2u);
-  EXPECT_EQ(t.EntriesFor(5).size(), 1u);
-  EXPECT_TRUE(t.EntriesFor(9).empty());
+  EXPECT_EQ(EntriesOn(t, streams, 3), (std::set<ProfileId>{1, 2}));
+  EXPECT_EQ(EntriesOn(t, streams, 5), (std::set<ProfileId>{3}));
+  EXPECT_TRUE(EntriesOn(t, streams, 9).empty());
   EXPECT_EQ(t.TotalEntries(), 3u);
-  EXPECT_EQ(t.Links(), (std::vector<NodeId>{3, 5}));
+  EXPECT_EQ(LinksOf(t, streams), (std::set<NodeId>{3, 5}));
 }
 
 // A link carries a datagram when any one of its profiles covers it.
@@ -105,12 +128,14 @@ TEST(RoutingTable, BucketMatcherReturnsEveryCoveringSlot) {
 TEST(RoutingTable, RemoveByIdOnLink) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 10));
-  t.Add(3, 2, MakeProfile(20, 30));
-  EXPECT_TRUE(t.Remove(3, 1));
-  EXPECT_FALSE(t.Remove(3, 1));
-  EXPECT_EQ(t.EntriesFor(3).size(), 1u);
-  EXPECT_FALSE(t.Remove(9, 2));
+  const ProfilePtr p1 = MakeProfile(0, 10);
+  const ProfilePtr p2 = MakeProfile(20, 30);
+  t.Add(3, 1, p1);
+  t.Add(3, 2, p2);
+  EXPECT_TRUE(t.Remove(3, 1, *p1));
+  EXPECT_FALSE(t.Remove(3, 1, *p1));
+  EXPECT_EQ(EntriesOn(t, streams, 3), (std::set<ProfileId>{2}));
+  EXPECT_FALSE(t.Remove(9, 2, *p2));
 }
 
 // Removing a coverer re-checks the entries it covered, in entry order,
@@ -119,25 +144,57 @@ TEST(RoutingTable, RemoveByIdOnLink) {
 TEST(RoutingTable, RemoveRechecksWhatItCovered) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 40));
+  const ProfilePtr p1 = MakeProfile(0, 40);
+  t.Add(3, 1, p1);
   t.Add(3, 2, MakeProfile(10, 20), /*covered_by=*/1);
   t.Add(3, 3, MakeProfile(10, 20), /*covered_by=*/1);
   t.Add(3, 4, MakeProfile(5, 30), /*covered_by=*/1);
   ASSERT_TRUE(t.CheckInvariants());
   std::vector<ProfileId> uncovered;
   uint64_t checks = 0;
-  ASSERT_TRUE(t.Remove(3, 1, &uncovered, &checks));
+  ASSERT_TRUE(t.Remove(3, 1, *p1, &uncovered, &checks));
   // 2 finds no unpruned coverer; 3 is pruned behind 2; 4 is not covered
   // by 2, and 3 is pruned.
   EXPECT_EQ(uncovered, (std::vector<ProfileId>{2, 4}));
   EXPECT_EQ(checks, 2u);
   std::map<ProfileId, ProfileId> covered_by;
-  for (const auto& e : t.EntriesFor(3)) covered_by[e.id] = t.CoveredBy(3, e.id);
+  for (ProfileId e : EntriesOn(t, streams, 3)) covered_by[e] = t.CoveredBy(3, e);
   EXPECT_EQ(covered_by,
             (std::map<ProfileId, ProfileId>{{2, 0}, {3, 2}, {4, 0}}));
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(11, 19), nullptr), 2u);
   EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(0, 40), nullptr), 0u);
+}
+
+// A coverer requests every stream its pruned entry does, and may request
+// more: removing it finds the entry through the coverer's buckets,
+// re-checks it, and leaves nothing in the buckets only the coverer used.
+TEST(RoutingTable, RemovingAMultiStreamCovererRechecksItsPrunedEntry) {
+  StreamTable streams;
+  RoutingTable t(&streams);
+  auto whole = [](std::vector<std::string> names) {
+    auto p = std::make_shared<Profile>();
+    for (const auto& name : names) p->AddStream(name);
+    return ProfilePtr(std::move(p));
+  };
+  const ProfilePtr wide = whole({"a", "b", "c"});
+  const ProfilePtr narrow = whole({"a", "b"});
+  t.Add(3, 1, wide);
+  ASSERT_EQ(t.FindCoverer(3, 2, *narrow, nullptr), 1u);
+  t.Add(3, 2, narrow, /*covered_by=*/1);
+  ASSERT_TRUE(t.CheckInvariants());
+  const StreamId c = streams.Find("c");
+  ASSERT_NE(t.BucketFor(3, c), nullptr);
+  std::vector<ProfileId> uncovered;
+  ASSERT_TRUE(t.Remove(3, 1, *wide, &uncovered));
+  EXPECT_EQ(uncovered, (std::vector<ProfileId>{2}));
+  EXPECT_EQ(t.CoveredBy(3, 2), 0u);
+  EXPECT_EQ(t.BucketFor(3, c), nullptr);
+  EXPECT_TRUE(t.CheckInvariants());
+  EXPECT_TRUE(t.Contains(3, 2, *narrow));
+  EXPECT_FALSE(t.Contains(3, 1, *wide));
+  EXPECT_EQ(t.TotalEntries(), 1u);
+  EXPECT_EQ(t.TotalIndexedSlots(), 2u);
 }
 
 // FindCoverer by the reference definition: the slots of the smallest
@@ -266,7 +323,8 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
           // Remove re-checks what the victim covered through FindCoverer.
           const size_t victim = rng.NextBounded(ids.size());
           const ProfileId gone = ids[victim];
-          ASSERT_TRUE(t.Remove(live[gone - 1].first, gone));
+          ASSERT_TRUE(
+              t.Remove(live[gone - 1].first, gone, *live[gone - 1].second));
           ids.erase(ids.begin() + static_cast<long>(victim));
         }
       }
@@ -295,10 +353,11 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
 TEST(RoutingTable, ContainsChecksLinkAndId) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 10));
-  EXPECT_TRUE(t.Contains(3, 1));
-  EXPECT_FALSE(t.Contains(3, 2));
-  EXPECT_FALSE(t.Contains(5, 1));
+  const ProfilePtr p = MakeProfile(0, 10);
+  t.Add(3, 1, p);
+  EXPECT_TRUE(t.Contains(3, 1, *p));
+  EXPECT_FALSE(t.Contains(3, 2, *p));
+  EXPECT_FALSE(t.Contains(5, 1, *p));
 }
 
 TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
@@ -349,7 +408,7 @@ TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
   EXPECT_NE(a, b);
   EXPECT_EQ(streams.live(), 2u);
   EXPECT_TRUE(t.CheckInvariants());
-  EXPECT_TRUE(t.Remove(3, 7));
+  EXPECT_TRUE(t.Remove(3, 7, *p));
   EXPECT_EQ(t.TotalIndexedSlots(), 0u);
   EXPECT_EQ(t.BucketFor(3, a), nullptr);
   EXPECT_EQ(t.BucketFor(3, b), nullptr);
@@ -360,8 +419,10 @@ TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
 TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
   StreamTable streams;
   RoutingTable t(&streams);
+  const ProfilePtr hum_only = MakeProfile(0, 10, {"hum"});
+  const ProfilePtr all = MakeProfile(0, 10);
   t.Add(3, 1, MakeProfile(0, 10, {"temp"}));
-  t.Add(3, 2, MakeProfile(0, 10, {"hum"}));
+  t.Add(3, 2, hum_only);
   const StreamId s = streams.Find("s");
   const AttrMask temp = streams.MaskOf(s, {"temp"});
   const AttrMask hum = streams.MaskOf(s, {"hum"});
@@ -372,30 +433,31 @@ TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
   EXPECT_EQ(bucket->UnionMask(), temp | hum);
   // A profile needing every attribute poisons the union (recomputed after
   // an add), which disables projection.
-  t.Add(3, 4, MakeProfile(0, 10));
+  t.Add(3, 4, all);
   bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_NE(bucket->UnionMask() & kAllAttributes, 0u);
   // Removing it restores the attribute union (recomputed after a remove).
-  EXPECT_TRUE(t.Remove(3, 4));
+  EXPECT_TRUE(t.Remove(3, 4, *all));
   bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->UnionMask(), temp | hum);
-  EXPECT_TRUE(t.Remove(3, 2));
+  EXPECT_TRUE(t.Remove(3, 2, *hum_only));
   EXPECT_EQ(t.BucketFor(3, s)->UnionMask(), temp);
 }
 
 TEST(RoutingTable, IndexSurvivesChurn) {
   StreamTable streams;
   RoutingTable t(&streams);
+  std::vector<ProfilePtr> profiles;  // index: id - 1
   for (ProfileId id = 1; id <= 40; ++id) {
-    t.Add(static_cast<NodeId>(id % 4), id,
-          MakeProfile(static_cast<double>(id % 7), 30));
+    profiles.push_back(MakeProfile(static_cast<double>(id % 7), 30));
+    t.Add(static_cast<NodeId>(id % 4), id, profiles.back());
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());
   for (ProfileId id = 1; id <= 40; id += 2) {
-    EXPECT_TRUE(t.Remove(static_cast<NodeId>(id % 4), id));
+    EXPECT_TRUE(t.Remove(static_cast<NodeId>(id % 4), id, *profiles[id - 1]));
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());
@@ -487,12 +549,13 @@ TEST(Router, DecideForwardTracksTableMutations) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
   // Adding a hum-projecting profile widens the all-match union.
-  r.table().Add(2, 2, MakeProfile(0, 20, {"hum"}));
+  const ProfilePtr hum = MakeProfile(0, 20, {"hum"});
+  r.table().Add(2, 2, hum);
   out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
   // Removing it narrows the union again (invalidation on Remove).
-  EXPECT_TRUE(r.table().Remove(2, 2));
+  EXPECT_TRUE(r.table().Remove(2, 2, *hum));
   out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);

@@ -296,8 +296,12 @@ TEST(SubscriptionChurn, RemovingAProfileThatCoversNothingIsFree) {
     for (NodeId n = 0; n < kNodes; ++n) {
       const RoutingTable& table = net.router(n).table();
       ASSERT_TRUE(table.CheckInvariants()) << "node " << n;
-      for (NodeId link : table.Links()) {
-        EXPECT_FALSE(table.Contains(link, victim)) << "node " << n;
+      for (StreamId sid = 0; sid < net.streams().size(); ++sid) {
+        for (const auto& lb : table.BucketsOf(sid)) {
+          for (const auto& slot : lb.bucket.slots()) {
+            EXPECT_NE(slot.id, victim) << "node " << n << " link " << lb.link;
+          }
+        }
       }
     }
   }
