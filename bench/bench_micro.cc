@@ -459,12 +459,23 @@ class SeedProjectionCache {
   std::map<std::pair<const Schema*, std::string>, Plan> plans_;
 };
 
+// One forwarding decision toward `link` as a hop makes it: find d's
+// bucket for the link, then decide.
+const Datagram* DecideToward(const Router& router, const Datagram& d,
+                             NodeId link, std::optional<Datagram>* projected) {
+  const RoutingTable::StreamBucket* bucket =
+      router.table().BucketFor(link, d.stream_id);
+  if (bucket == nullptr) return nullptr;
+  return router.DecideForward(d, *bucket, /*early_projection=*/true,
+                              projected);
+}
+
 struct RoutingForwardFixture {
   static constexpr NodeId kLink = 1;
 
   StreamTable streams;
   Router router{0, &streams};
-  Datagram projected;
+  std::optional<Datagram> projected;
   SeedProjectionCache seed_cache;
   // The profiles installed on kLink, in installation order: the per-link
   // entry list the seed table kept, which LinearDecideForward walks.
@@ -544,9 +555,9 @@ void BM_RoutingForwardIndexed(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
-    const Datagram* out = fix.router.DecideForward(
-        fix.datagrams[i & 511], RoutingForwardFixture::kLink,
-        /*early_projection=*/true, &fix.projected);
+    const Datagram* out =
+        DecideToward(fix.router, fix.datagrams[i & 511],
+                     RoutingForwardFixture::kLink, &fix.projected);
     benchmark::DoNotOptimize(out);
     ++i;
   }
@@ -586,7 +597,7 @@ struct MatchBucketFixture {
 
   StreamTable streams;
   Router router{0, &streams};
-  Datagram projected;
+  std::optional<Datagram> projected;
   std::vector<Datagram> datagrams;
 
   explicit MatchBucketFixture(size_t num_profiles) {
@@ -624,8 +635,8 @@ struct MatchBucketFixture {
                    streams.Find("sensor")});
     }
     for (size_t i = 0; i < 8; ++i) {
-      const Datagram* out = router.DecideForward(
-          datagrams[i], kLink, /*early_projection=*/true, &projected);
+      const Datagram* out =
+          DecideToward(router, datagrams[i], kLink, &projected);
       benchmark::DoNotOptimize(out);
     }
   }
@@ -636,9 +647,9 @@ void BM_MatchCompiled(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_allocation_count.load();
   for (auto _ : state) {
-    const Datagram* out = fix.router.DecideForward(
-        fix.datagrams[i & 511], MatchBucketFixture::kLink,
-        /*early_projection=*/true, &fix.projected);
+    const Datagram* out =
+        DecideToward(fix.router, fix.datagrams[i & 511],
+                     MatchBucketFixture::kLink, &fix.projected);
     benchmark::DoNotOptimize(out);
     ++i;
   }
@@ -652,7 +663,7 @@ BENCHMARK(BM_MatchCompiled)->Arg(100)->Arg(1000)->Arg(10000);
 // BENCH_routing.json match gate.
 const Datagram* InterpretedDecideForward(const MatchBucketFixture& fix,
                                          const Datagram& d,
-                                         Datagram* projected) {
+                                         std::optional<Datagram>* projected) {
   const RoutingTable::StreamBucket* bucket =
       fix.router.table().BucketFor(MatchBucketFixture::kLink, d.stream_id);
   if (bucket == nullptr) return nullptr;
@@ -665,13 +676,15 @@ const Datagram* InterpretedDecideForward(const MatchBucketFixture& fix,
   }
   if (matched == 0) return nullptr;
   if (matched == bucket->slots().size()) needed = bucket->UnionMask();
+  Tuple tuple;
   const Tuple& out = bucket->projections().Project(
-      d.tuple, needed, fix.streams.attributes(d.stream_id),
-      &projected->tuple);
+      d.tuple, needed, fix.streams.attributes(d.stream_id), &tuple);
   if (&out == &d.tuple) return &d;
-  projected->stream = d.stream;
-  projected->stream_id = d.stream_id;
-  return projected;
+  Datagram& p = projected->has_value() ? **projected : projected->emplace();
+  p.stream = d.stream;
+  p.stream_id = d.stream_id;
+  p.tuple = std::move(tuple);
+  return &p;
 }
 
 void BM_MatchInterpreted(benchmark::State& state) {

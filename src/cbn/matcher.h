@@ -40,9 +40,11 @@ namespace cosmos {
 // every decision in debug builds.
 //
 // A matcher is immutable after construction and holds raw Profile/Filter
-// pointers; the owning bucket must rebuild it whenever the profile set
-// changes (RoutingTable's IndexEntry/DeindexEntry invalidation hooks do
-// this, alongside the cached attribute unions).
+// pointers; its owner must rebuild it whenever the profile set changes
+// (RoutingTable::Add and Remove drop a bucket's, alongside its cached
+// attribute union, and Router drops a stream's local matcher whenever its
+// subscribers change). A bucket whose slots filter nothing never builds
+// one: Router::DecideForward takes every slot without matching.
 class CompiledMatcher {
  public:
   // Reusable per-caller scratch: counter array indexed by conjunct, the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -31,9 +32,15 @@ ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
       streams_(std::make_unique<StreamTable>()) {
   routers_.reserve(tree_.num_nodes());
   for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
-    routers_.emplace_back(i, streams_.get());
+    routers_.emplace_back(i, streams_.get(), NeighborIds(i));
   }
   SetTelemetry(nullptr, nullptr);
+}
+
+std::vector<NodeId> ContentBasedNetwork::NeighborIds(NodeId node) const {
+  std::vector<NodeId> ids;
+  for (const auto& [n, w] : tree_.Neighbors(node)) ids.push_back(n);
+  return ids;
 }
 
 const std::set<NodeId>* ContentBasedNetwork::PublishersOf(
@@ -312,7 +319,7 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
 }
 
 void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
-                               const Datagram& d, size_t count,
+                               const Datagram& d, size_t count, size_t bytes,
                                LinkCounters* link) {
   COSMOS_DCHECK(d.stream_id < ledger_.size() &&
                 ledger_[d.stream_id] != nullptr)
@@ -321,19 +328,17 @@ void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
   switch (kind) {
     case Event::kPublish:
       sc.published->Increment();
-      sc.published_bytes->Add(d.SerializedSize());
+      sc.published_bytes->Add(bytes);
       break;
-    case Event::kForward: {
-      const size_t size = d.SerializedSize();
+    case Event::kForward:
       matches_->Increment();
       forwards_->Increment();
-      forwarded_bytes_->Add(size);
+      forwarded_bytes_->Add(bytes);
       sc.forwarded->Increment();
-      sc.forwarded_bytes->Add(size);
+      sc.forwarded_bytes->Add(bytes);
       link->datagrams->Increment();
-      link->bytes->Add(size);
+      link->bytes->Add(bytes);
       break;
-    }
     case Event::kRecoveryForward:
       matches_->Increment();
       recovery_forwards_->Increment();
@@ -409,7 +414,7 @@ std::vector<bool> ContentBasedNetwork::ComponentBeyondEdge(
 }
 
 size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
-                                    const Datagram& d,
+                                    const Datagram& d, size_t bytes,
                                     const std::vector<bool>* allowed) {
   // `allowed` marks the nodes that have NOT yet seen this datagram (a
   // post-repair flush into the side a failed link cut off). It restricts
@@ -419,8 +424,13 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
   // datagram. Served nodes merely relay; only unserved ones deliver.
   const bool recovery = allowed != nullptr;
   Router& router = routers_[node];
+  const RoutingTable& table = router.table();
+  // The one record this node keeps for the stream holds both its local
+  // subscribers and its buckets.
+  const RoutingTable::StreamRoutes* routes = table.RoutesOf(d.stream_id);
+  if (routes == nullptr) return 0;
   size_t delivered = 0;
-  if (!recovery || (*allowed)[node]) {
+  if (!routes->local.subscribers.empty() && (!recovery || (*allowed)[node])) {
     delivered = router.DeliverLocal(d);
     if (delivered > 0) {
       Emit(recovery ? Event::kRecoveryDeliver : Event::kDeliver, node, from,
@@ -428,29 +438,36 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     }
   }
 
-  // Only the links with a bucket for the stream are visited, in
-  // Neighbors() order. The positions are snapshotted, and each link's
-  // bucket is looked up again when its turn comes: a delivery callback
-  // below may subscribe or unsubscribe, which moves buckets. When that
-  // creates or erases a bucket here, the positions still ahead are taken
-  // afresh.
-  Datagram projected;  // this hop's early projection, when one is needed
+  // The buckets are walked in position order, which is Neighbors() order.
+  // A delivery callback (above, or in a synchronous hop below) may
+  // subscribe or unsubscribe, which moves the record and its buckets, so
+  // each turn reads them afresh by index; when that created or erased a
+  // bucket here, the walk resumes at the first bucket past the position
+  // just visited.
+  std::optional<Datagram> projected;  // built by the first projection
   const auto& neighbors = tree_.Neighbors(node);
-  const size_t base = hop_links_.size();
-  AppendInterestedLinks(node, from, d.stream_id, 0);
-  for (size_t i = base; i < hop_links_.size(); ++i) {
-    const size_t k = hop_links_[i];
+  uint64_t version = table.bucket_version();
+  size_t i = 0;
+  while (true) {
+    // The record outlives the walk: a table never drops one.
+    const auto& links = table.RoutesOf(d.stream_id)->links;
+    if (i >= links.size()) break;
+    const RoutingTable::LinkBucket& lb = links[i++];
+    if (lb.link == from) continue;
+    const uint32_t k = lb.position;
     const auto [neighbor, weight] = neighbors[k];
+    COSMOS_DCHECK_EQ(neighbor, lb.link) << "stale position at node " << node;
     const Datagram* out = router.DecideForward(
-        d, neighbor, options_.early_projection, &projected);
+        d, lb.bucket, options_.early_projection, &projected);
     if (out == nullptr) continue;
+    const size_t out_bytes = out == &d ? bytes : out->SerializedSize();
     if (LinkFailed(node, neighbor)) {
       if (options_.buffer_on_failure) {
         // Hold a copy for the cut-off side; it resumes after Repair()
         // delivering exactly there, so nobody sees it twice.
         streams_->Acquire(out->stream_id);
-        buffered_.push_back(Buffered{
-            neighbor, ComponentBeyondEdge(neighbor, node), *out});
+        buffered_.push_back(
+            Buffered{neighbor, ComponentBeyondEdge(neighbor, node), *out});
         Emit(Event::kBuffer, node, neighbor, *out);
       } else {
         Emit(Event::kDrop, node, neighbor, *out);
@@ -460,7 +477,8 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
     if (recovery) {
       Emit(Event::kRecoveryForward, node, neighbor, *out);
     } else {
-      Emit(Event::kForward, node, neighbor, *out, 1, &LinkLedger(node, k));
+      Emit(Event::kForward, node, neighbor, *out, 1, out_bytes,
+           &LinkLedger(node, k));
     }
     if (sim_ != nullptr) {
       // Link weight is the delay in milliseconds.
@@ -477,39 +495,26 @@ size_t ContentBasedNetwork::Process(NodeId node, NodeId from,
       }
       // The hop holds a reference on the stream id until it has run.
       streams_->Acquire(copy.stream_id);
-      sim_->Schedule(delay, [this, next, prev, copy, allowed_copy]() {
-        Process(next, prev, copy, allowed_copy.get());
+      sim_->Schedule(delay, [this, next, prev, copy, out_bytes,
+                             allowed_copy]() {
+        Process(next, prev, copy, out_bytes, allowed_copy.get());
         streams_->Release(copy.stream_id);
       });
     } else {
-      const uint64_t version = router.table().bucket_version();
-      delivered += Process(neighbor, node, *out, allowed);
-      if (router.table().bucket_version() != version) {
-        hop_links_.resize(i + 1);
-        AppendInterestedLinks(node, from, d.stream_id, k + 1);
+      delivered += Process(neighbor, node, *out, out_bytes, allowed);
+      if (table.bucket_version() != version) {
+        version = table.bucket_version();
+        const auto& now = table.RoutesOf(d.stream_id)->links;
+        i = static_cast<size_t>(
+            std::partition_point(now.begin(), now.end(),
+                                 [k](const RoutingTable::LinkBucket& b) {
+                                   return b.position <= k;
+                                 }) -
+            now.begin());
       }
     }
   }
-  hop_links_.resize(base);
   return delivered;
-}
-
-void ContentBasedNetwork::AppendInterestedLinks(NodeId node, NodeId from,
-                                                StreamId stream,
-                                                size_t first) {
-  const size_t begin = hop_links_.size();
-  const auto& neighbors = tree_.Neighbors(node);
-  for (const auto& lb : routers_[node].table().BucketsOf(stream)) {
-    if (lb.link == from) continue;
-    for (size_t k = first; k < neighbors.size(); ++k) {
-      if (neighbors[k].first == lb.link) {
-        hop_links_.push_back(static_cast<uint32_t>(k));
-        break;
-      }
-    }
-  }
-  std::sort(hop_links_.begin() + static_cast<std::ptrdiff_t>(begin),
-            hop_links_.end());
 }
 
 size_t ContentBasedNetwork::Publish(Publisher& publisher, Tuple tuple) {
@@ -524,8 +529,9 @@ size_t ContentBasedNetwork::Publish(Publisher& publisher, Tuple tuple) {
     publisher.bound_ = true;
   }
   const Datagram d{streams_->Name(id), std::move(tuple), id};
-  Emit(Event::kPublish, publisher.node_, /*peer=*/-1, d);
-  return Process(publisher.node_, /*from=*/-1, d);
+  const size_t bytes = d.SerializedSize();
+  Emit(Event::kPublish, publisher.node_, /*peer=*/-1, d, 1, bytes);
+  return Process(publisher.node_, /*from=*/-1, d, bytes);
 }
 
 Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
@@ -539,8 +545,9 @@ Status ContentBasedNetwork::FailLink(NodeId u, NodeId v) {
 void ContentBasedNetwork::ReinstallAllSubscriptions() {
   for (auto& r : routers_) {
     // A fresh Router drops the telemetry handles with the routing state;
-    // re-apply them or rebuilds would silently stop counting.
-    r = Router(r.id(), streams_.get());
+    // re-apply them or rebuilds would silently stop counting. It also
+    // resolves its buckets' positions against the current tree.
+    r = Router(r.id(), streams_.get(), NeighborIds(r.id()));
     r.SetTelemetry(metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {
@@ -625,7 +632,8 @@ void ContentBasedNetwork::FlushBuffered() {
   buffered_.clear();
   for (auto& b : pending) {
     Emit(Event::kRecover, b.entry, /*peer=*/-1, b.datagram);
-    Process(b.entry, /*from=*/-1, b.datagram, &b.allowed);
+    Process(b.entry, /*from=*/-1, b.datagram, b.datagram.SerializedSize(),
+            &b.allowed);
     streams_->Release(b.datagram.stream_id);
   }
 }

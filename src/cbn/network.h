@@ -273,24 +273,22 @@ class ContentBasedNetwork {
   };
   // The only place a data event is recorded: counts it into the cbn.*
   // counters of d's stream (its ledger entry, bound by Publish) and, when
-  // the tracer is on, records it there. `link` is the forwarding link's
-  // counters (kForward only). Recovery traffic travels a recovery channel
-  // and is never charged to links.
+  // the tracer is on, records it there. `count` is the deliveries of a
+  // kDeliver or kRecoveryDeliver, `bytes` d's wire size (kPublish and
+  // kForward) and `link` the forwarding link's counters (kForward only).
+  // Recovery traffic travels a recovery channel and is never charged to
+  // links.
   void Emit(Event kind, NodeId node, NodeId peer, const Datagram& d,
-            size_t count = 1, LinkCounters* link = nullptr);
+            size_t count = 1, size_t bytes = 0, LinkCounters* link = nullptr);
 
-  // Processes `d` at `node` arriving from `from` (-1 = published locally).
-  // When `allowed` is non-null, *delivery* is restricted to nodes with
-  // allowed[v] == true (post-repair flushing into the side a failed link
-  // cut off); forwarding is unrestricted so the flush can route through
-  // already-served nodes when the repaired tree demands it.
-  size_t Process(NodeId node, NodeId from, const Datagram& d,
+  // Processes `d`, whose wire size is `bytes`, at `node` arriving from
+  // `from` (-1 = published locally). When `allowed` is non-null, *delivery*
+  // is restricted to nodes with allowed[v] == true (post-repair flushing
+  // into the side a failed link cut off); forwarding is unrestricted so the
+  // flush can route through already-served nodes when the repaired tree
+  // demands it.
+  size_t Process(NodeId node, NodeId from, const Datagram& d, size_t bytes,
                  const std::vector<bool>* allowed = nullptr);
-  // Appends to hop_links_, in Neighbors() order, the positions k >= `first`
-  // of `node`'s tree neighbors other than `from` that have a bucket for
-  // `stream`.
-  void AppendInterestedLinks(NodeId node, NodeId from, StreamId stream,
-                             size_t first);
   // Membership of `start`'s side of the tree edge (blocked_from, start) —
   // the nodes a datagram stopped at that edge has not reached.
   std::vector<bool> ComponentBeyondEdge(NodeId start,
@@ -298,6 +296,9 @@ class ContentBasedNetwork {
   bool LinkFailed(NodeId u, NodeId v) const {
     return failed_links_.count(DisseminationTree::EdgeKey(u, v)) > 0;
   }
+  // `node`'s tree neighbours in Neighbors() order: the positions its
+  // router's buckets are kept in.
+  std::vector<NodeId> NeighborIds(NodeId node) const;
   // Clears all routing state and reinstalls every live subscription.
   void ReinstallAllSubscriptions();
   // Delivers every buffered datagram into its recorded cut-off component
@@ -352,10 +353,6 @@ class ContentBasedNetwork {
   // capacity of the last.
   std::vector<Hop> flood_hops_;
   std::vector<Hop> unsubscribe_hops_;
-  // The neighbor positions each active Process call still has to visit,
-  // stacked: a nested call appends its own above its caller's and pops
-  // them before it returns.
-  std::vector<uint32_t> hop_links_;
   // Counter readings at the last ResetStats().
   std::map<const Counter*, uint64_t> reset_;
   // Storage behind the map-returning views.

@@ -8,7 +8,11 @@ const Tuple& ProjectionCache::Project(
     const Tuple& in, AttrMask mask,
     const std::vector<std::string>& dictionary, Tuple* scratch) {
   if ((mask & kAllAttributes) != 0) return in;
-  const Plan& plan = PlanFor(in.schema(), mask, dictionary);
+  const Plan& plan = last_plan_ != nullptr &&
+                             last_schema_ == in.schema().get() &&
+                             last_plan_->mask == mask
+                         ? *last_plan_
+                         : PlanFor(in.schema(), mask, dictionary);
   if (plan.identity) return in;
   *scratch = in.Project(plan.indices, plan.schema);
   return *scratch;
@@ -26,7 +30,11 @@ const ProjectionCache::Plan& ProjectionCache::PlanFor(
   for (auto& s : sources_) {
     if (s.source.get() != schema_ptr.get()) continue;
     for (const auto& plan : s.plans) {
-      if (plan.mask == mask) return plan;
+      if (plan.mask == mask) {
+        last_schema_ = s.source.get();
+        last_plan_ = &plan;
+        return plan;
+      }
     }
   }
   // Miss: drop the plans of schemas no tuple uses any more.
@@ -65,6 +73,8 @@ const ProjectionCache::Plan& ProjectionCache::PlanFor(
     s = sources_.end() - 1;
   }
   s->plans.push_back(std::move(plan));
+  last_schema_ = schema_ptr.get();
+  last_plan_ = &s->plans.back();
   return s->plans.back();
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cbn/stream_table.h"
@@ -18,6 +19,21 @@ namespace cosmos {
 // keeps the cache bounded by the live routing state.
 class ProjectionCache {
  public:
+  ProjectionCache() = default;
+  // A copy's last plan would point into the original's cache.
+  ProjectionCache(const ProjectionCache&) = delete;
+  ProjectionCache& operator=(const ProjectionCache&) = delete;
+  ProjectionCache(ProjectionCache&& other) noexcept
+      : sources_(std::move(other.sources_)),
+        last_schema_(std::exchange(other.last_schema_, nullptr)),
+        last_plan_(std::exchange(other.last_plan_, nullptr)) {}
+  ProjectionCache& operator=(ProjectionCache&& other) noexcept {
+    sources_ = std::move(other.sources_);
+    last_schema_ = std::exchange(other.last_schema_, nullptr);
+    last_plan_ = std::exchange(other.last_plan_, nullptr);
+    return *this;
+  }
+
   // Projects `in`, a tuple of a stream whose attribute dictionary is
   // `dictionary`, onto the attributes in `mask`, keeping the schema's
   // attribute order and skipping attributes the tuple lacks (projected
@@ -47,11 +63,19 @@ class ProjectionCache {
     std::vector<Plan> plans;
   };
 
+  // The plan of (schema, mask), built on a miss.
   const Plan& PlanFor(const std::shared_ptr<const Schema>& schema,
                       AttrMask mask,
                       const std::vector<std::string>& dictionary);
 
   std::vector<SourcePlans> sources_;
+  // The plan PlanFor returned last and the schema it was asked for
+  // (nullptr: none yet), so a run of datagrams of one shape skips
+  // PlanFor. Plans move only when a miss adds or drops one, and a miss
+  // replaces this; the plan's source entry retains the schema, which keeps
+  // the address check ABA-safe.
+  const Schema* last_schema_ = nullptr;
+  const Plan* last_plan_ = nullptr;
 };
 
 }  // namespace cosmos

@@ -10,19 +10,17 @@ namespace cosmos {
 
 void Router::AddLocal(ProfileId id, ProfilePtr profile,
                       DeliveryCallback callback) {
-  auto sub = std::make_unique<LocalSubscription>();
+  auto sub = std::make_unique<LocalSubscriber>();
   sub->id = id;
   sub->callback = std::move(callback);
-  for (const auto& stream : profile->streams()) {
+  for (const auto& [stream, record] : profile->records()) {
     StreamRef ref(streams_, stream);
     const StreamId sid = ref.id();
-    if (local_by_stream_.size() <= sid) local_by_stream_.resize(sid + 1);
-    LocalStream& local = local_by_stream_[sid];
-    if (local.subscribers.empty()) local.stream = std::move(ref);
+    RoutingTable::LocalStream& local = table_.Locals(sid);
     local.subscribers.push_back(sub.get());
     local.matcher.reset();
-    sub->projections.push_back(LocalSubscription::Projection{
-        sid, streams_->MaskOf(sid, profile->ProjectionOf(stream)), {}});
+    sub->projections.push_back(LocalSubscriber::Projection{
+        std::move(ref), streams_->MaskOf(sid, record.projection), {}});
   }
   sub->profile = std::move(profile);
   locals_.push_back(std::move(sub));
@@ -33,13 +31,12 @@ bool Router::RemoveLocal(ProfileId id) {
                          [id](const auto& sub) { return sub->id == id; });
   if (it == locals_.end()) return false;
   for (const auto& projection : (*it)->projections) {
-    LocalStream& local = local_by_stream_[projection.stream];
+    RoutingTable::LocalStream& local = table_.Locals(projection.stream.id());
     local.subscribers.erase(std::find(local.subscribers.begin(),
                                       local.subscribers.end(), it->get()));
     local.matcher.reset();
-    if (local.subscribers.empty()) local.stream = StreamRef();
   }
-  locals_.erase(it);
+  locals_.erase(it);  // releases its references on the stream ids
   return true;
 }
 
@@ -65,12 +62,12 @@ size_t Router::CachedPlans() const {
   return total;
 }
 
-const CompiledMatcher& Router::LocalMatcher(LocalStream& local,
-                                            const std::string& stream) {
+const CompiledMatcher& Router::LocalMatcher(
+    const RoutingTable::LocalStream& local, const std::string& stream) {
   if (local.matcher != nullptr) return *local.matcher;
   std::vector<const Profile*> profiles;
   profiles.reserve(local.subscribers.size());
-  for (const LocalSubscription* sub : local.subscribers) {
+  for (const LocalSubscriber* sub : local.subscribers) {
     profiles.push_back(sub->profile.get());
   }
   if (matcher_compiles_ != nullptr) matcher_compiles_->Increment();
@@ -96,12 +93,12 @@ void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
   }
 }
 
-void Router::Deliver(LocalSubscription& sub, const Datagram& d) {
+void Router::Deliver(LocalSubscriber& sub, const Datagram& d) {
   // Last-hop projection: the subscriber receives exactly P(stream).
   auto projection = std::find_if(
       sub.projections.begin(), sub.projections.end(),
-      [&d](const LocalSubscription::Projection& p) {
-        return p.stream == d.stream_id;
+      [&d](const LocalSubscriber::Projection& p) {
+        return p.stream.id() == d.stream_id;
       });
   COSMOS_DCHECK(projection != sub.projections.end());
   Tuple scratch;
@@ -111,16 +108,15 @@ void Router::Deliver(LocalSubscription& sub, const Datagram& d) {
 }
 
 size_t Router::DeliverLocal(const Datagram& d) {
-  if (d.stream_id >= local_by_stream_.size()) return 0;
+  const RoutingTable::StreamRoutes* routes = table_.RoutesOf(d.stream_id);
+  if (routes == nullptr || routes->local.subscribers.empty()) return 0;
   // Subscribers are re-read by index on every delivery: a callback may
-  // subscribe here, which can move local_by_stream_ (appends keep indices).
-  auto subscriber = [this, &d](size_t i) -> LocalSubscription& {
-    return *local_by_stream_[d.stream_id].subscribers[i];
+  // subscribe here, which can move the table's records (appends keep
+  // indices).
+  auto subscriber = [this, &d](size_t i) -> LocalSubscriber& {
+    return *table_.RoutesOf(d.stream_id)->local.subscribers[i];
   };
-  const size_t count = local_by_stream_[d.stream_id].subscribers.size();
-  if (count == 0) return 0;
-  const CompiledMatcher& m =
-      LocalMatcher(local_by_stream_[d.stream_id], d.stream);
+  const CompiledMatcher& m = LocalMatcher(routes->local, d.stream);
   // Take the reusable hit buffer for the duration of the callbacks: a
   // callback that publishes re-enters this router and must not clobber
   // the list being delivered (it finds the member empty and regrows).
@@ -130,6 +126,7 @@ size_t Router::DeliverLocal(const Datagram& d) {
 #ifndef NDEBUG
   {
     // Compiled output must equal the interpreted walk, slot by slot.
+    const size_t count = routes->local.subscribers.size();
     size_t k = 0;
     for (size_t j = 0; j < count; ++j) {
       const bool interpreted = subscriber(j).profile->Covers(d);
@@ -148,53 +145,65 @@ size_t Router::DeliverLocal(const Datagram& d) {
   return delivered;
 }
 
-const Datagram* Router::DecideForward(const Datagram& d, NodeId link,
-                                      bool early_projection,
-                                      Datagram* projected) const {
-  const RoutingTable::StreamBucket* bucket =
-      table_.BucketFor(link, d.stream_id);
-  if (bucket == nullptr) return nullptr;
-  const std::vector<RoutingTable::BucketSlot>& slots = bucket->slots();
-  const bool was_compiled = bucket->has_compiled();
-  const CompiledMatcher& m = bucket->Compiled(d.stream);
-  if (!was_compiled && matcher_compiles_ != nullptr) {
-    matcher_compiles_->Increment();
-  }
-  MatchCompiled(m, d, &hit_scratch_);
-#ifndef NDEBUG
-  {
-    // Compiled output must equal the interpreted walk, slot by slot.
-    size_t k = 0;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const bool interpreted = slots[i].profile->Covers(d);
-      const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
-      COSMOS_DCHECK_EQ(compiled, interpreted)
-          << "compiled/interpreted divergence at slot " << i << " (entry "
-          << slots[i].id << ") on stream " << d.stream;
-      if (compiled) ++k;
-    }
-  }
-#endif
+const Datagram* Router::DecideForward(
+    const Datagram& d, const RoutingTable::StreamBucket& bucket,
+    bool early_projection, std::optional<Datagram>* projected) const {
+  const std::vector<RoutingTable::BucketSlot>& slots = bucket.slots();
   // Union of the attributes any matching downstream profile still needs
   // (its projection set plus its filters' attributes, so re-evaluation at
-  // later hops stays possible). When every slot matched — the common case
-  // for stream-level subscriptions — the bucket's cached union is the
-  // answer.
-  const size_t matched = hit_scratch_.size();
+  // later hops stays possible). When every slot matches — always, in a
+  // bucket no slot filters — the bucket's cached union is the answer.
   AttrMask needed = 0;
-  if (early_projection && matched < slots.size()) {
-    for (uint32_t h : hit_scratch_) needed |= slots[h].required;
+  if (bucket.filtered() == 0) {
+#ifndef NDEBUG
+    for (const auto& slot : slots) {
+      COSMOS_DCHECK(slot.profile->Covers(d))
+          << "unfiltered slot (entry " << slot.id << ") does not cover "
+          << d.stream;
+    }
+#endif
+    if (!early_projection) return &d;
+    needed = bucket.UnionMask();
+  } else {
+    const bool was_compiled = bucket.has_compiled();
+    const CompiledMatcher& m = bucket.Compiled(d.stream);
+    if (!was_compiled && matcher_compiles_ != nullptr) {
+      matcher_compiles_->Increment();
+    }
+    MatchCompiled(m, d, &hit_scratch_);
+#ifndef NDEBUG
+    {
+      // Compiled output must equal the interpreted walk, slot by slot.
+      size_t k = 0;
+      for (size_t i = 0; i < slots.size(); ++i) {
+        const bool interpreted = slots[i].profile->Covers(d);
+        const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
+        COSMOS_DCHECK_EQ(compiled, interpreted)
+            << "compiled/interpreted divergence at slot " << i << " (entry "
+            << slots[i].id << ") on stream " << d.stream;
+        if (compiled) ++k;
+      }
+    }
+#endif
+    const size_t matched = hit_scratch_.size();
+    if (matched == 0) return nullptr;
+    if (!early_projection) return &d;
+    if (matched == slots.size()) {
+      needed = bucket.UnionMask();
+    } else {
+      for (uint32_t h : hit_scratch_) needed |= slots[h].required;
+    }
   }
-  if (matched == 0) return nullptr;
-  if (!early_projection) return &d;
-  if (matched == slots.size()) needed = bucket->UnionMask();
   // A profile wanting all attributes disables projection on this link.
-  const Tuple& out = bucket->projections().Project(
-      d.tuple, needed, streams_->attributes(d.stream_id), &projected->tuple);
+  Tuple tuple;
+  const Tuple& out = bucket.projections().Project(
+      d.tuple, needed, streams_->attributes(d.stream_id), &tuple);
   if (&out == &d.tuple) return &d;
-  projected->stream = d.stream;
-  projected->stream_id = d.stream_id;
-  return projected;
+  Datagram& p = projected->has_value() ? **projected : projected->emplace();
+  p.stream = d.stream;
+  p.stream_id = d.stream_id;
+  p.tuple = std::move(tuple);
+  return &p;
 }
 
 }  // namespace cosmos

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,17 +17,37 @@ namespace cosmos {
 using DeliveryCallback =
     std::function<void(const std::string& stream, const Tuple& tuple)>;
 
+// A subscriber at a node: its profile, its callback and, per requested
+// stream, a reference on the stream's id and the exact projection set P as
+// a mask with the plans applying it. The node's routing table files it
+// under each of those streams.
+struct LocalSubscriber {
+  ProfileId id = 0;
+  ProfilePtr profile;
+  DeliveryCallback callback;
+  struct Projection {
+    StreamRef stream;
+    AttrMask mask = kAllAttributes;
+    ProjectionCache plans;
+  };
+  std::vector<Projection> projections;
+};
+
 // One CBN node: the per-link routing table plus local subscriptions.
 // Forwarding decisions are made here; the Network drives the hop-by-hop
-// traversal and accounts link bytes. Both DecideForward and DeliverLocal
-// match with the compiled counting matcher (cbn/matcher.h); debug builds
-// cross-check every verdict against the per-profile Profile::Covers walk.
+// traversal and accounts link bytes. A bucket in which some slot filters
+// the stream, and every set of local subscribers, is matched with the
+// compiled counting matcher (cbn/matcher.h); a bucket with no filtered
+// slot forwards every datagram of its stream and runs no matcher. Debug
+// builds cross-check every verdict against the per-profile
+// Profile::Covers walk.
 class Router {
  public:
   // `streams` interns stream names for the routing table and the local
-  // subscriptions; it must outlive the router.
-  Router(NodeId id, StreamTable* streams)
-      : id_(id), streams_(streams), table_(streams) {}
+  // subscriptions; it must outlive the router. `neighbors` are the node's
+  // tree neighbours in visiting order (see RoutingTable).
+  Router(NodeId id, StreamTable* streams, std::vector<NodeId> neighbors = {})
+      : id_(id), streams_(streams), table_(streams, std::move(neighbors)) {}
 
   NodeId id() const { return id_; }
   RoutingTable& table() { return table_; }
@@ -37,20 +58,24 @@ class Router {
 
   // Delivers `d` to every matching local subscriber, applying the
   // subscriber's exact projection set P (last-hop projection, paper §3.1).
-  // Only subscribers of `d.stream_id` are evaluated (per-stream index).
-  // Returns the number of deliveries.
+  // Only subscribers of `d.stream_id` are evaluated: they are filed in the
+  // routing table's record of the stream. Returns the number of
+  // deliveries.
   size_t DeliverLocal(const Datagram& d);
 
-  // One forwarding decision for `link`: nullptr when no profile matches,
-  // else the datagram to put on the wire — `d` itself, or its projection
-  // onto the union of the matching profiles' required attributes (when
-  // `early_projection`), built in `*projected`. Evaluates only the
-  // (d.stream_id, link) bucket of the routing table and reuses internal
-  // scratch buffers, so a decision allocates nothing on the no-match and
-  // unprojected paths.
-  const Datagram* DecideForward(const Datagram& d, NodeId link,
+  // One forwarding decision for `bucket`, a bucket of d's stream in this
+  // router's table: nullptr when no profile matches, else the datagram to
+  // put on the wire — `d` itself, or its projection onto the union of the
+  // matching profiles' required attributes (when `early_projection`),
+  // built in `*projected`, which is emplaced on the first projection and
+  // reused by later ones. A bucket without filtered slots takes every slot
+  // without matching; otherwise the bucket's compiled matcher runs with
+  // internal scratch buffers, so a decision allocates nothing on the
+  // no-match and unprojected paths.
+  const Datagram* DecideForward(const Datagram& d,
+                                const RoutingTable::StreamBucket& bucket,
                                 bool early_projection,
-                                Datagram* projected) const;
+                                std::optional<Datagram>* projected) const;
 
   // Attaches (nullptr: detaches) matcher instruments in `metrics`:
   // cbn.matcher_compiles (bucket/local compilations), cbn.matcher_fallbacks
@@ -64,33 +89,12 @@ class Router {
   size_t CachedPlans() const;
 
  private:
-  struct LocalSubscription {
-    ProfileId id = 0;
-    ProfilePtr profile;
-    DeliveryCallback callback;
-    // Per requested stream: the exact projection set P as a mask, and the
-    // plans applying it.
-    struct Projection {
-      StreamId stream = kNoStream;
-      AttrMask mask = kAllAttributes;
-      ProjectionCache plans;
-    };
-    std::vector<Projection> projections;
-  };
-  // The local subscribers of one stream, in subscription order, and the
-  // compiled matcher over them (built lazily, dropped when they change).
-  struct LocalStream {
-    StreamRef stream;  // keeps the id assigned while subscribers exist
-    std::vector<LocalSubscription*> subscribers;
-    std::unique_ptr<CompiledMatcher> matcher;
-  };
-
   // The compiled matcher over `local`'s subscribers.
-  const CompiledMatcher& LocalMatcher(LocalStream& local,
+  const CompiledMatcher& LocalMatcher(const RoutingTable::LocalStream& local,
                                       const std::string& stream);
 
   // Hands `d` to `sub`'s callback, projected to P.
-  void Deliver(LocalSubscription& sub, const Datagram& d);
+  void Deliver(LocalSubscriber& sub, const Datagram& d);
 
   // Runs `m` over `d` into `*hits` with sampled timing and fallback
   // accounting.
@@ -100,9 +104,7 @@ class Router {
   NodeId id_;
   StreamTable* streams_;
   RoutingTable table_;
-  std::vector<std::unique_ptr<LocalSubscription>> locals_;
-  // Stream id -> its local subscribers.
-  std::vector<LocalStream> local_by_stream_;
+  std::vector<std::unique_ptr<LocalSubscriber>> locals_;
   Counter* matcher_compiles_ = nullptr;
   Counter* matcher_fallbacks_ = nullptr;
   Histogram* match_time_ns_ = nullptr;

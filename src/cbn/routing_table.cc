@@ -37,28 +37,37 @@ const CompiledMatcher& RoutingTable::StreamBucket::Compiled(
   return *matcher_;
 }
 
+uint32_t RoutingTable::PositionOf(NodeId link) {
+  auto it = std::find(neighbors_.begin(), neighbors_.end(), link);
+  if (it == neighbors_.end()) it = neighbors_.insert(it, link);
+  return static_cast<uint32_t>(it - neighbors_.begin());
+}
+
 void RoutingTable::Add(NodeId link, ProfileId id, ProfilePtr profile,
                        ProfileId covered_by) {
   COSMOS_CHECK(profile != nullptr) << "routing entry " << id;
   COSMOS_CHECK(!profile->streams().empty())
       << "routing entry " << id << " requests no stream";
-  for (const auto& stream : profile->streams()) {
+  for (const auto& [stream, record] : profile->records()) {
     StreamRef ref(streams_, stream);
     const StreamId sid = ref.id();
     if (by_stream_.size() <= sid) by_stream_.resize(sid + 1);
-    std::vector<LinkBucket>& buckets = by_stream_[sid];
+    std::vector<LinkBucket>& buckets = by_stream_[sid].links;
     auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
     if (it == buckets.end()) {
-      buckets.emplace_back();
+      const uint32_t position = PositionOf(link);
+      it = buckets.emplace(std::partition_point(
+          buckets.begin(), buckets.end(),
+          [position](const LinkBucket& lb) { return lb.position < position; }));
       ++bucket_version_;
-      it = buckets.end() - 1;
       it->link = link;
+      it->position = position;
       it->bucket.stream_ = std::move(ref);
     }
     StreamBucket& bucket = it->bucket;
-    const AttrMask required =
-        streams_->MaskOf(sid, profile->RequiredAttributes(stream));
+    const AttrMask required = streams_->MaskOf(sid, record.required);
     bucket.slots_.push_back(BucketSlot{id, profile, required});
+    bucket.filtered_ += record.filters.empty() ? 0 : 1;
     bucket.union_ |= required;
     bucket.matcher_.reset();
   }
@@ -77,16 +86,17 @@ bool RoutingTable::Remove(NodeId link, ProfileId id, const Profile& profile,
                           std::vector<ProfileId>* uncovered,
                           uint64_t* covering_checks) {
   if (!Contains(link, id, profile)) return false;
-  for (const auto& stream : profile.streams()) {
+  for (const auto& [stream, record] : profile.records()) {
     const StreamId sid = streams_->Find(stream);
     COSMOS_DCHECK(sid < by_stream_.size()) << "unindexed stream " << stream;
-    std::vector<LinkBucket>& buckets = by_stream_[sid];
+    std::vector<LinkBucket>& buckets = by_stream_[sid].links;
     auto it = std::find_if(buckets.begin(), buckets.end(), OnLink(link));
     COSMOS_DCHECK(it != buckets.end()) << "no bucket for stream " << stream;
     auto& slots = it->bucket.slots_;
     auto slot = std::find_if(slots.begin(), slots.end(),
                              [id](const BucketSlot& s) { return s.id == id; });
     COSMOS_DCHECK(slot != slots.end()) << "no slot for entry " << id;
+    it->bucket.filtered_ -= record.filters.empty() ? 0 : 1;
     slots.erase(slot);
     if (slots.empty()) {
       buckets.erase(it);  // releases the bucket's stream id
@@ -203,23 +213,31 @@ bool RoutingTable::CheckInvariants() const {
   };
   std::map<std::pair<NodeId, ProfileId>, Seen> entries;
   for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
-    for (const LinkBucket& lb : by_stream_[sid]) {
+    const LinkBucket* previous = nullptr;
+    for (const LinkBucket& lb : by_stream_[sid].links) {
       if (lb.bucket.slots().empty() || lb.bucket.stream_.id() != sid ||
-          BucketFor(lb.link, sid) != &lb.bucket) {
+          BucketFor(lb.link, sid) != &lb.bucket ||
+          lb.position >= neighbors_.size() ||
+          neighbors_[lb.position] != lb.link ||
+          (previous != nullptr && previous->position >= lb.position)) {
         return false;
       }
+      previous = &lb;
       std::set<ProfileId> ids;
+      size_t filtered = 0;
       for (const BucketSlot& slot : lb.bucket.slots()) {
-        if (slot.profile == nullptr ||
-            !slot.profile->WantsStream(streams_->Name(sid)) ||
-            !ids.insert(slot.id).second) {
-          return false;
-        }
+        const Profile::StreamRecord* record =
+            slot.profile == nullptr
+                ? nullptr
+                : slot.profile->RecordOf(streams_->Name(sid));
+        if (record == nullptr || !ids.insert(slot.id).second) return false;
+        filtered += record->filters.empty() ? 0 : 1;
         Seen& seen = entries[{lb.link, slot.id}];
         if (seen.profile == nullptr) seen.profile = slot.profile.get();
         if (seen.profile != slot.profile.get()) return false;
         ++seen.slots;
       }
+      if (filtered != lb.bucket.filtered()) return false;
     }
   }
   // An entry has a slot in every stream its profile requests (each slot's
@@ -252,13 +270,18 @@ const RoutingTable::StreamBucket* RoutingTable::BucketFor(
 const std::vector<RoutingTable::LinkBucket>& RoutingTable::BucketsOf(
     StreamId stream) const {
   static const std::vector<LinkBucket> kNone;
-  return stream < by_stream_.size() ? by_stream_[stream] : kNone;
+  return stream < by_stream_.size() ? by_stream_[stream].links : kNone;
+}
+
+RoutingTable::LocalStream& RoutingTable::Locals(StreamId stream) {
+  if (by_stream_.size() <= stream) by_stream_.resize(stream + 1);
+  return by_stream_[stream].local;
 }
 
 size_t RoutingTable::TotalEntries() const {
   size_t total = 0;
   for (StreamId sid = 0; sid < by_stream_.size(); ++sid) {
-    for (const LinkBucket& lb : by_stream_[sid]) {
+    for (const LinkBucket& lb : by_stream_[sid].links) {
       for (const BucketSlot& slot : lb.bucket.slots()) {
         if (*slot.profile->streams().begin() == streams_->Name(sid)) ++total;
       }
@@ -269,16 +292,16 @@ size_t RoutingTable::TotalEntries() const {
 
 size_t RoutingTable::TotalIndexedSlots() const {
   size_t total = 0;
-  for (const auto& buckets : by_stream_) {
-    for (const LinkBucket& lb : buckets) total += lb.bucket.slots().size();
+  for (const StreamRoutes& routes : by_stream_) {
+    for (const LinkBucket& lb : routes.links) total += lb.bucket.slots().size();
   }
   return total;
 }
 
 size_t RoutingTable::CachedPlans() const {
   size_t total = 0;
-  for (const auto& buckets : by_stream_) {
-    for (const LinkBucket& lb : buckets) {
+  for (const StreamRoutes& routes : by_stream_) {
+    for (const LinkBucket& lb : routes.links) {
       total += lb.bucket.projections().size();
     }
   }

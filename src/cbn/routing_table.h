@@ -15,6 +15,10 @@
 
 namespace cosmos {
 
+// A subscriber at this node. Router defines it; the table only files it
+// under each stream it requests (RoutingTable::LocalStream).
+struct LocalSubscriber;
+
 // One node's content-based routing state: for every tree link (identified
 // by the neighbor node id), the profiles subscribed somewhere downstream
 // through that link, kept as one bucket per (stream id, link). The buckets
@@ -32,6 +36,12 @@ namespace cosmos {
 // An entry is reached through its profile's streams: its slot in the
 // bucket of any one of them names it, which is why a profile must request
 // at least one stream to be installed.
+//
+// A hop reads one record per stream (StreamRoutes): the stream's buckets
+// in the order of the node's tree neighbours, and the node's own
+// subscribers of the stream. Each bucket carries its link's position in
+// that order, resolved once when the bucket is created, so walking the
+// record visits the links in neighbour order with no search or sort.
 //
 // The table also records which entries had their subscription's
 // propagation pruned at this hop, and behind which entry: an unpruned
@@ -70,6 +80,12 @@ class RoutingTable {
     // compile when this flips to true).
     bool has_compiled() const { return matcher_ != nullptr; }
 
+    // The slots whose profile filters the stream, counted by Add and
+    // Remove from the profile's record of the stream. At zero every slot
+    // covers every datagram of the stream, so a forwarding decision needs
+    // no matcher.
+    size_t filtered() const { return filtered_; }
+
     // Projection plans of datagrams forwarded through this bucket. They
     // survive slot changes: masks index the stream's dictionary, which
     // only grows while the stream is live.
@@ -79,21 +95,44 @@ class RoutingTable {
     friend class RoutingTable;
     StreamRef stream_;  // keeps the id assigned while the bucket exists
     std::vector<BucketSlot> slots_;
+    uint32_t filtered_ = 0;
     mutable AttrMask union_ = 0;
     mutable bool union_dirty_ = false;
     mutable std::unique_ptr<CompiledMatcher> matcher_;
     mutable ProjectionCache projections_;
   };
 
-  // One stream's bucket on one link.
+  // One stream's bucket on one link. `position` is the link's index in the
+  // neighbour list the table was built with.
   struct LinkBucket {
     NodeId link = -1;
+    uint32_t position = 0;
     StreamBucket bucket;
   };
 
+  // This node's subscribers of one stream, in subscription order, and the
+  // compiled matcher over them (built lazily by Router, dropped whenever
+  // they change). Each subscriber holds a reference on the stream's id.
+  struct LocalStream {
+    std::vector<LocalSubscriber*> subscribers;
+    mutable std::unique_ptr<CompiledMatcher> matcher;
+  };
+
+  // Everything this node routes by for one stream: its buckets in position
+  // order, and its local subscribers.
+  struct StreamRoutes {
+    std::vector<LinkBucket> links;
+    LocalStream local;
+  };
+
   // `streams` interns the profiles' stream names and must outlive the
-  // table.
-  explicit RoutingTable(StreamTable* streams) : streams_(streams) {}
+  // table. `neighbors` are the node's tree neighbours in the order a hop
+  // visits them; a link not among them takes the next free position when
+  // its first bucket is created (a table used on its own numbers its links
+  // in first-use order).
+  explicit RoutingTable(StreamTable* streams,
+                        std::vector<NodeId> neighbors = {})
+      : streams_(streams), neighbors_(std::move(neighbors)) {}
 
   // Adds an entry for `id` on `link`, which must not have one yet;
   // `covered_by` (0: none) is the unpruned entry on `link` it was pruned
@@ -139,16 +178,28 @@ class RoutingTable {
   ProfileId CoveredBy(NodeId link, ProfileId id) const;
 
   // The (stream, link) bucket; nullptr when no entry on `link` requests
-  // `stream`. This is the forwarding hot path's view of the table.
+  // `stream`.
   const StreamBucket* BucketFor(NodeId link, StreamId stream) const;
 
   // `stream`'s buckets, one per link some entry requests it on, in
-  // creation order (empty when none): the links a datagram of `stream`
-  // can leave by.
+  // position order (empty when none): the links a datagram of `stream`
+  // can leave by, in the order a hop visits them.
   const std::vector<LinkBucket>& BucketsOf(StreamId stream) const;
 
-  // Bumped whenever a bucket is created or erased, so a caller that
-  // snapshotted BucketsOf() can tell that its set of links changed.
+  // `stream`'s record; nullptr when no bucket or local subscriber was ever
+  // filed under the id or a larger one. Records are never dropped, so one
+  // found stays valid until the next bucket or local subscriber is filed.
+  // This is the forwarding hot path's one read per hop.
+  const StreamRoutes* RoutesOf(StreamId stream) const {
+    return stream < by_stream_.size() ? &by_stream_[stream] : nullptr;
+  }
+
+  // `stream`'s local subscribers, for Router to add to or remove from; the
+  // record is created when the id has none.
+  LocalStream& Locals(StreamId stream);
+
+  // Bumped whenever a bucket is created or erased, so a caller walking
+  // BucketsOf() by index can tell that the links behind its index moved.
   uint64_t bucket_version() const { return bucket_version_; }
 
   // Entries across all links, each counted once: at its slot in the
@@ -164,13 +215,14 @@ class RoutingTable {
   size_t CachedPlans() const;
 
   // Structural invariants of the buckets: none is empty, each sits at its
-  // stream's id and is its link's only bucket for that stream, and each
-  // slot holds a profile that requests the bucket's stream under an id
-  // unique in the bucket. Every entry is whole: its slots share one
-  // profile, one per stream that profile requests. Every pruned entry is
-  // live, and its coverer is live, unpruned, on the same link, and covers
-  // it. DCHECK'd after every mutation so a dangling subscription, a
-  // stranded prune or a half-removed entry cannot survive unnoticed.
+  // stream's id in position order and is its link's only bucket for that
+  // stream, its filtered() count is the slots whose profile filters the
+  // stream, and each slot holds a profile that requests the bucket's
+  // stream under an id unique in the bucket. Every entry is whole: its slots share one profile, one per
+  // stream that profile requests. Every pruned entry is live, and its
+  // coverer is live, unpruned, on the same link, and covers it. DCHECK'd
+  // after every mutation so a dangling subscription, a stranded prune or a
+  // half-removed entry cannot survive unnoticed.
   bool CheckInvariants() const;
 
  private:
@@ -178,9 +230,13 @@ class RoutingTable {
   // there is none.
   const BucketSlot* SlotFor(NodeId link, StreamId stream, ProfileId id) const;
 
+  // The position of `link` in neighbors_, appending it when absent.
+  uint32_t PositionOf(NodeId link);
+
   StreamTable* streams_;
-  // Stream id -> its buckets, one per link with a subscribed entry.
-  std::vector<std::vector<LinkBucket>> by_stream_;
+  std::vector<NodeId> neighbors_;
+  // Stream id -> its record.
+  std::vector<StreamRoutes> by_stream_;
   uint64_t bucket_version_ = 0;
   // (link, id) of each pruned entry -> the entry it was pruned behind. Only
   // pruned entries have one, so the forwarding path's bucket slots carry

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "overlay/graph.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
 #include "query/parser.h"
@@ -555,12 +556,73 @@ TEST(Network, ForwardOrderFollowsTreeNeighbors) {
   EXPECT_EQ(order, (std::vector<NodeId>{5, 4, 2, 1, 3}));
 }
 
+// A router keeps its buckets in the position order of the tree it was
+// built for. Rebuilding onto a tree whose hub lists its leaves in another
+// order, and repairing a failed link by splicing a leaf in behind another
+// one, both rebuild the routers, so a synchronous publish follows the new
+// Neighbors() order each time.
+TEST(Network, HopOrderFollowsRebuiltAndRepairedTree) {
+  auto tree = DisseminationTree::FromEdges(
+                  6, {Edge{0, 4, 1.0}, Edge{0, 2, 1.0}, Edge{5, 0, 1.0},
+                      Edge{0, 1, 1.0}, Edge{3, 0, 1.0}})
+                  .value();
+  ContentBasedNetwork net(std::move(tree));
+  auto pub = net.Advertise(0, "s");
+  std::vector<NodeId> order;
+  for (NodeId leaf : {3, 1, 5, 2, 4}) {
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(leaf, p, [&order, leaf](const std::string&, const Tuple&) {
+      order.push_back(leaf);
+    });
+  }
+  auto neighbors = [&net](NodeId node) {
+    std::vector<NodeId> ids;
+    for (const auto& [n, w] : net.tree().Neighbors(node)) ids.push_back(n);
+    return ids;
+  };
+  EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 5u);
+  EXPECT_EQ(order, (std::vector<NodeId>{4, 2, 5, 1, 3}));
+
+  ASSERT_TRUE(net.RebuildTree(
+                     DisseminationTree::FromEdges(
+                         6, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0},
+                             Edge{0, 3, 1.0}, Edge{0, 4, 1.0},
+                             Edge{0, 5, 1.0}})
+                         .value())
+                  .ok());
+  ASSERT_EQ(neighbors(0), (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  order.clear();
+  EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 5u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 3, 4, 5}));
+
+  // Leaf 2 loses its link to the hub and comes back behind leaf 5.
+  Graph overlay(6);
+  for (NodeId leaf = 1; leaf <= 5; ++leaf) {
+    ASSERT_TRUE(overlay.AddEdge(0, leaf, 1.0).ok());
+  }
+  ASSERT_TRUE(overlay.AddEdge(2, 5, 1.0).ok());
+  ASSERT_TRUE(net.FailLink(0, 2).ok());
+  ASSERT_TRUE(net.Repair(overlay).ok());
+  ASSERT_EQ(neighbors(0), (std::vector<NodeId>{1, 3, 4, 5}));
+  ASSERT_EQ(neighbors(5), (std::vector<NodeId>{0, 2}));
+  order.clear();
+  EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 5u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4, 5, 2}));
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).table().CheckInvariants()) << "node " << n;
+  }
+}
+
 // A delivery callback may change routing state in the middle of a
 // synchronous publish. Here the first leaf's subscriber, on the first
 // datagram, subscribes at a leaf that had no bucket and unsubscribes the
 // one at a leaf that had; the rest of the same publish sees both changes.
 // The new profile also requests a new stream, so the hub's per-stream
-// index grows while the publish is visiting it.
+// index grows while the publish is visiting it. The last leaf's
+// subscriber then re-subscribes at the unsubscribed leaf, which creates a
+// bucket behind the walk's cursor: that publish does not go back for it,
+// and the next one reaches it.
 TEST(Network, CallbackChurnDuringPublish) {
   auto tree = DisseminationTree::FromEdges(
                   5, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0},
@@ -577,7 +639,13 @@ TEST(Network, CallbackChurnDuringPublish) {
   Profile whole;
   whole.AddStream("s");
   const ProfileId at2 = net.Subscribe(2, whole, record(2));
-  net.Subscribe(4, whole, record(4));
+  bool resubscribed = false;
+  net.Subscribe(4, whole, [&](const std::string&, const Tuple&) {
+    order.push_back(4);
+    if (resubscribed) return;
+    resubscribed = true;
+    net.Subscribe(2, whole, record(2));
+  });
   bool churned = false;
   net.Subscribe(1, whole, [&](const std::string&, const Tuple&) {
     order.push_back(1);
@@ -593,8 +661,8 @@ TEST(Network, CallbackChurnDuringPublish) {
   EXPECT_EQ(net.Publish(pub, MakeTuple(1, 1)), 3u);
   EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
   order.clear();
-  EXPECT_EQ(net.Publish(pub, MakeTuple(2, 2)), 3u);
-  EXPECT_EQ(order, (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_EQ(net.Publish(pub, MakeTuple(2, 2)), 4u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 3, 4}));
   EXPECT_TRUE(net.router(0).table().CheckInvariants());
 }
 

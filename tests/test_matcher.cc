@@ -428,7 +428,7 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
     Rng rng = root.Derive(static_cast<uint64_t>(trial));
     StreamTable streams;
     Router router(0, &streams);
-    Datagram scratch;
+    std::optional<Datagram> scratch;
     const NodeId kLink = 1;
     ProfileId next_id = 1;
     std::vector<std::pair<ProfileId, ProfilePtr>> live;
@@ -437,9 +437,13 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       for (int k = 0; k < 40; ++k) {
         Datagram d = RandomDatagram(rng);
         d.stream_id = streams.Find(d.stream);
+        const RoutingTable::StreamBucket* bucket =
+            router.table().BucketFor(kLink, d.stream_id);
         const Datagram* got =
-            router.DecideForward(d, kLink, /*early_projection=*/true,
-                                 &scratch);
+            bucket == nullptr
+                ? nullptr
+                : router.DecideForward(d, *bucket, /*early_projection=*/true,
+                                       &scratch);
         const std::optional<Tuple> want = ReferenceForward(live, d);
         ASSERT_EQ(got != nullptr, want.has_value())
             << "trial " << trial << " round " << round;

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "overlay/graph.h"
+#include "telemetry/registry.h"
 
 namespace cosmos {
 namespace {
@@ -38,8 +39,12 @@ Datagram MakeDatagram(const StreamTable& streams, double temp,
 // The datagram `r` puts on the wire toward `link` (nullopt: none).
 std::optional<Datagram> Forward(const Router& r, const Datagram& d,
                                 NodeId link, bool early_projection = true) {
-  Datagram projected;
-  const Datagram* out = r.DecideForward(d, link, early_projection, &projected);
+  const RoutingTable::StreamBucket* bucket =
+      r.table().BucketFor(link, d.stream_id);
+  if (bucket == nullptr) return std::nullopt;
+  std::optional<Datagram> projected;
+  const Datagram* out =
+      r.DecideForward(d, *bucket, early_projection, &projected);
   if (out == nullptr) return std::nullopt;
   return *out;
 }
@@ -360,6 +365,34 @@ TEST(RoutingTable, ContainsChecksLinkAndId) {
   EXPECT_FALSE(t.Contains(5, 1, *p));
 }
 
+// Buckets are kept in the position order of the neighbour list the table
+// was built with, whatever order they were created in; a link outside the
+// list takes the next position.
+TEST(RoutingTable, BucketsOfFollowsNeighborPositions) {
+  StreamTable streams;
+  RoutingTable t(&streams, {5, 3, 9});
+  auto links = [&t, &streams] {
+    std::vector<std::pair<NodeId, uint32_t>> out;
+    for (const auto& lb : t.BucketsOf(streams.Find("s"))) {
+      out.emplace_back(lb.link, lb.position);
+    }
+    return out;
+  };
+  const ProfilePtr on9 = MakeProfile(0, 10);
+  t.Add(9, 1, on9);
+  t.Add(3, 2, MakeProfile(0, 10));
+  t.Add(7, 3, MakeProfile(0, 10));
+  t.Add(5, 4, MakeProfile(0, 10));
+  using Links = std::vector<std::pair<NodeId, uint32_t>>;
+  EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {9, 2}, {7, 3}}));
+  // An erased bucket comes back at its position.
+  ASSERT_TRUE(t.Remove(9, 1, *on9));
+  EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {7, 3}}));
+  t.Add(9, 5, MakeProfile(0, 10));
+  EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {9, 2}, {7, 3}}));
+  EXPECT_TRUE(t.CheckInvariants());
+}
+
 TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
   StreamTable streams;
   RoutingTable t(&streams);
@@ -578,6 +611,125 @@ TEST(Router, DeliverLocalIgnoresOtherStreams) {
   EXPECT_EQ(hits, 1);
 }
 
+// A node with local subscribers of a stream but no bucket for it still
+// delivers, and its record keeps the stream's id only while either holds
+// the stream.
+TEST(Router, LocalSubscribersWithoutBucketDeliver) {
+  StreamTable streams;
+  Router r(0, &streams);
+  int hits = 0;
+  r.AddLocal(1, MakeProfile(0, 40),
+             [&](const std::string&, const Tuple&) { ++hits; });
+  const StreamId s = streams.Find("s");
+  ASSERT_NE(s, kNoStream);
+  EXPECT_TRUE(r.table().BucketsOf(s).empty());
+  EXPECT_EQ(r.DeliverLocal(MakeDatagram(streams, 10)), 1u);
+  EXPECT_EQ(hits, 1);
+  ASSERT_TRUE(r.RemoveLocal(1));
+  EXPECT_FALSE(streams.referenced(s));
+  EXPECT_EQ(r.DeliverLocal(Datagram{"s", MakeDatagram(streams, 10).tuple, s}),
+            0u);
+
+  // With a bucket as well, the id stays until both are gone.
+  const ProfilePtr routed = MakeProfile(0, 40);
+  r.AddLocal(2, MakeProfile(0, 40),
+             [&](const std::string&, const Tuple&) { ++hits; });
+  r.table().Add(3, 7, routed);
+  const StreamId again = streams.Find("s");
+  ASSERT_TRUE(r.RemoveLocal(2));
+  EXPECT_TRUE(streams.referenced(again));
+  EXPECT_TRUE(r.table().CheckInvariants());
+  ASSERT_TRUE(r.table().Remove(3, 7, *routed));
+  EXPECT_FALSE(streams.referenced(again));
+  EXPECT_EQ(streams.live(), 0u);
+}
+
+// A bucket toggles between filter-free (every slot covers every datagram,
+// so no matcher runs) and filtered as whole-stream and filtered entries
+// come and go. Throughout, DecideForward equals the Profile::Covers walk
+// slot by slot, projection union included, and a filter-free bucket never
+// compiles a matcher.
+TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
+  constexpr NodeId kLink = 3;
+  Rng rng(0xB0C4E7);
+  StreamTable streams;
+  Router r(0, &streams);
+  MetricsRegistry metrics;
+  r.SetTelemetry(&metrics);
+  const Counter* compiles = metrics.GetCounter("cbn.matcher_compiles");
+  std::vector<std::pair<ProfileId, ProfilePtr>> live;
+  ProfileId next_id = 1;
+  auto whole = [](std::vector<std::string> projection) {
+    auto p = std::make_shared<Profile>();
+    p->AddStream("s", std::move(projection));
+    return ProfilePtr(p);
+  };
+  // A whole-stream subscription alone forwards with no compile.
+  live.emplace_back(next_id, whole({"temp"}));
+  r.table().Add(kLink, next_id++, live.back().second);
+  ASSERT_TRUE(Forward(r, MakeDatagram(streams, 99), kLink).has_value());
+  EXPECT_EQ(compiles->value(), 0u);
+
+  // Phases of 25 steps alternate: one adds any kind of entry, the next
+  // adds only whole-stream ones and removes filtered ones first, draining
+  // the bucket back to filter-free.
+  int toggles = 0;
+  bool was_filtered = false;
+  for (int step = 0; step < 200; ++step) {
+    const bool draining = (step / 25) % 2 == 1;
+    if (live.empty() || rng.NextBounded(2) == 0) {
+      const uint64_t kind = rng.NextBounded(draining ? 2 : 4);
+      ProfilePtr p = kind == 0   ? whole({})
+                     : kind == 1 ? whole({"hum"})
+                     : kind == 2 ? MakeProfile(0, 20, {"temp"})
+                                 : MakeProfile(10, 30, {"hum"});
+      r.table().Add(kLink, next_id, p);
+      live.emplace_back(next_id++, std::move(p));
+    } else {
+      size_t victim = rng.NextBounded(live.size());
+      for (size_t i = 0; draining && i < live.size(); ++i) {
+        if (!live[i].second->filters().empty()) victim = i;
+      }
+      ASSERT_TRUE(
+          r.table().Remove(kLink, live[victim].first, *live[victim].second));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    ASSERT_TRUE(r.table().CheckInvariants()) << "step " << step;
+    const RoutingTable::StreamBucket* bucket =
+        r.table().BucketFor(kLink, streams.Find("s"));
+    ASSERT_EQ(bucket == nullptr, live.empty());
+    if (bucket == nullptr) continue;
+    size_t filtered = 0;
+    for (const auto& [id, p] : live) filtered += p->filters().empty() ? 0 : 1;
+    ASSERT_EQ(bucket->filtered(), filtered) << "step " << step;
+    if ((filtered > 0) != was_filtered) ++toggles;
+    was_filtered = filtered > 0;
+    const uint64_t compiles_before = compiles->value();
+    for (double temp : {-5.0, 5.0, 15.0, 25.0, 35.0}) {
+      const Datagram d = MakeDatagram(streams, temp, temp + 1);
+      AttrMask needed = 0;
+      bool any = false;
+      for (const auto& slot : bucket->slots()) {
+        if (!slot.profile->Covers(d)) continue;
+        any = true;
+        needed |= slot.required;
+      }
+      const std::optional<Datagram> got = Forward(r, d, kLink);
+      ASSERT_EQ(got.has_value(), any) << "step " << step << " temp " << temp;
+      if (!any) continue;
+      Tuple scratch;
+      ProjectionCache reference;
+      const Tuple& want = reference.Project(
+          d.tuple, needed, streams.attributes(d.stream_id), &scratch);
+      EXPECT_EQ(got->tuple, want) << "step " << step << " temp " << temp;
+    }
+    if (filtered == 0) {
+      EXPECT_EQ(compiles->value(), compiles_before) << "step " << step;
+    }
+  }
+  EXPECT_GE(toggles, 4);
+}
+
 TEST(ProjectionCache, IdentityWhenAllAttributesSelected) {
   StreamTable streams;
   StreamRef s(&streams, "s");
@@ -621,6 +773,19 @@ TEST(ProjectionCache, ReusesPlansAcrossCalls) {
   // Same source schema + mask => one plan, one projected schema instance.
   EXPECT_EQ(o1.schema().get(), o2.schema().get());
   EXPECT_EQ(cache.size(), 1u);
+  // Alternating masks each find their own plan, whichever was used last.
+  const AttrMask hum = streams.MaskOf(s.id(), {"hum"});
+  Tuple t3, t4;
+  const Tuple& o3 =
+      cache.Project(d1.tuple, hum, streams.attributes(s.id()), &t3);
+  const Tuple& o4 =
+      cache.Project(d2.tuple, temp, streams.attributes(s.id()), &t4);
+  ASSERT_EQ(o3.num_values(), 1u);
+  EXPECT_EQ(o3.schema()->attribute(0).name, "hum");
+  EXPECT_DOUBLE_EQ(o3.value(0).AsDouble(), 2.0);
+  EXPECT_EQ(o4.schema().get(), o1.schema().get());
+  EXPECT_DOUBLE_EQ(o4.value(0).AsDouble(), 3.0);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {

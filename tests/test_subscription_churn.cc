@@ -108,9 +108,12 @@ struct Live {
 std::optional<Tuple> Forwarded(const ContentBasedNetwork& net, NodeId node,
                                NodeId link, Datagram d) {
   d.stream_id = net.streams().Find(d.stream);
-  Datagram projected;
+  const RoutingTable::StreamBucket* bucket =
+      net.router(node).table().BucketFor(link, d.stream_id);
+  if (bucket == nullptr) return std::nullopt;
+  std::optional<Datagram> projected;
   const Datagram* out = net.router(node).DecideForward(
-      d, link, /*early_projection=*/true, &projected);
+      d, *bucket, /*early_projection=*/true, &projected);
   if (out == nullptr) return std::nullopt;
   return out->tuple;
 }
