@@ -204,13 +204,15 @@ void ContentBasedNetwork::Publisher::Withdraw() {
   stream_ = StreamRef();
 }
 
-ProfileId ContentBasedNetwork::Subscribe(NodeId node, Profile profile,
-                                         DeliveryCallback callback) {
+ProfileId ContentBasedNetwork::Subscribe(
+    NodeId node, Profile profile, DeliveryCallback callback,
+    std::shared_ptr<const TupleTarget> target) {
   COSMOS_CHECK(node >= 0 && node < num_nodes()) << "node " << node;
   ProfileId id = next_profile_id_++;
   auto shared = std::make_shared<const Profile>(std::move(profile));
-  routers_[node].AddLocal(id, shared, callback);
-  subscriptions_[id] = Subscription{node, shared, std::move(callback)};
+  routers_[node].AddLocal(id, shared, callback, target);
+  subscriptions_[id] =
+      Subscription{node, shared, std::move(callback), std::move(target)};
   PropagateSubscription(node, id, shared);
   return id;
 }
@@ -551,7 +553,7 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
     r.SetTelemetry(metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {
-    routers_[sub.node].AddLocal(id, sub.profile, sub.callback);
+    routers_[sub.node].AddLocal(id, sub.profile, sub.callback, sub.target);
     PropagateSubscription(sub.node, id, sub.profile);
   }
 }

@@ -105,9 +105,12 @@ class ContentBasedNetwork {
   [[nodiscard]] Publisher Advertise(NodeId node, const std::string& stream);
 
   // Installs `profile` for a subscriber at `node`; `callback` fires on each
-  // delivered tuple. Returns the profile id (for Unsubscribe).
-  ProfileId Subscribe(NodeId node, Profile profile,
-                      DeliveryCallback callback);
+  // delivered tuple: its projection onto P, or, with a `target` (which
+  // names only columns of P), the tuple built in the target's shape, under
+  // the target schema's stream name. Returns the profile id (for
+  // Unsubscribe).
+  ProfileId Subscribe(NodeId node, Profile profile, DeliveryCallback callback,
+                      std::shared_ptr<const TupleTarget> target = nullptr);
 
   // Removes the subscription: walks its own entries outward from its
   // subscriber, and re-forwards only the subscriptions it was covering
@@ -208,6 +211,7 @@ class ContentBasedNetwork {
     NodeId node = -1;
     ProfilePtr profile;
     DeliveryCallback callback;
+    std::shared_ptr<const TupleTarget> target;
   };
 
   // A subscription message arriving at `node` from neighbor `prev`, the

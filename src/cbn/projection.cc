@@ -8,14 +8,68 @@ const Tuple& ProjectionCache::Project(
     const Tuple& in, AttrMask mask,
     const std::vector<std::string>& dictionary, Tuple* scratch) {
   if ((mask & kAllAttributes) != 0) return in;
-  const Plan& plan = last_plan_ != nullptr &&
-                             last_schema_ == in.schema().get() &&
-                             last_plan_->mask == mask
-                         ? *last_plan_
-                         : PlanFor(in.schema(), mask, dictionary);
-  if (plan.identity) return in;
-  *scratch = in.Project(plan.indices, plan.schema);
+  const Plan* plan = Cached(in.schema().get(), mask, nullptr);
+  if (plan == nullptr) {
+    const Schema& schema = *in.schema();
+    Plan fresh;
+    fresh.mask = mask;
+    std::vector<AttributeDef> defs;
+    for (size_t i = 0; i < schema.num_attributes(); ++i) {
+      const auto& def = schema.attribute(i);
+      auto it = std::find(dictionary.begin(), dictionary.end(), def.name);
+      if (it == dictionary.end()) continue;
+      if ((mask & (AttrMask{1} << (it - dictionary.begin()))) == 0) continue;
+      fresh.indices.push_back(i);
+      defs.push_back(def);
+    }
+    if (fresh.indices.size() == schema.num_attributes()) {
+      fresh.identity = true;
+      fresh.indices.clear();
+    } else {
+      fresh.schema =
+          std::make_shared<Schema>(schema.stream_name(), std::move(defs));
+    }
+    plan = &Insert(in.schema(), std::move(fresh));
+  }
+  if (plan->identity) return in;
+  *scratch = in.Project(plan->indices, plan->schema);
   return *scratch;
+}
+
+const Tuple* ProjectionCache::Map(const Tuple& in, const TupleTarget& target,
+                                  Tuple* scratch) {
+  const Plan* plan =
+      Cached(in.schema().get(), kAllAttributes, target.schema.get());
+  if (plan == nullptr) {
+    const Schema& schema = *in.schema();
+    Plan fresh;
+    fresh.mask = kAllAttributes;
+    fresh.schema = target.schema;
+    fresh.identity = schema == *target.schema;
+    const std::vector<std::string>& names = target.source_names;
+    for (size_t i = 0; i < names.size() && !fresh.drops; ++i) {
+      // A name the target repeats takes the incoming columns of that name
+      // in turn, and the last of them once they run out: naming the
+      // incoming columns in order maps positionally, and two target
+      // columns may take one incoming column.
+      size_t skip = static_cast<size_t>(
+          std::count(names.begin(), names.begin() + i, names[i]));
+      size_t col = schema.num_attributes();
+      for (size_t c = 0; c < schema.num_attributes(); ++c) {
+        if (schema.attribute(c).name != names[i]) continue;
+        col = c;
+        if (skip-- == 0) break;
+      }
+      fresh.drops = col == schema.num_attributes();
+      fresh.identity = fresh.identity && col == i;
+      fresh.indices.push_back(col);
+    }
+    plan = &Insert(in.schema(), std::move(fresh));
+  }
+  if (plan->drops) return nullptr;
+  if (plan->identity) return &in;
+  *scratch = in.Project(plan->indices, plan->schema);
+  return scratch;
 }
 
 size_t ProjectionCache::size() const {
@@ -24,56 +78,46 @@ size_t ProjectionCache::size() const {
   return total;
 }
 
-const ProjectionCache::Plan& ProjectionCache::PlanFor(
-    const std::shared_ptr<const Schema>& schema_ptr, AttrMask mask,
-    const std::vector<std::string>& dictionary) {
-  for (auto& s : sources_) {
-    if (s.source.get() != schema_ptr.get()) continue;
+const ProjectionCache::Plan* ProjectionCache::Cached(const Schema* source,
+                                                     AttrMask mask,
+                                                     const Schema* target) {
+  auto same = [mask, target](const Plan& plan) {
+    return plan.mask == mask &&
+           (target == nullptr || plan.schema.get() == target);
+  };
+  if (last_plan_ != nullptr && last_schema_ == source && same(*last_plan_)) {
+    return last_plan_;
+  }
+  for (const auto& s : sources_) {
+    if (s.source.get() != source) continue;
     for (const auto& plan : s.plans) {
-      if (plan.mask == mask) {
-        last_schema_ = s.source.get();
-        last_plan_ = &plan;
-        return plan;
-      }
+      if (!same(plan)) continue;
+      last_schema_ = source;
+      last_plan_ = &plan;
+      return &plan;
     }
   }
-  // Miss: drop the plans of schemas no tuple uses any more.
+  return nullptr;
+}
+
+const ProjectionCache::Plan& ProjectionCache::Insert(
+    const std::shared_ptr<const Schema>& source, Plan plan) {
+  // Drop the plans of schemas no tuple uses any more.
   sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
                                 [](const SourcePlans& s) {
                                   return s.source.use_count() == 1;
                                 }),
                  sources_.end());
-
-  const Schema& schema = *schema_ptr;
-  Plan plan;
-  plan.mask = mask;
-  std::vector<AttributeDef> defs;
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    const auto& def = schema.attribute(i);
-    auto it = std::find(dictionary.begin(), dictionary.end(), def.name);
-    if (it == dictionary.end()) continue;
-    if ((mask & (AttrMask{1} << (it - dictionary.begin()))) == 0) continue;
-    plan.indices.push_back(i);
-    defs.push_back(def);
-  }
-  if (plan.indices.size() == schema.num_attributes()) {
-    plan.identity = true;
-    plan.indices.clear();
-  } else {
-    plan.schema =
-        std::make_shared<Schema>(schema.stream_name(), std::move(defs));
-  }
-
   auto s = std::find_if(sources_.begin(), sources_.end(),
                         [&](const SourcePlans& sp) {
-                          return sp.source.get() == schema_ptr.get();
+                          return sp.source.get() == source.get();
                         });
   if (s == sources_.end()) {
-    sources_.push_back(SourcePlans{schema_ptr, {}});
+    sources_.push_back(SourcePlans{source, {}});
     s = sources_.end() - 1;
   }
   s->plans.push_back(std::move(plan));
-  last_schema_ = schema_ptr.get();
+  last_schema_ = source.get();
   last_plan_ = &s->plans.back();
   return s->plans.back();
 }

@@ -11,12 +11,22 @@
 
 namespace cosmos {
 
+// The tuple shape a consumer takes: column i of `schema` is the incoming
+// column named `source_names[i]` (renamed when the names differ). A name
+// listed again takes the next incoming column of that name, or the last
+// one when there is no next.
+struct TupleTarget {
+  std::shared_ptr<const Schema> schema;
+  std::vector<std::string> source_names;
+};
+
 // The projection plans of one owner: a routing bucket (early projection
-// toward one link) or a local subscription (its exact projection set).
-// A plan is cached per (incoming schema, attribute mask), the way
-// CompiledMatcher caches column offsets per schema, so the hot path
-// resolves no attribute name. Plans live and die with their owner, which
-// keeps the cache bounded by the live routing state.
+// toward one link), a local subscription (its exact projection set, or the
+// target its consumer takes) or a query plan's input port (its expected
+// input schema). A plan is cached per (incoming schema, attribute mask or
+// target), the way CompiledMatcher caches column offsets per schema, so the
+// hot path resolves no attribute name. Plans live and die with their
+// owner, which keeps the cache bounded by the live routing state.
 class ProjectionCache {
  public:
   ProjectionCache() = default;
@@ -43,13 +53,24 @@ class ProjectionCache {
                        const std::vector<std::string>& dictionary,
                        Tuple* scratch);
 
+  // Maps `in` onto `target`: nullptr when `in` lacks a column the target
+  // names (projected away upstream), `&in` when its schema equals the
+  // target's column for column, else the mapped tuple, built in
+  // `*scratch`. Plans are keyed by the target's schema, which they retain.
+  const Tuple* Map(const Tuple& in, const TupleTarget& target,
+                   Tuple* scratch);
+
   // Cached plans.
   size_t size() const;
 
  private:
   struct Plan {
+    // A Project plan's mask, which never holds kAllAttributes; a Map plan
+    // carries kAllAttributes here and is keyed by `schema`, its target.
     AttrMask mask = 0;
     bool identity = false;
+    // A Map plan whose incoming schema lacks a named column.
+    bool drops = false;
     std::vector<size_t> indices;
     std::shared_ptr<const Schema> schema;
   };
@@ -63,15 +84,17 @@ class ProjectionCache {
     std::vector<Plan> plans;
   };
 
-  // The plan of (schema, mask), built on a miss.
-  const Plan& PlanFor(const std::shared_ptr<const Schema>& schema,
-                      AttrMask mask,
-                      const std::vector<std::string>& dictionary);
+  // The cached plan of (source, mask, target) (target nullptr: a Project
+  // plan), or nullptr.
+  const Plan* Cached(const Schema* source, AttrMask mask,
+                     const Schema* target);
+  // Caches `plan` for `source` and returns it.
+  const Plan& Insert(const std::shared_ptr<const Schema>& source, Plan plan);
 
   std::vector<SourcePlans> sources_;
-  // The plan PlanFor returned last and the schema it was asked for
-  // (nullptr: none yet), so a run of datagrams of one shape skips
-  // PlanFor. Plans move only when a miss adds or drops one, and a miss
+  // The plan Cached or Insert returned last and the schema it was asked
+  // for (nullptr: none yet), so a run of tuples of one shape skips the
+  // search. Plans move only when a miss adds or drops one, and a miss
   // replaces this; the plan's source entry retains the schema, which keeps
   // the address check ABA-safe.
   const Schema* last_schema_ = nullptr;

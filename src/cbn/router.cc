@@ -9,7 +9,8 @@
 namespace cosmos {
 
 void Router::AddLocal(ProfileId id, ProfilePtr profile,
-                      DeliveryCallback callback) {
+                      DeliveryCallback callback,
+                      std::shared_ptr<const TupleTarget> target) {
   auto sub = std::make_unique<LocalSubscriber>();
   sub->id = id;
   sub->callback = std::move(callback);
@@ -18,11 +19,13 @@ void Router::AddLocal(ProfileId id, ProfilePtr profile,
     const StreamId sid = ref.id();
     RoutingTable::LocalStream& local = table_.Locals(sid);
     local.subscribers.push_back(sub.get());
+    local.filtered += record.filters.empty() ? 0 : 1;
     local.matcher.reset();
     sub->projections.push_back(LocalSubscriber::Projection{
         std::move(ref), streams_->MaskOf(sid, record.projection), {}});
   }
   sub->profile = std::move(profile);
+  sub->target = std::move(target);
   locals_.push_back(std::move(sub));
 }
 
@@ -30,10 +33,15 @@ bool Router::RemoveLocal(ProfileId id) {
   auto it = std::find_if(locals_.begin(), locals_.end(),
                          [id](const auto& sub) { return sub->id == id; });
   if (it == locals_.end()) return false;
-  for (const auto& projection : (*it)->projections) {
-    RoutingTable::LocalStream& local = table_.Locals(projection.stream.id());
+  // Projections were filed in the order of the profile's records.
+  const LocalSubscriber& sub = **it;
+  auto projection = sub.projections.begin();
+  for (const auto& [stream, record] : sub.profile->records()) {
+    RoutingTable::LocalStream& local =
+        table_.Locals((projection++)->stream.id());
     local.subscribers.erase(std::find(local.subscribers.begin(),
-                                      local.subscribers.end(), it->get()));
+                                      local.subscribers.end(), &sub));
+    local.filtered -= record.filters.empty() ? 0 : 1;
     local.matcher.reset();
   }
   locals_.erase(it);  // releases its references on the stream ids
@@ -94,7 +102,6 @@ void Router::MatchCompiled(const CompiledMatcher& m, const Datagram& d,
 }
 
 void Router::Deliver(LocalSubscriber& sub, const Datagram& d) {
-  // Last-hop projection: the subscriber receives exactly P(stream).
   auto projection = std::find_if(
       sub.projections.begin(), sub.projections.end(),
       [&d](const LocalSubscriber::Projection& p) {
@@ -102,6 +109,17 @@ void Router::Deliver(LocalSubscriber& sub, const Datagram& d) {
       });
   COSMOS_DCHECK(projection != sub.projections.end());
   Tuple scratch;
+  if (sub.target != nullptr) {
+    // The consumer's own tuple, built from d in one copy (none when the
+    // shapes are equal). Its columns are P's, so this is the last-hop
+    // projection too; a datagram lacking one of them is dropped.
+    const Tuple* out = projection->plans.Map(d.tuple, *sub.target, &scratch);
+    if (out != nullptr && sub.callback) {
+      sub.callback(sub.target->schema->stream_name(), *out);
+    }
+    return;
+  }
+  // Last-hop projection: the subscriber receives exactly P(stream).
   const Tuple& out = projection->plans.Project(
       d.tuple, projection->mask, streams_->attributes(d.stream_id), &scratch);
   if (sub.callback) sub.callback(d.stream, out);
@@ -116,6 +134,20 @@ size_t Router::DeliverLocal(const Datagram& d) {
   auto subscriber = [this, &d](size_t i) -> LocalSubscriber& {
     return *table_.RoutesOf(d.stream_id)->local.subscribers[i];
   };
+  if (routes->local.filtered == 0) {
+    // No subscriber filters the stream, so each covers every datagram of
+    // it: deliver to all of them, with no matcher.
+    const size_t count = routes->local.subscribers.size();
+#ifndef NDEBUG
+    for (size_t j = 0; j < count; ++j) {
+      COSMOS_DCHECK(subscriber(j).profile->Covers(d))
+          << "unfiltered local subscriber " << subscriber(j).id
+          << " does not cover " << d.stream;
+    }
+#endif
+    for (size_t j = 0; j < count; ++j) Deliver(subscriber(j), d);
+    return count;
+  }
   const CompiledMatcher& m = LocalMatcher(routes->local, d.stream);
   // Take the reusable hit buffer for the duration of the callbacks: a
   // callback that publishes re-enters this router and must not clobber

@@ -12,19 +12,22 @@
 
 namespace cosmos {
 
-// Delivery callback of a local subscriber: receives the (possibly
-// projected) tuple of `stream`.
+// Delivery callback of a local subscriber: receives the tuple of `stream`,
+// projected onto P, or built in the shape of the subscriber's target and
+// named by the target schema's stream.
 using DeliveryCallback =
     std::function<void(const std::string& stream, const Tuple& tuple)>;
 
-// A subscriber at a node: its profile, its callback and, per requested
+// A subscriber at a node: its profile, its callback, the target its
+// consumer takes (nullptr: the projection onto P) and, per requested
 // stream, a reference on the stream's id and the exact projection set P as
-// a mask with the plans applying it. The node's routing table files it
-// under each of those streams.
+// a mask with the plans applying it or the target. The node's routing
+// table files it under each of those streams.
 struct LocalSubscriber {
   ProfileId id = 0;
   ProfilePtr profile;
   DeliveryCallback callback;
+  std::shared_ptr<const TupleTarget> target;
   struct Projection {
     StreamRef stream;
     AttrMask mask = kAllAttributes;
@@ -38,9 +41,10 @@ struct LocalSubscriber {
 // traversal and accounts link bytes. A bucket in which some slot filters
 // the stream, and every set of local subscribers, is matched with the
 // compiled counting matcher (cbn/matcher.h); a bucket with no filtered
-// slot forwards every datagram of its stream and runs no matcher. Debug
-// builds cross-check every verdict against the per-profile
-// Profile::Covers walk.
+// slot forwards every datagram of its stream, and a set of local
+// subscribers none of whom filters the stream takes every datagram of it,
+// without a matcher. Debug builds cross-check every verdict against the
+// per-profile Profile::Covers walk.
 class Router {
  public:
   // `streams` interns stream names for the routing table and the local
@@ -53,14 +57,19 @@ class Router {
   RoutingTable& table() { return table_; }
   const RoutingTable& table() const { return table_; }
 
-  void AddLocal(ProfileId id, ProfilePtr profile, DeliveryCallback callback);
+  // Files a subscriber under each stream `profile` requests. A `target`
+  // must name only columns of P on each of them (any, where P is all):
+  // its subscriber is handed the tuple built in the target's shape.
+  void AddLocal(ProfileId id, ProfilePtr profile, DeliveryCallback callback,
+                std::shared_ptr<const TupleTarget> target = nullptr);
   bool RemoveLocal(ProfileId id);
 
   // Delivers `d` to every matching local subscriber, applying the
-  // subscriber's exact projection set P (last-hop projection, paper §3.1).
-  // Only subscribers of `d.stream_id` are evaluated: they are filed in the
-  // routing table's record of the stream. Returns the number of
-  // deliveries.
+  // subscriber's exact projection set P (last-hop projection, paper §3.1)
+  // or building its target's tuple straight from `d`. Only subscribers of
+  // `d.stream_id` are evaluated: they are filed in the routing table's
+  // record of the stream, and when none of them filters it, all of them
+  // take `d` without a matcher. Returns the number of deliveries.
   size_t DeliverLocal(const Datagram& d);
 
   // One forwarding decision for `bucket`, a bucket of d's stream in this
@@ -93,7 +102,8 @@ class Router {
   const CompiledMatcher& LocalMatcher(const RoutingTable::LocalStream& local,
                                       const std::string& stream);
 
-  // Hands `d` to `sub`'s callback, projected to P.
+  // Hands `d` to `sub`'s callback, projected to P or built in the shape of
+  // its target.
   void Deliver(LocalSubscriber& sub, const Datagram& d);
 
   // Runs `m` over `d` into `*hits` with sampled timing and fallback

@@ -110,11 +110,14 @@ class RoutingTable {
     StreamBucket bucket;
   };
 
-  // This node's subscribers of one stream, in subscription order, and the
-  // compiled matcher over them (built lazily by Router, dropped whenever
-  // they change). Each subscriber holds a reference on the stream's id.
+  // This node's subscribers of one stream, in subscription order, how many
+  // of them filter it (kept by Router like StreamBucket::filtered()), and
+  // the compiled matcher over them (built lazily by Router, dropped
+  // whenever they change). Each subscriber holds a reference on the
+  // stream's id.
   struct LocalStream {
     std::vector<LocalSubscriber*> subscribers;
+    uint32_t filtered = 0;
     mutable std::unique_ptr<CompiledMatcher> matcher;
   };
 

@@ -205,10 +205,12 @@ Status Processor::SyncGroup(uint64_t group_id) {
     COSMOS_ASSIGN_OR_RETURN(
         Profile user_profile,
         ComposeUserProfile(q.analyzed, group->representative));
+    COSMOS_ASSIGN_OR_RETURN(
+        TupleTarget target,
+        ComposeUserTarget(q.analyzed, group->representative));
     q.user_profile = network_->Subscribe(
-        q.user_node, std::move(user_profile),
-        MakePresentationCallback(q.analyzed, group->representative,
-                                 q.callback));
+        q.user_node, std::move(user_profile), q.callback,
+        std::make_shared<const TupleTarget>(std::move(target)));
   }
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 
 #include "common/string_util.h"
 #include "expr/implication.h"
-#include "spe/operator.h"
 
 namespace cosmos {
 
@@ -69,7 +68,12 @@ Result<std::vector<std::string>> UserColumnRepNames(
         "user query and representative are over different streams");
   }
   std::vector<std::string> names;
-  if (user.is_aggregate()) return names;  // positional mapping
+  if (user.is_aggregate()) {
+    for (const auto& def : rep.output_schema()->attributes()) {
+      names.push_back(def.name);
+    }
+    return names;
+  }
   names.reserve(user.output_columns().size());
   for (const auto& c : user.output_columns()) {
     size_t rep_source = (*align)[c.source];
@@ -85,48 +89,11 @@ Result<std::vector<std::string>> UserColumnRepNames(
   return names;
 }
 
-DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
-                                          const AnalyzedQuery& rep,
-                                          DeliveryCallback inner) {
-  auto rep_names = UserColumnRepNames(user, rep);
-  std::shared_ptr<const Schema> user_schema = user.output_schema();
-  if (!rep_names.ok() || inner == nullptr) {
-    // Fall back to raw delivery; ComposeUserProfile would have failed
-    // before this matters.
-    return inner;
-  }
-  // Shared, so the copies the CBN keeps of the callback copy no state.
-  struct State {
-    std::shared_ptr<const Schema> user_schema;
-    DeliveryCallback inner;
-    // By name; nullopt for an aggregate, which maps positionally.
-    std::optional<ReshapeByName> reshape;
-  };
-  auto state = std::make_shared<State>();
-  if (!rep_names->empty()) {
-    // The CBN may deliver projections, so the reshape resolves the user
-    // columns once per delivered schema.
-    state->reshape.emplace(user_schema, std::move(*rep_names));
-  }
-  state->user_schema = std::move(user_schema);
-  state->inner = std::move(inner);
-
-  return [state](const std::string& /*stream*/, const Tuple& t) {
-    const std::string& user_stream = state->user_schema->stream_name();
-    if (!state->reshape) {
-      // Aggregate: positional rename (same arity by construction).
-      if (t.num_values() == state->user_schema->num_attributes()) {
-        state->inner(user_stream,
-                     Tuple(state->user_schema, t.values(), t.timestamp()));
-      } else {
-        state->inner(user_stream, t);
-      }
-      return;
-    }
-    std::optional<Tuple> presented = state->reshape->Apply(t);
-    // A malformed delivery is dropped rather than garbled.
-    if (presented) state->inner(user_stream, *presented);
-  };
+Result<TupleTarget> ComposeUserTarget(const AnalyzedQuery& user,
+                                      const AnalyzedQuery& rep) {
+  COSMOS_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                          UserColumnRepNames(user, rep));
+  return TupleTarget{user.output_schema(), std::move(names)};
 }
 
 Result<Profile> ComposeUserProfile(const AnalyzedQuery& user,
@@ -141,24 +108,13 @@ Result<Profile> ComposeUserProfile(const AnalyzedQuery& user,
   Profile profile;
 
   // ---- Projection P: the user's output columns in rep naming ----
-  std::vector<std::string> projection;
   if (user.is_aggregate()) {
     // Group mates are equivalent; take the whole result row.
     profile.AddStream(stream, {});
   } else {
-    for (const auto& c : user.output_columns()) {
-      size_t rep_source = (*align)[c.source];
-      const std::string& attr_name =
-          user.sources()[c.source].schema->attribute(c.attr).name;
-      std::string out = RepOutputNameByAttr(rep, rep_source, attr_name);
-      if (out.empty()) {
-        return Status::Internal(StrFormat(
-            "representative does not project '%s' needed by the user query",
-            attr_name.c_str()));
-      }
-      projection.push_back(std::move(out));
-    }
-    profile.AddStream(stream, projection);
+    COSMOS_ASSIGN_OR_RETURN(std::vector<std::string> projection,
+                            UserColumnRepNames(user, rep));
+    profile.AddStream(stream, std::move(projection));
   }
 
   // ---- Filter F: re-tighten the loosened constraints ----

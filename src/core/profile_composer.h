@@ -2,7 +2,7 @@
 #define COSMOS_CORE_PROFILE_COMPOSER_H_
 
 #include "cbn/profile.h"
-#include "cbn/router.h"
+#include "cbn/projection.h"
 #include "core/containment.h"
 
 namespace cosmos {
@@ -34,19 +34,20 @@ Result<Profile> ComposeUserProfile(const AnalyzedQuery& user,
 Profile ComposeWholeStreamProfile(const std::string& result_stream);
 
 // The representative's output-attribute names for the user query's output
-// columns, in the user's SELECT order (aggregate queries map positionally
-// and return an empty vector). Used to re-present delivered tuples in the
-// user's own result schema. Requires QueryContains(rep, user).
+// columns, in the user's SELECT order (an aggregate's group mates are
+// equivalent, so its columns map positionally onto the representative's).
+// Requires QueryContains(rep, user).
 Result<std::vector<std::string>> UserColumnRepNames(const AnalyzedQuery& user,
                                                     const AnalyzedQuery& rep);
 
-// Wraps `inner` so each delivered representative-stream tuple is re-shaped
-// into the user query's result schema — user attribute names, user column
-// order, user result-stream name — before the user sees it. With this, a
-// merged query's delivery is byte-identical to an unmerged one's.
-DeliveryCallback MakePresentationCallback(const AnalyzedQuery& user,
-                                          const AnalyzedQuery& rep,
-                                          DeliveryCallback inner);
+// The shape a user takes a representative-stream tuple in: the user query's
+// result schema (user attribute names, user column order, user result-
+// stream name), column i taken from the representative's column
+// UserColumnRepNames()[i]. Subscribed with the user's profile, it has the
+// CBN's last hop build the user's tuple, so a merged query's delivery is
+// byte-identical to an unmerged one's.
+Result<TupleTarget> ComposeUserTarget(const AnalyzedQuery& user,
+                                      const AnalyzedQuery& rep);
 
 }  // namespace cosmos
 

@@ -470,14 +470,20 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
         const std::string& tag = tag_it->second;
         const AnalyzedQuery& member = group.members[i];
 
+        // The member's target and mapping plans, as its subscription's
+        // last hop builds its tuples.
+        auto target = ComposeUserTarget(member, group.representative);
+        if (!target.ok()) {
+          fail(StrFormat("[%s] no presentation target: %s", tag.c_str(),
+                         target.status().ToString().c_str()));
+          continue;
+        }
+        ProjectionCache plans;
         std::vector<Tuple> presented;
-        DeliveryCallback present = MakePresentationCallback(
-            member, group.representative,
-            [&presented](const std::string&, const Tuple& t) {
-              presented.push_back(t);
-            });
         for (const Tuple& t : rep_results) {
-          present(group.ResultStreamName(), t);
+          Tuple scratch;
+          const Tuple* shown = plans.Map(t, *target, &scratch);
+          if (shown != nullptr) presented.push_back(*shown);
         }
         Multiset member_truth = ToMultiset(oracle.ResultsFor(tag));
         Multiset rep_view = ToMultiset(presented);

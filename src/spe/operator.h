@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -72,43 +71,6 @@ class SelectOperator final : public Operator {
 
  private:
   LazyPredicate predicate_;
-};
-
-// Re-shapes tuples onto `target` by name: target column i takes the input
-// column named `source_names[i]`, and input columns no name selects are
-// dropped. A plan's input adapter and the presentation of a
-// representative's results to a member both reshape this way.
-class ReshapeByName {
- public:
-  ReshapeByName(std::shared_ptr<const Schema> target,
-                std::vector<std::string> source_names);
-
-  // The reshaped tuple (same timestamp), or nullopt when `tuple` lacks a
-  // named column.
-  std::optional<Tuple> Apply(const Tuple& tuple);
-
- private:
-  std::shared_ptr<const Schema> target_;
-  std::vector<std::string> source_names_;
-  // Per input schema (retained — see LazyPredicate): the input index of
-  // each target column, or -1 when missing. Scanned, not hashed: a
-  // consumer sees few distinct schemas (at most 16 in a perfbench `stream`
-  // run).
-  std::vector<std::pair<std::shared_ptr<const Schema>, std::vector<int>>>
-      mappings_;
-};
-
-// Re-shapes any incoming tuple onto `target` by attribute-name lookup
-// (dropping extras); tuples missing a target attribute are dropped. Used as
-// the source adapter so downstream operators can rely on fixed indexes.
-class AdaptOperator final : public Operator {
- public:
-  explicit AdaptOperator(std::shared_ptr<const Schema> target);
-
-  void Push(size_t port, const Tuple& tuple) override;
-
- private:
-  ReshapeByName reshape_;
 };
 
 // Projects fixed indexes onto an output schema (optionally renaming).

@@ -37,9 +37,12 @@ void QueryPlan::SetSink(Operator::Sink sink) {
 }
 
 void QueryPlan::Push(size_t port, const Tuple& tuple) {
-  COSMOS_DCHECK_LT(port, entries_.size());
+  COSMOS_DCHECK_LT(port, ports_.size());
   ++tuples_in_;
-  entries_[port]->Push(0, tuple);
+  Port& in = ports_[port];
+  Tuple scratch;
+  const Tuple* adapted = in.plans.Map(tuple, in.target, &scratch);
+  if (adapted != nullptr) in.select->Push(0, *adapted);
 }
 
 Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
@@ -57,22 +60,20 @@ Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
   auto plan = std::unique_ptr<QueryPlan>(new QueryPlan());
   plan->output_schema_ = query.output_schema();
 
-  // Per-source: Adapt -> Select.
-  std::vector<Operator*> tails;
+  // Per source: input port -> Select.
   for (size_t i = 0; i < n; ++i) {
     auto expected = ExpectedInputSchema(query, i);
     plan->input_streams_.push_back(query.sources()[i].from.stream);
     plan->input_schemas_.push_back(expected);
 
-    auto adapt = std::make_unique<AdaptOperator>(expected);
     auto select =
         std::make_unique<SelectOperator>(query.local_selection(i).ToExpr());
-    Operator* select_ptr = select.get();
-    adapt->SetSink([select_ptr](const Tuple& t) { select_ptr->Push(0, t); });
-
-    plan->entries_.push_back(adapt.get());
-    tails.push_back(select.get());
-    plan->owned_.push_back(std::move(adapt));
+    Port& port = plan->ports_.emplace_back();
+    for (const auto& def : expected->attributes()) {
+      port.target.source_names.push_back(def.name);
+    }
+    port.target.schema = std::move(expected);
+    port.select = select.get();
     plan->owned_.push_back(std::move(select));
   }
 
@@ -114,13 +115,13 @@ Result<std::unique_ptr<QueryPlan>> QueryPlan::Build(
         pre_schema);
     WindowJoinOperator* join_ptr = join.get();
     for (size_t i = 0; i < n; ++i) {
-      tails[i]->SetSink(
+      plan->ports_[i].select->SetSink(
           [join_ptr, i](const Tuple& t) { join_ptr->Push(i, t); });
     }
     pre_output = join.get();
     plan->owned_.push_back(std::move(join));
   } else {
-    pre_output = tails[0];
+    pre_output = plan->ports_[0].select;
     pre_schema = plan->input_schemas_[0];
   }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cbn/projection.h"
 #include "query/analyzer.h"
 #include "spe/operator.h"
 
@@ -12,7 +13,7 @@ namespace cosmos {
 
 // An executable operator pipeline compiled from an AnalyzedQuery:
 //
-//   per source:  Adapt -> Select(local selection)
+//   per source:  input port -> Select(local selection)
 //   then:        [WindowJoin]  (two sources)
 //                [WindowAggregate] (single source with aggregates)
 //   finally:     Project -> result stream
@@ -46,9 +47,11 @@ class QueryPlan {
   void SetSink(Operator::Sink sink);
 
   // Pushes one source tuple into input `port` (an index into
-  // input_streams()). A caller binds each stream it feeds to that stream's
-  // ports once, when the plan is installed; a stream consumed twice
-  // (self-join) is pushed on each of its ports.
+  // input_streams()). The port maps it by name onto its input schema, in
+  // one copy or none when the layouts are equal, and drops it when it
+  // lacks an attribute the query references. A caller binds each stream it
+  // feeds to that stream's ports once, when the plan is installed; a
+  // stream consumed twice (self-join) is pushed on each of its ports.
   void Push(size_t port, const Tuple& tuple);
 
   uint64_t tuples_in() const { return tuples_in_; }
@@ -57,9 +60,16 @@ class QueryPlan {
  private:
   QueryPlan() = default;
 
+  // One input port per source index: its input schema as a target (by
+  // its own names), the mapping plans onto it and its Select operator.
+  struct Port {
+    TupleTarget target;
+    ProjectionCache plans;
+    Operator* select = nullptr;
+  };
+
   std::vector<std::unique_ptr<Operator>> owned_;
-  // Entry operator per source index.
-  std::vector<Operator*> entries_;
+  std::vector<Port> ports_;
   std::vector<std::string> input_streams_;
   std::vector<std::shared_ptr<const Schema>> input_schemas_;
   Operator* terminal_ = nullptr;

@@ -37,8 +37,8 @@ class Tuple {
   size_t SerializedSize() const;
 
   // Projects onto `indices` (into this tuple's schema), producing a tuple
-  // over `projected_schema` which must list the same attributes in the same
-  // order.
+  // over `projected_schema`, which has one attribute per index (renaming
+  // them where its names differ).
   Tuple Project(const std::vector<size_t>& indices,
                 std::shared_ptr<const Schema> projected_schema) const;
 

@@ -1,9 +1,10 @@
-// Presentation mapping: delivered representative-stream tuples are
-// re-shaped into the user query's own result schema (names, column order,
-// stream name) before reaching the user callback.
+// Presentation mapping: the CBN's last hop builds each delivered
+// representative-stream tuple in the user query's own result schema (names,
+// column order, stream name) before it reaches the user callback.
 
 #include <gtest/gtest.h>
 
+#include "cbn/network.h"
 #include "core/merger.h"
 #include "core/profile_composer.h"
 #include "core/system.h"
@@ -41,9 +42,29 @@ TEST_F(PresentationTest, UserColumnRepNamesFollowSelectOrder) {
   EXPECT_EQ((*names)[1], "itemID");
 }
 
+// Subscribes `user`'s profile and target on `rep`'s result stream at the
+// single node of a CBN, publishes `row` (in rep's output schema) on it and
+// returns what the user's callback received.
+std::vector<std::pair<std::string, Tuple>> DeliverThroughTarget(
+    const AnalyzedQuery& user, const AnalyzedQuery& rep,
+    std::vector<Value> row, Timestamp ts) {
+  ContentBasedNetwork net(DisseminationTree::FromEdges(1, {}).value());
+  auto pub = net.Advertise(0, rep.output_schema()->stream_name());
+  auto profile = ComposeUserProfile(user, rep);
+  auto target = ComposeUserTarget(user, rep);
+  EXPECT_TRUE(profile.ok() && target.ok());
+  std::vector<std::pair<std::string, Tuple>> got;
+  net.Subscribe(
+      0, *profile,
+      [&](const std::string& s, const Tuple& t) { got.emplace_back(s, t); },
+      std::make_shared<const TupleTarget>(*target));
+  net.Publish(pub, Tuple(rep.output_schema(), std::move(row), ts));
+  return got;
+}
+
 TEST_F(PresentationTest, CallbackReordersAndRenames) {
   // User asks for (start_price, itemID); the representative delivers in
-  // schema order (itemID, start_price, ...). The wrapper must flip them
+  // schema order (itemID, start_price, ...). The last hop must flip them
   // and rename the stream to the user's result name.
   AnalyzedQuery user = Q(
       "SELECT start_price, itemID FROM OpenAuction WHERE sellerID = 3",
@@ -55,18 +76,7 @@ TEST_F(PresentationTest, CallbackReordersAndRenames) {
   auto rep = ComposeRepresentative({&wide, &user}, catalog_, "grp");
   ASSERT_TRUE(rep.ok());
 
-  std::vector<std::string> streams;
-  std::vector<Tuple> tuples;
-  auto cb = MakePresentationCallback(
-      user, *rep, [&](const std::string& s, const Tuple& t) {
-        streams.push_back(s);
-        tuples.push_back(t);
-      });
-  ASSERT_NE(cb, nullptr);
-
-  // Simulate a delivery from the representative stream: its schema is the
-  // rep's output schema (possibly projected by the user's profile; here we
-  // deliver the full row).
+  // A delivery from the representative stream: the rep's full output row.
   std::vector<Value> values;
   for (const auto& def : rep->output_schema()->attributes()) {
     if (def.name == "itemID") {
@@ -77,17 +87,50 @@ TEST_F(PresentationTest, CallbackReordersAndRenames) {
       values.emplace_back(int64_t{3});
     }
   }
-  cb("grp", Tuple(rep->output_schema(), std::move(values), 42));
+  auto got = DeliverThroughTarget(user, *rep, std::move(values), 42);
 
-  ASSERT_EQ(tuples.size(), 1u);
-  EXPECT_EQ(streams[0], "result_user");
-  EXPECT_EQ(tuples[0].schema()->stream_name(), "result_user");
-  ASSERT_EQ(tuples[0].num_values(), 2u);
-  EXPECT_EQ(tuples[0].schema()->attribute(0).name, "start_price");
-  EXPECT_DOUBLE_EQ(tuples[0].value(0).AsDouble(), 99.5);
-  EXPECT_EQ(tuples[0].schema()->attribute(1).name, "itemID");
-  EXPECT_EQ(tuples[0].value(1).AsInt64(), 7);
-  EXPECT_EQ(tuples[0].timestamp(), 42);
+  ASSERT_EQ(got.size(), 1u);
+  const Tuple& tuple = got[0].second;
+  EXPECT_EQ(got[0].first, "result_user");
+  EXPECT_EQ(tuple.schema()->stream_name(), "result_user");
+  ASSERT_EQ(tuple.num_values(), 2u);
+  EXPECT_EQ(tuple.schema()->attribute(0).name, "start_price");
+  EXPECT_DOUBLE_EQ(tuple.value(0).AsDouble(), 99.5);
+  EXPECT_EQ(tuple.schema()->attribute(1).name, "itemID");
+  EXPECT_EQ(tuple.value(1).AsInt64(), 7);
+  EXPECT_EQ(tuple.timestamp(), 42);
+}
+
+TEST_F(PresentationTest, AggregateUserTakesRepColumnsPositionally) {
+  // Group mates of an aggregate are equivalent: the user takes the
+  // representative's row column by column under its own names.
+  AnalyzedQuery user = Q(
+      "SELECT sellerID, COUNT(*) AS n FROM OpenAuction [Range 1 Hour] "
+      "GROUP BY sellerID",
+      "result_user");
+  AnalyzedQuery other = Q(
+      "SELECT sellerID, COUNT(*) AS cnt FROM OpenAuction [Range 1 Hour] "
+      "GROUP BY sellerID",
+      "other");
+  auto rep = ComposeRepresentative({&other, &user}, catalog_, "grp");
+  ASSERT_TRUE(rep.ok());
+  auto names = UserColumnRepNames(user, *rep);
+  ASSERT_TRUE(names.ok());
+  ASSERT_EQ(names->size(), 2u);
+  EXPECT_EQ((*names)[1], rep->output_schema()->attribute(1).name);
+
+  auto got = DeliverThroughTarget(user, *rep,
+                                  {Value(int64_t{3}), Value(int64_t{5})}, 9);
+  ASSERT_EQ(got.size(), 1u);
+  const Tuple& tuple = got[0].second;
+  EXPECT_EQ(got[0].first, "result_user");
+  EXPECT_EQ(tuple.schema()->stream_name(), "result_user");
+  ASSERT_EQ(tuple.num_values(), 2u);
+  EXPECT_EQ(tuple.schema()->attribute(0).name, "sellerID");
+  EXPECT_EQ(tuple.value(0).AsInt64(), 3);
+  EXPECT_EQ(tuple.schema()->attribute(1).name, "n");
+  EXPECT_EQ(tuple.value(1).AsInt64(), 5);
+  EXPECT_EQ(tuple.timestamp(), 9);
 }
 
 TEST_F(PresentationTest, EndToEndUserSeesOwnSchema) {
@@ -116,6 +159,30 @@ TEST_F(PresentationTest, EndToEndUserSeesOwnSchema) {
   EXPECT_EQ(got[0].schema()->attribute(0).name, "start_price");
   EXPECT_EQ(got[0].schema()->attribute(1).name, "itemID");
   EXPECT_DOUBLE_EQ(got[0].value(0).AsDouble(), 10.0);
+  EXPECT_EQ(got[0].value(1).AsInt64(), 5);
+}
+
+TEST_F(PresentationTest, UserTakesOneColumnUnderTwoNames) {
+  // P carries itemID once; both user columns take it.
+  std::vector<Edge> edges = {{0, 1, 1.0}};
+  CosmosSystem system(DisseminationTree::FromEdges(2, edges).value());
+  (void)system.RegisterSource(AuctionDataset::OpenAuctionSchema(), 1.0, 0);
+  ASSERT_TRUE(system.AddProcessor(0).ok());
+  std::vector<Tuple> got;
+  auto id = system.SubmitQuery(
+      "SELECT itemID AS x, itemID AS y FROM OpenAuction", 1,
+      [&](const std::string&, const Tuple& t) { got.push_back(t); });
+  ASSERT_TRUE(id.ok());
+  (void)system.PublishSourceTuple(
+      "OpenAuction", Tuple(AuctionDataset::OpenAuctionSchema(),
+                           {Value(int64_t{5}), Value(int64_t{2}),
+                            Value(10.0), Value(int64_t{0})},
+                           0));
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(got[0].num_values(), 2u);
+  EXPECT_EQ(got[0].schema()->attribute(0).name, "x");
+  EXPECT_EQ(got[0].value(0).AsInt64(), 5);
+  EXPECT_EQ(got[0].schema()->attribute(1).name, "y");
   EXPECT_EQ(got[0].value(1).AsInt64(), 5);
 }
 

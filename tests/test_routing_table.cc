@@ -730,6 +730,119 @@ TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
   EXPECT_GE(toggles, 4);
 }
 
+// A stream's local subscribers toggle between filter-free (each covers
+// every datagram, so no matcher runs) and filtered as whole-stream and
+// filtered subscribers come and go, some with a target. Throughout,
+// DeliverLocal hands each subscriber the Profile::Covers walk says covers a
+// datagram its projection onto P or its target's tuple, in subscription
+// order, and a filter-free stream never compiles a matcher.
+TEST(Router, FilterFreeLocalsDeliverWithoutMatcher) {
+  Rng rng(0x10CA15);
+  StreamTable streams;
+  Router r(0, &streams);
+  MetricsRegistry metrics;
+  r.SetTelemetry(&metrics);
+  const Counter* compiles = metrics.GetCounter("cbn.matcher_compiles");
+  struct Local {
+    ProfileId id;
+    ProfilePtr profile;
+    std::shared_ptr<const TupleTarget> target;
+  };
+  std::vector<Local> live;
+  std::vector<std::pair<ProfileId, Tuple>> got;
+  std::vector<std::string> got_streams;
+  ProfileId next_id = 1;
+  auto whole = [](std::vector<std::string> projection) {
+    auto p = std::make_shared<Profile>();
+    p->AddStream("s", std::move(projection));
+    return ProfilePtr(p);
+  };
+  // Takes temp as "t".
+  const auto renamed = std::make_shared<const TupleTarget>(TupleTarget{
+      std::make_shared<Schema>(
+          "user", std::vector<AttributeDef>{{"t", ValueType::kDouble}}),
+      {"temp"}});
+  auto subscribe = [&](ProfilePtr p, std::shared_ptr<const TupleTarget> t) {
+    const ProfileId id = next_id++;
+    r.AddLocal(
+        id, p,
+        [&got, &got_streams, id](const std::string& stream, const Tuple& tuple) {
+          got.emplace_back(id, tuple);
+          got_streams.push_back(stream);
+        },
+        t);
+    live.push_back(Local{id, std::move(p), std::move(t)});
+  };
+  // A whole-stream subscriber alone takes every datagram with no compile.
+  subscribe(whole({"temp"}), nullptr);
+  EXPECT_EQ(r.DeliverLocal(MakeDatagram(streams, 99)), 1u);
+  EXPECT_EQ(compiles->value(), 0u);
+
+  // Phases of 25 steps alternate: one adds any kind of subscriber, the next
+  // adds only whole-stream ones and removes filtered ones first, draining
+  // the stream back to filter-free.
+  int toggles = 0;
+  bool was_filtered = false;
+  for (int step = 0; step < 200; ++step) {
+    const bool draining = (step / 25) % 2 == 1;
+    if (live.empty() || rng.NextBounded(2) == 0) {
+      const uint64_t kind = rng.NextBounded(draining ? 3 : 5);
+      if (kind == 0) subscribe(whole({}), nullptr);
+      if (kind == 1) subscribe(whole({"hum"}), nullptr);
+      if (kind == 2) subscribe(whole({"temp"}), renamed);
+      if (kind == 3) subscribe(MakeProfile(0, 20, {"temp"}), renamed);
+      if (kind == 4) subscribe(MakeProfile(10, 30, {"hum"}), nullptr);
+    } else {
+      size_t victim = rng.NextBounded(live.size());
+      for (size_t i = 0; draining && i < live.size(); ++i) {
+        if (!live[i].profile->filters().empty()) victim = i;
+      }
+      ASSERT_TRUE(r.RemoveLocal(live[victim].id));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    size_t filtered = 0;
+    for (const Local& l : live) filtered += l.profile->filters().empty() ? 0 : 1;
+    if (const auto* routes = r.table().RoutesOf(streams.Find("s"))) {
+      ASSERT_EQ(routes->local.filtered, filtered) << "step " << step;
+      ASSERT_EQ(routes->local.subscribers.size(), live.size());
+    }
+    if ((filtered > 0) != was_filtered) ++toggles;
+    was_filtered = filtered > 0;
+    const uint64_t compiles_before = compiles->value();
+    for (double temp : {-5.0, 5.0, 15.0, 25.0, 35.0}) {
+      const Datagram d = MakeDatagram(streams, temp, temp + 1);
+      std::vector<std::pair<ProfileId, Tuple>> want;
+      std::vector<std::string> want_streams;
+      for (const Local& l : live) {
+        if (!l.profile->Covers(d)) continue;
+        Tuple scratch;
+        ProjectionCache reference;
+        if (l.target != nullptr) {
+          want.emplace_back(l.id, *reference.Map(d.tuple, *l.target, &scratch));
+          want_streams.push_back("user");
+          continue;
+        }
+        want.emplace_back(
+            l.id, reference.Project(
+                      d.tuple,
+                      streams.MaskOf(d.stream_id, l.profile->ProjectionOf("s")),
+                      streams.attributes(d.stream_id), &scratch));
+        want_streams.push_back("s");
+      }
+      got.clear();
+      got_streams.clear();
+      EXPECT_EQ(r.DeliverLocal(d), want.size())
+          << "step " << step << " temp " << temp;
+      EXPECT_EQ(got, want) << "step " << step << " temp " << temp;
+      EXPECT_EQ(got_streams, want_streams) << "step " << step;
+    }
+    if (filtered == 0) {
+      EXPECT_EQ(compiles->value(), compiles_before) << "step " << step;
+    }
+  }
+  EXPECT_GE(toggles, 4);
+}
+
 TEST(ProjectionCache, IdentityWhenAllAttributesSelected) {
   StreamTable streams;
   StreamRef s(&streams, "s");
@@ -786,6 +899,117 @@ TEST(ProjectionCache, ReusesPlansAcrossCalls) {
   EXPECT_EQ(o4.schema().get(), o1.schema().get());
   EXPECT_DOUBLE_EQ(o4.value(0).AsDouble(), 3.0);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// A target takes the incoming columns it names, in its own order, and
+// drops the rest.
+TEST(ProjectionCache, TargetReordersAndDropsExtras) {
+  auto in_schema = std::make_shared<Schema>(
+      "S", std::vector<AttributeDef>{{"a", ValueType::kInt64},
+                                     {"b", ValueType::kDouble}});
+  const TupleTarget target{
+      std::make_shared<Schema>(
+          "S", std::vector<AttributeDef>{{"b", ValueType::kDouble}}),
+      {"b"}};
+  ProjectionCache cache;
+  Tuple scratch;
+  const Tuple* out = cache.Map(
+      Tuple(in_schema, {Value(int64_t{1}), Value(2.5)}, 42), target, &scratch);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->num_values(), 1u);
+  EXPECT_DOUBLE_EQ(out->value(0).AsDouble(), 2.5);
+  EXPECT_EQ(out->timestamp(), 42);
+}
+
+TEST(ProjectionCache, TargetDropsTuplesMissingTargetAttributes) {
+  auto in_schema = std::make_shared<Schema>(
+      "S", std::vector<AttributeDef>{{"a", ValueType::kInt64},
+                                     {"b", ValueType::kDouble}});
+  const TupleTarget target{
+      std::make_shared<Schema>(
+          "S", std::vector<AttributeDef>{{"z", ValueType::kInt64}}),
+      {"z"}};
+  ProjectionCache cache;
+  Tuple scratch;
+  EXPECT_EQ(cache.Map(Tuple(in_schema, {Value(int64_t{1}), Value(1.0)}, 0),
+                      target, &scratch),
+            nullptr);
+  EXPECT_EQ(cache.size(), 1u);  // the drop is a cached plan too
+}
+
+// A target whose schema equals the incoming one, column for column, hands
+// back the incoming tuple itself; a different stream name or column order
+// is a different layout and takes one copy.
+TEST(ProjectionCache, TargetWithTheIncomingLayoutReturnsTheInputItself) {
+  StreamTable streams;
+  StreamRef s(&streams, "s");
+  const Datagram d = MakeDatagram(streams, 1, 2);
+  ProjectionCache cache;
+  Tuple scratch;
+  const TupleTarget same{
+      std::make_shared<Schema>(*SensorSchema()), {"temp", "hum"}};
+  EXPECT_EQ(cache.Map(d.tuple, same, &scratch), &d.tuple);
+  EXPECT_EQ(scratch.schema(), nullptr);  // nothing was built
+
+  const TupleTarget renamed_stream{
+      std::make_shared<Schema>("user", SensorSchema()->attributes()),
+      {"temp", "hum"}};
+  const Tuple* out = cache.Map(d.tuple, renamed_stream, &scratch);
+  ASSERT_EQ(out, &scratch);
+  EXPECT_EQ(out->schema()->stream_name(), "user");
+  EXPECT_EQ(out->values(), d.tuple.values());
+
+  const TupleTarget swapped{
+      std::make_shared<Schema>(*SensorSchema()), {"hum", "temp"}};
+  out = cache.Map(d.tuple, swapped, &scratch);
+  ASSERT_EQ(out, &scratch);
+  EXPECT_DOUBLE_EQ(out->value(0).AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(out->value(1).AsDouble(), 1.0);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+// Target columns take their own names, and a name the target repeats takes
+// the incoming columns of that name in turn: an aggregate may repeat an
+// output name (SELECT COUNT(*) AS n, MAX(x) AS n), and its members take the
+// representative's columns positionally.
+TEST(ProjectionCache, TargetRenamesAndTakesRepeatedNamesInTurn) {
+  auto in_schema = std::make_shared<Schema>(
+      "rep", std::vector<AttributeDef>{{"k", ValueType::kInt64},
+                                       {"n", ValueType::kInt64},
+                                       {"n", ValueType::kInt64}});
+  const TupleTarget target{
+      std::make_shared<Schema>(
+          "user", std::vector<AttributeDef>{{"key", ValueType::kInt64},
+                                            {"lo", ValueType::kInt64},
+                                            {"hi", ValueType::kInt64}}),
+      {"k", "n", "n"}};
+  ProjectionCache cache;
+  Tuple scratch;
+  const Tuple* out = cache.Map(
+      Tuple(in_schema, {Value(int64_t{7}), Value(int64_t{1}), Value(int64_t{2})},
+            5),
+      target, &scratch);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->schema(), target.schema);
+  EXPECT_EQ(out->value(0).AsInt64(), 7);
+  EXPECT_EQ(out->value(1).AsInt64(), 1);
+  EXPECT_EQ(out->value(2).AsInt64(), 2);
+  EXPECT_EQ(out->timestamp(), 5);
+
+  // Past the incoming columns of a name, the repeat takes the last of them:
+  // a user may select one column under two names.
+  const TupleTarget twice{
+      std::make_shared<Schema>(
+          "user", std::vector<AttributeDef>{{"x", ValueType::kInt64},
+                                            {"y", ValueType::kInt64}}),
+      {"k", "k"}};
+  out = cache.Map(
+      Tuple(in_schema, {Value(int64_t{7}), Value(int64_t{1}), Value(int64_t{2})},
+            5),
+      twice, &scratch);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->value(0).AsInt64(), 7);
+  EXPECT_EQ(out->value(1).AsInt64(), 7);
 }
 
 TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {

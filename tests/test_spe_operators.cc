@@ -55,29 +55,6 @@ TEST(SelectOperator, UnbindableSchemaDropsTuples) {
   EXPECT_EQ(n, 0);
 }
 
-TEST(AdaptOperator, ReordersAndDropsExtras) {
-  auto target = std::make_shared<Schema>(
-      "S", std::vector<AttributeDef>{{"b", ValueType::kDouble}});
-  AdaptOperator op(target);
-  std::vector<Tuple> out;
-  op.SetSink([&](const Tuple& t) { out.push_back(t); });
-  op.Push(0, MakeTuple(1, 2.5, 42));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].num_values(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value(0).AsDouble(), 2.5);
-  EXPECT_EQ(out[0].timestamp(), 42);
-}
-
-TEST(AdaptOperator, DropsTuplesMissingTargetAttributes) {
-  auto target = std::make_shared<Schema>(
-      "S", std::vector<AttributeDef>{{"z", ValueType::kInt64}});
-  AdaptOperator op(target);
-  int n = 0;
-  op.SetSink([&](const Tuple&) { ++n; });
-  op.Push(0, MakeTuple(1, 1.0));
-  EXPECT_EQ(n, 0);
-}
-
 TEST(ProjectOperator, MapsIndexes) {
   auto out_schema = std::make_shared<Schema>(
       "out", std::vector<AttributeDef>{{"renamed", ValueType::kInt64}});
