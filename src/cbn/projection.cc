@@ -1,6 +1,7 @@
 #include "cbn/projection.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace cosmos {
 
@@ -48,21 +49,10 @@ const Tuple* ProjectionCache::Map(const Tuple& in, const TupleTarget& target,
     fresh.identity = schema == *target.schema;
     const std::vector<std::string>& names = target.source_names;
     for (size_t i = 0; i < names.size() && !fresh.drops; ++i) {
-      // A name the target repeats takes the incoming columns of that name
-      // in turn, and the last of them once they run out: naming the
-      // incoming columns in order maps positionally, and two target
-      // columns may take one incoming column.
-      size_t skip = static_cast<size_t>(
-          std::count(names.begin(), names.begin() + i, names[i]));
-      size_t col = schema.num_attributes();
-      for (size_t c = 0; c < schema.num_attributes(); ++c) {
-        if (schema.attribute(c).name != names[i]) continue;
-        col = c;
-        if (skip-- == 0) break;
-      }
-      fresh.drops = col == schema.num_attributes();
+      std::optional<size_t> col = schema.IndexOf(names[i]);
+      fresh.drops = !col.has_value();
       fresh.identity = fresh.identity && col == i;
-      fresh.indices.push_back(col);
+      fresh.indices.push_back(col.value_or(0));
     }
     plan = &Insert(in.schema(), std::move(fresh));
   }

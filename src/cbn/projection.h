@@ -13,8 +13,9 @@ namespace cosmos {
 
 // The tuple shape a consumer takes: column i of `schema` is the incoming
 // column named `source_names[i]` (renamed when the names differ). A name
-// listed again takes the next incoming column of that name, or the last
-// one when there is no next.
+// may be listed twice, and both target columns take that one incoming
+// column; the analyzer never emits a schema that repeats a name, so each
+// name resolves to one incoming column.
 struct TupleTarget {
   std::shared_ptr<const Schema> schema;
   std::vector<std::string> source_names;
@@ -53,10 +54,11 @@ class ProjectionCache {
                        const std::vector<std::string>& dictionary,
                        Tuple* scratch);
 
-  // Maps `in` onto `target`: nullptr when `in` lacks a column the target
-  // names (projected away upstream), `&in` when its schema equals the
-  // target's column for column, else the mapped tuple, built in
-  // `*scratch`. Plans are keyed by the target's schema, which they retain.
+  // Maps `in` onto `target`, resolving each named column by
+  // Schema::IndexOf: nullptr when `in` lacks a column the target names
+  // (projected away upstream), `&in` when its schema equals the target's
+  // column for column, else the mapped tuple, built in `*scratch`. Plans
+  // are keyed by the target's schema, which they retain.
   const Tuple* Map(const Tuple& in, const TupleTarget& target,
                    Tuple* scratch);
 

@@ -8,61 +8,6 @@
 namespace cosmos {
 namespace {
 
-// Canonical, alias-free form of an equi-join: ((stream,attr),(stream,attr))
-// with the lexicographically smaller endpoint first.
-using JoinEnd = std::pair<std::string, std::string>;
-using CanonicalJoin = std::pair<JoinEnd, JoinEnd>;
-
-std::set<CanonicalJoin> CanonicalJoins(const AnalyzedQuery& q) {
-  std::set<CanonicalJoin> out;
-  for (const auto& j : q.equi_joins()) {
-    JoinEnd l{q.sources()[j.left_source].from.stream,
-              q.sources()[j.left_source].schema->attribute(j.left_attr).name};
-    JoinEnd r{
-        q.sources()[j.right_source].from.stream,
-        q.sources()[j.right_source].schema->attribute(j.right_attr).name};
-    if (r < l) std::swap(l, r);
-    out.insert({l, r});
-  }
-  return out;
-}
-
-// Rewrites alias qualifiers in `expr` through `alias_map` (old -> new).
-ExprPtr RemapAliases(const ExprPtr& expr,
-                     const std::map<std::string, std::string>& alias_map) {
-  switch (expr->kind()) {
-    case ExprKind::kLiteral:
-      return expr;
-    case ExprKind::kColumnRef: {
-      const auto& col = static_cast<const ColumnRefExpr&>(*expr);
-      auto it = alias_map.find(col.qualifier());
-      if (it == alias_map.end()) return expr;
-      return MakeColumn(it->second, col.name());
-    }
-    case ExprKind::kComparison: {
-      const auto& c = static_cast<const ComparisonExpr&>(*expr);
-      return MakeCompare(c.op(), RemapAliases(c.lhs(), alias_map),
-                         RemapAliases(c.rhs(), alias_map));
-    }
-    case ExprKind::kLogical: {
-      const auto& l = static_cast<const LogicalExpr&>(*expr);
-      std::vector<ExprPtr> children;
-      for (const auto& ch : l.children()) {
-        children.push_back(RemapAliases(ch, alias_map));
-      }
-      if (l.op() == LogicalOp::kNot) return MakeNot(children[0]);
-      return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
-                                       : MakeOr(std::move(children));
-    }
-    case ExprKind::kArithmetic: {
-      const auto& a = static_cast<const ArithmeticExpr&>(*expr);
-      return MakeArith(a.op(), RemapAliases(a.lhs(), alias_map),
-                       RemapAliases(a.rhs(), alias_map));
-    }
-  }
-  return expr;
-}
-
 // Output columns as alias-free (stream, attribute) pairs.
 std::set<std::pair<std::string, std::string>> OutputPairs(
     const AnalyzedQuery& q) {
@@ -89,9 +34,13 @@ bool ResidualsMatch(const AnalyzedQuery& container,
                     const std::vector<size_t>& containee_to_container,
                     bool require_equal) {
   auto alias_map = AliasMap(containee, container, containee_to_container);
+  auto container_alias = [&alias_map](const ColumnRefExpr& col) {
+    auto it = alias_map.find(col.qualifier());
+    return it == alias_map.end() ? col.qualifier() : it->second;
+  };
   std::vector<ExprPtr> remapped;
   for (const auto& r : containee.cross_residual()) {
-    remapped.push_back(RemapAliases(r, alias_map));
+    remapped.push_back(RewriteColumns(r, container_alias));
   }
   // Every residual of the container must be enforced by the containee.
   for (const auto& rc : container.cross_residual()) {
@@ -142,6 +91,20 @@ bool AggregatesEqual(const AnalyzedQuery& a, const AnalyzedQuery& b,
 }
 
 }  // namespace
+
+std::set<CanonicalJoin> CanonicalJoins(const AnalyzedQuery& q) {
+  std::set<CanonicalJoin> out;
+  for (const auto& j : q.equi_joins()) {
+    JoinEnd l{q.sources()[j.left_source].from.stream,
+              q.sources()[j.left_source].schema->attribute(j.left_attr).name};
+    JoinEnd r{
+        q.sources()[j.right_source].from.stream,
+        q.sources()[j.right_source].schema->attribute(j.right_attr).name};
+    if (r < l) std::swap(l, r);
+    out.insert({l, r});
+  }
+  return out;
+}
 
 std::optional<std::vector<size_t>> AlignSources(const AnalyzedQuery& a,
                                                 const AnalyzedQuery& b) {

@@ -2,6 +2,9 @@
 #define COSMOS_CORE_CONTAINMENT_H_
 
 #include <optional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "query/analyzer.h"
@@ -21,6 +24,16 @@ namespace cosmos {
 // nullopt when the stream sets differ or either query repeats a stream.
 std::optional<std::vector<size_t>> AlignSources(const AnalyzedQuery& a,
                                                 const AnalyzedQuery& b);
+
+// An equi-join in canonical, alias-free form: ((stream, attr), (stream,
+// attr)) with the lexicographically smaller endpoint first.
+using JoinEnd = std::pair<std::string, std::string>;
+using CanonicalJoin = std::pair<JoinEnd, JoinEnd>;
+
+// The equi-joins of `q` in canonical form: two queries join the same
+// columns exactly when these sets are equal, whatever their aliases
+// (containment compares them, and MergeSignature spells them out).
+std::set<CanonicalJoin> CanonicalJoins(const AnalyzedQuery& q);
 
 // Q∞ containment of the relational (window-free) parts: every condition
 // `container` imposes is implied by `containee`'s conditions, and

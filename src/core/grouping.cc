@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "core/profile_composer.h"
 
 namespace cosmos {
 
@@ -53,12 +54,13 @@ Result<GroupingEngine::AddResult> GroupingEngine::AddQuery(
   for (auto it = begin; it != end && examined < options_.max_candidates;
        ++it, ++examined) {
     QueryGroup& g = groups_.at(it->second);
-    if (!MergeCompatible(g.representative, query)) continue;
+    // The index matched the signatures (CheckInvariants: a group's
+    // signature is its representative's), so the alignment decides.
+    auto align = MergeAlignment(query, g.representative);
+    if (!align.has_value()) continue;
     // Rank by the fast merged-rate prediction; the winner is composed
     // exactly once below. Merging the current representative with the
     // newcomer contains all members (containment is transitive).
-    auto align = AlignSources(query, g.representative);
-    if (!align.has_value()) continue;
     double merged_rate = estimator_.EstimateMergedOutputRate(
         g.representative, query, *align);
     double marginal = (g.representative_rate + query_rate) - merged_rate;
@@ -74,10 +76,11 @@ Result<GroupingEngine::AddResult> GroupingEngine::AddQuery(
     QueryGroup& g = groups_.at(best_group);
     // Only bump the version (and thus the result stream name) when the
     // representative actually widens — or when it contains the newcomer
-    // but does not project an attribute the newcomer's re-tightening
-    // profile must filter on (recomposition adds that projection).
+    // but the newcomer's user profile cannot split its results out, e.g.
+    // the representative does not project an attribute the profile must
+    // re-filter on (recomposition adds that projection).
     bool widened = !QueryContains(g.representative, query) ||
-                   !SplittableFrom(query, g.representative);
+                   !ComposeUserProfile(query, g.representative).ok();
     if (widened) {
       ++g.version;
       std::vector<const AnalyzedQuery*> pair = {&g.representative, &query};
@@ -198,6 +201,9 @@ bool GroupingEngine::CheckInvariants() const {
       if (it == query_to_group_.end() || it->second != gid) return false;
       ++total_members;
     }
+    // The representative keeps the members' signature, so the index's
+    // candidates need only MergeAlignment.
+    if (MergeSignature(g.representative) != g.signature) return false;
     // Exactly one signature-index entry per group.
     size_t hits = 0;
     auto [begin, end] = by_signature_.equal_range(g.signature);

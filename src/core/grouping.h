@@ -24,8 +24,11 @@ struct GroupingOptions {
 // positive marginal benefit
 //     [C(rep_g) + C(q)] - C(rep_{g ∪ {q}})
 // or opens a new singleton group when no merge is beneficial. Groups are
-// indexed by MergeSignature, so only structurally compatible groups are
-// examined.
+// indexed by MergeSignature, so only groups with the newcomer's signature
+// are examined, and MergeAlignment alone decides whether it may join one.
+// The winner's representative is recomposed only when it does not contain
+// the newcomer or the newcomer's user profile does not compose against it
+// (ComposeUserProfile, core/profile_composer.h).
 class GroupingEngine {
  public:
   // `name_prefix` namespaces the groups' result-stream names (processors
@@ -73,8 +76,9 @@ class GroupingEngine {
 
   // Bookkeeping invariants (DCHECK'd after every mutation): every grouped
   // query maps to a live group, member lists and the query index agree,
-  // the signature index holds each group exactly once, and estimated group
-  // costs are finite and non-negative.
+  // each representative's signature is its group's, the signature index
+  // holds each group exactly once, and estimated group costs are finite
+  // and non-negative.
   bool CheckInvariants() const;
 
  private:

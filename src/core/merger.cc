@@ -13,69 +13,23 @@
 namespace cosmos {
 namespace {
 
-// Canonical alias-free join representation (same as containment.cc's).
-using JoinEnd = std::pair<std::string, std::string>;
-using CanonicalJoin = std::pair<JoinEnd, JoinEnd>;
-
-std::set<CanonicalJoin> CanonicalJoins(const AnalyzedQuery& q) {
-  std::set<CanonicalJoin> out;
-  for (const auto& j : q.equi_joins()) {
-    JoinEnd l{q.sources()[j.left_source].from.stream,
-              q.sources()[j.left_source].schema->attribute(j.left_attr).name};
-    JoinEnd r{
-        q.sources()[j.right_source].from.stream,
-        q.sources()[j.right_source].schema->attribute(j.right_attr).name};
-    if (r < l) std::swap(l, r);
-    out.insert({l, r});
-  }
-  return out;
-}
-
-// Residuals rendered alias-free (qualifier replaced by the stream name) and
-// sorted, for structural comparison across differently-aliased queries.
+// Cross residuals rendered alias-free (each qualifier replaced by its
+// stream name) and sorted, for comparison across differently-aliased
+// queries.
 std::multiset<std::string> CanonicalResiduals(const AnalyzedQuery& q) {
+  std::multiset<std::string> out;
+  if (q.cross_residual().empty()) return out;
   std::map<std::string, std::string> alias_to_stream;
   for (const auto& s : q.sources()) {
     alias_to_stream[s.alias()] = s.from.stream;
   }
-  struct Renderer {
-    const std::map<std::string, std::string>& m;
-    std::string Render(const ExprPtr& e) const {
-      if (e->kind() == ExprKind::kColumnRef) {
-        const auto& col = static_cast<const ColumnRefExpr&>(*e);
-        auto it = m.find(col.qualifier());
-        std::string q = it == m.end() ? col.qualifier() : it->second;
-        return q.empty() ? col.name() : q + "." + col.name();
-      }
-      if (e->kind() == ExprKind::kComparison) {
-        const auto& c = static_cast<const ComparisonExpr&>(*e);
-        return Render(c.lhs()) + CompareOpToString(c.op()) + Render(c.rhs());
-      }
-      if (e->kind() == ExprKind::kArithmetic) {
-        // Appended piecewise: GCC 12's -Wrestrict misfires on the chained
-        // operator+ form at -O3.
-        const auto& a = static_cast<const ArithmeticExpr&>(*e);
-        const char* ops[] = {"+", "-", "*", "/"};
-        std::string out = "(";
-        out += Render(a.lhs());
-        out += ops[static_cast<int>(a.op())];
-        out += Render(a.rhs());
-        out += ')';
-        return out;
-      }
-      if (e->kind() == ExprKind::kLogical) {
-        const auto& l = static_cast<const LogicalExpr&>(*e);
-        std::string out = l.op() == LogicalOp::kAnd
-                              ? "AND("
-                              : (l.op() == LogicalOp::kOr ? "OR(" : "NOT(");
-        for (const auto& ch : l.children()) out += Render(ch) + ";";
-        return out + ")";
-      }
-      return e->ToString();
-    }
-  } renderer{alias_to_stream};
-  std::multiset<std::string> out;
-  for (const auto& r : q.cross_residual()) out.insert(renderer.Render(r));
+  auto stream_of = [&alias_to_stream](const ColumnRefExpr& col) {
+    auto it = alias_to_stream.find(col.qualifier());
+    return it == alias_to_stream.end() ? col.qualifier() : it->second;
+  };
+  for (const auto& r : q.cross_residual()) {
+    out.insert(RewriteColumns(r, stream_of)->ToString());
+  }
   return out;
 }
 
@@ -121,87 +75,24 @@ std::string MergeSignature(const AnalyzedQuery& q) {
   return out;
 }
 
-bool MergeCompatible(const AnalyzedQuery& a, const AnalyzedQuery& b) {
+std::optional<std::vector<size_t>> MergeAlignment(const AnalyzedQuery& a,
+                                                  const AnalyzedQuery& b) {
   auto align = AlignSources(a, b);
-  if (!align.has_value()) return false;
-  if (a.is_aggregate() != b.is_aggregate()) return false;
-  if (CanonicalJoins(a) != CanonicalJoins(b)) return false;
-  if (CanonicalResiduals(a) != CanonicalResiduals(b)) return false;
-  // Local selections with residual conjuncts are opaque to the hull;
-  // require them to be empty (workloads never produce them) unless equal.
+  if (!align.has_value()) return std::nullopt;
   for (size_t i = 0; i < a.sources().size(); ++i) {
-    if (!a.local_selection(i).residual().empty() ||
-        !b.local_selection((*align)[i]).residual().empty()) {
-      // Conservative: only mergeable when equivalent.
-      if (!ClauseImplies(a.local_selection(i),
-                         b.local_selection((*align)[i])) ||
-          !ClauseImplies(b.local_selection((*align)[i]),
-                         a.local_selection(i))) {
-        return false;
-      }
+    const ConjunctiveClause& sa = a.local_selection(i);
+    const ConjunctiveClause& sb = b.local_selection((*align)[i]);
+    if (!a.is_aggregate() && !sa.has_residual() && !sb.has_residual()) {
+      continue;
     }
+    if (!ClauseImplies(sa, sb) || !ClauseImplies(sb, sa)) return std::nullopt;
   }
-  if (a.is_aggregate()) {
-    // Theorem 2 (sound form): equal windows and equivalent selections.
-    if (AggSignature(a) != AggSignature(b)) return false;
-    for (size_t i = 0; i < a.sources().size(); ++i) {
-      size_t j = (*align)[i];
-      if (a.WindowSize(i) != b.WindowSize(j)) return false;
-      if (!ClauseImplies(a.local_selection(i), b.local_selection(j)) ||
-          !ClauseImplies(b.local_selection(j), a.local_selection(i))) {
-        return false;
-      }
-    }
-    if (!QueryContains(a, b) || !QueryContains(b, a)) {
-      // Projection may still differ; aggregates project group cols + aggs
-      // only, so containment both ways reduces to the checks above. Keep
-      // the belt-and-braces check cheap by not failing here.
-    }
-  }
-  return true;
+  return align;
 }
 
-bool SplittableFrom(const AnalyzedQuery& user, const AnalyzedQuery& rep) {
-  auto align = AlignSources(user, rep);
-  if (!align.has_value()) return false;
-  if (user.is_aggregate()) return true;  // group mates are equivalent
-
-  auto rep_projects = [&rep](size_t source, const std::string& attr) {
-    auto idx = rep.sources()[source].schema->IndexOf(attr);
-    if (!idx.has_value()) return false;
-    for (const auto& c : rep.output_columns()) {
-      if (c.source == source && c.attr == *idx) return true;
-    }
-    return false;
-  };
-
-  for (size_t i = 0; i < user.sources().size(); ++i) {
-    size_t ri = (*align)[i];
-    const auto& user_sel = user.local_selection(i);
-    const auto& rep_sel = rep.local_selection(ri);
-    for (const auto& [attr, c] : user_sel.constraints()) {
-      AttrConstraint rep_c = rep_sel.ConstraintFor(attr);
-      bool rep_enforces = rep_c.interval == c.interval &&
-                          rep_c.eq.has_value() == c.eq.has_value() &&
-                          (!c.eq.has_value() || *rep_c.eq == *c.eq) &&
-                          rep_c.neq == c.neq;
-      if (!rep_enforces && !rep_projects(ri, attr)) return false;
-    }
-  }
-  if (user.sources().size() == 2) {
-    bool windows_differ = false;
-    for (size_t i = 0; i < 2; ++i) {
-      if (user.WindowSize(i) != rep.WindowSize((*align)[i])) {
-        windows_differ = true;
-      }
-    }
-    if (windows_differ) {
-      for (size_t i = 0; i < 2; ++i) {
-        if (!rep_projects((*align)[i], "timestamp")) return false;
-      }
-    }
-  }
-  return true;
+bool MergeCompatible(const AnalyzedQuery& a, const AnalyzedQuery& b) {
+  return MergeSignature(a) == MergeSignature(b) &&
+         MergeAlignment(a, b).has_value();
 }
 
 Result<AnalyzedQuery> ComposeRepresentative(
@@ -212,21 +103,27 @@ Result<AnalyzedQuery> ComposeRepresentative(
   }
   const AnalyzedQuery& base = *members[0];
 
-  // Alignment of every member onto the base.
+  // Every member must be MergeCompatible with the base; its alignment is
+  // kept (align[m][k]: the base index of member m's source k) and inverted
+  // once (member_source[m * num_sources + i]: the index of base source i
+  // within member m). The base's signature is computed once, and only when
+  // there is a second member to compare.
+  const size_t num_sources = base.sources().size();
+  std::string signature;
   std::vector<std::vector<size_t>> align(members.size());
+  std::vector<size_t> member_source(members.size() * num_sources);
   for (size_t m = 0; m < members.size(); ++m) {
-    auto a = AlignSources(*members[m], base);
-    if (!a.has_value()) {
-      return Status::InvalidArgument(
-          "members are not over the same stream set");
-    }
-    align[m] = *a;
-    if (m > 0 && !MergeCompatible(base, *members[m])) {
+    if (m == 1) signature = MergeSignature(base);
+    auto a = MergeAlignment(*members[m], base);
+    if (!a.has_value() ||
+        (m > 0 && MergeSignature(*members[m]) != signature)) {
       return Status::InvalidArgument("members are not merge-compatible");
     }
+    align[m] = std::move(*a);
+    for (size_t k = 0; k < num_sources; ++k) {
+      member_source[m * num_sources + align[m][k]] = k;
+    }
   }
-
-  const size_t num_sources = base.sources().size();
 
   // Aggregate groups: all members equivalent; the representative is the
   // base re-analyzed under the new result name.
@@ -244,17 +141,7 @@ Result<AnalyzedQuery> ComposeRepresentative(
     Duration w = 0;
     std::vector<ConjunctiveClause> clauses;
     for (size_t m = 0; m < members.size(); ++m) {
-      // Index of base source i within member m.
-      size_t mi = 0;
-      bool found = false;
-      for (size_t k = 0; k < num_sources; ++k) {
-        if (align[m][k] == i) {
-          mi = k;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return Status::Internal("alignment hole");
+      const size_t mi = member_source[m * num_sources + i];
       Duration mw = members[m]->WindowSize(mi);
       if (m == 0) {
         w = mw;
@@ -291,12 +178,9 @@ Result<AnalyzedQuery> ComposeRepresentative(
     if (selections_differ[i]) {
       // Every attribute any member constrains may need re-filtering.
       for (size_t m = 0; m < members.size(); ++m) {
-        size_t mi = 0;
-        for (size_t k = 0; k < num_sources; ++k) {
-          if (align[m][k] == i) mi = k;
-        }
         for (const auto& [attr, c] :
-             members[m]->local_selection(mi).constraints()) {
+             members[m]->local_selection(member_source[m * num_sources + i])
+                 .constraints()) {
           projected[i].insert(attr);
         }
       }
@@ -347,41 +231,13 @@ Result<AnalyzedQuery> ComposeRepresentative(
       where = ConjoinNullable(
           where, ConstraintToExpr(MakeColumn(alias, attr), c));
     }
+    // Merge-compatibility guarantees equal residuals; they carry bare
+    // names, so requalify them with the alias.
+    auto with_alias = [&alias](const ColumnRefExpr& col) {
+      return col.qualifier().empty() ? alias : col.qualifier();
+    };
     for (const auto& r : hulls[i].residual()) {
-      // Merge-compatibility guarantees equal residuals; they carry bare
-      // names, so requalify them with the alias.
-      struct Q {
-        const std::string& alias;
-        ExprPtr R(const ExprPtr& e) const {
-          switch (e->kind()) {
-            case ExprKind::kLiteral:
-              return e;
-            case ExprKind::kColumnRef: {
-              const auto& col = static_cast<const ColumnRefExpr&>(*e);
-              if (!col.qualifier().empty()) return e;
-              return MakeColumn(alias, col.name());
-            }
-            case ExprKind::kComparison: {
-              const auto& c = static_cast<const ComparisonExpr&>(*e);
-              return MakeCompare(c.op(), R(c.lhs()), R(c.rhs()));
-            }
-            case ExprKind::kLogical: {
-              const auto& l = static_cast<const LogicalExpr&>(*e);
-              std::vector<ExprPtr> children;
-              for (const auto& ch : l.children()) children.push_back(R(ch));
-              if (l.op() == LogicalOp::kNot) return MakeNot(children[0]);
-              return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
-                                               : MakeOr(std::move(children));
-            }
-            case ExprKind::kArithmetic: {
-              const auto& a = static_cast<const ArithmeticExpr&>(*e);
-              return MakeArith(a.op(), R(a.lhs()), R(a.rhs()));
-            }
-          }
-          return e;
-        }
-      } q{alias};
-      where = ConjoinNullable(where, q.R(r));
+      where = ConjoinNullable(where, RewriteColumns(r, with_alias));
     }
   }
   for (const auto& j : base.equi_joins()) {

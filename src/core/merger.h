@@ -1,6 +1,7 @@
 #ifndef COSMOS_CORE_MERGER_H_
 #define COSMOS_CORE_MERGER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,27 +31,30 @@ namespace cosmos {
 //    re-imposed downstream). Merging fails if such a source lacks a
 //    "timestamp" attribute.
 
-// Cheap structural compatibility test (no catalog access): true when the
-// two queries are mergeable into one group.
-bool MergeCompatible(const AnalyzedQuery& a, const AnalyzedQuery& b);
-
 // Canonical signature string: two queries can only be group mates when
-// their signatures match. Used to index groups.
+// their signatures match. It holds, alias-free, the FROM stream set, the
+// equi-join set, the cross residuals and, for aggregates, the aggregate
+// list, grouping columns and windows. Used to index groups.
 std::string MergeSignature(const AnalyzedQuery& q);
 
-// True when a user profile can split `user`'s exact results out of `rep`'s
-// result stream: every user constraint that is tighter than the
-// representative's is on an attribute the representative projects, and —
-// for multi-stream queries with tighter windows — the representative
-// projects the per-source timestamps Lemma 1 needs. QueryContains(rep,
-// user) guarantees no rows are missing; this guarantees the surplus can be
-// filtered back out (core/profile_composer.h relies on it).
-bool SplittableFrom(const AnalyzedQuery& user, const AnalyzedQuery& rep);
+// The one merge condition the signature cannot encode: aligned local
+// selections must be equivalent wherever either carries a residual
+// conjunct (opaque to the hull), and always for aggregates (Theorem 2).
+// Returns AlignSources(a, b) when it holds, nullopt otherwise. Two queries
+// with equal signatures are group mates exactly when this has a value.
+std::optional<std::vector<size_t>> MergeAlignment(const AnalyzedQuery& a,
+                                                  const AnalyzedQuery& b);
+
+// True when the two queries are mergeable into one group: equal
+// signatures and a MergeAlignment.
+bool MergeCompatible(const AnalyzedQuery& a, const AnalyzedQuery& b);
 
 // Composes (and re-analyzes, against `catalog`) the representative of
 // `members` with result stream `result_name`. Fails when the members are
 // not group-compatible. Postcondition (property-tested):
-// QueryContains(rep, *m) for every member m.
+// QueryContains(rep, *m) for every member m, and every member's user
+// profile composes against rep (ComposeUserProfile in
+// core/profile_composer.h), which is what splits its results back out.
 Result<AnalyzedQuery> ComposeRepresentative(
     const std::vector<const AnalyzedQuery*>& members, const Catalog& catalog,
     const std::string& result_name);

@@ -167,7 +167,6 @@ Status CosmosSystem::PublishSourceTuple(const std::string& stream,
   if (source == sources_.end()) {
     return Status::NotFound(StrFormat("stream '%s'", stream.c_str()));
   }
-  if (injection_log_enabled_) injection_log_.emplace_back(stream, tuple);
   rate_monitor_.Record(source->second.rate, tuple.timestamp());
   if (tuple.timestamp() > max_event_time_) {
     max_event_time_ = tuple.timestamp();

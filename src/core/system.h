@@ -58,14 +58,6 @@ class CosmosSystem {
   // Injects one tuple of `stream` into the CBN at its publisher.
   Status PublishSourceTuple(const std::string& stream, const Tuple& tuple);
 
-  // When enabled, every PublishSourceTuple is appended (in injection order)
-  // to a log the DST ground-truth oracle replays against reference query
-  // plans. Off by default — experiments inject millions of tuples.
-  void EnableInjectionLog() { injection_log_enabled_ = true; }
-  const std::vector<std::pair<std::string, Tuple>>& injection_log() const {
-    return injection_log_;
-  }
-
   // Replays an entire timestamp-ordered feed (e.g. SensorDataset replay).
   Status Replay(ReplayMerger& merger);
 
@@ -139,8 +131,6 @@ class CosmosSystem {
   Simulator* sim_ = nullptr;
   std::optional<Graph> overlay_;
   RateMonitor rate_monitor_;
-  bool injection_log_enabled_ = false;
-  std::vector<std::pair<std::string, Tuple>> injection_log_;
   Timestamp max_event_time_ = 0;
   Catalog catalog_;
   ContentBasedNetwork network_;

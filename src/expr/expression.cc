@@ -212,4 +212,43 @@ void CollectColumns(const ExprPtr& expr,
   }
 }
 
+ExprPtr RewriteColumns(
+    const ExprPtr& expr,
+    const std::function<std::string(const ColumnRefExpr&)>& qualifier) {
+  if (expr == nullptr) return nullptr;
+  switch (expr->kind()) {
+    case ExprKind::kLiteral:
+      return expr;
+    case ExprKind::kColumnRef: {
+      const auto& col = static_cast<const ColumnRefExpr&>(*expr);
+      std::string q = qualifier(col);
+      if (q == col.qualifier()) return expr;
+      return MakeColumn(std::move(q), col.name());
+    }
+    case ExprKind::kComparison: {
+      const auto& c = static_cast<const ComparisonExpr&>(*expr);
+      ExprPtr lhs = RewriteColumns(c.lhs(), qualifier);
+      return MakeCompare(c.op(), std::move(lhs),
+                         RewriteColumns(c.rhs(), qualifier));
+    }
+    case ExprKind::kLogical: {
+      const auto& l = static_cast<const LogicalExpr&>(*expr);
+      std::vector<ExprPtr> children;
+      for (const auto& child : l.children()) {
+        children.push_back(RewriteColumns(child, qualifier));
+      }
+      if (l.op() == LogicalOp::kNot) return MakeNot(std::move(children[0]));
+      return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
+                                       : MakeOr(std::move(children));
+    }
+    case ExprKind::kArithmetic: {
+      const auto& a = static_cast<const ArithmeticExpr&>(*expr);
+      ExprPtr lhs = RewriteColumns(a.lhs(), qualifier);
+      return MakeArith(a.op(), std::move(lhs),
+                       RewriteColumns(a.rhs(), qualifier));
+    }
+  }
+  return expr;
+}
+
 }  // namespace cosmos

@@ -1,6 +1,7 @@
 #ifndef COSMOS_EXPR_EXPRESSION_H_
 #define COSMOS_EXPR_EXPRESSION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,9 +136,17 @@ ExprPtr MakeArith(ArithOp op, ExprPtr lhs, ExprPtr rhs);
 // Conjoins two possibly-null predicates; null means "true".
 ExprPtr ConjoinNullable(ExprPtr a, ExprPtr b);
 
-// Collects the distinct column references appearing in `expr`.
+// Collects the column references appearing in `expr`, left to right,
+// repeats included.
 void CollectColumns(const ExprPtr& expr,
                     std::vector<const ColumnRefExpr*>* out);
+
+// Rebuilds `expr` with each column reference requalified as
+// `qualifier(column)`, visiting columns in CollectColumns' order; a column
+// whose qualifier comes back unchanged is kept as is. Null stays null.
+ExprPtr RewriteColumns(
+    const ExprPtr& expr,
+    const std::function<std::string(const ColumnRefExpr&)>& qualifier);
 
 }  // namespace cosmos
 

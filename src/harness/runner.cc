@@ -179,7 +179,6 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   sys_options.tracer = options.capture_trace ? &tracer : nullptr;
   CosmosSystem system(s.tree, sys_options, sim.get());
   system.SetOverlay(s.overlay);
-  system.EnableInjectionLog();
   auto export_artifacts = [&] {
     if (options.capture_trace) {
       if (!report.ok) report.trace = CbnTraceTail(tracer, options.trace_limit);
@@ -216,6 +215,9 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   std::map<std::string, std::string> tag_to_id;  // live queries only
   std::map<std::string, std::string> id_to_tag;  // every submitted query
   std::map<std::string, uint64_t> injected_per_stream;  // for check 5
+  // Every tuple the system accepted, in injection order (check 3 replays
+  // it against the representatives).
+  std::vector<std::pair<std::string, Tuple>> injection_log;
 
   // Sticky across the whole run (a later RemoveQuery may uninstall the
   // profile): did any installed subscription ever carry a residual-bearing
@@ -294,6 +296,7 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
           break;
         }
         oracle.Inject(src.stream, tuple);
+        injection_log.emplace_back(src.stream, tuple);
         ++injected_per_stream[src.stream];
         ++report.tuples_injected;
         ++report.events_executed;
@@ -456,14 +459,13 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   // ---- check 3: every live member's oracle results are contained in its
   // final group representative's reference results, re-shaped through the
   // member's own presentation path (paper Theorems 1-2).
-  const auto& log = system.injection_log();
   for (NodeId p : s.processors) {
     Processor* proc = system.processor(p);
     if (proc == nullptr) continue;
     report.final_groups += proc->grouping().num_groups();
     for (const auto& [gid, group] : proc->grouping().groups()) {
       std::vector<Tuple> rep_results =
-          GroundTruthOracle::Evaluate(group.representative, log);
+          GroundTruthOracle::Evaluate(group.representative, injection_log);
       for (size_t i = 0; i < group.member_ids.size(); ++i) {
         auto tag_it = id_to_tag.find(group.member_ids[i]);
         COSMOS_CHECK(tag_it != id_to_tag.end());

@@ -133,79 +133,21 @@ class Analyzer {
   }
 
   // Rewrites every column reference in `expr` to alias-qualified form,
-  // verifying resolution along the way.
+  // failing on the first one that does not resolve.
   Result<ExprPtr> QualifyColumns(const ExprPtr& expr) {
-    switch (expr->kind()) {
-      case ExprKind::kLiteral:
-        return expr;
-      case ExprKind::kColumnRef: {
-        const auto& col = static_cast<const ColumnRefExpr&>(*expr);
-        COSMOS_ASSIGN_OR_RETURN(auto ref,
-                                ResolveRef(col.qualifier(), col.name()));
-        return MakeColumn(out_.sources_[ref.first].alias(),
-                          out_.sources_[ref.first].schema
-                              ->attribute(ref.second)
-                              .name);
-      }
-      case ExprKind::kComparison: {
-        const auto& c = static_cast<const ComparisonExpr&>(*expr);
-        COSMOS_ASSIGN_OR_RETURN(ExprPtr l, QualifyColumns(c.lhs()));
-        COSMOS_ASSIGN_OR_RETURN(ExprPtr r, QualifyColumns(c.rhs()));
-        return MakeCompare(c.op(), std::move(l), std::move(r));
-      }
-      case ExprKind::kLogical: {
-        const auto& l = static_cast<const LogicalExpr&>(*expr);
-        std::vector<ExprPtr> children;
-        for (const auto& child : l.children()) {
-          COSMOS_ASSIGN_OR_RETURN(ExprPtr q, QualifyColumns(child));
-          children.push_back(std::move(q));
-        }
-        if (l.op() == LogicalOp::kNot) return MakeNot(children[0]);
-        return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
-                                         : MakeOr(std::move(children));
-      }
-      case ExprKind::kArithmetic: {
-        const auto& a = static_cast<const ArithmeticExpr&>(*expr);
-        COSMOS_ASSIGN_OR_RETURN(ExprPtr l, QualifyColumns(a.lhs()));
-        COSMOS_ASSIGN_OR_RETURN(ExprPtr r, QualifyColumns(a.rhs()));
-        return MakeArith(a.op(), std::move(l), std::move(r));
-      }
+    std::vector<const ColumnRefExpr*> cols;
+    CollectColumns(expr, &cols);
+    std::vector<std::string> aliases;
+    aliases.reserve(cols.size());
+    for (const auto* col : cols) {
+      COSMOS_ASSIGN_OR_RETURN(auto ref,
+                              ResolveRef(col->qualifier(), col->name()));
+      aliases.push_back(out_.sources_[ref.first].alias());
     }
-    return Status::Internal("unreachable");
-  }
-
-  // Strips the alias qualifier from every column reference (used for
-  // single-source conjuncts that become local selections).
-  static ExprPtr UnqualifyColumns(const ExprPtr& expr) {
-    switch (expr->kind()) {
-      case ExprKind::kLiteral:
-        return expr;
-      case ExprKind::kColumnRef: {
-        const auto& col = static_cast<const ColumnRefExpr&>(*expr);
-        return MakeColumn(col.name());
-      }
-      case ExprKind::kComparison: {
-        const auto& c = static_cast<const ComparisonExpr&>(*expr);
-        return MakeCompare(c.op(), UnqualifyColumns(c.lhs()),
-                           UnqualifyColumns(c.rhs()));
-      }
-      case ExprKind::kLogical: {
-        const auto& l = static_cast<const LogicalExpr&>(*expr);
-        std::vector<ExprPtr> children;
-        for (const auto& child : l.children()) {
-          children.push_back(UnqualifyColumns(child));
-        }
-        if (l.op() == LogicalOp::kNot) return MakeNot(children[0]);
-        return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
-                                         : MakeOr(std::move(children));
-      }
-      case ExprKind::kArithmetic: {
-        const auto& a = static_cast<const ArithmeticExpr&>(*expr);
-        return MakeArith(a.op(), UnqualifyColumns(a.lhs()),
-                         UnqualifyColumns(a.rhs()));
-      }
-    }
-    return expr;
+    // RewriteColumns visits the columns in CollectColumns' order.
+    size_t next = 0;
+    return RewriteColumns(
+        expr, [&](const ColumnRefExpr&) { return aliases[next++]; });
   }
 
   // The set of source indexes referenced by `expr`.
@@ -259,16 +201,19 @@ class Analyzer {
       conjuncts.push_back(w);
     }
 
+    // Single-source conjuncts become local selections over bare names.
+    auto unqualified = [](const ColumnRefExpr&) { return std::string(); };
     for (const auto& atom : conjuncts) {
       std::set<size_t> srcs = SourcesOf(atom);
       if (srcs.empty()) {
         // Constant conjunct; attach to source 0's residual for evaluation.
-        out_.local_selections_[0].AddResidual(UnqualifyColumns(atom));
+        out_.local_selections_[0].AddResidual(
+            RewriteColumns(atom, unqualified));
         continue;
       }
       if (srcs.size() == 1) {
         size_t si = *srcs.begin();
-        ExprPtr bare = UnqualifyColumns(atom);
+        ExprPtr bare = RewriteColumns(atom, unqualified);
         COSMOS_ASSIGN_OR_RETURN(ConjunctiveClause piece,
                                 ClauseFromExpr(bare));
         // Merge into the accumulated local selection.
@@ -453,15 +398,17 @@ class Analyzer {
         attrs.push_back(std::move(def));
       }
     } else {
-      std::set<std::string> seen;
       for (const auto& c : out_.output_columns_) {
         AttributeDef def = out_.sources_[c.source].schema->attribute(c.attr);
         def.name = c.out_name;
-        if (!seen.insert(def.name).second) {
-          return Status::InvalidArgument(
-              StrFormat("duplicate output column '%s'", def.name.c_str()));
-        }
         attrs.push_back(std::move(def));
+      }
+    }
+    std::set<std::string> seen;
+    for (const auto& def : attrs) {
+      if (!seen.insert(def.name).second) {
+        return Status::InvalidArgument(
+            StrFormat("duplicate output column '%s'", def.name.c_str()));
       }
     }
     out_.output_schema_ =

@@ -17,40 +17,11 @@ ExprPtr QualifiedClauseExpr(const ConjunctiveClause& clause,
   }
   ExprPtr expr = qualified.ToExpr();
   // Residual conjuncts carry bare names; rebuild them qualified.
+  auto with_alias = [&alias](const ColumnRefExpr& col) {
+    return col.qualifier().empty() ? alias : col.qualifier();
+  };
   for (const auto& r : clause.residual()) {
-    // A residual may reference several attributes; qualify each column ref.
-    struct Qualifier {
-      const std::string& alias;
-      ExprPtr Rewrite(const ExprPtr& e) const {
-        switch (e->kind()) {
-          case ExprKind::kLiteral:
-            return e;
-          case ExprKind::kColumnRef: {
-            const auto& col = static_cast<const ColumnRefExpr&>(*e);
-            if (!col.qualifier().empty()) return e;
-            return MakeColumn(alias, col.name());
-          }
-          case ExprKind::kComparison: {
-            const auto& c = static_cast<const ComparisonExpr&>(*e);
-            return MakeCompare(c.op(), Rewrite(c.lhs()), Rewrite(c.rhs()));
-          }
-          case ExprKind::kLogical: {
-            const auto& l = static_cast<const LogicalExpr&>(*e);
-            std::vector<ExprPtr> children;
-            for (const auto& ch : l.children()) children.push_back(Rewrite(ch));
-            if (l.op() == LogicalOp::kNot) return MakeNot(children[0]);
-            return l.op() == LogicalOp::kAnd ? MakeAnd(std::move(children))
-                                             : MakeOr(std::move(children));
-          }
-          case ExprKind::kArithmetic: {
-            const auto& a = static_cast<const ArithmeticExpr&>(*e);
-            return MakeArith(a.op(), Rewrite(a.lhs()), Rewrite(a.rhs()));
-          }
-        }
-        return e;
-      }
-    } q{alias};
-    expr = ConjoinNullable(expr, q.Rewrite(r));
+    expr = ConjoinNullable(expr, RewriteColumns(r, with_alias));
   }
   return expr;
 }

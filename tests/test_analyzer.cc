@@ -215,9 +215,13 @@ TEST_F(AnalyzerTest, SourceIndexLookup) {
 }
 
 TEST_F(AnalyzerTest, DuplicateOutputNameFails) {
-  auto q = ParseAndAnalyze("SELECT itemID, itemID FROM OpenAuction",
-                           catalog_, "r");
-  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  for (const char* cql :
+       {"SELECT itemID, itemID FROM OpenAuction",
+        "SELECT sellerID, COUNT(*) AS n, MAX(start_price) AS n FROM "
+        "OpenAuction [Range 1 Hour] GROUP BY sellerID"}) {
+    auto q = ParseAndAnalyze(cql, catalog_, "r");
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << cql;
+  }
 }
 
 TEST_F(AnalyzerTest, OutputSchemaPreservesRanges) {

@@ -200,6 +200,70 @@ TEST(Expression, CollectColumnsFindsAll) {
   EXPECT_EQ(cols.size(), 4u);
 }
 
+TEST(Expression, RewriteColumnsRequalifiesColumns) {
+  auto to_s = [](const ColumnRefExpr&) { return std::string("S"); };
+  auto col = RewriteColumns(MakeColumn("O", "id"), to_s);
+  EXPECT_TRUE(col->Equals(*MakeColumn("S", "id")));
+  auto unqualified = [](const ColumnRefExpr&) { return std::string(); };
+  auto bare = RewriteColumns(MakeColumn("O", "id"), unqualified);
+  EXPECT_TRUE(bare->Equals(*MakeColumn("id")));
+  EXPECT_EQ(RewriteColumns(nullptr, to_s), nullptr);
+}
+
+TEST(Expression, RewriteColumnsKeepsLiteralsAndUnchangedColumns) {
+  auto literal = MakeLiteral(Value(int64_t{3}));
+  auto to_s = [](const ColumnRefExpr&) { return std::string("S"); };
+  EXPECT_EQ(RewriteColumns(literal, to_s).get(), literal.get());
+  // A callback that returns the column's own qualifier keeps the node.
+  auto same = [](const ColumnRefExpr& c) { return c.qualifier(); };
+  auto col = MakeColumn("O", "id");
+  EXPECT_EQ(RewriteColumns(col, same).get(), col.get());
+  auto bare = MakeColumn("id");
+  EXPECT_EQ(RewriteColumns(bare, same).get(), bare.get());
+}
+
+TEST(Expression, RewriteColumnsWalksEveryNodeKind) {
+  // (O.ts - C.ts) <= 0 AND NOT (O.id = 5 OR C.id != O.id)
+  auto e = MakeAnd(
+      {MakeCompare(CompareOp::kLe,
+                   MakeArith(ArithOp::kSub, MakeColumn("O", "ts"),
+                             MakeColumn("C", "ts")),
+                   MakeLiteral(Value(int64_t{0}))),
+       MakeNot(MakeOr(
+           {MakeCompare(CompareOp::kEq, MakeColumn("O", "id"),
+                        MakeLiteral(Value(int64_t{5}))),
+            MakeCompare(CompareOp::kNe, MakeColumn("C", "id"),
+                        MakeColumn("O", "id"))}))});
+  // Rename O to X and leave every other qualifier alone, recording the
+  // order the columns are visited in.
+  std::vector<std::string> visited;
+  auto rewritten = RewriteColumns(e, [&visited](const ColumnRefExpr& c) {
+    visited.push_back(c.FullName());
+    return c.qualifier() == "O" ? std::string("X") : c.qualifier();
+  });
+  auto want = MakeAnd(
+      {MakeCompare(CompareOp::kLe,
+                   MakeArith(ArithOp::kSub, MakeColumn("X", "ts"),
+                             MakeColumn("C", "ts")),
+                   MakeLiteral(Value(int64_t{0}))),
+       MakeNot(MakeOr(
+           {MakeCompare(CompareOp::kEq, MakeColumn("X", "id"),
+                        MakeLiteral(Value(int64_t{5}))),
+            MakeCompare(CompareOp::kNe, MakeColumn("C", "id"),
+                        MakeColumn("X", "id"))}))});
+  EXPECT_TRUE(rewritten->Equals(*want)) << rewritten->ToString();
+  // The input is immutable and left as it was.
+  EXPECT_EQ(e->ToString(),
+            "((O.ts - C.ts) <= 0 AND NOT ((O.id = 5 OR C.id != O.id)))");
+  // Columns are visited in CollectColumns' order.
+  std::vector<const ColumnRefExpr*> cols;
+  CollectColumns(e, &cols);
+  ASSERT_EQ(visited.size(), cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    EXPECT_EQ(visited[i], cols[i]->FullName());
+  }
+}
+
 TEST(Expression, ToStringReadable) {
   auto e = MakeCompare(CompareOp::kGe, MakeColumn("O", "price"),
                        MakeLiteral(Value(10.0)));

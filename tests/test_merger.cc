@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "core/profile_composer.h"
 #include "query/unparser.h"
 #include "stream/auction_dataset.h"
 #include "stream/sensor_dataset.h"
@@ -183,6 +184,21 @@ TEST_F(MergerTest, SignatureGroupsCompatibleQueries) {
       "SELECT O.itemID FROM OpenAuction O, ClosedAuction C WHERE O.itemID "
       "= C.itemID");
   EXPECT_EQ(MergeSignature(d1), MergeSignature(d2));
+  // Cross residuals are compared alias-free too: two aliasings of one
+  // residual share a signature, a different residual does not.
+  AnalyzedQuery r1 = Q(
+      "SELECT O.itemID FROM OpenAuction O, ClosedAuction C WHERE O.itemID "
+      "= C.itemID AND O.timestamp - C.timestamp <= 0");
+  AnalyzedQuery r2 = Q(
+      "SELECT X.sellerID FROM OpenAuction X, ClosedAuction Y WHERE X.itemID "
+      "= Y.itemID AND X.timestamp - Y.timestamp <= 0");
+  AnalyzedQuery r3 = Q(
+      "SELECT O.itemID FROM OpenAuction O, ClosedAuction C WHERE O.itemID "
+      "= C.itemID AND O.timestamp - C.timestamp <= 5");
+  EXPECT_EQ(MergeSignature(r1), MergeSignature(r2));
+  EXPECT_TRUE(MergeCompatible(r1, r2));
+  EXPECT_NE(MergeSignature(r1), MergeSignature(r3));
+  EXPECT_NE(MergeSignature(r1), MergeSignature(d2));
 }
 
 TEST_F(MergerTest, RepresentativeIsUnparsableAndReparsable) {
@@ -218,8 +234,8 @@ TEST_F(MergerTest, ThreeWayJoinQueriesMerge) {
   // Differing windows in a multi-stream query force timestamps into the
   // projection for Lemma-1 re-tightening.
   EXPECT_TRUE(rep.output_schema()->HasAttribute("O.timestamp"));
-  EXPECT_TRUE(SplittableFrom(q1, rep));
-  EXPECT_TRUE(SplittableFrom(q2, rep));
+  EXPECT_TRUE(ComposeUserProfile(q1, rep).ok());
+  EXPECT_TRUE(ComposeUserProfile(q2, rep).ok());
 }
 
 TEST_F(MergerTest, EmptyMemberListRejected) {
