@@ -358,7 +358,7 @@ void ContentBasedNetwork::Emit(Event kind, NodeId node, NodeId peer,
       sc.buffered->Increment();
       break;
     case Event::kDrop:
-      matches_->Increment();
+      if (peer >= 0) matches_->Increment();  // a bucket matched it
       sc.dropped->Increment();
       break;
     case Event::kRecover:
@@ -633,8 +633,18 @@ void ContentBasedNetwork::FlushBuffered() {
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
   for (auto& b : pending) {
-    Emit(Event::kRecover, b.entry, /*peer=*/-1, b.datagram);
-    Process(b.entry, /*from=*/-1, b.datagram, b.datagram.SerializedSize(),
+    // Routing state, scoped or flooded, leads from every publisher of the
+    // stream to every subscriber, so any publisher will do.
+    const std::set<NodeId>* publishers = PublishersOf(b.datagram.stream);
+    if (publishers == nullptr) {
+      // Nothing routes a stream nobody advertises.
+      Emit(Event::kDrop, b.entry, /*peer=*/-1, b.datagram);
+      streams_->Release(b.datagram.stream_id);
+      continue;
+    }
+    const NodeId start = *publishers->begin();
+    Emit(Event::kRecover, start, /*peer=*/-1, b.datagram);
+    Process(start, /*from=*/-1, b.datagram, b.datagram.SerializedSize(),
             &b.allowed);
     streams_->Release(b.datagram.stream_id);
   }

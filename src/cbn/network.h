@@ -32,13 +32,16 @@ struct NetworkOptions {
   // filter-only CBN (ablation abl-proj).
   bool early_projection = true;
   // Covering-based pruning of subscription propagation (saves control
-  // messages when an already-forwarded profile covers the new one).
+  // messages when an already-forwarded profile covers the new one). Acts
+  // only when advertisement_scoping is off: scoped installation does not
+  // check covering.
   bool covering_prune = true;
   // Advertisement scoping (paper §2: sources advertise their streams,
   // processors advertise their result streams): subscription state is
   // installed only on the tree paths from advertised publishers of the
-  // requested streams to the subscriber, instead of network-wide.
-  bool advertisement_scoping = false;
+  // requested streams to the subscriber. Off floods every subscription to
+  // the whole tree, pruned only by covering (ablation abl-adv).
+  bool advertisement_scoping = true;
   // Buffer datagrams that would cross a failed link and flush them after
   // Repair() (data-layer high availability, paper §2's fault-tolerance
   // module of the data layer).
@@ -46,9 +49,10 @@ struct NetworkOptions {
 };
 
 // The content-based network: routers on every node of a dissemination tree.
-// Publishing floods the datagram along tree links that have covering
-// subscriptions (reverse-path content routing); subscriptions are profiles
-// propagated from the subscriber outward.
+// Subscriptions are profiles propagated from the subscriber toward the
+// advertised publishers of their streams (or, unscoped, to the whole tree);
+// publishing forwards the datagram along the tree links whose routing
+// entries match it (reverse-path content routing).
 //
 // When a Simulator is attached, forwarding hops are scheduled with the link
 // delay (edge weight, interpreted as milliseconds); otherwise delivery is
@@ -100,8 +104,8 @@ class ContentBasedNetwork {
 
   // Advertises that `node` publishes `stream` and returns the handle to
   // publish it through; `node` must not already hold one for `stream`.
-  // With advertisement_scoping, installs the entries of existing
-  // subscriptions along the new publisher's paths.
+  // With advertisement_scoping, installs the entries of the existing
+  // subscriptions to `stream` along the new publisher's paths.
   [[nodiscard]] Publisher Advertise(NodeId node, const std::string& stream);
 
   // Installs `profile` for a subscriber at `node`; `callback` fires on each
@@ -162,7 +166,9 @@ class ContentBasedNetwork {
   // Routing-table slots examined by the covering checks of subscription
   // propagation and of unsubscribe re-checks (cbn.covering_checks).
   uint64_t covering_checks() const { return Since(covering_checks_); }
-  // Datagram forwards dropped at failed links (buffered ones not counted).
+  // Datagram forwards dropped at failed links (buffered ones not counted),
+  // plus buffered datagrams whose stream nobody advertises any more when
+  // the flush comes (see FlushBuffered).
   uint64_t lost_datagrams() const {
     return SumStreams("cbn.dropped");
   }
@@ -272,7 +278,8 @@ class ContentBasedNetwork {
     kDeliver,          // `count` local deliveries at `node`
     kRecoveryDeliver,  // `count` flushed deliveries at `node`
     kBuffer,           // held at failed link `node` -> `peer`
-    kDrop,             // lost at failed link `node` -> `peer`
+    kDrop,             // lost at failed link `node` -> `peer`, or at
+                       // flush entry `node` (peer -1) with no publisher
     kRecover,          // buffered datagram re-entering at `node`
   };
   // The only place a data event is recorded: counts it into the cbn.*
@@ -307,7 +314,11 @@ class ContentBasedNetwork {
   void ReinstallAllSubscriptions();
   // Delivers every buffered datagram into its recorded cut-off component
   // and counts it recovered. Called after Repair()/RebuildTree() restored
-  // a connected tree.
+  // a connected tree. A flush restarts at a live publisher of the
+  // datagram's stream, not at the node the datagram stopped at: scoped
+  // state lies only on publisher->subscriber paths of the repaired tree,
+  // which that node may be off. A datagram whose stream has no publisher
+  // left is counted lost.
   void FlushBuffered();
 
   DisseminationTree tree_;

@@ -175,6 +175,10 @@ DstReport RunScenario(const DstScenario& s, const DstRunOptions& options) {
   Tracer tracer;
   if (options.capture_trace) tracer.Enable();
   SystemOptions sys_options;
+  sys_options.network.advertisement_scoping = s.regime.advertisement_scoping;
+  sys_options.network.covering_prune = s.regime.covering_prune;
+  sys_options.network.early_projection = s.regime.early_projection;
+  sys_options.processor.enable_merging = s.regime.enable_merging;
   sys_options.metrics = &metrics;
   sys_options.tracer = options.capture_trace ? &tracer : nullptr;
   CosmosSystem system(s.tree, sys_options, sim.get());

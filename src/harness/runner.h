@@ -46,8 +46,9 @@ struct DstReport {
   std::string Summary() const;
 };
 
-// Executes the scenario end-to-end against a fresh CosmosSystem and checks
-// every user's delivered result stream against the ground-truth oracle:
+// Executes the scenario end-to-end against a fresh CosmosSystem built in
+// the scenario's regime, and checks every user's delivered result stream
+// against the ground-truth oracle:
 //   1. completeness + no-duplicates + value exactness: the delivered
 //      multiset equals the oracle's, per query;
 //   2. projection exactness: delivered tuples carry exactly the query's

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/string_util.h"
 #include "common/zipf.h"
+#include "core/system.h"
 #include "core/workload.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
@@ -26,6 +27,7 @@ constexpr uint64_t kTupleStream = 5;
 constexpr uint64_t kFaultStream = 6;
 constexpr uint64_t kChurnStream = 7;
 constexpr uint64_t kModeStream = 8;
+constexpr uint64_t kRegimeStream = 9;
 
 int BoundedBetween(Rng& rng, int lo, int hi) {
   COSMOS_CHECK_LE(lo, hi);
@@ -101,11 +103,21 @@ std::string DstEvent::ToString() const {
   return out;
 }
 
+std::string DstRegime::ToString() const {
+  auto on = [](bool knob) { return knob ? "on" : "off"; };
+  return StrFormat(
+      "advertisement_scoping=%s covering_prune=%s early_projection=%s "
+      "enable_merging=%s",
+      on(advertisement_scoping), on(covering_prune), on(early_projection),
+      on(enable_merging));
+}
+
 std::string DstScenario::ToString() const {
   std::string out = StrFormat(
       "scenario seed=%llu mode=%s nodes=%d overlay_edges=%zu\n",
       static_cast<unsigned long long>(seed), use_simulator ? "sim" : "sync",
       num_nodes, overlay.num_edges());
+  out += StrFormat("regime: %s\n", regime.ToString().c_str());
   out += "processors:";
   for (NodeId p : processors) out += StrFormat(" %d", p);
   out += "\nsources:\n";
@@ -134,11 +146,24 @@ DstScenario GenerateScenario(uint64_t seed, const DstOptions& options) {
   Rng faults = root.Derive(kFaultStream);
   Rng churn = root.Derive(kChurnStream);
   Rng mode = root.Derive(kModeStream);
+  Rng regime = root.Derive(kRegimeStream);
 
   DstScenario s;
   s.seed = seed;
   s.num_nodes = BoundedBetween(topo, options.min_nodes, options.max_nodes);
   s.use_simulator = mode.NextDouble() < options.simulator_fraction;
+  // Each knob keeps its shipped value with probability 3/4. Covering prune
+  // acts only on flooded subscriptions, so it is drawn only when scoping
+  // is off: drawing it under scoping would only repeat regimes.
+  const SystemOptions shipped;
+  auto draw = [&regime](bool knob) { return regime.NextBool(0.25) != knob; };
+  s.regime.advertisement_scoping =
+      draw(shipped.network.advertisement_scoping);
+  s.regime.covering_prune = s.regime.advertisement_scoping
+                                ? shipped.network.covering_prune
+                                : draw(shipped.network.covering_prune);
+  s.regime.early_projection = draw(shipped.network.early_projection);
+  s.regime.enable_merging = draw(shipped.processor.enable_merging);
 
   TopologyOptions topt;
   topt.num_nodes = s.num_nodes;

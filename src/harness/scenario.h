@@ -44,6 +44,19 @@ struct DstOptions {
   double simulator_fraction = 0.75;
 };
 
+// The system regime a scenario runs under: NetworkOptions and
+// ProcessorOptions knobs, each keeping its SystemOptions{} default with
+// probability 3/4 (see GenerateScenario). buffer_on_failure is not drawn:
+// without it a failure loses datagrams, which the oracle does not expect.
+struct DstRegime {
+  bool advertisement_scoping;
+  bool covering_prune;
+  bool early_projection;
+  bool enable_merging;
+
+  std::string ToString() const;
+};
+
 struct DstSourceSpec {
   std::string stream;
   NodeId publisher = 0;
@@ -102,6 +115,7 @@ struct DstEvent {
 struct DstScenario {
   uint64_t seed = 0;
   bool use_simulator = true;
+  DstRegime regime{};
   int num_nodes = 0;
   Graph overlay;
   DisseminationTree tree;
@@ -114,7 +128,7 @@ struct DstScenario {
 };
 
 // Derives a scenario from `seed`. Each concern (topology, schemas,
-// placement, queries, tuples, faults, churn) consumes its own
+// placement, queries, tuples, faults, churn, regime) consumes its own
 // Rng::Derive stream of the seed, so shrinking one axis never perturbs
 // the others.
 DstScenario GenerateScenario(uint64_t seed, const DstOptions& options = {});

@@ -23,6 +23,14 @@ Tuple MakeTuple(double temp, double hum, Timestamp ts = 0) {
                {Value(temp), Value(hum), Value(static_cast<int64_t>(ts))}, ts);
 }
 
+// The flood regime: every subscription reaches the whole tree, pruned only
+// by covering, which acts only there.
+NetworkOptions Flooded() {
+  NetworkOptions options;
+  options.advertisement_scoping = false;
+  return options;
+}
+
 // One publisher of "s" at every node of `net`.
 std::vector<ContentBasedNetwork::Publisher> PublishersEverywhere(
     ContentBasedNetwork& net) {
@@ -191,7 +199,7 @@ TEST(Network, CoveringPruneSavesControlMessages) {
   Profile narrow;
   narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
 
-  NetworkOptions pruned;
+  NetworkOptions pruned = Flooded();
   pruned.covering_prune = true;
   ContentBasedNetwork a(tree, pruned);
   a.Subscribe(5, wide, nullptr);
@@ -199,7 +207,7 @@ TEST(Network, CoveringPruneSavesControlMessages) {
   a.Subscribe(5, narrow, nullptr);
   uint64_t pruned_cost = a.control_messages() - before;
 
-  NetworkOptions flood;
+  NetworkOptions flood = Flooded();
   flood.covering_prune = false;
   ContentBasedNetwork b(tree, flood);
   b.Subscribe(5, wide, nullptr);
@@ -220,7 +228,7 @@ TEST(Network, CoveringPruneDoesNotLoseDeliveries) {
                   .value();
   std::vector<int> hits_per_mode;
   for (bool prune : {false, true}) {
-    NetworkOptions opts;
+    NetworkOptions opts = Flooded();
     opts.covering_prune = prune;
     ContentBasedNetwork net(tree, opts);
     auto pubs = PublishersEverywhere(net);
@@ -256,7 +264,7 @@ TEST(Network, UnsubscribingCoveringProfileDoesNotSilenceCoveredOnes) {
   auto tree = DisseminationTree::FromEdges(
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
-  ContentBasedNetwork net(std::move(tree));
+  ContentBasedNetwork net(std::move(tree), Flooded());
   auto pub = net.Advertise(0, "s");
   int hits_b = 0;
   Profile wide;
@@ -283,7 +291,7 @@ TEST(Network, EqualProfilesNotStrandedBehindRemovedCoverer) {
   auto tree = DisseminationTree::FromEdges(
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
-  ContentBasedNetwork net(std::move(tree));
+  ContentBasedNetwork net(std::move(tree), Flooded());
   auto pub3 = net.Advertise(3, "s");
   Profile whole;
   whole.AddStream("s");
@@ -437,7 +445,7 @@ TEST(Network, PrunedFilteredSubscriberStillServedUnderEarlyProjection) {
   auto tree = DisseminationTree::FromEdges(
                   4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
                   .value();
-  ContentBasedNetwork net(std::move(tree));
+  ContentBasedNetwork net(std::move(tree), Flooded());
   auto pub = net.Advertise(0, "s");
   int plain_hits = 0;
   int filtered_hits = 0;

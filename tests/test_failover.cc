@@ -152,115 +152,140 @@ TEST(CbnFailureRecovery, RepairUnderSimulatorDoesNotDuplicateDeliveries) {
   // Regression: forwarding hops scheduled on the Simulator dropped the
   // `allowed` component restriction, so a buffered datagram flushed by
   // Repair() re-entered the healthy side and was delivered twice there.
-  Simulator sim;
-  ContentBasedNetwork net(ChainTree(4), NetworkOptions{}, &sim);
-  auto pub = net.Advertise(0, "s");
-  int hits1 = 0;
-  int hits3 = 0;
-  net.Subscribe(1, WholeStreamProfile(),
-                [&](const std::string&, const Tuple&) { ++hits1; });
-  net.Subscribe(3, WholeStreamProfile(),
-                [&](const std::string&, const Tuple&) { ++hits3; });
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, CbnTuple(1));
-  sim.Run();
-  EXPECT_EQ(hits1, 1);
-  EXPECT_EQ(hits3, 0);
-  EXPECT_EQ(net.buffered_datagrams(), 1u);
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    Simulator sim;
+    ContentBasedNetwork net(ChainTree(4), opts, &sim);
+    auto pub = net.Advertise(0, "s");
+    int hits1 = 0;
+    int hits3 = 0;
+    net.Subscribe(1, WholeStreamProfile(),
+                  [&](const std::string&, const Tuple&) { ++hits1; });
+    net.Subscribe(3, WholeStreamProfile(),
+                  [&](const std::string&, const Tuple&) { ++hits3; });
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, CbnTuple(1));
+    sim.Run();
+    EXPECT_EQ(hits1, 1);
+    EXPECT_EQ(hits3, 0);
+    EXPECT_EQ(net.buffered_datagrams(), 1u);
 
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  sim.Run();
-  EXPECT_EQ(hits3, 1) << "buffered datagram not recovered";
-  EXPECT_EQ(hits1, 1)
-      << "scheduled hop dropped the component restriction: duplicate "
-         "delivery on the healthy side";
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    sim.Run();
+    EXPECT_EQ(hits3, 1) << "buffered datagram not recovered";
+    EXPECT_EQ(hits1, 1)
+        << "scheduled hop dropped the component restriction: duplicate "
+           "delivery on the healthy side";
+  }
 }
 
 TEST(CbnFailureRecovery, RebuildTreeDeliversBufferedDatagrams) {
   // Regression: RebuildTree() cleared failed_links_ but stranded buffered_
   // datagrams — never delivered, never counted lost or recovered.
-  ContentBasedNetwork net(ChainTree(4));
-  auto pub = net.Advertise(0, "s");
-  int hits1 = 0;
-  int hits3 = 0;
-  net.Subscribe(1, WholeStreamProfile(),
-                [&](const std::string&, const Tuple&) { ++hits1; });
-  net.Subscribe(3, WholeStreamProfile(),
-                [&](const std::string&, const Tuple&) { ++hits3; });
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, CbnTuple(1));
-  EXPECT_EQ(hits1, 1);
-  EXPECT_EQ(hits3, 0);
-  EXPECT_EQ(net.buffered_datagrams(), 1u);
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(4), opts);
+    auto pub = net.Advertise(0, "s");
+    int hits1 = 0;
+    int hits3 = 0;
+    net.Subscribe(1, WholeStreamProfile(),
+                  [&](const std::string&, const Tuple&) { ++hits1; });
+    net.Subscribe(3, WholeStreamProfile(),
+                  [&](const std::string&, const Tuple&) { ++hits3; });
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, CbnTuple(1));
+    EXPECT_EQ(hits1, 1);
+    EXPECT_EQ(hits3, 0);
+    EXPECT_EQ(net.buffered_datagrams(), 1u);
 
-  ASSERT_TRUE(net.RebuildTree(ChainTree(4)).ok());
-  EXPECT_EQ(hits3, 1) << "RebuildTree stranded the buffered datagram";
-  EXPECT_EQ(hits1, 1) << "duplicate delivery on the healthy side";
-  EXPECT_EQ(net.buffered_datagrams(), 0u);
-  EXPECT_EQ(net.recovered_datagrams(), 1u);
-  EXPECT_EQ(net.lost_datagrams(), 0u);
+    ASSERT_TRUE(net.RebuildTree(ChainTree(4)).ok());
+    EXPECT_EQ(hits3, 1) << "RebuildTree stranded the buffered datagram";
+    EXPECT_EQ(hits1, 1) << "duplicate delivery on the healthy side";
+    EXPECT_EQ(net.buffered_datagrams(), 0u);
+    EXPECT_EQ(net.recovered_datagrams(), 1u);
+    EXPECT_EQ(net.lost_datagrams(), 0u);
+  }
 }
 
 TEST(CbnFailureRecovery, ResetStatsClearsRecoveryCounters) {
   // Regression: ResetStats() left recovered_datagrams_ standing, so
   // ablation runs resetting between trials double-counted recoveries.
-  ContentBasedNetwork net(ChainTree(4));
-  auto pub = net.Advertise(0, "s");
-  net.Subscribe(3, WholeStreamProfile(), nullptr);
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, CbnTuple(1));
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  ASSERT_EQ(net.recovered_datagrams(), 1u);
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(4), opts);
+    auto pub = net.Advertise(0, "s");
+    net.Subscribe(3, WholeStreamProfile(), nullptr);
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, CbnTuple(1));
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    ASSERT_EQ(net.recovered_datagrams(), 1u);
 
-  net.ResetStats();
-  EXPECT_EQ(net.recovered_datagrams(), 0u);
-  EXPECT_EQ(net.lost_datagrams(), 0u);
-  EXPECT_EQ(net.total_bytes(), 0u);
+    net.ResetStats();
+    EXPECT_EQ(net.recovered_datagrams(), 0u);
+    EXPECT_EQ(net.lost_datagrams(), 0u);
+    EXPECT_EQ(net.total_bytes(), 0u);
+  }
 }
 
 TEST(CbnFailureRecovery, FlushRetransmissionsAreNeverChargedToLinks) {
   // Flushing after Repair() travels the recovery channel: it counts into
   // cbn.recovery_forwards and never into link_stats() or total_bytes().
-  ContentBasedNetwork net(ChainTree(4));
-  auto pub = net.Advertise(0, "s");
-  MetricsRegistry registry;
-  net.SetTelemetry(&registry, nullptr);
-  net.Subscribe(3, WholeStreamProfile(), nullptr);
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, CbnTuple(1));
-  const uint64_t bytes = net.total_bytes();
-  const uint64_t forwards = net.total_datagrams_forwarded();
-  ASSERT_EQ(forwards, 1u);  // 0 -> 1; buffered at 1 -> 2
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(4), opts);
+    auto pub = net.Advertise(0, "s");
+    MetricsRegistry registry;
+    net.SetTelemetry(&registry, nullptr);
+    net.Subscribe(3, WholeStreamProfile(), nullptr);
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, CbnTuple(1));
+    const uint64_t bytes = net.total_bytes();
+    const uint64_t forwards = net.total_datagrams_forwarded();
+    ASSERT_EQ(forwards, 1u);  // 0 -> 1; buffered at 1 -> 2
 
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  ASSERT_EQ(net.recovered_datagrams(), 1u);
-  EXPECT_EQ(registry.FindCounter("cbn.recovery_forwards")->value(), 1u);
-  EXPECT_EQ(net.total_bytes(), bytes);
-  EXPECT_EQ(net.total_datagrams_forwarded(), forwards);
-  EXPECT_EQ(registry.FindCounter("cbn.forwards")->value(), forwards);
-  ASSERT_EQ(net.link_stats().size(), 1u)
-      << "the flush hop 2 -> 3 was charged to the link";
-  EXPECT_EQ(net.link_stats().at({0, 1}).datagrams, 1u);
-  EXPECT_EQ(net.link_stats().at({0, 1}).bytes, bytes);
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    ASSERT_EQ(net.recovered_datagrams(), 1u);
+    EXPECT_EQ(registry.FindCounter("cbn.recovery_forwards")->value(), 1u);
+    EXPECT_EQ(net.total_bytes(), bytes);
+    EXPECT_EQ(net.total_datagrams_forwarded(), forwards);
+    EXPECT_EQ(registry.FindCounter("cbn.forwards")->value(), forwards);
+    ASSERT_EQ(net.link_stats().size(), 1u)
+        << "a flush hop was charged to a link";
+    EXPECT_EQ(net.link_stats().at({0, 1}).datagrams, 1u);
+    EXPECT_EQ(net.link_stats().at({0, 1}).bytes, bytes);
+  }
 }
 
 TEST(CbnFailureRecovery, RepairDropsStatsForRemovedLinks) {
   // Regression: WeightedBytes() kept charging pre-repair link keys that
   // are no longer tree edges, at the value_or(1.0) fallback weight.
-  ContentBasedNetwork net(ChainTree(4));
-  auto pub = net.Advertise(0, "s");
-  net.Subscribe(3, WholeStreamProfile(), nullptr);
-  net.Publish(pub, CbnTuple(1));
-  ASSERT_GT(net.link_stats().count({1, 2}), 0u);
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(4), opts);
+    auto pub = net.Advertise(0, "s");
+    net.Subscribe(3, WholeStreamProfile(), nullptr);
+    net.Publish(pub, CbnTuple(1));
+    ASSERT_GT(net.link_stats().count({1, 2}), 0u);
 
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  EXPECT_EQ(net.link_stats().count({1, 2}), 0u)
-      << "stats survived for a link the repair removed from the tree";
-  for (const auto& [key, stats] : net.link_stats()) {
-    EXPECT_TRUE(net.tree().HasEdge(key.first, key.second))
-        << "stats for (" << key.first << "," << key.second
-        << ") but no such tree edge";
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    EXPECT_EQ(net.link_stats().count({1, 2}), 0u)
+        << "stats survived for a link the repair removed from the tree";
+    for (const auto& [key, stats] : net.link_stats()) {
+      EXPECT_TRUE(net.tree().HasEdge(key.first, key.second))
+          << "stats for (" << key.first << "," << key.second
+          << ") but no such tree edge";
+    }
   }
 }
 

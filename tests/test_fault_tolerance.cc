@@ -8,6 +8,7 @@
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
 #include "query/parser.h"
+#include "sim/simulator.h"
 
 namespace cosmos {
 namespace {
@@ -60,34 +61,39 @@ TEST(FaultTolerance, LossWithoutBuffering) {
 }
 
 TEST(FaultTolerance, BufferAndRecoverAfterRepair) {
-  ContentBasedNetwork net(ChainTree());
-  auto pub = net.Advertise(0, "s");
-  std::vector<double> received;
-  Profile p;
-  p.AddStream("s");
-  net.Subscribe(3, p, [&](const std::string&, const Tuple& t) {
-    received.push_back(t.value(0).AsDouble());
-  });
-  net.Publish(pub, MakeTuple(1, 0));
-  ASSERT_EQ(received.size(), 1u);
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(), opts);
+    auto pub = net.Advertise(0, "s");
+    std::vector<double> received;
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(3, p, [&](const std::string&, const Tuple& t) {
+      received.push_back(t.value(0).AsDouble());
+    });
+    net.Publish(pub, MakeTuple(1, 0));
+    ASSERT_EQ(received.size(), 1u);
 
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, MakeTuple(2, 1));
-  net.Publish(pub, MakeTuple(3, 2));
-  EXPECT_EQ(received.size(), 1u);  // cut off
-  EXPECT_EQ(net.buffered_datagrams(), 2u);
-  EXPECT_EQ(net.lost_datagrams(), 0u);
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, MakeTuple(2, 1));
+    net.Publish(pub, MakeTuple(3, 2));
+    EXPECT_EQ(received.size(), 1u);  // cut off
+    EXPECT_EQ(net.buffered_datagrams(), 2u);
+    EXPECT_EQ(net.lost_datagrams(), 0u);
 
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  EXPECT_FALSE(net.HasFailedLinks());
-  EXPECT_EQ(net.recovered_datagrams(), 2u);
-  ASSERT_EQ(received.size(), 3u);
-  EXPECT_DOUBLE_EQ(received[1], 2.0);
-  EXPECT_DOUBLE_EQ(received[2], 3.0);
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    EXPECT_FALSE(net.HasFailedLinks());
+    EXPECT_EQ(net.recovered_datagrams(), 2u);
+    ASSERT_EQ(received.size(), 3u);
+    EXPECT_DOUBLE_EQ(received[1], 2.0);
+    EXPECT_DOUBLE_EQ(received[2], 3.0);
 
-  // The repaired tree works for fresh traffic.
-  net.Publish(pub, MakeTuple(4, 3));
-  EXPECT_EQ(received.size(), 4u);
+    // The repaired tree works for fresh traffic.
+    net.Publish(pub, MakeTuple(4, 3));
+    EXPECT_EQ(received.size(), 4u);
+  }
 }
 
 TEST(FaultTolerance, RepairUsesCheapestCrossEdge) {
@@ -102,20 +108,25 @@ TEST(FaultTolerance, RepairUsesCheapestCrossEdge) {
 TEST(FaultTolerance, NoDuplicateDeliveryOnHealthySide) {
   // Subscriber at node 1 (near side) must see each datagram exactly once
   // even though datagrams toward node 3 were buffered and flushed.
-  ContentBasedNetwork net(ChainTree());
-  auto pub = net.Advertise(0, "s");
-  int hits1 = 0, hits3 = 0;
-  Profile p;
-  p.AddStream("s");
-  net.Subscribe(1, p, [&](const std::string&, const Tuple&) { ++hits1; });
-  net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits3; });
-  ASSERT_TRUE(net.FailLink(1, 2).ok());
-  net.Publish(pub, MakeTuple(1));
-  EXPECT_EQ(hits1, 1);
-  EXPECT_EQ(hits3, 0);
-  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
-  EXPECT_EQ(hits1, 1);  // no duplicate
-  EXPECT_EQ(hits3, 1);  // recovered
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(), opts);
+    auto pub = net.Advertise(0, "s");
+    int hits1 = 0, hits3 = 0;
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(1, p, [&](const std::string&, const Tuple&) { ++hits1; });
+    net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits3; });
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, MakeTuple(1));
+    EXPECT_EQ(hits1, 1);
+    EXPECT_EQ(hits3, 0);
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    EXPECT_EQ(hits1, 1);  // no duplicate
+    EXPECT_EQ(hits3, 1);  // recovered
+  }
 }
 
 TEST(FaultTolerance, UnrepairablePartitionReported) {
@@ -130,51 +141,61 @@ TEST(FaultTolerance, UnrepairablePartitionReported) {
 }
 
 TEST(FaultTolerance, MultipleFailuresRepairedTogether) {
-  TopologyOptions topo_opts;
-  topo_opts.num_nodes = 30;
-  topo_opts.ba_edges_per_node = 3;
-  Topology topo = GenerateBarabasiAlbert(topo_opts);
-  auto tree = DisseminationTree::FromEdges(
-                  30, *MinimumSpanningTree(topo.graph))
-                  .value();
-  ContentBasedNetwork net(tree);
-  int hits = 0;
-  Profile p;
-  p.AddStream("s");
-  net.Subscribe(17, p, [&](const std::string&, const Tuple&) { ++hits; });
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    TopologyOptions topo_opts;
+    topo_opts.num_nodes = 30;
+    topo_opts.ba_edges_per_node = 3;
+    Topology topo = GenerateBarabasiAlbert(topo_opts);
+    auto tree = DisseminationTree::FromEdges(
+                    30, *MinimumSpanningTree(topo.graph))
+                    .value();
+    ContentBasedNetwork net(tree, opts);
+    int hits = 0;
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(17, p, [&](const std::string&, const Tuple&) { ++hits; });
 
-  // Fail two tree links.
-  const auto& edges = tree.edges();
-  ASSERT_TRUE(net.FailLink(edges[0].u, edges[0].v).ok());
-  ASSERT_TRUE(net.FailLink(edges[5].u, edges[5].v).ok());
-  ASSERT_TRUE(net.Repair(topo.graph).ok());
-  EXPECT_FALSE(net.HasFailedLinks());
-  // Fresh traffic reaches the subscriber from anywhere.
-  for (NodeId n = 0; n < 30; n += 7) {
-    auto pub = net.Advertise(n, "s");
-    net.Publish(pub, MakeTuple(1));
+    // Fail two tree links.
+    const auto& edges = tree.edges();
+    ASSERT_TRUE(net.FailLink(edges[0].u, edges[0].v).ok());
+    ASSERT_TRUE(net.FailLink(edges[5].u, edges[5].v).ok());
+    ASSERT_TRUE(net.Repair(topo.graph).ok());
+    EXPECT_FALSE(net.HasFailedLinks());
+    // Fresh traffic reaches the subscriber from anywhere.
+    for (NodeId n = 0; n < 30; n += 7) {
+      auto pub = net.Advertise(n, "s");
+      net.Publish(pub, MakeTuple(1));
+    }
+    EXPECT_EQ(hits, 5);
   }
-  EXPECT_EQ(hits, 5);
 }
 
 TEST(RebuildTree, PreservesSubscriptions) {
-  ContentBasedNetwork net(ChainTree());
-  auto pub1 = net.Advertise(1, "s");
-  int hits = 0;
-  Profile p;
-  ConjunctiveClause c;
-  c.ConstrainInterval("temp", Interval(0, false, 10, false));
-  p.AddFilter(Filter("s", std::move(c)));
-  net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    NetworkOptions opts;
+    opts.advertisement_scoping = scoping;
+    ContentBasedNetwork net(ChainTree(), opts);
+    auto pub1 = net.Advertise(1, "s");
+    int hits = 0;
+    Profile p;
+    ConjunctiveClause c;
+    c.ConstrainInterval("temp", Interval(0, false, 10, false));
+    p.AddFilter(Filter("s", std::move(c)));
+    net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
 
-  // Rebuild on a star topology instead of the chain.
-  auto star = DisseminationTree::FromEdges(
-                  4, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0}})
-                  .value();
-  ASSERT_TRUE(net.RebuildTree(star).ok());
-  net.Publish(pub1, MakeTuple(5));   // match
-  net.Publish(pub1, MakeTuple(20));  // no match
-  EXPECT_EQ(hits, 1);
+    // Rebuild on a star topology instead of the chain.
+    auto star = DisseminationTree::FromEdges(
+                    4, {Edge{0, 1, 1.0}, Edge{0, 2, 1.0}, Edge{0, 3, 1.0}})
+                    .value();
+    ASSERT_TRUE(net.RebuildTree(star).ok());
+    net.Publish(pub1, MakeTuple(5));   // match
+    net.Publish(pub1, MakeTuple(20));  // no match
+    EXPECT_EQ(hits, 1);
+  }
 }
 
 TEST(RebuildTree, WrongSizeRejected) {
@@ -194,7 +215,9 @@ TEST(Advertisements, ScopingShrinksRoutingState) {
   NetworkOptions scoped;
   scoped.advertisement_scoping = true;
   ContentBasedNetwork with(tree, scoped);
-  ContentBasedNetwork without(tree, NetworkOptions{});
+  NetworkOptions flooded;
+  flooded.advertisement_scoping = false;
+  ContentBasedNetwork without(tree, flooded);
 
   auto with_pub = with.Advertise(0, "s");
   Profile p;
@@ -261,6 +284,77 @@ TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {
   }
   EXPECT_GT(hits_per_mode[0], 0);
   EXPECT_EQ(hits_per_mode[0], hits_per_mode[1]);
+}
+
+// A scoped flush must not restart where the datagram stopped. Chain
+// 0-1-2-3 with the publisher at 0: failing 1-2 buffers the datagram toward
+// entry node 2, and Repair splices in 3-0, so the repaired tree's only
+// publisher->subscriber paths are 0-1 and 0-3. Node 2 holds no routing
+// state, and a flush restarted there would strand the datagram.
+TEST(Advertisements, ScopedFlushRestartsAtAPublisher) {
+  for (bool simulated : {false, true}) {
+    SCOPED_TRACE(simulated ? "simulator" : "synchronous");
+    Simulator simulator;
+    Simulator* sim = simulated ? &simulator : nullptr;
+    NetworkOptions scoped;
+    scoped.advertisement_scoping = true;
+    ContentBasedNetwork net(ChainTree(), scoped, sim);
+    auto run = [sim] {
+      if (sim != nullptr) sim->Run();
+    };
+    auto pub = net.Advertise(0, "s");
+    int near_hits = 0;
+    int far_hits = 0;
+    Profile p;
+    p.AddStream("s");
+    net.Subscribe(1, p,
+                  [&](const std::string&, const Tuple&) { ++near_hits; });
+    net.Subscribe(3, p,
+                  [&](const std::string&, const Tuple&) { ++far_hits; });
+
+    ASSERT_TRUE(net.FailLink(1, 2).ok());
+    net.Publish(pub, MakeTuple(1));
+    run();
+    EXPECT_EQ(near_hits, 1);
+    EXPECT_EQ(far_hits, 0);
+    ASSERT_EQ(net.buffered_datagrams(), 1u);
+
+    ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+    run();
+    ASSERT_TRUE(net.tree().HasEdge(3, 0));
+    EXPECT_EQ(net.router(2).table().TotalEntries(), 0u)
+        << "entry node 2 lies on a publisher->subscriber path";
+    EXPECT_EQ(far_hits, 1) << "the cut-off subscriber missed the flush";
+    EXPECT_EQ(near_hits, 1) << "the flush reached the healthy side";
+    EXPECT_EQ(net.recovered_datagrams(), 1u);
+    EXPECT_EQ(net.lost_datagrams(), 0u);
+    EXPECT_EQ(net.buffered_datagrams(), 0u);
+  }
+}
+
+// A buffered datagram whose stream lost its last publisher before the
+// flush: the flush restarts at a publisher, and nothing routes a stream
+// nobody advertises, so the datagram is counted lost.
+TEST(Advertisements, FlushWithoutPublisherCountsLost) {
+  ContentBasedNetwork net(ChainTree());
+  auto pub = net.Advertise(0, "s");
+  int hits = 0;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(3, p, [&](const std::string&, const Tuple&) { ++hits; });
+  ASSERT_TRUE(net.FailLink(1, 2).ok());
+  net.Publish(pub, MakeTuple(1));
+  ASSERT_EQ(net.buffered_datagrams(), 1u);
+  pub = ContentBasedNetwork::Publisher();
+  ASSERT_EQ(net.PublishersOf("s"), nullptr);
+
+  ASSERT_TRUE(net.Repair(SquareOverlay()).ok());
+  EXPECT_EQ(net.buffered_datagrams(), 0u);
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(net.recovered_datagrams(), 0u);
+  EXPECT_EQ(net.lost_datagrams(), 1u);
+  EXPECT_EQ(net.metrics().FindCounter("cbn.matches")->value(), 2u)
+      << "a datagram lost for want of a publisher matched no bucket";
 }
 
 TEST(Advertisements, PublishersOfTracksAdvertisers) {

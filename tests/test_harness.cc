@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 
+#include "core/system.h"
 #include "harness/oracle.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
@@ -29,6 +32,45 @@ TEST(DstScenario, DifferentSeedsDiffer) {
   // a collision would mean the seed barely feeds the generator.
   EXPECT_NE(GenerateScenario(1).ToString(), GenerateScenario(2).ToString());
   EXPECT_NE(GenerateScenario(1).ToString(), GenerateScenario(3).ToString());
+}
+
+// Over the dst_smoke seeds each regime knob leaves its shipped value
+// somewhere, the shipped regime runs too, covering prune moves only where
+// subscriptions flood, and the repro names the regime.
+TEST(DstScenario, SeedsDrawTheRegime) {
+  const SystemOptions shipped;
+  int production = 0;
+  std::map<std::string, int> moved;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const DstScenario s = GenerateScenario(seed);
+    const DstRegime& r = s.regime;
+    const std::map<std::string, bool> knobs = {
+        {"advertisement_scoping", r.advertisement_scoping !=
+                                      shipped.network.advertisement_scoping},
+        {"covering_prune",
+         r.covering_prune != shipped.network.covering_prune},
+        {"early_projection",
+         r.early_projection != shipped.network.early_projection},
+        {"enable_merging",
+         r.enable_merging != shipped.processor.enable_merging},
+    };
+    bool any = false;
+    for (const auto& [knob, differs] : knobs) {
+      moved[knob] += differs;
+      any = any || differs;
+    }
+    production += !any;
+    if (r.advertisement_scoping) {
+      EXPECT_EQ(r.covering_prune, shipped.network.covering_prune)
+          << "seed " << seed;
+    }
+    EXPECT_NE(s.ToString().find("regime: " + r.ToString() + "\n"),
+              std::string::npos)
+        << "seed " << seed;
+  }
+  EXPECT_GT(production, 0);
+  EXPECT_EQ(moved.size(), 4u);
+  for (const auto& [knob, seeds] : moved) EXPECT_GT(seeds, 0) << knob;
 }
 
 TEST(DstScenario, RespectsOptionEnvelope) {

@@ -1030,9 +1030,14 @@ TEST(StreamIds, TableReusesFreedIdsAndBoundsDictionaries) {
 // old owner left behind: its buckets, compiled-matcher bindings (column
 // offsets) or projection plans.
 TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
+  // Flooded, so a subscription installs its buckets before any publisher
+  // of its stream advertises.
+  NetworkOptions flooded;
+  flooded.advertisement_scoping = false;
   ContentBasedNetwork net(
       DisseminationTree::FromEdges(3, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}})
-          .value());
+          .value(),
+      flooded);
   auto a_schema = std::make_shared<Schema>(
       "A", std::vector<AttributeDef>{{"a1", ValueType::kDouble},
                                      {"a2", ValueType::kDouble},

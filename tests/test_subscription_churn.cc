@@ -45,6 +45,14 @@ PublishersEverywhere(ContentBasedNetwork& net) {
   return pubs;
 }
 
+// The flood regime: every subscription reaches the whole tree, pruned only
+// by covering, which acts only there.
+NetworkOptions Flooded() {
+  NetworkOptions options;
+  options.advertisement_scoping = false;
+  return options;
+}
+
 DisseminationTree BaTree(int nodes, uint64_t seed) {
   TopologyOptions topo_opts;
   topo_opts.num_nodes = nodes;
@@ -129,8 +137,8 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
     Rng rng = Rng(0xC0FFEE).Derive(seed);
     const int nodes = kNodes[seed - 1];
     const DisseminationTree tree = BaTree(nodes, seed);
-    ContentBasedNetwork churned(tree);
-    NetworkOptions no_prune;
+    ContentBasedNetwork churned(tree, Flooded());
+    NetworkOptions no_prune = Flooded();
     no_prune.covering_prune = false;
     ContentBasedNetwork unpruned(tree, no_prune);
     auto churned_pubs = PublishersEverywhere(churned);
@@ -180,7 +188,7 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
         live.erase(live.begin() + static_cast<long>(victim));
       }
 
-      ContentBasedNetwork fresh(tree);
+      ContentBasedNetwork fresh(tree, Flooded());
       for (const Live& l : live) fresh.Subscribe(l.node, l.profile, nullptr);
 
       std::vector<Datagram> samples;
@@ -224,7 +232,7 @@ TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
 TEST(SubscriptionChurn, CoveringCheckCountIsPinned) {
   const int kNodes = 60;
   const DisseminationTree tree = BaTree(kNodes, 11);
-  ContentBasedNetwork net(tree);
+  ContentBasedNetwork net(tree, Flooded());
   Rng rng = Rng(0xC0FFEE).Derive(11);
   std::vector<ProfileId> live;
   std::vector<Profile> history;
@@ -261,7 +269,7 @@ TEST(SubscriptionChurn, RemovingAProfileThatCoversNothingIsFree) {
   const int kNodes = 100;
   const DisseminationTree tree = BaTree(kNodes, 7);
   for (int live : {10, 100, 1000}) {
-    ContentBasedNetwork net(tree);
+    ContentBasedNetwork net(tree, Flooded());
     Rng rng(static_cast<uint64_t>(live));
     // Subscribers sit on a pool of nodes. Each first takes the whole
     // stream, then narrow, pairwise disjoint temp ranges the whole-stream
