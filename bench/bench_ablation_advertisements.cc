@@ -1,12 +1,13 @@
-// Ablation abl-adv (DESIGN.md): cost of subscription state under the three
+// Ablation abl-adv (DESIGN.md): cost of subscription state under four
 // propagation regimes —
 //   flood:       subscriptions installed network-wide, no pruning
 //   covering:    flooding with covering-based pruning (classic CBN)
 //   advertised:  advertisement-scoped installation (paper §2: sources and
 //                processors advertise their streams, so interest state only
-//                lives on publisher->subscriber paths)
+//                lives on publisher->subscriber paths), no pruning
+//   advertised + covering: scoped, and pruned by covering along the paths
 // Reports control messages and routing-table entries; data delivery is
-// identical under all three (asserted).
+// identical under all four (asserted).
 
 #include <cstdio>
 
@@ -37,8 +38,8 @@ Outcome Run(int mode, int num_nodes, int num_subs) {
                   num_nodes, *MinimumSpanningTree(topo.graph))
                   .value();
   NetworkOptions opts;
-  opts.covering_prune = (mode >= 1);
-  opts.advertisement_scoping = (mode == 2);
+  opts.covering_prune = mode == 1 || mode == 3;
+  opts.advertisement_scoping = mode >= 2;
   ContentBasedNetwork net(std::move(tree), opts);
 
   Catalog catalog;
@@ -96,9 +97,10 @@ int main(int argc, char** argv) {
   std::printf("%-28s %16s %16s %14s\n", "regime", "control msgs",
               "table entries", "deliveries");
 
-  const char* names[] = {"flood", "covering-prune", "advertised"};
-  Outcome outcomes[3];
-  for (int mode = 0; mode < 3; ++mode) {
+  const char* names[] = {"flood", "covering-prune", "advertised",
+                         "advertised + covering"};
+  Outcome outcomes[4];
+  for (int mode = 0; mode < 4; ++mode) {
     outcomes[mode] = Run(mode, num_nodes, num_subs);
     std::printf("%-28s %16llu %16zu %14d\n", names[mode],
                 static_cast<unsigned long long>(
@@ -106,7 +108,8 @@ int main(int argc, char** argv) {
                 outcomes[mode].table_entries, outcomes[mode].deliveries);
   }
   bool equivalent = outcomes[0].deliveries == outcomes[1].deliveries &&
-                    outcomes[1].deliveries == outcomes[2].deliveries;
+                    outcomes[1].deliveries == outcomes[2].deliveries &&
+                    outcomes[2].deliveries == outcomes[3].deliveries;
   std::printf("\ndelivery identical across regimes: %s\n",
               equivalent ? "yes" : "NO (bug!)");
   std::printf("advertisement scoping keeps %.1f%% of flooded table state\n",

@@ -32,10 +32,12 @@ Outcome Run(bool buffering, int num_failures, int num_nodes) {
   auto tree = DisseminationTree::FromEdges(
                   num_nodes, *MinimumSpanningTree(topo.graph))
                   .value();
-  // Flooded, the regime its published repair-message column was measured
-  // in: a repair reinstalls every subscription network-wide.
+  // Flooded and pruned by covering, the regime its published
+  // repair-message column was measured in: a repair reinstalls every
+  // subscription network-wide.
   NetworkOptions opts;
   opts.advertisement_scoping = false;
+  opts.covering_prune = true;
   opts.buffer_on_failure = buffering;
   ContentBasedNetwork net(tree, opts);
 

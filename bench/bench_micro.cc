@@ -502,8 +502,9 @@ struct RoutingForwardFixture {
       p.AddStream(schema->stream_name(), {"temp"});
       p.AddFilter(Filter(schema->stream_name(), std::move(c)));
       link_profiles.push_back(std::make_shared<const Profile>(std::move(p)));
-      router.table().Add(kLink, static_cast<ProfileId>(i + 1),
-                         link_profiles.back());
+      router.table().Add(
+          kLink, RoutingTable::Resolve(&streams, static_cast<ProfileId>(i + 1),
+                                       link_profiles.back()));
     }
     datagrams.reserve(512);
     for (size_t i = 0; i < 512; ++i) {
@@ -620,8 +621,10 @@ struct MatchBucketFixture {
       }
       p.AddStream("sensor", {"temp"});
       p.AddFilter(Filter("sensor", std::move(c)));
-      router.table().Add(kLink, static_cast<ProfileId>(i + 1),
-                         std::make_shared<const Profile>(std::move(p)));
+      router.table().Add(
+          kLink, RoutingTable::Resolve(
+                     &streams, static_cast<ProfileId>(i + 1),
+                     std::make_shared<const Profile>(std::move(p))));
     }
     datagrams.reserve(512);
     for (size_t i = 0; i < 512; ++i) {
@@ -670,7 +673,7 @@ const Datagram* InterpretedDecideForward(const MatchBucketFixture& fix,
   size_t matched = 0;
   AttrMask needed = 0;
   for (const auto& slot : bucket->slots()) {
-    if (!slot.profile->Covers(d)) continue;
+    if (!slot.profile().Covers(d)) continue;
     ++matched;
     needed |= slot.required;
   }

@@ -34,7 +34,63 @@ ContentBasedNetwork::ContentBasedNetwork(DisseminationTree tree,
   for (NodeId i = 0; i < tree_.num_nodes(); ++i) {
     routers_.emplace_back(i, streams_.get(), NeighborIds(i));
   }
+  IndexTree();
   SetTelemetry(nullptr, nullptr);
+}
+
+void ContentBasedNetwork::IndexTree() {
+  const size_t n = static_cast<size_t>(num_nodes());
+  tin_.assign(n, 0);
+  tout_.assign(n, 0);
+  parent_.assign(n, -1);
+  // Iterative depth-first search: each frame is a node and the index of
+  // its next neighbour to visit.
+  std::vector<std::pair<NodeId, size_t>> stack = {{0, 0}};
+  uint32_t clock = 1;
+  while (!stack.empty()) {
+    const NodeId u = stack.back().first;
+    const auto& neighbors = tree_.Neighbors(u);
+    const size_t k = stack.back().second++;
+    if (k == neighbors.size()) {
+      tout_[u] = clock;
+      stack.pop_back();
+      continue;
+    }
+    const NodeId v = neighbors[k].first;
+    if (v == parent_[u]) continue;
+    parent_[v] = u;
+    tin_[v] = clock++;
+    stack.emplace_back(v, 0);
+  }
+}
+
+bool ContentBasedNetwork::TargetBeyond(NodeId node, NodeId next,
+                                       const Targets& targets) const {
+  if (targets.everywhere) return true;
+  const std::vector<uint32_t>& t = targets.tins;
+  if (parent_[next] == node) {
+    // `next`'s side is its subtree.
+    auto it = std::lower_bound(t.begin(), t.end(), tin_[next]);
+    return it != t.end() && *it < tout_[next];
+  }
+  // `next` is `node`'s parent: its side is everything outside `node`'s
+  // subtree.
+  return !t.empty() && (t.front() < tin_[node] || t.back() >= tout_[node]);
+}
+
+const ContentBasedNetwork::Targets& ContentBasedNetwork::TargetsOf(
+    const RoutingTable::Entry& entry) {
+  targets_.everywhere = !options_.advertisement_scoping;
+  targets_.tins.clear();
+  if (targets_.everywhere) return targets_;
+  for (const RoutingTable::Entry::Part& part : entry.parts) {
+    const std::set<NodeId>* publishers =
+        PublishersOf(streams_->Name(part.stream.id()));
+    if (publishers == nullptr) continue;
+    for (NodeId p : *publishers) targets_.tins.push_back(tin_[p]);
+  }
+  std::sort(targets_.tins.begin(), targets_.tins.end());
+  return targets_;
 }
 
 std::vector<NodeId> ContentBasedNetwork::NeighborIds(NodeId node) const {
@@ -154,7 +210,7 @@ size_t ContentBasedNetwork::CachedProjectionPlans() const {
 void ContentBasedNetwork::ForEachSubscription(
     const std::function<void(NodeId, const Profile&)>& fn) const {
   for (const auto& [id, sub] : subscriptions_) {
-    fn(sub.node, *sub.profile);
+    fn(sub.node, *sub.entry->profile);
   }
 }
 
@@ -167,9 +223,18 @@ ContentBasedNetwork::Publisher ContentBasedNetwork::Advertise(
   if (!options_.advertisement_scoping) return publisher;
   // A new publisher appeared: existing subscriptions interested in this
   // stream need routing entries along the new publisher->subscriber paths.
+  const StreamId sid = publisher.stream_.id();
+  Targets target;
+  target.tins.push_back(tin_[node]);
   for (const auto& [id, sub] : subscriptions_) {
-    if (!sub.profile->WantsStream(stream)) continue;
-    InstallAlongPath(node, sub.node, id, sub.profile);
+    const auto& parts = sub.entry->parts;
+    if (std::none_of(parts.begin(), parts.end(),
+                     [sid](const RoutingTable::Entry::Part& part) {
+                       return part.stream.id() == sid;
+                     })) {
+      continue;
+    }
+    Install(sub.entry, target, sub.node, /*prev=*/-1);
   }
   return publisher;
 }
@@ -211,91 +276,73 @@ ProfileId ContentBasedNetwork::Subscribe(
   ProfileId id = next_profile_id_++;
   auto shared = std::make_shared<const Profile>(std::move(profile));
   routers_[node].AddLocal(id, shared, callback, target);
-  subscriptions_[id] =
-      Subscription{node, shared, std::move(callback), std::move(target)};
-  PropagateSubscription(node, id, shared);
+  const Subscription& sub =
+      subscriptions_[id] = Subscription{
+          node, RoutingTable::Resolve(streams_.get(), id, std::move(shared)),
+          std::move(callback), std::move(target)};
+  Install(sub.entry, TargetsOf(*sub.entry), node, /*prev=*/-1);
   return id;
 }
 
-void ContentBasedNetwork::InstallAlongPath(NodeId publisher,
-                                           NodeId subscriber, ProfileId id,
-                                           const ProfilePtr& profile) {
-  auto path = tree_.Path(publisher, subscriber);
-  // path runs publisher -> ... -> subscriber; at each intermediate node the
-  // entry points to the next hop (toward the subscriber).
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    NodeId node = path[i];
-    NodeId toward = path[i + 1];
-    if (routers_[node].table().AddUnique(toward, id, profile)) {
-      control_->Increment();
-    }
-  }
-}
-
-void ContentBasedNetwork::PropagateSubscription(NodeId subscriber,
-                                                ProfileId id,
-                                                const ProfilePtr& profile) {
-  if (!options_.advertisement_scoping) {
-    Flood(id, profile, subscriber, /*prev=*/-1);
-    return;
-  }
-  // Advertisement-scoped installation: only publisher->subscriber paths.
-  for (const auto& stream : profile->streams()) {
-    const std::set<NodeId>* publishers = PublishersOf(stream);
-    if (publishers == nullptr) continue;
-    for (NodeId p : *publishers) {
-      InstallAlongPath(p, subscriber, id, profile);
-    }
-  }
-}
-
-void ContentBasedNetwork::Flood(ProfileId id, const ProfilePtr& profile,
-                                NodeId from, NodeId prev) {
+void ContentBasedNetwork::Install(const RoutingTable::EntryPtr& entry,
+                                  const Targets& targets, NodeId from,
+                                  NodeId prev) {
   // A node reached from neighbor `h.prev` (the side the subscriber lies on)
-  // installs (h.prev -> profile) and keeps flooding unless covering-prune
-  // applies: if an unpruned entry on that same link covers the new one,
-  // nodes farther out already route everything it wants toward us, so
-  // propagation stops and the entry records its coverer.
-  std::vector<Hop>& q = flood_hops_;
+  // holds (h.prev -> entry) and passes the subscription on toward the
+  // targets unless covering-prune applies: if an unpruned entry on that
+  // same link covers it, nodes farther out already route everything it
+  // wants toward us, so propagation stops and the entry records its
+  // coverer. An entry already there (a new publisher's walk) was pruned or
+  // passed on when it was added, and the walk does the same.
+  std::vector<Hop>& q = install_hops_;
   q.clear();
-  for (const auto& [n, w] : tree_.Neighbors(from)) {
-    if (n == prev) continue;
-    q.push_back(Hop{n, from});
-    control_->Increment();
-  }
+  auto pass_on = [this, &q, &targets](NodeId node, NodeId prev) {
+    for (const auto& [n, w] : tree_.Neighbors(node)) {
+      if (n != prev && TargetBeyond(node, n, targets)) {
+        q.push_back(Hop{n, node});
+      }
+    }
+  };
+  pass_on(from, prev);
   for (size_t head = 0; head < q.size(); ++head) {
     const Hop h = q[head];
     RoutingTable& table = routers_[h.node].table();
-    ProfileId coverer = 0;
-    if (options_.covering_prune) {
-      uint64_t checks = 0;
-      coverer = table.FindCoverer(h.prev, id, *profile, &checks);
-      covering_checks_->Add(checks);
-    }
-    table.Add(h.prev, id, profile, coverer);
-    if (coverer != 0) continue;  // no need to announce farther out
-    for (const auto& [n, w] : tree_.Neighbors(h.node)) {
-      if (n == h.prev) continue;
-      q.push_back(Hop{n, h.node});
+    if (table.Contains(h.prev, *entry)) {
+      if (table.CoveredBy(h.prev, entry->id) != 0) continue;
+    } else {
+      ProfileId coverer = 0;
+      if (options_.covering_prune) {
+        uint64_t checks = 0;
+        coverer = table.FindCoverer(h.prev, *entry, &checks);
+        covering_checks_->Add(checks);
+      }
+      table.Add(h.prev, entry, coverer);
       control_->Increment();
+      if (coverer != 0) continue;  // no need to announce farther out
     }
+    pass_on(h.node, h.prev);
   }
+}
+
+void ContentBasedNetwork::Resume(ProfileId id, NodeId node, NodeId prev) {
+  const RoutingTable::EntryPtr& entry = subscriptions_.at(id).entry;
+  Install(entry, TargetsOf(*entry), node, prev);
 }
 
 bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
   auto sit = subscriptions_.find(id);
   if (sit == subscriptions_.end()) return false;
   const NodeId subscriber = sit->second.node;
-  // Held for the walk: Remove locates each entry through the profile's
-  // streams, and the slots it erases may hold the last other references.
-  const ProfilePtr profile = std::move(sit->second.profile);
+  // Held for the walk: the slots it erases may hold the last other
+  // references.
+  const RoutingTable::EntryPtr entry = std::move(sit->second.entry);
   subscriptions_.erase(sit);
   routers_[subscriber].RemoveLocal(id);
   // The removed profile's entries form a subtree grown outward from its
   // subscriber, so the walk visits only the nodes that hold one. At each,
   // the entries it was covering are re-checked, and the ones left
-  // uncovered resume flooding past that hop; nothing else is touched.
-  std::vector<Hop>& q = unsubscribe_hops_;
+  // uncovered resume their walks past that hop; nothing else is touched.
+  std::vector<Hop>& q = entry_hops_;
   q.clear();
   for (const auto& [n, w] : tree_.Neighbors(subscriber)) {
     q.push_back(Hop{n, subscriber});
@@ -305,14 +352,49 @@ bool ContentBasedNetwork::Unsubscribe(ProfileId id) {
     const Hop h = q[head];
     uncovered.clear();
     uint64_t checks = 0;
-    if (!routers_[h.node].table().Remove(h.prev, id, *profile, &uncovered,
+    if (!routers_[h.node].table().Remove(h.prev, *entry, &uncovered,
                                          &checks)) {
       continue;
     }
     covering_checks_->Add(checks);
-    for (ProfileId u : uncovered) {
-      Flood(u, subscriptions_.at(u).profile, h.node, h.prev);
+    for (ProfileId u : uncovered) Resume(u, h.node, h.prev);
+    for (const auto& [n, w] : tree_.Neighbors(h.node)) {
+      if (n != h.prev) q.push_back(Hop{n, h.node});
     }
+  }
+  return true;
+}
+
+bool ContentBasedNetwork::Update(ProfileId id, Profile profile) {
+  auto sit = subscriptions_.find(id);
+  if (sit == subscriptions_.end()) return false;
+  Subscription& sub = sit->second;
+  COSMOS_CHECK(profile.streams() == sub.entry->profile->streams())
+      << "update of subscription " << id << " changes its streams";
+  auto shared = std::make_shared<const Profile>(std::move(profile));
+  routers_[sub.node].UpdateLocal(id, shared);
+  sub.entry = RoutingTable::Resolve(streams_.get(), id, std::move(shared));
+  const RoutingTable::EntryPtr entry = sub.entry;
+  // The walk of Unsubscribe, rewriting each entry instead of removing it.
+  // An entry pruned before the rewrite has no entries beyond it; where the
+  // rewrite unprunes it, its walk resumes past that hop.
+  std::vector<Hop>& q = entry_hops_;
+  q.clear();
+  for (const auto& [n, w] : tree_.Neighbors(sub.node)) {
+    q.push_back(Hop{n, sub.node});
+  }
+  std::vector<ProfileId> uncovered;
+  for (size_t head = 0; head < q.size(); ++head) {
+    const Hop h = q[head];
+    RoutingTable& table = routers_[h.node].table();
+    const bool pruned = table.CoveredBy(h.prev, id) != 0;
+    uncovered.clear();
+    uint64_t checks = 0;
+    if (!table.Update(h.prev, entry, &uncovered, &checks)) continue;
+    control_->Increment();
+    covering_checks_->Add(checks);
+    for (ProfileId u : uncovered) Resume(u, h.node, h.prev);
+    if (pruned) continue;
     for (const auto& [n, w] : tree_.Neighbors(h.node)) {
       if (n != h.prev) q.push_back(Hop{n, h.node});
     }
@@ -553,8 +635,9 @@ void ContentBasedNetwork::ReinstallAllSubscriptions() {
     r.SetTelemetry(metrics_);
   }
   for (const auto& [id, sub] : subscriptions_) {
-    routers_[sub.node].AddLocal(id, sub.profile, sub.callback, sub.target);
-    PropagateSubscription(sub.node, id, sub.profile);
+    routers_[sub.node].AddLocal(id, sub.entry->profile, sub.callback,
+                                sub.target);
+    Install(sub.entry, TargetsOf(*sub.entry), sub.node, /*prev=*/-1);
   }
 }
 
@@ -602,6 +685,7 @@ Status ContentBasedNetwork::Repair(const Graph& overlay) {
   COSMOS_ASSIGN_OR_RETURN(DisseminationTree repaired,
                           DisseminationTree::FromEdges(num_nodes(), edges));
   tree_ = std::move(repaired);
+  IndexTree();
   failed_links_.clear();
   ResetLinkLedger();
   ReinstallAllSubscriptions();
@@ -614,6 +698,7 @@ Status ContentBasedNetwork::RebuildTree(DisseminationTree tree) {
     return Status::InvalidArgument("tree node count mismatch");
   }
   tree_ = std::move(tree);
+  IndexTree();
   failed_links_.clear();
   ResetLinkLedger();
   ReinstallAllSubscriptions();
@@ -632,6 +717,16 @@ void ContentBasedNetwork::FlushBuffered() {
   // channel and is not charged to the byte counters.)
   std::deque<Buffered> pending = std::move(buffered_);
   buffered_.clear();
+  // Buffered in the order datagrams reached a failed link, which is not
+  // publish order: under a Simulator a later datagram can be held near its
+  // publisher before an earlier one is held farther out. Replaying in
+  // timestamp order keeps each stream's event time non-decreasing for the
+  // windows downstream.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Buffered& a, const Buffered& b) {
+                     return a.datagram.tuple.timestamp() <
+                            b.datagram.tuple.timestamp();
+                   });
   for (auto& b : pending) {
     // Routing state, scoped or flooded, leads from every publisher of the
     // stream to every subscriber, so any publisher will do.

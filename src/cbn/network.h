@@ -31,16 +31,17 @@ struct NetworkOptions {
   // Early projection (paper §3.1 extension). Off reproduces a traditional
   // filter-only CBN (ablation abl-proj).
   bool early_projection = true;
-  // Covering-based pruning of subscription propagation (saves control
-  // messages when an already-forwarded profile covers the new one). Acts
-  // only when advertisement_scoping is off: scoped installation does not
-  // check covering.
-  bool covering_prune = true;
+  // Covering-based pruning of subscription propagation, in either regime:
+  // a subscription stops at a hop where an unpruned entry on the same link
+  // covers it, since that one already travels everywhere it would. Off by
+  // default: along scoped paths it saves only a few percent of the entries
+  // and costs a covering check per hop and re-checks on every removal.
+  bool covering_prune = false;
   // Advertisement scoping (paper §2: sources advertise their streams,
   // processors advertise their result streams): subscription state is
   // installed only on the tree paths from advertised publishers of the
   // requested streams to the subscriber. Off floods every subscription to
-  // the whole tree, pruned only by covering (ablation abl-adv).
+  // the whole tree (ablation abl-adv).
   bool advertisement_scoping = true;
   // Buffer datagrams that would cross a failed link and flush them after
   // Repair() (data-layer high availability, paper §2's fault-tolerance
@@ -121,6 +122,15 @@ class ContentBasedNetwork {
   // that no other entry covers. False when unknown.
   bool Unsubscribe(ProfileId id);
 
+  // Replaces subscription `id`'s profile with `profile`, which must request
+  // the same streams, keeping its id, callback and target: rewrites its
+  // local subscriber and each of its routing entries in place, one control
+  // message per entry. Where its entry's coverer no longer covers it, the
+  // entry takes another or the subscription resumes propagating past that
+  // hop; the entries pruned behind it are re-checked as Unsubscribe
+  // re-checks them. False when unknown.
+  bool Update(ProfileId id, Profile profile);
+
   // Publishes `tuple` as a datagram of `publisher`'s stream from its node.
   // Every hop keys its lookups by the id the handle holds and visits only
   // the links with a bucket for it. Returns the number of local deliveries
@@ -164,7 +174,8 @@ class ContentBasedNetwork {
   // Subscription control messages sent during propagation.
   uint64_t control_messages() const { return Since(control_); }
   // Routing-table slots examined by the covering checks of subscription
-  // propagation and of unsubscribe re-checks (cbn.covering_checks).
+  // propagation and of the re-checks of Unsubscribe and Update
+  // (cbn.covering_checks).
   uint64_t covering_checks() const { return Since(covering_checks_); }
   // Datagram forwards dropped at failed links (buffered ones not counted),
   // plus buffered datagrams whose stream nobody advertises any more when
@@ -215,7 +226,7 @@ class ContentBasedNetwork {
  private:
   struct Subscription {
     NodeId node = -1;
-    ProfilePtr profile;
+    RoutingTable::EntryPtr entry;  // the profile, resolved once
     DeliveryCallback callback;
     std::shared_ptr<const TupleTarget> target;
   };
@@ -227,17 +238,30 @@ class ContentBasedNetwork {
     NodeId prev;
   };
 
-  void PropagateSubscription(NodeId subscriber, ProfileId id,
-                             const ProfilePtr& profile);
-  // Covering-pruned flooding of subscription `id` outward from `from` to
-  // every neighbor but `prev` (-1: all of them), as far as no unpruned
-  // entry covers it.
-  void Flood(ProfileId id, const ProfilePtr& profile, NodeId from,
-             NodeId prev);
-  // Installs routing entries for one subscription along the tree path from
-  // `publisher` to `subscriber` (advertisement-scoped propagation).
-  void InstallAlongPath(NodeId publisher, NodeId subscriber, ProfileId id,
-                        const ProfilePtr& profile);
+  // The nodes a walk carries a subscription toward: every node (flooding),
+  // or the publishers of its streams, by their tin_, sorted.
+  struct Targets {
+    bool everywhere = false;
+    std::vector<uint32_t> tins;
+  };
+  // The targets of `entry`'s walks in the current regime (a reused buffer,
+  // valid until the next call).
+  const Targets& TargetsOf(const RoutingTable::Entry& entry);
+  // Whether `next`'s side of the tree edge (node, next) holds a target.
+  bool TargetBeyond(NodeId node, NodeId next, const Targets& targets) const;
+  // Numbers the tree in depth-first order from node 0: tin_/tout_ bound
+  // each node's subtree, so one side of any tree edge is an interval.
+  void IndexTree();
+
+  // The install walk, breadth-first outward from `from` to every neighbor
+  // but `prev` (-1: all of them) whose side holds a target. At each hop an
+  // existing entry of the subscription passes it on unless pruned; a new
+  // one is added, pruned behind a coverer when covering_prune finds one,
+  // and passes it on unless pruned. One control message per entry added.
+  void Install(const RoutingTable::EntryPtr& entry, const Targets& targets,
+               NodeId from, NodeId prev);
+  // Resumes subscription `id`'s walk past `node`, reached from `prev`.
+  void Resume(ProfileId id, NodeId node, NodeId prev);
   // Cached handles of one stream's stream-labeled counter families.
   struct StreamCounters {
     Counter* published = nullptr;
@@ -363,11 +387,17 @@ class ContentBasedNetwork {
   Counter* control_ = nullptr;
   Counter* covering_checks_ = nullptr;
   Counter* ledger_binds_ = nullptr;
-  // The breadth-first walks of Flood and Unsubscribe, which calls Flood
-  // while its own walk is under way. Kept so each walk reuses the
-  // capacity of the last.
-  std::vector<Hop> flood_hops_;
-  std::vector<Hop> unsubscribe_hops_;
+  // The breadth-first walks of Install and of Unsubscribe and Update, which
+  // call Install while their own walk is under way, and Install's targets.
+  // Kept so each walk reuses the capacity of the last.
+  std::vector<Hop> install_hops_;
+  std::vector<Hop> entry_hops_;
+  Targets targets_;
+  // Depth-first entry and exit times of each node, and its parent (-1 at
+  // the root), over the current tree (IndexTree).
+  std::vector<uint32_t> tin_;
+  std::vector<uint32_t> tout_;
+  std::vector<NodeId> parent_;
   // Counter readings at the last ResetStats().
   std::map<const Counter*, uint64_t> reset_;
   // Storage behind the map-returning views.

@@ -48,6 +48,30 @@ bool Router::RemoveLocal(ProfileId id) {
   return true;
 }
 
+bool Router::UpdateLocal(ProfileId id, ProfilePtr profile) {
+  auto it = std::find_if(locals_.begin(), locals_.end(),
+                         [id](const auto& sub) { return sub->id == id; });
+  if (it == locals_.end()) return false;
+  LocalSubscriber& sub = **it;
+  COSMOS_CHECK(profile->streams() == sub.profile->streams())
+      << "local subscriber " << id << " changes its streams";
+  // Both profiles' records follow the one set of streams, like the
+  // projections filed in their order.
+  auto old_record = sub.profile->records().begin();
+  auto projection = sub.projections.begin();
+  for (const auto& [stream, record] : profile->records()) {
+    const StreamId sid = projection->stream.id();
+    RoutingTable::LocalStream& local = table_.Locals(sid);
+    local.filtered -= (old_record++)->second.filters.empty() ? 0 : 1;
+    local.filtered += record.filters.empty() ? 0 : 1;
+    local.matcher.reset();
+    // The plans are keyed by mask, so the cached ones stay valid.
+    (projection++)->mask = streams_->MaskOf(sid, record.projection);
+  }
+  sub.profile = std::move(profile);
+  return true;
+}
+
 void Router::SetTelemetry(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     matcher_compiles_ = nullptr;
@@ -189,7 +213,7 @@ const Datagram* Router::DecideForward(
   if (bucket.filtered() == 0) {
 #ifndef NDEBUG
     for (const auto& slot : slots) {
-      COSMOS_DCHECK(slot.profile->Covers(d))
+      COSMOS_DCHECK(slot.profile().Covers(d))
           << "unfiltered slot (entry " << slot.id << ") does not cover "
           << d.stream;
     }
@@ -208,7 +232,7 @@ const Datagram* Router::DecideForward(
       // Compiled output must equal the interpreted walk, slot by slot.
       size_t k = 0;
       for (size_t i = 0; i < slots.size(); ++i) {
-        const bool interpreted = slots[i].profile->Covers(d);
+        const bool interpreted = slots[i].profile().Covers(d);
         const bool compiled = k < hit_scratch_.size() && hit_scratch_[k] == i;
         COSMOS_DCHECK_EQ(compiled, interpreted)
             << "compiled/interpreted divergence at slot " << i << " (entry "

@@ -63,6 +63,10 @@ class Router {
   void AddLocal(ProfileId id, ProfilePtr profile, DeliveryCallback callback,
                 std::shared_ptr<const TupleTarget> target = nullptr);
   bool RemoveLocal(ProfileId id);
+  // Replaces the profile of local subscriber `id` in place with `profile`,
+  // which requests the same streams; its callback, target and place among
+  // the node's subscribers stay. False when there is no such subscriber.
+  bool UpdateLocal(ProfileId id, ProfilePtr profile);
 
   // Delivers `d` to every matching local subscriber, applying the
   // subscriber's exact projection set P (last-hop projection, paper §3.1)

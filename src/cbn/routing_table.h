@@ -50,14 +50,38 @@ struct LocalSubscriber;
 // covered, so an unsubscribe re-forwards only what it was covering.
 class RoutingTable {
  public:
-  // One entry's slot in a (stream, link) bucket: the entry's profile
-  // (shared by its slots in the other streams' buckets) plus its
-  // RequiredAttributes(stream) as a mask over the stream's attribute
-  // dictionary (kAllAttributes: it needs every attribute).
-  struct BucketSlot {
+  // A subscription as the tables file it, resolved once (Resolve): its id
+  // and profile, and per stream the profile requests, in records() order,
+  // the stream's id (held by a reference), RequiredAttributes(stream) as a
+  // mask over the stream's attribute dictionary (kAllAttributes: every
+  // attribute) and whether the profile filters the stream. Every table call
+  // takes it, so none hashes a stream name or builds a mask.
+  struct Entry {
+    struct Part {
+      StreamRef stream;
+      AttrMask required = 0;
+      bool filtered = false;
+    };
     ProfileId id = 0;
     ProfilePtr profile;
+    std::vector<Part> parts;
+  };
+  using EntryPtr = std::shared_ptr<const Entry>;
+
+  // Resolves subscription `id`'s `profile` against `streams`, assigning ids
+  // to its streams and their dictionaries the attributes it requires.
+  static EntryPtr Resolve(StreamTable* streams, ProfileId id,
+                          ProfilePtr profile);
+
+  // One entry's slot in a (stream, link) bucket: the entry (shared by its
+  // slots in the other streams' buckets) and its required mask on the
+  // bucket's stream.
+  struct BucketSlot {
+    ProfileId id = 0;
+    EntryPtr entry;
     AttrMask required = 0;
+
+    const Profile& profile() const { return *entry->profile; }
   };
 
   // The entries of one link subscribed to one stream, with the state
@@ -137,30 +161,35 @@ class RoutingTable {
                         std::vector<NodeId> neighbors = {})
       : streams_(streams), neighbors_(std::move(neighbors)) {}
 
-  // Adds an entry for `id` on `link`, which must not have one yet;
-  // `covered_by` (0: none) is the unpruned entry on `link` it was pruned
-  // behind. `profile` must request at least one stream.
-  void Add(NodeId link, ProfileId id, ProfilePtr profile,
-           ProfileId covered_by = 0);
+  // Adds `entry` on `link`, which must not hold it yet; `covered_by` (0:
+  // none) is the unpruned entry on `link` it was pruned behind. The entry
+  // must request at least one stream.
+  void Add(NodeId link, EntryPtr entry, ProfileId covered_by = 0);
 
-  // Adds unless an entry with `id` already exists on `link`; returns true
-  // when something was added (advertisement-scoped paths overlap).
-  bool AddUnique(NodeId link, ProfileId id, ProfilePtr profile);
-
-  // Removes the entry with `id` on `link`, whose profile is `profile` (its
-  // streams locate the entry's slots); true when something was removed.
-  // `profile` must outlive the call: the slots may hold the only other
-  // reference. The entries on `link` it covered are re-checked, in id
-  // order, against the unpruned entries left: each either takes a new
-  // coverer or becomes unpruned and is appended to `*uncovered` (its
-  // propagation must resume past this hop). The slots FindCoverer examines
-  // are added to `*covering_checks`. Either pointer may be null.
-  bool Remove(NodeId link, ProfileId id, const Profile& profile,
+  // Removes `entry` from `link`; true when it was there. `entry` must
+  // outlive the call: the slots may hold the only other reference. The
+  // entries on `link` it covered are re-checked, in id order, against the
+  // unpruned entries left: each either takes a new coverer or becomes
+  // unpruned and is appended to `*uncovered` (its propagation must resume
+  // past this hop). The slots FindCoverer examines are added to
+  // `*covering_checks`. Either pointer may be null.
+  bool Remove(NodeId link, const Entry& entry,
               std::vector<ProfileId>* uncovered = nullptr,
               uint64_t* covering_checks = nullptr);
 
-  // An unpruned entry on `link`, other than `self`, whose profile covers
-  // `narrow` (ProfileCovers); 0 when there is none. Scans only the
+  // Rewrites the entry on `link` with `now`'s id to `now`, which requests
+  // the same streams; false when `link` holds no such entry. When the entry
+  // was pruned and its coverer no longer covers `now`, it takes another
+  // coverer or becomes unpruned; when it was unpruned, the entries pruned
+  // behind it that `now` no longer covers are re-checked as Remove
+  // re-checks them. Each entry this leaves unpruned, this one included, is
+  // appended to `*uncovered` (its propagation must resume past this hop),
+  // and the coverings tested are added to `*covering_checks`.
+  bool Update(NodeId link, EntryPtr now, std::vector<ProfileId>* uncovered,
+              uint64_t* covering_checks);
+
+  // An unpruned entry on `link`, other than `narrow` itself, whose profile
+  // covers `narrow`'s (ProfileCovers); 0 when there is none. Scans only the
   // smallest (stream, link) bucket of `narrow`'s streams: a coverer
   // requests every stream `narrow` does. Each slot's required mask is
   // tested against `narrow`'s first, and only a slot that contains it
@@ -168,13 +197,12 @@ class RoutingTable {
   // dictionary overflow) is not exact, so that slot takes the full
   // ProfileCovers. The slots examined are added to `*covering_checks` (may
   // be null), whichever path judged them.
-  ProfileId FindCoverer(NodeId link, ProfileId self, const Profile& narrow,
+  ProfileId FindCoverer(NodeId link, const Entry& narrow,
                         uint64_t* covering_checks) const;
 
-  // True when an entry with `id`, whose profile is `profile`, exists on
-  // `link`. The bucket of the profile's first stream answers: an entry has
-  // a slot in each of its streams' buckets.
-  bool Contains(NodeId link, ProfileId id, const Profile& profile) const;
+  // True when `link` holds `entry`. The bucket of its first stream
+  // answers: an entry has a slot in each of its streams' buckets.
+  bool Contains(NodeId link, const Entry& entry) const;
 
   // The entry `id` on `link` was pruned behind: 0 when its subscription
   // propagated past this hop (or there is no such entry).
@@ -221,8 +249,9 @@ class RoutingTable {
   // stream's id in position order and is its link's only bucket for that
   // stream, its filtered() count is the slots whose profile filters the
   // stream, and each slot holds a profile that requests the bucket's
-  // stream under an id unique in the bucket. Every entry is whole: its slots share one profile, one per
-  // stream that profile requests. Every pruned entry is live, and its
+  // stream under an id unique in the bucket, with that stream's mask from
+  // its entry. Every entry is whole: its slots share one Entry, one per
+  // stream its profile requests. Every pruned entry is live, and its
   // coverer is live, unpruned, on the same link, and covers it. DCHECK'd
   // after every mutation so a dangling subscription, a stranded prune or a
   // half-removed entry cannot survive unnoticed.
@@ -232,6 +261,14 @@ class RoutingTable {
   // The slot of entry `id` in the (stream, link) bucket; nullptr when
   // there is none.
   const BucketSlot* SlotFor(NodeId link, StreamId stream, ProfileId id) const;
+
+  // Re-checks, in id order, the entries on `link` pruned behind `coverer`,
+  // whose slots lie in the buckets of `streams`: each keeps `coverer` when
+  // `still` (nullptr: none) covers it, else takes another coverer or
+  // becomes unpruned and is appended to `*uncovered`.
+  void Recheck(NodeId link, ProfileId coverer,
+               const std::vector<Entry::Part>& streams, const Profile* still,
+               std::vector<ProfileId>* uncovered, uint64_t* covering_checks);
 
   // The position of `link` in neighbors_, appending it when absent.
   uint32_t PositionOf(NodeId link);

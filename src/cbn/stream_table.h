@@ -106,6 +106,10 @@ class StreamRef {
   StreamRef() = default;
   StreamRef(StreamTable* table, const std::string& name)
       : table_(table), id_(table->Acquire(name)) {}
+  // One more reference on `id`, which must be referenced already.
+  StreamRef(StreamTable* table, StreamId id) : table_(table), id_(id) {
+    table->Acquire(id);
+  }
   StreamRef(StreamRef&& other) noexcept
       : table_(std::exchange(other.table_, nullptr)), id_(other.id_) {}
   StreamRef& operator=(StreamRef&& other) noexcept {

@@ -124,10 +124,14 @@ void Processor::RefreshSourceSubscriptions(
       continue;
     }
     SourceSubscription& sub = source_subscriptions_[stream];
-    const ProfileId old = sub.id;
-    if (old != 0 && sub.part == merged) continue;  // part unchanged
-    // Subscribe the new part before unsubscribing the old so source
-    // coverage never lapses. Both callbacks feed the same readers.
+    if (sub.id != 0) {
+      if (sub.part == merged) continue;  // part unchanged
+      // The same stream's part, rewritten in place along the entries the
+      // subscription already has, so source coverage never lapses.
+      network_->Update(sub.id, merged);
+      sub.part = std::move(merged);
+      continue;
+    }
     const SourceSubscription* record = &sub;
     sub.id = network_->Subscribe(
         node_, merged,
@@ -135,7 +139,6 @@ void Processor::RefreshSourceSubscriptions(
           PushSourceTuple(*record, s, tuple);
         });
     sub.part = std::move(merged);
-    if (old != 0) network_->Unsubscribe(old);
   }
 }
 

@@ -123,8 +123,8 @@ class Processor {
   // the SPE, never duplicated — a tuple of a stream matches only that
   // stream's subscription, so it enters each reading plan exactly once. A
   // group change recomposes only the streams its old and new
-  // representatives read, and resubscribes only those whose part changed
-  // structurally (Profile::operator==).
+  // representatives read, and updates in place only the subscriptions
+  // whose part changed structurally (Profile::operator==).
   void RefreshSourceSubscriptions(const std::set<std::string>& streams);
 
   // The delivery callback of `sub`'s subscription: pushes a tuple of

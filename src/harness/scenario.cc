@@ -153,17 +153,15 @@ DstScenario GenerateScenario(uint64_t seed, const DstOptions& options) {
   s.num_nodes = BoundedBetween(topo, options.min_nodes, options.max_nodes);
   s.use_simulator = mode.NextDouble() < options.simulator_fraction;
   // Each knob keeps its shipped value with probability 3/4. Covering prune
-  // acts only on flooded subscriptions, so it is drawn only when scoping
-  // is off: drawing it under scoping would only repeat regimes.
+  // is drawn last, so the other knobs of a seed do not depend on whether
+  // it draws covering.
   const SystemOptions shipped;
   auto draw = [&regime](bool knob) { return regime.NextBool(0.25) != knob; };
   s.regime.advertisement_scoping =
       draw(shipped.network.advertisement_scoping);
-  s.regime.covering_prune = s.regime.advertisement_scoping
-                                ? shipped.network.covering_prune
-                                : draw(shipped.network.covering_prune);
   s.regime.early_projection = draw(shipped.network.early_projection);
   s.regime.enable_merging = draw(shipped.processor.enable_merging);
+  s.regime.covering_prune = draw(shipped.network.covering_prune);
 
   TopologyOptions topt;
   topt.num_nodes = s.num_nodes;

@@ -23,11 +23,12 @@ Tuple MakeTuple(double temp, double hum, Timestamp ts = 0) {
                {Value(temp), Value(hum), Value(static_cast<int64_t>(ts))}, ts);
 }
 
-// The flood regime: every subscription reaches the whole tree, pruned only
-// by covering, which acts only there.
+// The classic CBN regime: every subscription floods the whole tree,
+// pruned by covering.
 NetworkOptions Flooded() {
   NetworkOptions options;
   options.advertisement_scoping = false;
+  options.covering_prune = true;
   return options;
 }
 
@@ -312,6 +313,154 @@ TEST(Network, EqualProfilesNotStrandedBehindRemovedCoverer) {
   EXPECT_EQ(hits, 2) << "equal profiles stranded behind the removed coverer";
   net.Publish(pub3, MakeTuple(15, 0));
   EXPECT_EQ(hits, 2);
+}
+
+// Scoped and pruned by covering, as SIENA forwards a subscription toward
+// advertisers only until an equal or wider one has gone: the narrow
+// subscription stops at the first hop, and the unsubscribe of the wide one
+// re-forwards it along the publisher's path, and only there.
+TEST(Network, ScopedCoveringPrunesAndReforwardsOnUnsubscribe) {
+  NetworkOptions options;
+  options.covering_prune = true;
+  ContentBasedNetwork net(StarTree(), options);
+  auto pub = net.Advertise(2, "s");
+  Profile wide;
+  wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
+  Profile narrow;
+  narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
+  int hits = 0;
+  const ProfileId w = net.Subscribe(0, wide, nullptr);
+  net.Subscribe(0, narrow, [&](const std::string&, const Tuple&) { ++hits; });
+  // wide at 1 and 2; narrow at 1 only, pruned behind wide.
+  EXPECT_EQ(net.TotalTableEntries(), 3u);
+  EXPECT_GT(net.covering_checks(), 0u);
+  EXPECT_EQ(net.router(3).table().TotalEntries(), 0u);
+
+  const uint64_t before = net.control_messages();
+  ASSERT_TRUE(net.Unsubscribe(w));
+  EXPECT_EQ(net.control_messages() - before, 1u);  // narrow's entry at 2
+  EXPECT_EQ(net.TotalTableEntries(), 2u);
+  EXPECT_EQ(net.router(3).table().TotalEntries(), 0u);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).table().CheckInvariants()) << "node " << n;
+  }
+  net.Publish(pub, MakeTuple(15, 0));
+  EXPECT_EQ(hits, 1) << "narrow subscription deaf after its coverer left";
+}
+
+// Chain 0-1-2-3 with the publisher at 3 and, at 0, a wide subscription and
+// a narrow one pruned behind it at node 1 — in either regime.
+struct PrunedPair {
+  explicit PrunedPair(bool scoping)
+      : net(DisseminationTree::FromEdges(
+                4, {Edge{0, 1, 1.0}, Edge{1, 2, 1.0}, Edge{2, 3, 1.0}})
+                .value(),
+            Options(scoping)),
+        pub(net.Advertise(3, "s")) {
+    wide.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 40")));
+    narrow.AddFilter(Filter("s", Clause("temp >= 10 AND temp <= 20")));
+    w = net.Subscribe(
+        0, wide, [this](const std::string&, const Tuple&) { ++wide_hits; });
+    n = net.Subscribe(
+        0, narrow,
+        [this](const std::string&, const Tuple&) { ++narrow_hits; });
+  }
+
+  static NetworkOptions Options(bool scoping) {
+    NetworkOptions options;
+    options.advertisement_scoping = scoping;
+    options.covering_prune = true;
+    return options;
+  }
+
+  bool Consistent() const {
+    for (NodeId node = 0; node < net.num_nodes(); ++node) {
+      if (!net.router(node).table().CheckInvariants()) return false;
+    }
+    return true;
+  }
+
+  ContentBasedNetwork net;
+  ContentBasedNetwork::Publisher pub;
+  Profile wide;
+  Profile narrow;
+  ProfileId w = 0;
+  ProfileId n = 0;
+  int wide_hits = 0;
+  int narrow_hits = 0;
+};
+
+// Narrowing a coverer re-checks what it covered: the narrow subscription,
+// no longer covered at node 1, is re-forwarded past it.
+TEST(Network, UpdateNarrowingACovererReforwardsWhatItCovered) {
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    PrunedPair pair(scoping);
+    ASSERT_EQ(pair.net.router(1).table().CoveredBy(0, pair.n), pair.w);
+    Profile warm;
+    warm.AddFilter(Filter("s", Clause("temp >= 30 AND temp <= 40")));
+    ASSERT_TRUE(pair.net.Update(pair.w, warm));
+    EXPECT_EQ(pair.net.router(1).table().CoveredBy(0, pair.n), 0u);
+    EXPECT_TRUE(pair.Consistent());
+    pair.net.Publish(pair.pub, MakeTuple(15, 0));
+    EXPECT_EQ(pair.narrow_hits, 1) << "covered subscription went deaf";
+    EXPECT_EQ(pair.wide_hits, 0) << "the update did not narrow its local";
+    pair.net.Publish(pair.pub, MakeTuple(35, 0));
+    EXPECT_EQ(pair.wide_hits, 1);
+  }
+}
+
+// Widening a pruned subscription past its coverer resumes its walk from
+// the hop it was pruned at.
+TEST(Network, UpdateWideningAPrunedEntryResumesItsWalk) {
+  for (bool scoping : {false, true}) {
+    SCOPED_TRACE(scoping ? "scoped" : "flooded");
+    PrunedPair pair(scoping);
+    Profile wider;
+    wider.AddFilter(Filter("s", Clause("temp >= 0 AND temp <= 50")));
+    const uint64_t before = pair.net.control_messages();
+    ASSERT_TRUE(pair.net.Update(pair.n, wider));
+    // Its one entry rewritten, then two more past node 1 toward node 3.
+    EXPECT_EQ(pair.net.control_messages() - before, 3u);
+    EXPECT_EQ(pair.net.router(1).table().CoveredBy(0, pair.n), 0u);
+    EXPECT_TRUE(pair.Consistent());
+    pair.net.Publish(pair.pub, MakeTuple(45, 0));
+    EXPECT_EQ(pair.narrow_hits, 1) << "widened subscription stayed pruned";
+    EXPECT_EQ(pair.wide_hits, 0);
+  }
+}
+
+// Under scoping without covering an update rewrites each of the
+// subscription's entries in place: the table keeps its size, one control
+// message goes per entry, and deliveries follow the new profile.
+TEST(Network, ScopedUpdateLeavesTableEntriesUnchanged) {
+  ContentBasedNetwork net(StarTree());
+  auto pub = net.Advertise(2, "s");
+  Profile other;
+  other.AddStream("s", {"hum"});
+  net.Subscribe(3, other, nullptr);
+  Profile cold;
+  cold.AddFilter(Filter("s", Clause("temp < 10")));
+  int hits = 0;
+  const ProfileId id =
+      net.Subscribe(0, cold, [&](const std::string&, const Tuple&) { ++hits; });
+  const size_t entries = net.TotalTableEntries();
+  ASSERT_EQ(entries, 4u);
+  const uint64_t before = net.control_messages();
+  Profile warm;
+  warm.AddStream("s", {"temp"});
+  warm.AddFilter(Filter("s", Clause("temp > 20")));
+  ASSERT_TRUE(net.Update(id, warm));
+  EXPECT_EQ(net.TotalTableEntries(), entries);
+  EXPECT_EQ(net.control_messages() - before, 2u);  // its entries at 1 and 2
+  EXPECT_FALSE(net.Update(id + 100, warm));
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).table().CheckInvariants()) << "node " << n;
+  }
+  net.Publish(pub, MakeTuple(5, 0));
+  EXPECT_EQ(hits, 0);
+  net.Publish(pub, MakeTuple(25, 0));
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(Network, RepeatedRefreshChurnKeepsDelivery) {

@@ -299,7 +299,7 @@ size_t ExpectedIndexSlots(const RoutingTable& table,
   for (StreamId sid = 0; sid < streams.size(); ++sid) {
     for (const auto& lb : table.BucketsOf(sid)) {
       for (const auto& slot : lb.bucket.slots()) {
-        entries.emplace(std::make_pair(lb.link, slot.id), slot.profile.get());
+        entries.emplace(std::make_pair(lb.link, slot.id), &slot.profile());
       }
     }
   }

@@ -247,6 +247,18 @@ TEST(Advertisements, LateAdvertiserGetsRoutes) {
   auto pub = net.Advertise(0, "s");
   net.Publish(pub, MakeTuple(1));
   EXPECT_EQ(hits, 1);
+  // A second advertiser on the path already installed adds no entry: its
+  // walk passes through the ones there.
+  EXPECT_EQ(net.TotalTableEntries(), 3u);
+  const uint64_t messages = net.control_messages();
+  auto pub1 = net.Advertise(1, "s");
+  EXPECT_EQ(net.TotalTableEntries(), 3u);
+  EXPECT_EQ(net.control_messages(), messages);
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    EXPECT_TRUE(net.router(n).table().CheckInvariants()) << "node " << n;
+  }
+  net.Publish(pub1, MakeTuple(2));
+  EXPECT_EQ(hits, 2);
 }
 
 TEST(Advertisements, ScopedDeliveryMatchesUnscopedDelivery) {

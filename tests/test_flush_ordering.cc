@@ -95,6 +95,43 @@ TEST(FlushOrdering, RepairReplaysBufferedInPublishOrderUnderSimulator) {
   EXPECT_EQ(net.buffered_datagrams(), 0u);
 }
 
+// Under a Simulator a later datagram can be held at a failed link near its
+// publisher before an earlier one, still in flight, is held at a failed
+// link farther out. The flush must still replay them in publish order.
+TEST(FlushOrdering, FlushReplaysInPublishOrderAcrossBufferingHops) {
+  Simulator sim;
+  ContentBasedNetwork net(ChainTree(), NetworkOptions{}, &sim);
+  auto pub = net.Advertise(0, "s");
+  std::vector<int64_t> seen;
+  Profile p;
+  p.AddStream("s");
+  net.Subscribe(3, p, [&](const std::string&, const Tuple& t) {
+    seen.push_back(t.value(0).AsInt64());
+  });
+
+  ASSERT_TRUE(net.FailLink(2, 3).ok());
+  // Tuple 0 leaves node 0 at once and is held at node 2 at 2 ms; link 0-1
+  // fails behind it, and tuple 1, published at 0.6 ms, is held at node 0.
+  net.Publish(pub, SeqTuple(0, 0));
+  sim.Schedule(kMillisecond / 2,
+               [&] { ASSERT_TRUE(net.FailLink(0, 1).ok()); });
+  sim.Schedule(kMillisecond * 6 / 10,
+               [&] { net.Publish(pub, SeqTuple(1, 1000)); });
+  sim.Run();
+  EXPECT_TRUE(seen.empty());
+  ASSERT_EQ(net.buffered_datagrams(), 2u);
+
+  // The overlay adds 3-0 and 0-2 to the chain, so the repair can reconnect
+  // both cuts.
+  Graph overlay = SquareOverlay();
+  (void)overlay.AddEdge(0, 2, 3.0);
+  ASSERT_TRUE(net.Repair(overlay).ok());
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1})) << "flush out of order";
+  EXPECT_EQ(net.recovered_datagrams(), 2u);
+  EXPECT_EQ(net.lost_datagrams(), 0u);
+}
+
 TEST(FlushOrdering, PostRepairTrafficFollowsFlushedTraffic) {
   // Tuples published after the repair must not overtake the flushed
   // backlog at the subscriber.

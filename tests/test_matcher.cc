@@ -17,6 +17,13 @@
 namespace cosmos {
 namespace {
 
+// `profile` resolved as routing entry `id`, the way the network resolves
+// a subscription once.
+RoutingTable::EntryPtr Resolve(StreamTable& streams, ProfileId id,
+                               ProfilePtr profile) {
+  return RoutingTable::Resolve(&streams, id, std::move(profile));
+}
+
 const std::shared_ptr<const Schema>& FullSchema() {
   static const auto& schema = *new std::shared_ptr<const Schema>(
       std::make_shared<Schema>(
@@ -238,7 +245,7 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   StreamTable streams;
   RoutingTable t(&streams);
   const ProfilePtr first = RangeProfile(0, 5);
-  t.Add(1, 1, first);
+  t.Add(1, Resolve(streams, 1, first));
   const StreamId s = streams.Find("s");
   const RoutingTable::StreamBucket* bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
@@ -247,13 +254,13 @@ TEST(CompiledMatcher, BucketInvalidationOnChurn) {
   EXPECT_TRUE(bucket->has_compiled());
 
   // Every mutation hook must drop the compiled matcher.
-  t.Add(1, 2, RangeProfile(3, 8));
+  t.Add(1, Resolve(streams, 2, RangeProfile(3, 8)));
   bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
   EXPECT_EQ(bucket->Compiled("s").num_profiles(), 2u);
 
-  t.Remove(1, 1, *first);
+  t.Remove(1, *Resolve(streams, 1, first));
   bucket = t.BucketFor(1, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_FALSE(bucket->has_compiled());
@@ -460,13 +467,14 @@ TEST(MatcherFuzz, RouterForwardEquivalenceUnderChurn) {
       const size_t adds = rng.NextBounded(12) + 1;
       for (size_t i = 0; i < adds; ++i) {
         ProfilePtr p = RandomProfile(rng);
-        router.table().Add(kLink, next_id, p);
+        router.table().Add(kLink, Resolve(streams, next_id, p));
         live.emplace_back(next_id++, std::move(p));
       }
       if (round > 0 && !live.empty() && rng.NextBool(0.7)) {
         const size_t victim = rng.NextBounded(live.size());
-        router.table().Remove(kLink, live[victim].first,
-                              *live[victim].second);
+        router.table().Remove(
+            kLink,
+            *Resolve(streams, live[victim].first, live[victim].second));
         live.erase(live.begin() + static_cast<long>(victim));
       }
       check_round(round);

@@ -18,6 +18,13 @@
 namespace cosmos {
 namespace {
 
+// `profile` resolved as routing entry `id`, the way the network resolves
+// a subscription once.
+RoutingTable::EntryPtr Resolve(StreamTable& streams, ProfileId id,
+                               ProfilePtr profile) {
+  return RoutingTable::Resolve(&streams, id, std::move(profile));
+}
+
 const std::shared_ptr<const Schema>& SensorSchema() {
   // One shared instance: ProjectionCache keys plans on the schema pointer.
   static const auto& schema = *new std::shared_ptr<const Schema>(
@@ -84,9 +91,9 @@ std::set<NodeId> LinksOf(const RoutingTable& t, const StreamTable& streams) {
 TEST(RoutingTable, AddAndLookup) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 10));
-  t.Add(3, 2, MakeProfile(20, 30));
-  t.Add(5, 3, MakeProfile(0, 40));
+  t.Add(3, Resolve(streams, 1, MakeProfile(0, 10)));
+  t.Add(3, Resolve(streams, 2, MakeProfile(20, 30)));
+  t.Add(5, Resolve(streams, 3, MakeProfile(0, 40)));
   EXPECT_EQ(EntriesOn(t, streams, 3), (std::set<ProfileId>{1, 2}));
   EXPECT_EQ(EntriesOn(t, streams, 5), (std::set<ProfileId>{3}));
   EXPECT_TRUE(EntriesOn(t, streams, 9).empty());
@@ -98,8 +105,8 @@ TEST(RoutingTable, AddAndLookup) {
 TEST(RoutingTable, LinkCoversAnyProfile) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(3, 1, MakeProfile(0, 10));
-  r.table().Add(3, 2, MakeProfile(20, 30));
+  r.table().Add(3, Resolve(streams, 1, MakeProfile(0, 10)));
+  r.table().Add(3, Resolve(streams, 2, MakeProfile(20, 30)));
   EXPECT_TRUE(Forward(r, MakeDatagram(streams, 5), 3).has_value());
   EXPECT_TRUE(Forward(r, MakeDatagram(streams, 25), 3).has_value());
   EXPECT_FALSE(Forward(r, MakeDatagram(streams, 15), 3).has_value());
@@ -111,8 +118,8 @@ TEST(RoutingTable, LinkCoversAnyProfile) {
 TEST(RoutingTable, BucketMatcherReturnsEveryCoveringSlot) {
   StreamTable streams;
   RoutingTable t(&streams);
-  t.Add(3, 1, MakeProfile(0, 20));
-  t.Add(3, 2, MakeProfile(10, 30));
+  t.Add(3, Resolve(streams, 1, MakeProfile(0, 20)));
+  t.Add(3, Resolve(streams, 2, MakeProfile(10, 30)));
   const RoutingTable::StreamBucket* bucket =
       t.BucketFor(3, streams.Find("s"));
   ASSERT_NE(bucket, nullptr);
@@ -125,7 +132,7 @@ TEST(RoutingTable, BucketMatcherReturnsEveryCoveringSlot) {
     bucket->Compiled("s").Match(d, &scratch, &hits);
     EXPECT_EQ(hits, want) << "temp " << temp;
     for (uint32_t h : hits) {
-      EXPECT_TRUE(bucket->slots()[h].profile->Covers(d));
+      EXPECT_TRUE(bucket->slots()[h].profile().Covers(d));
     }
   }
 }
@@ -135,12 +142,12 @@ TEST(RoutingTable, RemoveByIdOnLink) {
   RoutingTable t(&streams);
   const ProfilePtr p1 = MakeProfile(0, 10);
   const ProfilePtr p2 = MakeProfile(20, 30);
-  t.Add(3, 1, p1);
-  t.Add(3, 2, p2);
-  EXPECT_TRUE(t.Remove(3, 1, *p1));
-  EXPECT_FALSE(t.Remove(3, 1, *p1));
+  t.Add(3, Resolve(streams, 1, p1));
+  t.Add(3, Resolve(streams, 2, p2));
+  EXPECT_TRUE(t.Remove(3, *Resolve(streams, 1, p1)));
+  EXPECT_FALSE(t.Remove(3, *Resolve(streams, 1, p1)));
   EXPECT_EQ(EntriesOn(t, streams, 3), (std::set<ProfileId>{2}));
-  EXPECT_FALSE(t.Remove(9, 2, *p2));
+  EXPECT_FALSE(t.Remove(9, *Resolve(streams, 2, p2)));
 }
 
 // Removing a coverer re-checks the entries it covered, in entry order,
@@ -150,14 +157,14 @@ TEST(RoutingTable, RemoveRechecksWhatItCovered) {
   StreamTable streams;
   RoutingTable t(&streams);
   const ProfilePtr p1 = MakeProfile(0, 40);
-  t.Add(3, 1, p1);
-  t.Add(3, 2, MakeProfile(10, 20), /*covered_by=*/1);
-  t.Add(3, 3, MakeProfile(10, 20), /*covered_by=*/1);
-  t.Add(3, 4, MakeProfile(5, 30), /*covered_by=*/1);
+  t.Add(3, Resolve(streams, 1, p1));
+  t.Add(3, Resolve(streams, 2, MakeProfile(10, 20)), /*covered_by=*/1);
+  t.Add(3, Resolve(streams, 3, MakeProfile(10, 20)), /*covered_by=*/1);
+  t.Add(3, Resolve(streams, 4, MakeProfile(5, 30)), /*covered_by=*/1);
   ASSERT_TRUE(t.CheckInvariants());
   std::vector<ProfileId> uncovered;
   uint64_t checks = 0;
-  ASSERT_TRUE(t.Remove(3, 1, *p1, &uncovered, &checks));
+  ASSERT_TRUE(t.Remove(3, *Resolve(streams, 1, p1), &uncovered, &checks));
   // 2 finds no unpruned coverer; 3 is pruned behind 2; 4 is not covered
   // by 2, and 3 is pruned.
   EXPECT_EQ(uncovered, (std::vector<ProfileId>{2, 4}));
@@ -167,8 +174,12 @@ TEST(RoutingTable, RemoveRechecksWhatItCovered) {
   EXPECT_EQ(covered_by,
             (std::map<ProfileId, ProfileId>{{2, 0}, {3, 2}, {4, 0}}));
   EXPECT_TRUE(t.CheckInvariants());
-  EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(11, 19), nullptr), 2u);
-  EXPECT_EQ(t.FindCoverer(3, 6, *MakeProfile(0, 40), nullptr), 0u);
+  EXPECT_EQ(
+      t.FindCoverer(3, *Resolve(streams, 6, MakeProfile(11, 19)), nullptr),
+      2u);
+  EXPECT_EQ(
+      t.FindCoverer(3, *Resolve(streams, 6, MakeProfile(0, 40)), nullptr),
+      0u);
 }
 
 // A coverer requests every stream its pruned entry does, and may request
@@ -184,20 +195,20 @@ TEST(RoutingTable, RemovingAMultiStreamCovererRechecksItsPrunedEntry) {
   };
   const ProfilePtr wide = whole({"a", "b", "c"});
   const ProfilePtr narrow = whole({"a", "b"});
-  t.Add(3, 1, wide);
-  ASSERT_EQ(t.FindCoverer(3, 2, *narrow, nullptr), 1u);
-  t.Add(3, 2, narrow, /*covered_by=*/1);
+  t.Add(3, Resolve(streams, 1, wide));
+  ASSERT_EQ(t.FindCoverer(3, *Resolve(streams, 2, narrow), nullptr), 1u);
+  t.Add(3, Resolve(streams, 2, narrow), /*covered_by=*/1);
   ASSERT_TRUE(t.CheckInvariants());
   const StreamId c = streams.Find("c");
   ASSERT_NE(t.BucketFor(3, c), nullptr);
   std::vector<ProfileId> uncovered;
-  ASSERT_TRUE(t.Remove(3, 1, *wide, &uncovered));
+  ASSERT_TRUE(t.Remove(3, *Resolve(streams, 1, wide), &uncovered));
   EXPECT_EQ(uncovered, (std::vector<ProfileId>{2}));
   EXPECT_EQ(t.CoveredBy(3, 2), 0u);
   EXPECT_EQ(t.BucketFor(3, c), nullptr);
   EXPECT_TRUE(t.CheckInvariants());
-  EXPECT_TRUE(t.Contains(3, 2, *narrow));
-  EXPECT_FALSE(t.Contains(3, 1, *wide));
+  EXPECT_TRUE(t.Contains(3, *Resolve(streams, 2, narrow)));
+  EXPECT_FALSE(t.Contains(3, *Resolve(streams, 1, wide)));
   EXPECT_EQ(t.TotalEntries(), 1u);
   EXPECT_EQ(t.TotalIndexedSlots(), 2u);
 }
@@ -224,7 +235,7 @@ ProfileId ReferenceCoverer(const RoutingTable& t, const StreamTable& streams,
   for (const auto& slot : smallest->slots()) {
     if (slot.id == self || t.CoveredBy(link, slot.id) != 0) continue;
     ++*examined;
-    if (ProfileCovers(*slot.profile, narrow)) return slot.id;
+    if (ProfileCovers(slot.profile(), narrow)) return slot.id;
   }
   return 0;
 }
@@ -317,11 +328,11 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
         uint64_t checks = 0;
         const ProfileId want =
             ReferenceCoverer(t, streams, link, id, *p, &examined);
-        ASSERT_EQ(t.FindCoverer(link, id, *p, &checks), want)
+        ASSERT_EQ(t.FindCoverer(link, *Resolve(streams, id, p), &checks), want)
             << "seed " << seed << " id " << id << " " << p->ToString();
         ASSERT_EQ(checks, examined) << "seed " << seed << " id " << id;
         if (want != 0) ++covered;
-        t.Add(link, id, p, want);
+        t.Add(link, Resolve(streams, id, p), want);
         live.emplace_back(link, p);
         ids.push_back(id);
         if (rng.NextBool(0.2)) {
@@ -329,7 +340,8 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
           const size_t victim = rng.NextBounded(ids.size());
           const ProfileId gone = ids[victim];
           ASSERT_TRUE(
-              t.Remove(live[gone - 1].first, gone, *live[gone - 1].second));
+              t.Remove(live[gone - 1].first,
+                       *Resolve(streams, gone, live[gone - 1].second)));
           ids.erase(ids.begin() + static_cast<long>(victim));
         }
       }
@@ -338,7 +350,7 @@ TEST(RoutingTable, FindCovererAgreesWithProfileCovers) {
         for (const auto& lb : t.BucketsOf(sid)) {
           for (const auto& slot : lb.bucket.slots()) {
             if ((slot.required & kAllAttributes) != 0 &&
-                !slot.profile->RequiredAttributes(streams.Name(sid))
+                !slot.profile().RequiredAttributes(streams.Name(sid))
                      .empty()) {
               ++saturated;
             }
@@ -359,10 +371,10 @@ TEST(RoutingTable, ContainsChecksLinkAndId) {
   StreamTable streams;
   RoutingTable t(&streams);
   const ProfilePtr p = MakeProfile(0, 10);
-  t.Add(3, 1, p);
-  EXPECT_TRUE(t.Contains(3, 1, *p));
-  EXPECT_FALSE(t.Contains(3, 2, *p));
-  EXPECT_FALSE(t.Contains(5, 1, *p));
+  t.Add(3, Resolve(streams, 1, p));
+  EXPECT_TRUE(t.Contains(3, *Resolve(streams, 1, p)));
+  EXPECT_FALSE(t.Contains(3, *Resolve(streams, 2, p)));
+  EXPECT_FALSE(t.Contains(5, *Resolve(streams, 1, p)));
 }
 
 // Buckets are kept in the position order of the neighbour list the table
@@ -379,27 +391,17 @@ TEST(RoutingTable, BucketsOfFollowsNeighborPositions) {
     return out;
   };
   const ProfilePtr on9 = MakeProfile(0, 10);
-  t.Add(9, 1, on9);
-  t.Add(3, 2, MakeProfile(0, 10));
-  t.Add(7, 3, MakeProfile(0, 10));
-  t.Add(5, 4, MakeProfile(0, 10));
+  t.Add(9, Resolve(streams, 1, on9));
+  t.Add(3, Resolve(streams, 2, MakeProfile(0, 10)));
+  t.Add(7, Resolve(streams, 3, MakeProfile(0, 10)));
+  t.Add(5, Resolve(streams, 4, MakeProfile(0, 10)));
   using Links = std::vector<std::pair<NodeId, uint32_t>>;
   EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {9, 2}, {7, 3}}));
   // An erased bucket comes back at its position.
-  ASSERT_TRUE(t.Remove(9, 1, *on9));
+  ASSERT_TRUE(t.Remove(9, *Resolve(streams, 1, on9)));
   EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {7, 3}}));
-  t.Add(9, 5, MakeProfile(0, 10));
+  t.Add(9, Resolve(streams, 5, MakeProfile(0, 10)));
   EXPECT_EQ(links(), (Links{{5, 0}, {3, 1}, {9, 2}, {7, 3}}));
-  EXPECT_TRUE(t.CheckInvariants());
-}
-
-TEST(RoutingTable, AddUniqueRejectsDuplicateId) {
-  StreamTable streams;
-  RoutingTable t(&streams);
-  EXPECT_TRUE(t.AddUnique(3, 1, MakeProfile(0, 10)));
-  EXPECT_FALSE(t.AddUnique(3, 1, MakeProfile(20, 30)));
-  EXPECT_TRUE(t.AddUnique(5, 1, MakeProfile(0, 10)));
-  EXPECT_EQ(t.TotalEntries(), 2u);
   EXPECT_TRUE(t.CheckInvariants());
 }
 
@@ -407,7 +409,7 @@ TEST(RoutingTable, BucketForPartitionsByStream) {
   StreamTable streams;
   Router r(0, &streams);
   RoutingTable& t = r.table();
-  t.Add(3, 1, MakeProfile(0, 10));
+  t.Add(3, Resolve(streams, 1, MakeProfile(0, 10)));
   const StreamId s = streams.Find("s");
   ASSERT_NE(s, kNoStream);
   ASSERT_NE(t.BucketFor(3, s), nullptr);
@@ -431,7 +433,7 @@ TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
   auto p = std::make_shared<Profile>();
   p->AddStream("a", {"x"});
   p->AddStream("b");
-  t.Add(3, 7, p);
+  t.Add(3, Resolve(streams, 7, p));
   EXPECT_EQ(t.TotalEntries(), 1u);
   EXPECT_EQ(t.TotalIndexedSlots(), 2u);
   const StreamId a = streams.Find("a");
@@ -441,7 +443,7 @@ TEST(RoutingTable, MultiStreamProfileHasOneSlotPerStream) {
   EXPECT_NE(a, b);
   EXPECT_EQ(streams.live(), 2u);
   EXPECT_TRUE(t.CheckInvariants());
-  EXPECT_TRUE(t.Remove(3, 7, *p));
+  EXPECT_TRUE(t.Remove(3, *Resolve(streams, 7, p)));
   EXPECT_EQ(t.TotalIndexedSlots(), 0u);
   EXPECT_EQ(t.BucketFor(3, a), nullptr);
   EXPECT_EQ(t.BucketFor(3, b), nullptr);
@@ -454,8 +456,8 @@ TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
   RoutingTable t(&streams);
   const ProfilePtr hum_only = MakeProfile(0, 10, {"hum"});
   const ProfilePtr all = MakeProfile(0, 10);
-  t.Add(3, 1, MakeProfile(0, 10, {"temp"}));
-  t.Add(3, 2, hum_only);
+  t.Add(3, Resolve(streams, 1, MakeProfile(0, 10, {"temp"})));
+  t.Add(3, Resolve(streams, 2, hum_only));
   const StreamId s = streams.Find("s");
   const AttrMask temp = streams.MaskOf(s, {"temp"});
   const AttrMask hum = streams.MaskOf(s, {"hum"});
@@ -466,16 +468,16 @@ TEST(RoutingTable, UnionMaskSpansSlotsAndTracksChurn) {
   EXPECT_EQ(bucket->UnionMask(), temp | hum);
   // A profile needing every attribute poisons the union (recomputed after
   // an add), which disables projection.
-  t.Add(3, 4, all);
+  t.Add(3, Resolve(streams, 4, all));
   bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_NE(bucket->UnionMask() & kAllAttributes, 0u);
   // Removing it restores the attribute union (recomputed after a remove).
-  EXPECT_TRUE(t.Remove(3, 4, *all));
+  EXPECT_TRUE(t.Remove(3, *Resolve(streams, 4, all)));
   bucket = t.BucketFor(3, s);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->UnionMask(), temp | hum);
-  EXPECT_TRUE(t.Remove(3, 2, *hum_only));
+  EXPECT_TRUE(t.Remove(3, *Resolve(streams, 2, hum_only)));
   EXPECT_EQ(t.BucketFor(3, s)->UnionMask(), temp);
 }
 
@@ -485,12 +487,13 @@ TEST(RoutingTable, IndexSurvivesChurn) {
   std::vector<ProfilePtr> profiles;  // index: id - 1
   for (ProfileId id = 1; id <= 40; ++id) {
     profiles.push_back(MakeProfile(static_cast<double>(id % 7), 30));
-    t.Add(static_cast<NodeId>(id % 4), id, profiles.back());
+    t.Add(static_cast<NodeId>(id % 4), Resolve(streams, id, profiles.back()));
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());
   for (ProfileId id = 1; id <= 40; id += 2) {
-    EXPECT_TRUE(t.Remove(static_cast<NodeId>(id % 4), id, *profiles[id - 1]));
+    EXPECT_TRUE(t.Remove(static_cast<NodeId>(id % 4),
+                         *Resolve(streams, id, profiles[id - 1])));
   }
   EXPECT_TRUE(t.CheckInvariants());
   EXPECT_EQ(t.TotalIndexedSlots(), t.TotalEntries());
@@ -534,7 +537,7 @@ TEST(Router, RemoveLocalStopsDelivery) {
 TEST(Router, DecideForwardNoMatchIsNullopt) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(2, 1, MakeProfile(0, 10));
+  r.table().Add(2, Resolve(streams, 1, MakeProfile(0, 10)));
   EXPECT_FALSE(Forward(r, MakeDatagram(streams, 50), 2).has_value());
   EXPECT_FALSE(Forward(r, MakeDatagram(streams, 5), 9).has_value());
 }
@@ -542,8 +545,8 @@ TEST(Router, DecideForwardNoMatchIsNullopt) {
 TEST(Router, DecideForwardProjectsToUnionOfNeeds) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
-  r.table().Add(2, 2, MakeProfile(10, 30, {"hum"}));
+  r.table().Add(2, Resolve(streams, 1, MakeProfile(0, 20, {"temp"})));
+  r.table().Add(2, Resolve(streams, 2, MakeProfile(10, 30, {"hum"})));
   // Datagram at 15 matches both: union {temp, hum} = identity here.
   auto out = Forward(r, MakeDatagram(streams, 15), 2);
   ASSERT_TRUE(out.has_value());
@@ -558,7 +561,7 @@ TEST(Router, DecideForwardProjectsToUnionOfNeeds) {
 TEST(Router, DecideForwardWithoutEarlyProjectionKeepsWholeDatagram) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
+  r.table().Add(2, Resolve(streams, 1, MakeProfile(0, 20, {"temp"})));
   auto out = Forward(r, MakeDatagram(streams, 5), 2, false);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
@@ -567,8 +570,9 @@ TEST(Router, DecideForwardWithoutEarlyProjectionKeepsWholeDatagram) {
 TEST(Router, AllAttributeProfileDisablesProjection) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(2, 1, MakeProfile(0, 20));  // wants all attributes
-  r.table().Add(2, 2, MakeProfile(0, 20, {"temp"}));
+  // Entry 1 wants all attributes.
+  r.table().Add(2, Resolve(streams, 1, MakeProfile(0, 20)));
+  r.table().Add(2, Resolve(streams, 2, MakeProfile(0, 20, {"temp"})));
   auto out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
@@ -577,18 +581,18 @@ TEST(Router, AllAttributeProfileDisablesProjection) {
 TEST(Router, DecideForwardTracksTableMutations) {
   StreamTable streams;
   Router r(0, &streams);
-  r.table().Add(2, 1, MakeProfile(0, 20, {"temp"}));
+  r.table().Add(2, Resolve(streams, 1, MakeProfile(0, 20, {"temp"})));
   auto out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
   // Adding a hum-projecting profile widens the all-match union.
   const ProfilePtr hum = MakeProfile(0, 20, {"hum"});
-  r.table().Add(2, 2, hum);
+  r.table().Add(2, Resolve(streams, 2, hum));
   out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 2u);
   // Removing it narrows the union again (invalidation on Remove).
-  EXPECT_TRUE(r.table().Remove(2, 2, *hum));
+  EXPECT_TRUE(r.table().Remove(2, *Resolve(streams, 2, hum)));
   out = Forward(r, MakeDatagram(streams, 5), 2);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->tuple.num_values(), 1u);
@@ -634,12 +638,12 @@ TEST(Router, LocalSubscribersWithoutBucketDeliver) {
   const ProfilePtr routed = MakeProfile(0, 40);
   r.AddLocal(2, MakeProfile(0, 40),
              [&](const std::string&, const Tuple&) { ++hits; });
-  r.table().Add(3, 7, routed);
+  r.table().Add(3, Resolve(streams, 7, routed));
   const StreamId again = streams.Find("s");
   ASSERT_TRUE(r.RemoveLocal(2));
   EXPECT_TRUE(streams.referenced(again));
   EXPECT_TRUE(r.table().CheckInvariants());
-  ASSERT_TRUE(r.table().Remove(3, 7, *routed));
+  ASSERT_TRUE(r.table().Remove(3, *Resolve(streams, 7, routed)));
   EXPECT_FALSE(streams.referenced(again));
   EXPECT_EQ(streams.live(), 0u);
 }
@@ -666,7 +670,7 @@ TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
   };
   // A whole-stream subscription alone forwards with no compile.
   live.emplace_back(next_id, whole({"temp"}));
-  r.table().Add(kLink, next_id++, live.back().second);
+  r.table().Add(kLink, Resolve(streams, next_id++, live.back().second));
   ASSERT_TRUE(Forward(r, MakeDatagram(streams, 99), kLink).has_value());
   EXPECT_EQ(compiles->value(), 0u);
 
@@ -683,7 +687,7 @@ TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
                      : kind == 1 ? whole({"hum"})
                      : kind == 2 ? MakeProfile(0, 20, {"temp"})
                                  : MakeProfile(10, 30, {"hum"});
-      r.table().Add(kLink, next_id, p);
+      r.table().Add(kLink, Resolve(streams, next_id, p));
       live.emplace_back(next_id++, std::move(p));
     } else {
       size_t victim = rng.NextBounded(live.size());
@@ -691,7 +695,9 @@ TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
         if (!live[i].second->filters().empty()) victim = i;
       }
       ASSERT_TRUE(
-          r.table().Remove(kLink, live[victim].first, *live[victim].second));
+          r.table().Remove(
+              kLink,
+              *Resolve(streams, live[victim].first, live[victim].second)));
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
     ASSERT_TRUE(r.table().CheckInvariants()) << "step " << step;
@@ -710,7 +716,7 @@ TEST(Router, FilterFreeBucketsForwardWithoutMatcher) {
       AttrMask needed = 0;
       bool any = false;
       for (const auto& slot : bucket->slots()) {
-        if (!slot.profile->Covers(d)) continue;
+        if (!slot.profile().Covers(d)) continue;
         any = true;
         needed |= slot.required;
       }
@@ -1086,7 +1092,7 @@ TEST(StreamIds, ReusedIdNeverReachesOldOwner) {
       net.router(0).table().BucketFor(1, a_id);
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->slots().size(), 1u);
-  EXPECT_TRUE(bucket->slots()[0].profile->WantsStream("B"));
+  EXPECT_TRUE(bucket->slots()[0].profile().WantsStream("B"));
 
   // b1 = 5 passes B's filter; A's stale binding (a2 at column 1) would
   // have read b2 = 50 and dropped it.

@@ -11,6 +11,7 @@
 
 #include "cbn/network.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "overlay/spanning_tree.h"
 #include "overlay/topology.h"
 
@@ -33,23 +34,12 @@ Datagram MakeDatagram(const std::string& stream, double temp, double hum) {
                                 0)};
 }
 
-// Publishers of "s" and "t" at every node of `net`, by stream.
-std::map<std::string, std::vector<ContentBasedNetwork::Publisher>>
-PublishersEverywhere(ContentBasedNetwork& net) {
-  std::map<std::string, std::vector<ContentBasedNetwork::Publisher>> pubs;
-  for (const std::string stream : {"s", "t"}) {
-    for (NodeId n = 0; n < net.num_nodes(); ++n) {
-      pubs[stream].push_back(net.Advertise(n, stream));
-    }
-  }
-  return pubs;
-}
-
-// The flood regime: every subscription reaches the whole tree, pruned only
-// by covering, which acts only there.
+// The classic CBN regime: every subscription floods the whole tree,
+// pruned by covering.
 NetworkOptions Flooded() {
   NetworkOptions options;
   options.advertisement_scoping = false;
+  options.covering_prune = true;
   return options;
 }
 
@@ -103,6 +93,37 @@ Profile RandomProfile(Rng& rng) {
   return p;
 }
 
+// `p` with each stream's part narrowed or widened. Narrowing filters a
+// whole stream, drops the last of several filters, or names the projection
+// where it takes every attribute; widening takes the whole stream or adds a
+// filter where the stream is filtered, and every attribute where it is not.
+Profile Reshaped(const Profile& p, bool widen, Rng& rng) {
+  Profile out;
+  for (const std::string& stream : p.streams()) {
+    const Profile part = p.StreamPart(stream);
+    std::vector<Filter> filters = part.filters();
+    std::vector<std::string> projection = part.ProjectionOf(stream);
+    if (widen) {
+      if (filters.empty()) {
+        projection.clear();
+      } else if (rng.NextBool()) {
+        filters.clear();
+      } else {
+        filters.push_back(TempFilter(stream, rng));
+      }
+    } else if (filters.empty()) {
+      filters.push_back(TempFilter(stream, rng));
+    } else if (filters.size() > 1) {
+      filters.pop_back();
+    } else if (projection.empty()) {
+      projection = {"temp", "hum"};
+    }
+    out.AddStream(stream, projection);
+    for (Filter& f : filters) out.AddFilter(std::move(f));
+  }
+  return out;
+}
+
 // A live subscription of the churn sequence: its subscriber and profile,
 // and its id in the churned and in the unpruned network.
 struct Live {
@@ -126,102 +147,148 @@ std::optional<Tuple> Forwarded(const ContentBasedNetwork& net, NodeId node,
   return out->tuple;
 }
 
-// Seeded random Subscribe/Unsubscribe sequences, with duplicate, nested,
-// multi-stream and projected profiles. After every step the churned
-// network must forward exactly like one freshly built from the live set
-// and like one that never prunes, at every (node, neighbor), and deliver
-// like the unpruned one.
+// Seeded random Subscribe/Unsubscribe/Update sequences, with duplicate,
+// nested, multi-stream and projected profiles, each update narrowing or
+// widening one, in every regime of scoping and covering. Each stream has a
+// few publishers, and one more of "s" appears halfway. After every step
+// the churned network must forward exactly like one freshly built from the
+// live set and like one that never prunes, at every (node, neighbor), and
+// deliver like the unpruned one.
 TEST(SubscriptionChurn, MatchesFreshBuildAfterEveryStep) {
   const int kNodes[] = {30, 55, 80, 100};
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng = Rng(0xC0FFEE).Derive(seed);
-    const int nodes = kNodes[seed - 1];
-    const DisseminationTree tree = BaTree(nodes, seed);
-    ContentBasedNetwork churned(tree, Flooded());
-    NetworkOptions no_prune = Flooded();
-    no_prune.covering_prune = false;
-    ContentBasedNetwork unpruned(tree, no_prune);
-    auto churned_pubs = PublishersEverywhere(churned);
-    auto unpruned_pubs = PublishersEverywhere(unpruned);
-    std::vector<Live> live;
-    // Deliveries per subscription of the sequence, per network.
-    int next_key = 0;
-    std::map<int, int> churned_hits;
-    std::map<int, int> unpruned_hits;
-    std::vector<Profile> history;
-    // Half the subscribers share a few nodes, so profiles meet on the same
-    // links and prune behind one another.
-    std::vector<NodeId> pool;
-    for (int i = 0; i < 3; ++i) {
-      pool.push_back(static_cast<NodeId>(rng.NextBounded(nodes)));
-    }
-
-    for (int step = 0; step < 60; ++step) {
-      const bool subscribe =
-          live.empty() || (live.size() < 24 && rng.NextBool(0.6));
-      if (subscribe) {
-        Live l;
-        l.node = rng.NextBool() ? pool[rng.NextBounded(pool.size())]
-                                : static_cast<NodeId>(rng.NextBounded(nodes));
-        l.profile = !history.empty() && rng.NextBool(0.3)
-                        ? history[rng.NextBounded(history.size())]
-                        : RandomProfile(rng);
-        history.push_back(l.profile);
-        const int key = next_key++;
-        churned_hits[key] = 0;
-        unpruned_hits[key] = 0;
-        l.churned = churned.Subscribe(
-            l.node, l.profile,
-            [&churned_hits, key](const std::string&, const Tuple&) {
-              ++churned_hits[key];
-            });
-        l.unpruned = unpruned.Subscribe(
-            l.node, l.profile,
-            [&unpruned_hits, key](const std::string&, const Tuple&) {
-              ++unpruned_hits[key];
-            });
-        live.push_back(std::move(l));
-      } else {
-        const size_t victim = rng.NextBounded(live.size());
-        ASSERT_TRUE(churned.Unsubscribe(live[victim].churned));
-        ASSERT_TRUE(unpruned.Unsubscribe(live[victim].unpruned));
-        live.erase(live.begin() + static_cast<long>(victim));
-      }
-
-      ContentBasedNetwork fresh(tree, Flooded());
-      for (const Live& l : live) fresh.Subscribe(l.node, l.profile, nullptr);
-
-      std::vector<Datagram> samples;
-      for (int k = 0; k < 4; ++k) {
-        samples.push_back(MakeDatagram(rng.NextBool() ? "s" : "t",
-                                       static_cast<double>(rng.NextInt(-15, 45)),
-                                       static_cast<double>(rng.NextInt(0, 100))));
-      }
-      for (NodeId n = 0; n < nodes; ++n) {
-        ASSERT_TRUE(churned.router(n).table().CheckInvariants())
-            << "seed " << seed << " step " << step << " node " << n;
-        for (const auto& [link, w] : tree.Neighbors(n)) {
-          for (const Datagram& d : samples) {
-            const std::optional<Tuple> got = Forwarded(churned, n, link, d);
-            const std::optional<Tuple> want = Forwarded(fresh, n, link, d);
-            ASSERT_EQ(got.has_value(), want.has_value())
-                << "seed " << seed << " step " << step << " hop " << n
-                << "->" << link << " " << d.tuple.ToString();
-            if (got.has_value()) {
-              ASSERT_EQ(*got, *want) << "seed " << seed << " step " << step;
-            }
-            ASSERT_EQ(Forwarded(unpruned, n, link, d), want)
-                << "seed " << seed << " step " << step;
+  for (const bool scoping : {false, true}) {
+    for (const bool covering : {false, true}) {
+      SCOPED_TRACE(StrFormat("scoping=%d covering=%d", scoping, covering));
+      NetworkOptions options;
+      options.advertisement_scoping = scoping;
+      options.covering_prune = covering;
+      NetworkOptions no_prune = options;
+      no_prune.covering_prune = false;
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng = Rng(0xC0FFEE).Derive(seed);
+        const int nodes = kNodes[seed - 1];
+        const DisseminationTree tree = BaTree(nodes, seed);
+        // Publisher nodes by stream; the last of "s" advertises halfway.
+        std::map<std::string, std::vector<NodeId>> at;
+        for (const std::string stream : {"s", "t"}) {
+          for (int i = 0; i < 3; ++i) {
+            at[stream].push_back(static_cast<NodeId>(rng.NextBounded(nodes)));
           }
         }
+        const NodeId late = at["s"].back();
+        at["s"].pop_back();
+        auto advertise = [&at](ContentBasedNetwork& net) {
+          std::map<std::string, std::vector<ContentBasedNetwork::Publisher>>
+              pubs;
+          for (const auto& [stream, publishers] : at) {
+            for (NodeId n : publishers) {
+              pubs[stream].push_back(net.Advertise(n, stream));
+            }
+          }
+          return pubs;
+        };
+        ContentBasedNetwork churned(tree, options);
+        ContentBasedNetwork unpruned(tree, no_prune);
+        auto churned_pubs = advertise(churned);
+        auto unpruned_pubs = advertise(unpruned);
+        std::vector<Live> live;
+        // Deliveries per subscription of the sequence, per network.
+        int next_key = 0;
+        std::map<int, int> churned_hits;
+        std::map<int, int> unpruned_hits;
+        std::vector<Profile> history;
+        // Half the subscribers share a few nodes, so profiles meet on the
+        // same links and prune behind one another.
+        std::vector<NodeId> pool;
+        for (int i = 0; i < 3; ++i) {
+          pool.push_back(static_cast<NodeId>(rng.NextBounded(nodes)));
+        }
+
+        for (int step = 0; step < 60; ++step) {
+          if (step == 30) {
+            at["s"].push_back(late);
+            churned_pubs["s"].push_back(churned.Advertise(late, "s"));
+            unpruned_pubs["s"].push_back(unpruned.Advertise(late, "s"));
+          }
+          const double action = rng.NextDouble();
+          if (live.empty() || (live.size() < 24 && action < 0.45)) {
+            Live l;
+            l.node = rng.NextBool()
+                         ? pool[rng.NextBounded(pool.size())]
+                         : static_cast<NodeId>(rng.NextBounded(nodes));
+            l.profile = !history.empty() && rng.NextBool(0.3)
+                            ? history[rng.NextBounded(history.size())]
+                            : RandomProfile(rng);
+            history.push_back(l.profile);
+            const int key = next_key++;
+            churned_hits[key] = 0;
+            unpruned_hits[key] = 0;
+            l.churned = churned.Subscribe(
+                l.node, l.profile,
+                [&churned_hits, key](const std::string&, const Tuple&) {
+                  ++churned_hits[key];
+                });
+            l.unpruned = unpruned.Subscribe(
+                l.node, l.profile,
+                [&unpruned_hits, key](const std::string&, const Tuple&) {
+                  ++unpruned_hits[key];
+                });
+            live.push_back(std::move(l));
+          } else if (action < 0.75) {
+            Live& l = live[rng.NextBounded(live.size())];
+            l.profile = Reshaped(l.profile, /*widen=*/rng.NextBool(), rng);
+            history.push_back(l.profile);
+            ASSERT_TRUE(churned.Update(l.churned, l.profile));
+            ASSERT_TRUE(unpruned.Update(l.unpruned, l.profile));
+          } else {
+            const size_t victim = rng.NextBounded(live.size());
+            ASSERT_TRUE(churned.Unsubscribe(live[victim].churned));
+            ASSERT_TRUE(unpruned.Unsubscribe(live[victim].unpruned));
+            live.erase(live.begin() + static_cast<long>(victim));
+          }
+
+          ContentBasedNetwork fresh(tree, options);
+          auto fresh_pubs = advertise(fresh);
+          for (const Live& l : live) {
+            fresh.Subscribe(l.node, l.profile, nullptr);
+          }
+
+          std::vector<Datagram> samples;
+          for (int k = 0; k < 4; ++k) {
+            samples.push_back(
+                MakeDatagram(rng.NextBool() ? "s" : "t",
+                             static_cast<double>(rng.NextInt(-15, 45)),
+                             static_cast<double>(rng.NextInt(0, 100))));
+          }
+          for (NodeId n = 0; n < nodes; ++n) {
+            ASSERT_TRUE(churned.router(n).table().CheckInvariants())
+                << "seed " << seed << " step " << step << " node " << n;
+            for (const auto& [link, w] : tree.Neighbors(n)) {
+              for (const Datagram& d : samples) {
+                const std::optional<Tuple> got =
+                    Forwarded(churned, n, link, d);
+                const std::optional<Tuple> want = Forwarded(fresh, n, link, d);
+                ASSERT_EQ(got.has_value(), want.has_value())
+                    << "seed " << seed << " step " << step << " hop " << n
+                    << "->" << link << " " << d.tuple.ToString();
+                if (got.has_value()) {
+                  ASSERT_EQ(*got, *want)
+                      << "seed " << seed << " step " << step;
+                }
+                ASSERT_EQ(Forwarded(unpruned, n, link, d), want)
+                    << "seed " << seed << " step " << step;
+              }
+            }
+          }
+          for (const Datagram& d : samples) {
+            const size_t k = rng.NextBounded(at.at(d.stream).size());
+            churned.Publish(churned_pubs.at(d.stream)[k], d.tuple);
+            unpruned.Publish(unpruned_pubs.at(d.stream)[k], d.tuple);
+          }
+          ASSERT_EQ(churned_hits, unpruned_hits)
+              << "seed " << seed << " step " << step;
+        }
       }
-      for (const Datagram& d : samples) {
-        const NodeId at = static_cast<NodeId>(rng.NextBounded(nodes));
-        churned.Publish(churned_pubs.at(d.stream)[at], d.tuple);
-        unpruned.Publish(unpruned_pubs.at(d.stream)[at], d.tuple);
-      }
-      ASSERT_EQ(churned_hits, unpruned_hits)
-          << "seed " << seed << " step " << step;
     }
   }
 }
